@@ -223,12 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="subcss",
         description="Exact toolkit for subsystem stabilizer and subsystem CSS codes",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="worker threads (0 = auto); operations are pure, so this only caps parallelism",
-    )
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("info", help="parameters, distance, CSS structure")
@@ -283,11 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("gen", help="emit a built-in example code file")
     s.add_argument("name", help="five_qubit | bacon_shor | trivial | random")
-    s.add_argument("--l", type=int, default=None)
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--p", type=int, default=None)
-    s.add_argument("--dim", type=int, default=None)
-    s.add_argument("--seed", type=int, default=None)
+    _add_code_arg(s, positional=False)
     s.add_argument("--out", default=None)
     s.add_argument("--format", choices=codefile.FORMATS, default="symplectic")
     s.set_defaults(func=cmd_gen)

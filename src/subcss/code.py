@@ -2,15 +2,21 @@
 
 A code is a subspace H of F_p^{2n} (the gauge group modulo phases). Its
 parameters come from the tower 0 <= H cap H^w <= H <= H + H^w <= F_p^{2n},
-and the distance is the minimum symplectic weight over (H + H^w) \ H,
-found by a weight-increasing exhaustive search.
+and the distance is the minimum symplectic weight over (H + H^w) \\ H.
+
+Every minimum-weight question here is answered by one engine: an
+enumerator of the vectors of weight exactly w over an alphabet of nonzero
+single-site letters, and a weight-increasing search over its layers.
+Hamming weight on F_p^n uses the letters F_p \\ {0}; symplectic weight on
+F_p^{2n} is Hamming weight over the alphabet F_p^2, whose letters are the
+nonzero (x, z) values of one site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -152,29 +158,21 @@ class SubsystemCode:
         """
         if self.centralizer == self.gauge:
             raise NoLogicalOperators("H + H^w = H: the code has no logical operators")
-        if budget is None:
-            budget = self.n
-        in_cent = _membership_checker(self.centralizer)
-        in_gauge = _membership_checker(self.gauge)
-        for w in range(1, budget + 1):
-            for batch in _symplectic_weight_batches(self.p, self.n, w):
-                hits = in_cent(batch) & ~in_gauge(batch)
-                if np.any(hits):
-                    return DistanceResult(w, True)
-        return DistanceResult(budget + 1, False)
+        budget = self.n if budget is None else budget
+        found = self._logical_search(budget)
+        return DistanceResult(found[0], True) if found else DistanceResult(budget + 1, False)
 
     def min_weight_logical(self, budget: int | None = None) -> PauliVector | None:
         """A minimum-symplectic-weight element of (H + H^w) \\ H, if found."""
-        if budget is None:
-            budget = self.n
+        found = self._logical_search(self.n if budget is None else budget)
+        return unflatten(found[1], self.p) if found else None
+
+    def _logical_search(self, budget: int) -> tuple[int, np.ndarray] | None:
         in_cent = _membership_checker(self.centralizer)
         in_gauge = _membership_checker(self.gauge)
-        for w in range(1, budget + 1):
-            for batch in _symplectic_weight_batches(self.p, self.n, w):
-                hits = in_cent(batch) & ~in_gauge(batch)
-                if np.any(hits):
-                    return unflatten(batch[np.nonzero(hits)[0][0]], self.p)
-        return None
+        return _min_weight_search(
+            lambda batch: in_cent(batch) & ~in_gauge(batch), _site_values(self.p), self.n, budget
+        )
 
 
 def css_distances(split: CssSplit, budget: int | None = None) -> tuple[
@@ -197,19 +195,16 @@ def _classical_coset_distance(
     if big == small:
         raise NoLogicalOperators("no logical operators on this side")
     n = big.ambient
-    if budget is None:
-        budget = n
+    budget = n if budget is None else budget
     in_big = _membership_checker(big)
     in_small = _membership_checker(small)
-    for w in range(1, budget + 1):
-        for batch in _hamming_weight_batches(big.p, n, w):
-            hits = in_big(batch) & ~in_small(batch)
-            if np.any(hits):
-                return DistanceResult(w, True)
-    return DistanceResult(budget + 1, False)
+    found = _min_weight_search(
+        lambda batch: in_big(batch) & ~in_small(batch), _field_letters(big.p), n, budget
+    )
+    return DistanceResult(found[0], True) if found else DistanceResult(budget + 1, False)
 
 
-# Search plumbing -----------------------------------------------------------
+# Search engine -------------------------------------------------------------
 
 _BATCH_ROWS = 1 << 14
 
@@ -223,49 +218,66 @@ def _membership_checker(space: Subspace):
     return lambda batch: ~np.any((batch @ comp.T) % p, axis=1)
 
 
+def _field_letters(p: int) -> np.ndarray:
+    """The p - 1 nonzero values of F_p, as a one-column letter array."""
+    return np.arange(1, p, dtype=np.int64)[:, None]
+
+
 def _site_values(p: int) -> np.ndarray:
     """The p^2 - 1 nontrivial (x, z) single-site values, lexicographic."""
     vals = [(i, j) for i in range(p) for j in range(p) if (i, j) != (0, 0)]
     return np.array(vals, dtype=np.int64)
 
 
-def _symplectic_weight_batches(p: int, n: int, w: int) -> Iterator[np.ndarray]:
-    """Flattened F_p^{2n} vectors of symplectic weight exactly w, in batches.
+def _weight_batches(letters: np.ndarray, n: int, w: int) -> Iterator[np.ndarray]:
+    """All vectors with exactly w nonzero sites, in batches of <= _BATCH_ROWS rows.
 
-    Deterministic order: sites lexicographic, then site values lexicographic.
+    `letters` is an (m, b) array of the nonzero single-site values; column
+    j of a letter placed on a site goes to coordinate j*n + site, so a row
+    has length b*n (the `flatten` layout when b = 2). Order: sites
+    lexicographic, then letters lexicographic.
     """
-    vals = _site_values(p)
-    m = len(vals)
-    rows: list[np.ndarray] = []
-    for sites in combinations(range(n), w):
-        idx = np.array(list(product(range(m), repeat=w)), dtype=np.int64)
-        block = np.zeros((idx.shape[0], 2 * n), dtype=np.int64)
-        for pos, site in enumerate(sites):
-            block[:, site] = vals[idx[:, pos], 0]
-            block[:, n + site] = vals[idx[:, pos], 1]
-        rows.append(block)
-        if sum(b.shape[0] for b in rows) >= _BATCH_ROWS:
-            yield np.vstack(rows)
-            rows = []
-    if rows:
-        yield np.vstack(rows)
+    m, b = letters.shape
+    per_sites = m**w
+    sites_per_batch = max(1, _BATCH_ROWS // per_sites)
+    letters_per_batch = min(per_sites, _BATCH_ROWS)
+    # Digit i of a letter-tuple index t is letter position i, most significant first.
+    place = m ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    block_cols = n * np.arange(b, dtype=np.int64)
+    site_sets = combinations(range(n), w)
+    while chunk := list(islice(site_sets, sites_per_batch)):
+        sites = np.array(chunk, dtype=np.int64).reshape(len(chunk), w)
+        cols = sites[:, None, :, None] + block_cols
+        for lo in range(0, per_sites, letters_per_batch):
+            t = np.arange(lo, min(lo + letters_per_batch, per_sites), dtype=np.int64)
+            vals = letters[(t[:, None] // place) % m]
+            row_ids = np.arange(len(chunk) * len(t)).reshape(len(chunk), len(t), 1, 1)
+            batch = np.zeros((row_ids.size, b * n), dtype=np.int64)
+            batch[row_ids, cols] = vals[None]
+            yield batch
 
 
-def _hamming_weight_batches(p: int, n: int, w: int) -> Iterator[np.ndarray]:
-    """F_p^n vectors of Hamming weight exactly w, in deterministic batches."""
-    vals = np.arange(1, p, dtype=np.int64)
-    rows: list[np.ndarray] = []
-    for sites in combinations(range(n), w):
-        idx = np.array(list(product(range(p - 1), repeat=w)), dtype=np.int64)
-        block = np.zeros((idx.shape[0], n), dtype=np.int64)
-        for pos, site in enumerate(sites):
-            block[:, site] = vals[idx[:, pos]]
-        rows.append(block)
-        if sum(b.shape[0] for b in rows) >= _BATCH_ROWS:
-            yield np.vstack(rows)
-            rows = []
-    if rows:
-        yield np.vstack(rows)
+def _min_weight_search(
+    pred, letters: np.ndarray, n: int, budget: int, all_at_weight: bool = False
+) -> tuple[int, np.ndarray] | None:
+    """Weight-increasing search over the layers w = 1..budget.
+
+    `pred` maps a batch to one boolean per row. Returns (w, v) for the
+    least w with a hit, v being its first hit in `_weight_batches` order;
+    with `all_at_weight`, v holds every hit of weight w instead. None when
+    no vector of weight <= budget hits.
+    """
+    for w in range(1, budget + 1):
+        found = []
+        for batch in _weight_batches(letters, n, w):
+            hits = batch[pred(batch)]
+            if len(hits):
+                if not all_at_weight:
+                    return w, hits[0]
+                found.append(hits)
+        if found:
+            return w, np.vstack(found)
+    return None
 
 
 def _image(mat: np.ndarray, domain: Subspace, p: int) -> Subspace:

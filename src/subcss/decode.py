@@ -13,18 +13,20 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
 from .code import (
     CssSplit,
     _classical_coset_distance,
-    _hamming_weight_batches,
+    _field_letters,
+    _membership_checker,
+    _min_weight_search,
     _site_values,
+    _weight_batches,
 )
 from .gf import Subspace, fp_array, kernel, pivot_columns, solve
-from .pauli import PauliVector
+from .pauli import PauliVector, unflatten
 
 _TABLE_LIMIT = 1 << 20
 
@@ -73,7 +75,7 @@ class ClassicalCode:
         table[self._syn_key(zero)] = zero
         max_w = (self.d_r - 1) // 2
         for w in range(1, max_w + 1):
-            for batch in _hamming_weight_batches(self.p, self.n, w):
+            for batch in _weight_batches(_field_letters(self.p), self.n, w):
                 syns = (batch @ self.f.T) % self.p
                 for v, syn in zip(batch, syns):
                     key = syn.tobytes()
@@ -116,17 +118,17 @@ class ClassicalCode:
             raise InconsistentSyndrome("syndrome not in the image of the parity check")
         if not np.any(syn):
             return np.zeros(self.n, dtype=np.int64)
-        max_w = (self.d_r - 1) // 2
-        for w in range(1, max_w + 1):
-            best = None
-            for batch in _hamming_weight_batches(self.p, self.n, w):
-                hits = np.all((batch @ self.f.T) % self.p == syn, axis=1)
-                for v in batch[hits]:
-                    if best is None or tuple(v) < tuple(best):
-                        best = v.copy()
-            if best is not None:
-                return best
-        return None
+        found = _min_weight_search(
+            lambda batch: np.all((batch @ self.f.T) % self.p == syn, axis=1),
+            _field_letters(self.p),
+            self.n,
+            (self.d_r - 1) // 2,
+            all_at_weight=True,
+        )
+        if found is None:
+            return None
+        # The lexicographically smallest vector of the least weight.
+        return np.array(min(found[1].tolist()), dtype=np.int64)
 
 
 def make_css_decoder(split: CssSplit) -> tuple[ClassicalCode, ClassicalCode]:
@@ -273,23 +275,11 @@ def _min_weight_of(space: Subspace) -> int:
 def respects_weight(h: Subspace) -> bool:
     """Whether h is spanned by its weight-at-most-2 members."""
     p, n = h.p, h.ambient
-    rows = []
-    for i in range(n):
-        for c in range(1, p):
-            v = np.zeros(n, dtype=np.int64)
-            v[i] = c
-            if h.contains(v):
-                rows.append(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for c1, c2 in product(range(1, p), repeat=2):
-                v = np.zeros(n, dtype=np.int64)
-                v[i], v[j] = c1, c2
-                if h.contains(v):
-                    rows.append(v)
-    if not rows:
-        return h.dim == 0
-    return Subspace.span(np.array(rows), p, n) == h
+    in_h = _membership_checker(h)
+    rows = [np.zeros((0, n), dtype=np.int64)]
+    for w in (1, 2):
+        rows.extend(batch[in_h(batch)] for batch in _weight_batches(_field_letters(p), n, w))
+    return Subspace.span(np.vstack(rows), p, n) == h
 
 
 def par_decoder_build(split: CssSplit, side: str = "X") -> ParDecoder:
@@ -378,12 +368,9 @@ def monte_carlo(split: CssSplit, q: float, trials: int, seed: int) -> MonteCarlo
 
 def exhaustive_sweep(split: CssSplit, weight: int) -> TrialCounts:
     """Recover every Pauli error of symplectic weight exactly `weight`."""
-    from .code import _symplectic_weight_batches
-    from .pauli import unflatten
-
     p, n = split.p, split.n
     outcomes = []
-    for batch in _symplectic_weight_batches(p, n, weight):
+    for batch in _weight_batches(_site_values(p), n, weight):
         for row in batch:
             outcomes.append(steane_recover(split, unflatten(row, p)))
     return _tally(outcomes)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .code import SubsystemCode
 from .gf import Subspace
-from .pauli import PauliVector, flatten, psi, psi_subspace, unflatten
+from .pauli import PauliVector, psi, psi_subspace, unflatten
 
 # Distance of the doubled five-qubit code, frozen from full enumeration of
 # its centralizer (the doubling bracket alone only guarantees 3..6).
@@ -59,13 +59,7 @@ class DoubledCode:
 
 def delta(code: SubsystemCode) -> DoubledCode:
     """Double a subsystem stabilizer code into a subsystem CSS code."""
-    gens = []
-    for row in code.gauge.basis:
-        x_gen, z_gen = double_generator(unflatten(row, code.p))
-        gens.extend([x_gen, z_gen])
-    result = SubsystemCode.from_generators(code.p, 2 * code.n, gens)
-    # Generator-level and subspace-level constructions must agree.
-    assert result.gauge == double_subspace(code.gauge)
+    result = SubsystemCode.from_generators(code.p, 2 * code.n, doubled_generators(code))
     return DoubledCode(source=code, result=result)
 
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from subcss import Subspace, SubsystemCode
+from subcss import CssSplit, Subspace, SubsystemCode
 
 
 def random_subspace(rng, p, ambient):
@@ -18,6 +19,31 @@ def random_gauge_code(rng, p, n):
     dim = int(rng.integers(0, 2 * n + 1))
     rows = rng.integers(0, p, size=(dim, 2 * n))
     return SubsystemCode(p, n, Subspace.span(rows, p, 2 * n))
+
+
+@st.composite
+def subspaces(draw, p, ambient):
+    """Hypothesis strategy: a subspace of F_p^ambient spanned by random rows."""
+    dim = draw(st.integers(0, ambient))
+    row = st.lists(st.integers(0, p - 1), min_size=ambient, max_size=ambient)
+    rows = draw(st.lists(row, min_size=dim, max_size=dim))
+    return Subspace.span(np.array(rows, dtype=np.int64).reshape(dim, ambient), p, ambient)
+
+
+@st.composite
+def gauge_codes(draw, primes, max_n):
+    """Hypothesis strategy: a SubsystemCode with p in `primes` and n <= max_n."""
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(1, max_n))
+    return SubsystemCode(p, n, draw(subspaces(p, 2 * n)))
+
+
+@st.composite
+def css_splits(draw, primes, max_n):
+    """Hypothesis strategy: a CssSplit with p in `primes` and n <= max_n."""
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(1, max_n))
+    return CssSplit(draw(subspaces(p, n)), draw(subspaces(p, n)))
 
 
 @pytest.fixture

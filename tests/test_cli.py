@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: commands, formats, and the exit-code contract."""
 
+import pytest
+
 from subcss import parse_code_file
 from subcss.cli import main
 
@@ -148,7 +150,8 @@ def test_exit_code_infeasible(capsys):
     assert "infeasible" in err
 
 
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--threads", "4", "info", "builtin:trivial", "--n", "2")
-    assert code == 0
-    assert "n = 2 (exact)" in out
+def test_threads_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "4", "info", "builtin:trivial", "--n", "2"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

@@ -1,7 +1,11 @@
 """Code tower, parameters, CSS structure, and distance search."""
 
+from itertools import combinations, product
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from subcss import (
     CssSplit,
@@ -13,10 +17,16 @@ from subcss import (
     five_qubit,
     trivial,
 )
-from subcss.code import DistanceResult
-from subcss.pauli import omega_complement, swt
+from subcss.code import (
+    _BATCH_ROWS,
+    DistanceResult,
+    _field_letters,
+    _site_values,
+    _weight_batches,
+)
+from subcss.pauli import flatten, omega_complement, swt
 
-from conftest import random_gauge_code
+from conftest import css_splits, gauge_codes, random_gauge_code
 
 
 def test_five_qubit_parameters():
@@ -42,8 +52,6 @@ def test_min_weight_logical():
     code = five_qubit()
     op = code.min_weight_logical()
     assert swt(op) == 3
-    from subcss.pauli import flatten
-
     assert code.centralizer.contains(flatten(op))
     assert not code.gauge.contains(flatten(op))
 
@@ -154,3 +162,85 @@ def test_code_equality_and_repr():
     assert a == b and hash(a) == hash(b)
     assert "[[5,1,0]]" in repr(a)
     assert a != trivial(5)
+
+
+# Weight-layer enumerator and minimum-weight search ---------------------------
+
+
+def _reference_layer(letters, n, w):
+    """Loop reference: sites lexicographic, then letter tuples lexicographic."""
+    m, b = letters.shape
+    tuples = np.array(list(product(range(m), repeat=w)), dtype=np.int64).reshape(-1, w)
+    blocks = []
+    for sites in combinations(range(n), w):
+        block = np.zeros((len(tuples), b * n), dtype=np.int64)
+        for pos, site in enumerate(sites):
+            block[:, site + n * np.arange(b)] = letters[tuples[:, pos]]
+        blocks.append(block)
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize(
+    "letters, n, w",
+    [
+        (_field_letters(2), 7, 3),
+        (_field_letters(3), 5, 2),
+        (_field_letters(5), 4, 4),
+        (_site_values(2), 5, 3),
+        (_site_values(3), 4, 2),
+        (_site_values(7), 3, 3),
+    ],
+)
+def test_weight_batches_contract(letters, n, w):
+    m, b = letters.shape
+    batches = list(_weight_batches(letters, n, w))
+    assert all(0 < batch.shape[0] <= _BATCH_ROWS for batch in batches)
+    rows = np.vstack(batches)
+    assert rows.shape == (comb(n, w) * m**w, b * n)
+    site_weight = np.count_nonzero(np.any(rows.reshape(-1, b, n) != 0, axis=1), axis=1)
+    assert np.all(site_weight == w)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    assert np.array_equal(rows, _reference_layer(letters, n, w))
+
+
+def _brute_min_weight(big, small, weight):
+    """min weight(big \\ small) by listing both spaces; None if the difference is empty."""
+    small_elems = {tuple(v) for v in small.all_elements()}
+    outside = [v for v in big.all_elements() if tuple(v) not in small_elems]
+    return int(weight(np.array(outside)).min()) if outside else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauge_codes(primes=(2, 3), max_n=4))
+def test_distance_matches_brute_force(code):
+    n = code.n
+    expected = _brute_min_weight(
+        code.centralizer,
+        code.gauge,
+        lambda rows: np.count_nonzero(rows[:, :n] | rows[:, n:], axis=1),
+    )
+    if expected is None:
+        with pytest.raises(NoLogicalOperators):
+            code.distance()
+        return
+    assert code.distance() == DistanceResult(expected, True)
+    op = code.min_weight_logical()
+    assert swt(op) == expected
+    assert code.centralizer.contains(flatten(op)) and not code.gauge.contains(flatten(op))
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits(primes=(2, 3), max_n=4))
+def test_css_distances_match_brute_force(split):
+    hamming = lambda rows: np.count_nonzero(rows, axis=1)  # noqa: E731
+    expected = [
+        _brute_min_weight(split.h_x + split.h_z.complement(), split.h_x, hamming),
+        _brute_min_weight(split.h_z + split.h_x.complement(), split.h_z, hamming),
+    ]
+    if None in expected:
+        with pytest.raises(NoLogicalOperators):
+            css_distances(split)
+        return
+    d_x, d_z, d = css_distances(split)
+    assert (d_x, d_z) == (DistanceResult(expected[0], True), DistanceResult(expected[1], True))
+    assert d == DistanceResult(min(expected), True)

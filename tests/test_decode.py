@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from subcss import decode
 from subcss import (
     ClassicalCode,
     CssSplit,
@@ -21,6 +22,9 @@ from subcss import (
     steane_recover,
     syndrome_of,
 )
+from subcss.decode import make_css_decoder
+
+from conftest import random_subspace
 
 
 BS3 = bacon_shor(3).css_split()
@@ -131,6 +135,36 @@ def test_monte_carlo_noiseless():
         monte_carlo(BS3, 1.5, 10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo(BS3, 0.1, 0, seed=0)
+
+
+def test_search_decoding_matches_table(rng, monkeypatch):
+    # Per-query search (table disabled) answers every achievable syndrome
+    # exactly as the coset-leader table does.
+    splits = [BS3, BS4, DOUBLED]
+    for _ in range(30):
+        p = int(rng.choice([2, 3]))
+        n = int(rng.integers(2, 7))
+        splits.append(CssSplit(random_subspace(rng, p, n), random_subspace(rng, p, n)))
+    sides = [side for split in splits for side in make_css_decoder(split) if side.k != side.r]
+    expected = []
+    for side in sides:
+        # The achievable syndromes are the column space of the parity check.
+        syndromes = Subspace.span(side.f.T, side.p, side.f.shape[0]).all_elements()
+        expected.append([(syn, side.decode_coset(syn)) for syn in syndromes])
+        assert side._leader_table is not None
+    monkeypatch.setattr(decode, "_TABLE_LIMIT", 0)
+    nonzero = 0
+    for side, answers in zip(sides, expected):
+        search = ClassicalCode(side.k, side.r, side.f)
+        assert search._leader_table is None
+        for syn, leader in answers:
+            got = search.decode_coset(syn)
+            if leader is None:
+                assert got is None
+            else:
+                assert got is not None and np.array_equal(got, leader)
+                nonzero += bool(np.any(leader))
+    assert nonzero >= 30
 
 
 def test_respects_weight():

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from subcss import SubsystemCode, delta, double_generator, double_subspace, five_qubit, trivial
 from subcss.double import DOUBLED_FIVE_QUBIT_DISTANCE, doubled_generators
 from subcss.pauli import omega_complement, parse_pauli
 
-from conftest import random_gauge_code, random_subspace
+from conftest import gauge_codes, random_gauge_code, random_subspace
 
 # Doubled five-qubit stabilizer generators as displayed (first register block
 # then second register block per generator).
@@ -102,6 +103,13 @@ def test_distance_bracket(rng):
         assert d.value <= d2.value <= 2 * d.value
         checked += 1
     assert checked >= 10
+
+
+@settings(max_examples=80, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=4))
+def test_delta_matches_double_subspace(code):
+    # The generator-level construction equals H x psi(H) at the subspace level.
+    assert delta(code).result.gauge == double_subspace(code.gauge)
 
 
 def test_doubled_generators_count():

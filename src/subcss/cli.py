@@ -2,7 +2,8 @@
 
 Reports are line-oriented ``key = value`` text; numeric results carry
 their computation mode (exact, search-bounded, or sampled). Exit codes:
-0 success, 2 parse error, 3 infeasible request.
+0 success, 2 rejected input (parse error or invalid value), 3 infeasible
+request.
 """
 
 from __future__ import annotations
@@ -155,15 +156,14 @@ def cmd_decode(args) -> int:
     if not code.is_css():
         raise InfeasibleRequest("the recovery procedure is defined for CSS codes only")
     split = code.css_split()
-    print("weight_or_q,trials,corrected,logical_failures,out_of_range")
     if args.exhaustive_weight is not None:
-        for w in range(1, args.exhaustive_weight + 1):
-            c = decode.exhaustive_sweep(split, w)
-            print(f"{w},{c.trials},{c.corrected},{c.logical_failures},{c.out_of_range}")
+        weights = range(1, args.exhaustive_weight + 1)
+        rows = [(w, decode.exhaustive_sweep(split, w)) for w in weights]
     else:
-        report = decode.monte_carlo(split, args.q, args.trials, args.mc_seed)
-        c = report.counts
-        print(f"{args.q},{c.trials},{c.corrected},{c.logical_failures},{c.out_of_range}")
+        rows = [(args.q, decode.monte_carlo(split, args.q, args.trials, args.mc_seed).counts)]
+    print("weight_or_q,trials,corrected,logical_failures,out_of_range")
+    for label, c in rows:
+        print(f"{label},{c.trials},{c.corrected},{c.logical_failures},{c.out_of_range}")
     return EXIT_OK
 
 
@@ -172,19 +172,16 @@ def cmd_codewords(args) -> int:
     if not code.is_css():
         raise InfeasibleRequest("codewords are defined for CSS codes only")
     split = code.css_split()
-    if args.dense and code.p**code.n > 1 << 20:
+    if args.dense and code.p**code.n > states._DENSE_LIMIT:
         raise InfeasibleRequest("dense amplitudes infeasible at this size")
-    support = split.h_x.intersect(split.h_z.complement())
-    stab_x = support
-    stab_z = split.h_z.intersect(split.h_x.complement())
     words = states.all_codewords(split)
     print(f"codewords = {len(words)} (exact)")
-    print(f"support_size = {code.p**support.dim} (exact)")
+    print(f"support_size = {code.p**split.stab_x.dim} (exact)")
     from .pauli import PauliVector
 
     zeros = np.zeros(code.n, dtype=np.int64)
-    stabs = [PauliVector(code.p, row, zeros) for row in stab_x.basis]
-    stabs += [PauliVector(code.p, zeros, row) for row in stab_z.basis]
+    stabs = [PauliVector(code.p, row, zeros) for row in split.stab_x.basis]
+    stabs += [PauliVector(code.p, zeros, row) for row in split.stab_z.basis]
     all_fixed = True
     for l, g, st in words:
         fixed = all(states.is_fixed_by(st, s) for s in stabs)

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf import Subspace, validate_prime
+from .gf import Subspace, kernel, validate_prime
 from .pauli import PauliVector, flatten, omega_complement, unflatten
 
 
@@ -58,6 +58,26 @@ class CssSplit:
     @property
     def n(self) -> int:
         return self.h_x.ambient
+
+    @cached_property
+    def stab_x(self) -> Subspace:
+        """S_X = H_X cap H_Z^theta: the X-type stabilizer space."""
+        return self.h_x.intersect(self.h_z.complement())
+
+    @cached_property
+    def stab_z(self) -> Subspace:
+        """S_Z = H_Z cap H_X^theta: the Z-type stabilizer space."""
+        return self.h_z.intersect(self.h_x.complement())
+
+    @cached_property
+    def logical_x(self) -> Subspace:
+        """L_X = H_X + H_Z^theta: the X-type logical space."""
+        return self.h_x + self.h_z.complement()
+
+    @cached_property
+    def logical_z(self) -> Subspace:
+        """L_Z = H_Z + H_X^theta: the Z-type logical space."""
+        return self.h_z + self.h_x.complement()
 
 
 class SubsystemCode:
@@ -108,14 +128,19 @@ class SubsystemCode:
     # Tower -----------------------------------------------------------------
 
     @cached_property
+    def _omega_comp(self) -> Subspace:
+        """H^w, shared by the centralizer and the stabilizer."""
+        return omega_complement(self.gauge)
+
+    @cached_property
     def centralizer(self) -> Subspace:
         """H + H^w: all logical (commuting-with-stabilizer) operators."""
-        return self.gauge + omega_complement(self.gauge)
+        return self.gauge + self._omega_comp
 
     @cached_property
     def stabilizer(self) -> Subspace:
         """H cap H^w: the stabilizer group modulo phases."""
-        return self.gauge.intersect(omega_complement(self.gauge))
+        return self.gauge.intersect(self._omega_comp)
 
     def parameters(self) -> tuple[int, int, int]:
         """(n, k, r): physical, logical, and gauge qudit counts."""
@@ -128,25 +153,27 @@ class SubsystemCode:
     # CSS structure ---------------------------------------------------------
 
     @cached_property
-    def _pi_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Generator matrices (columns = x-parts / z-parts of basis generators)."""
-        basis = self.gauge.basis
-        return basis[:, : self.n].T.copy(), basis[:, self.n :].T.copy()
+    def _internal(self) -> tuple[Subspace, Subspace]:
+        """(N_X, N_Z): N_X = {a : (a, 0) in H} and N_Z = {b : (0, b) in H}.
+
+        N_X is the x-part image of the generator combinations whose z-parts
+        cancel (the kernel of pi_Z), and symmetrically for N_Z.
+        """
+        x, z = self.gauge.basis[:, : self.n], self.gauge.basis[:, self.n :]
+        n_x = Subspace.span(kernel(z.T, self.p).basis @ x, self.p, self.n)
+        n_z = Subspace.span(kernel(x.T, self.p).basis @ z, self.p, self.n)
+        return n_x, n_z
 
     def is_css(self) -> bool:
-        """Kernel-sum criterion: ker pi_X + ker pi_Z = F_p^l."""
-        return _is_direct_product(self.gauge, self.n)
+        """H = H_X x H_Z iff N_X x N_Z already fills H: dim N_X + dim N_Z = dim H."""
+        n_x, n_z = self._internal
+        return n_x.dim + n_z.dim == self.gauge.dim
 
     def css_split(self) -> CssSplit:
-        """Split H = H_X x H_Z; raises ValueError if the code is not CSS."""
+        """Split H = N_X x N_Z; raises ValueError if the code is not CSS."""
         if not self.is_css():
             raise ValueError("code is not CSS")
-        from .gf import kernel
-
-        pi_x, pi_z = self._pi_matrices
-        h_x = _image(pi_x, kernel(pi_z, self.p), self.p)
-        h_z = _image(pi_z, kernel(pi_x, self.p), self.p)
-        return CssSplit(h_x, h_z)
+        return CssSplit(*self._internal)
 
     # Distance --------------------------------------------------------------
 
@@ -179,8 +206,8 @@ def css_distances(split: CssSplit, budget: int | None = None) -> tuple[
     DistanceResult, DistanceResult, DistanceResult
 ]:
     """(d_X, d_Z, d) of a CSS split via single-block weight-increasing search."""
-    d_x = _classical_coset_distance(split.h_x + split.h_z.complement(), split.h_x, budget)
-    d_z = _classical_coset_distance(split.h_z + split.h_x.complement(), split.h_z, budget)
+    d_x = _classical_coset_distance(split.logical_x, split.h_x, budget)
+    d_z = _classical_coset_distance(split.logical_z, split.h_z, budget)
     if d_x.exact and d_z.exact:
         d = DistanceResult(min(d_x.value, d_z.value), True)
     else:
@@ -279,23 +306,3 @@ def _min_weight_search(
             return w, np.vstack(found)
     return None
 
-
-def _image(mat: np.ndarray, domain: Subspace, p: int) -> Subspace:
-    """Image of a subspace of the column domain under a matrix."""
-    if domain.dim == 0:
-        return Subspace.zero(p, mat.shape[0])
-    rows = (domain.basis @ mat.T) % p
-    return Subspace.span(rows, p, mat.shape[0])
-
-
-def _is_direct_product(h: Subspace, n: int) -> bool:
-    """Whether a subspace of F_p^{2n} splits as H_X x H_Z (kernel-sum test)."""
-    from .gf import kernel
-
-    basis = h.basis
-    if basis.shape[0] == 0:
-        return True
-    pi_x = basis[:, :n].T
-    pi_z = basis[:, n:].T
-    ksum = kernel(pi_x, h.p) + kernel(pi_z, h.p)
-    return ksum.dim == basis.shape[0]

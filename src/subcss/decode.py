@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -138,11 +138,8 @@ def make_css_decoder(split: CssSplit) -> tuple[ClassicalCode, ClassicalCode]:
     basis matrix of the Z-type stabilizer space H_Z cap H_X^theta (its
     kernel is exactly the code). Z side is the X<->Z mirror.
     """
-    hx, hz = split.h_x, split.h_z
-    s_z = hz.intersect(hx.complement())
-    s_x = hx.intersect(hz.complement())
-    x_side = ClassicalCode(hx + hz.complement(), hx, s_z.basis)
-    z_side = ClassicalCode(hz + hx.complement(), hz, s_x.basis)
+    x_side = ClassicalCode(split.logical_x, split.h_x, split.stab_z.basis)
+    z_side = ClassicalCode(split.logical_z, split.h_z, split.stab_x.basis)
     return x_side, z_side
 
 
@@ -158,15 +155,10 @@ def syndrome_of(split: CssSplit, e: PauliVector) -> Syndrome:
     return Syndrome(x_syn=x_side.syndrome(e.x), z_syn=z_side.syndrome(e.z))
 
 
-_decoder_cache: dict[CssSplit, tuple[ClassicalCode, ClassicalCode]] = {}
-
-
+@lru_cache(maxsize=32)
 def _decoder_pair(split: CssSplit) -> tuple[ClassicalCode, ClassicalCode]:
-    pair = _decoder_cache.get(split)
-    if pair is None:
-        pair = make_css_decoder(split)
-        _decoder_cache[split] = pair
-    return pair
+    """The decoders of a split, shared by every split equal to it in value."""
+    return make_css_decoder(split)
 
 
 class DecodeStatus(enum.Enum):
@@ -290,16 +282,13 @@ def par_decoder_build(split: CssSplit, side: str = "X") -> ParDecoder:
     """
     if side not in ("X", "Z"):
         raise ValueError("side must be 'X' or 'Z'")
-    hx, hz = split.h_x, split.h_z
     if side == "X":
-        h, code = hx, hx + hz.complement()
-        syn_matrix = hz.intersect(hx.complement()).basis
+        h, code, checks = split.h_x, split.logical_x, split.stab_z
     else:
-        h, code = hz, hz + hx.complement()
-        syn_matrix = hx.intersect(hz.complement()).basis
+        h, code, checks = split.h_z, split.logical_z, split.stab_x
     if not respects_weight(h):
         raise NotWeightRespecting(f"H_{side} has no weight-<=2 basis")
-    return ParDecoder(h, syn_matrix, code)
+    return ParDecoder(h, checks.basis, code)
 
 
 # Statistical harness --------------------------------------------------------

@@ -15,6 +15,11 @@ from itertools import product
 
 import numpy as np
 
+# Moduli must lie below this bound. Then every residue product is below
+# 2^32, and a dot product or matrix product over an ambient dimension
+# below 2^31 -- a sum of at most (p - 1)^2 * ambient -- fits in int64.
+P_LIMIT = 1 << 16
+
 
 def is_prime(p: int) -> bool:
     """Trial-division primality test (moduli here are tiny)."""
@@ -29,7 +34,9 @@ def is_prime(p: int) -> bool:
 
 
 def validate_prime(p: int) -> int:
-    """Return p if prime, else raise ValueError (composite moduli unsupported)."""
+    """Return p if it is a prime below P_LIMIT, else raise ValueError."""
+    if p >= P_LIMIT:
+        raise ValueError(f"modulus must be below {P_LIMIT}, got {p}")
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     return p
@@ -184,34 +191,46 @@ class Subspace:
     def reduce(self, v) -> np.ndarray:
         """Residue of v after eliminating the pivot coordinates.
 
-        The residue is zero iff v is a member; its support lies entirely
+        v is one vector or a matrix whose rows are reduced one by one. The
+        residue is zero iff v is a member; its support lies entirely
         on non-pivot columns, so it doubles as the coordinate vector of
         v's coset in the standard-basis quotient.
         """
         v = fp_array(v, self.p)
-        if v.shape != (self.ambient,):
-            raise ValueError(f"vector must have length {self.ambient}")
-        coeffs = v[list(self._pivots)] if self._pivots else np.zeros(0, dtype=np.int64)
-        return (v - coeffs @ self.basis) % self.p
+        if v.ndim not in (1, 2) or v.shape[-1] != self.ambient:
+            raise ValueError(f"vectors must have length {self.ambient}")
+        return (v - v[..., list(self._pivots)] @ self.basis) % self.p
 
     def contains(self, v) -> bool:
+        """Whether v (a vector, or every row of a matrix) lies in this subspace."""
         return not np.any(self.reduce(v))
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains(row) for row in other.basis)
+        return self.contains(other.basis)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return Subspace.span(np.vstack([self.basis, other.basis]), self.p, self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        # (A cap B) = (A^theta + B^theta)^theta, all exact over F_p.
+        """A cap B from one echelon of [[A, A], [B, 0]] (Zassenhaus).
+
+        The stacked rows are independent, so the echelon has no zero row;
+        the rows whose left half vanishes have right halves that span
+        A cap B and are already its canonical (RREF) basis.
+        """
         self._check_compatible(other)
-        return (self.complement() + other.complement()).complement()
+        a, b, m = self.basis, other.basis, self.ambient
+        red = rref(np.block([[a, a], [b, np.zeros_like(b)]]), self.p)
+        return Subspace(self.p, m, red[~np.any(red[:, :m], axis=1), m:])
 
     def complement(self) -> "Subspace":
-        """Dot-product (theta) complement {a : a . self = 0}."""
+        """Dot-product (theta) complement {a : a . self = 0}, built once."""
+        return self._complement
+
+    @cached_property
+    def _complement(self) -> "Subspace":
         return kernel(self.basis, self.p)
 
     def quotient_reps(self, small: "Subspace") -> list[np.ndarray]:
@@ -222,13 +241,7 @@ class Subspace:
         self._check_compatible(small)
         if not self.contains_space(small):
             raise ValueError("quotient_reps: denominator is not a subspace of numerator")
-        reps: list[np.ndarray] = []
-        span = small
-        for row in self.basis:
-            if not span.contains(row):
-                reps.append(row.copy())
-                span = span + Subspace.span(row.reshape(1, -1), self.p, self.ambient)
-        return reps
+        return list(self.basis[_independent_rows(small, self.basis)])
 
     def all_elements(self) -> np.ndarray:
         """All p**dim elements as a matrix; for exhaustive sweeps."""
@@ -236,3 +249,14 @@ class Subspace:
             return np.zeros((1, self.ambient), dtype=np.int64)
         coeffs = np.array(list(product(range(self.p), repeat=self.dim)), dtype=np.int64)
         return (coeffs @ self.basis) % self.p
+
+
+def _independent_rows(small: Subspace, vecs) -> list[int]:
+    """Indices of the rows of vecs that a greedy scan keeps independent mod small.
+
+    Row i is kept iff it is not in small + span(rows before i). These are
+    the pivot columns past small's among the columns of [small.basis; vecs]^T.
+    """
+    vecs = fp_array(vecs, small.p).reshape(-1, small.ambient)
+    stacked = np.vstack([small.basis, vecs]).T
+    return [c - small.dim for c in pivot_columns(rref(stacked, small.p)) if c >= small.dim]

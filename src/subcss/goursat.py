@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .code import SubsystemCode, _image, _is_direct_product
-from .gf import Subspace, fp_array, kernel
+from .code import SubsystemCode
+from .gf import Subspace, _independent_rows
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class GoursatData:
         q = self.e_x.dim - self.n_x.dim
         if self.e_z.dim - self.n_z.dim != q or len(self.phi_pairs) != q:
             raise ValueError("phi pair count must match both quotient dimensions")
-        if not _independent_mod(self.n_x, [a for a, _ in self.phi_pairs]):
+        if len(_independent_rows(self.n_x, [a for a, _ in self.phi_pairs])) != q:
             raise ValueError("X representatives are dependent modulo N_X")
-        if not _independent_mod(self.n_z, [b for _, b in self.phi_pairs]):
+        if len(_independent_rows(self.n_z, [b for _, b in self.phi_pairs])) != q:
             raise ValueError("Z representatives are dependent modulo N_Z")
 
     @property
@@ -52,15 +52,6 @@ class GoursatData:
         return len(self.phi_pairs)
 
 
-def _independent_mod(small: Subspace, vecs) -> bool:
-    span = small
-    for v in vecs:
-        if span.contains(v):
-            return False
-        span = span + Subspace.span(fp_array(v, small.p).reshape(1, -1), small.p, small.ambient)
-    return True
-
-
 def goursat_of(code: SubsystemCode) -> GoursatData:
     """Extract Goursat data from the gauge group's generator matrices.
 
@@ -69,22 +60,12 @@ def goursat_of(code: SubsystemCode) -> GoursatData:
     in input order, so the result is deterministic.
     """
     p, n = code.p, code.n
-    pi_x, pi_z = code._pi_matrices
-    e_x = Subspace.span(pi_x.T, p, n)
-    e_z = Subspace.span(pi_z.T, p, n)
-    n_x = _image(pi_x, kernel(pi_z, p), p)
-    n_z = _image(pi_z, kernel(pi_x, p), p)
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    span = n_x
-    target = e_x.dim - n_x.dim
-    for j in range(pi_x.shape[1]):
-        if len(pairs) == target:
-            break
-        col_x = pi_x[:, j]
-        if not span.contains(col_x):
-            pairs.append((col_x.copy(), pi_z[:, j].copy()))
-            span = span + Subspace.span(col_x.reshape(1, -1), p, n)
-    return GoursatData(e_x=e_x, e_z=e_z, n_x=n_x, n_z=n_z, phi_pairs=tuple(pairs))
+    x, z = code.gauge.basis[:, :n], code.gauge.basis[:, n:]
+    n_x, n_z = code._internal
+    pairs = tuple((x[j].copy(), z[j].copy()) for j in _independent_rows(n_x, x))
+    return GoursatData(
+        e_x=Subspace.span(x, p, n), e_z=Subspace.span(z, p, n), n_x=n_x, n_z=n_z, phi_pairs=pairs
+    )
 
 
 def reconstruct_from(data: GoursatData) -> SubsystemCode:
@@ -113,10 +94,8 @@ def check_complement_data(code: SubsystemCode) -> DataCheckReport:
     Externals of H^w must be (N_Z^theta, N_X^theta) and internals
     (E_Z^theta, E_X^theta); a failure indicates an implementation bug.
     """
-    from .pauli import omega_complement
-
     data = goursat_of(code)
-    comp_code = SubsystemCode(code.p, code.n, omega_complement(code.gauge))
+    comp_code = SubsystemCode(code.p, code.n, code._omega_comp)
     comp_data = goursat_of(comp_code)
     checks = {
         "external_x": comp_data.e_x == data.n_z.complement(),
@@ -182,12 +161,12 @@ class StabilizerClass:
 def classify_stabilizer(code: SubsystemCode) -> StabilizerClass:
     """Decide the maximal/minimal stabilizer properties of a code.
 
-    Minimal iff H + H^w is a direct product (kernel-sum test on its
-    generators). Maximal iff the external code of the stabilizer's
+    Minimal iff H + H^w is a direct product, i.e. is itself a CSS gauge
+    group. Maximal iff the external code of the stabilizer's
     Goursat data attains (E_X cap N_Z^theta) x (E_Z cap N_X^theta).
     """
     data = goursat_of(code)
-    minimal = _is_direct_product(code.centralizer, code.n)
+    minimal = SubsystemCode(code.p, code.n, code.centralizer).is_css()
     stab_code = SubsystemCode(code.p, code.n, code.stabilizer)
     stab_data = goursat_of(stab_code)
     maximal = (

@@ -74,15 +74,13 @@ def codeword(split: CssSplit, l, g) -> CosetState:
     p = split.p
     l = fp_array(l, p)
     g = fp_array(g, p)
-    logical_space = split.h_x + split.h_z.complement()
-    if not logical_space.contains(l):
+    if not split.logical_x.contains(l):
         raise ValueError("logical label must lie in H_X + H_Z^theta")
     if not split.h_x.contains(g):
         raise ValueError("gauge label must lie in H_X")
-    support = split.h_x.intersect(split.h_z.complement())
     return CosetState(
         offset=(l + g) % p,
-        support=support,
+        support=split.stab_x,
         phase=np.zeros(split.n, dtype=np.int64),
     )
 
@@ -90,10 +88,8 @@ def codeword(split: CssSplit, l, g) -> CosetState:
 def all_codewords(split: CssSplit) -> list[tuple[np.ndarray, np.ndarray, CosetState]]:
     """Every (l, g, state) over canonical quotient label bases; p^(k+r) states."""
     p = split.p
-    logical_space = split.h_x + split.h_z.complement()
-    support = split.h_x.intersect(split.h_z.complement())
-    l_reps = logical_space.quotient_reps(split.h_x)
-    g_reps = split.h_x.quotient_reps(support)
+    l_reps = split.logical_x.quotient_reps(split.h_x)
+    g_reps = split.h_x.quotient_reps(split.stab_x)
     out = []
     for l in _span_points(l_reps, p, split.n):
         for g in _span_points(g_reps, p, split.n):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from subcss import CssSplit, Subspace, SubsystemCode
+from subcss import CssSplit, Subspace, SubsystemCode, kernel
 
 
 def random_subspace(rng, p, ambient):
@@ -19,6 +19,15 @@ def random_gauge_code(rng, p, n):
     dim = int(rng.integers(0, 2 * n + 1))
     rows = rng.integers(0, p, size=(dim, 2 * n))
     return SubsystemCode(p, n, Subspace.span(rows, p, 2 * n))
+
+
+def kernel_sum_is_css(h, n):
+    """Reference CSS test: H <= F_p^{2n} splits as H_X x H_Z iff the kernels
+    of its x- and z-part generator matrices sum to the whole coefficient space."""
+    if h.dim == 0:
+        return True
+    pi_x, pi_z = h.basis[:, :n].T, h.basis[:, n:].T
+    return (kernel(pi_x, h.p) + kernel(pi_z, h.p)).dim == h.dim
 
 
 @st.composite

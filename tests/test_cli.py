@@ -150,6 +150,28 @@ def test_exit_code_infeasible(capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize("bad", [["--q", "1.5"], ["--trials", "0"]])
+def test_decode_rejects_bad_sampling_options_before_output(capsys, bad):
+    code, out, err = run(capsys, "decode", "builtin:bacon_shor", "--l", "3", *bad)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_modulus_bound_at_input(tmp_path, capsys):
+    code, out, err = run(capsys, "info", "builtin:random", "--p", "4294967291",
+                         "--n", "3", "--dim", "3", "--seed", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+    big = tmp_path / "big.code"
+    big.write_text("p=65537 n=1 format=symplectic\n1 | 0\n")
+    code, _, err = run(capsys, "info", str(big))
+    assert code == 2
+    assert "line 1" in err
+
+
 def test_threads_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "4", "info", "builtin:trivial", "--n", "2"])

@@ -17,6 +17,7 @@ from subcss import (
     five_qubit,
     trivial,
 )
+from subcss import code as code_module
 from subcss.code import (
     _BATCH_ROWS,
     DistanceResult,
@@ -26,7 +27,7 @@ from subcss.code import (
 )
 from subcss.pauli import flatten, omega_complement, swt
 
-from conftest import css_splits, gauge_codes, random_gauge_code
+from conftest import css_splits, gauge_codes, kernel_sum_is_css, random_gauge_code
 
 
 def test_five_qubit_parameters():
@@ -244,3 +245,44 @@ def test_css_distances_match_brute_force(split):
     d_x, d_z, d = css_distances(split)
     assert (d_x, d_z) == (DistanceResult(expected[0], True), DistanceResult(expected[1], True))
     assert d == DistanceResult(min(expected), True)
+
+
+# CSS structure ----------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(gauge_codes(primes=(2, 3), max_n=3))
+def test_is_css_and_split_match_kernel_sum_reference(code):
+    n = code.n
+    assert code.is_css() == kernel_sum_is_css(code.gauge, n)
+    elems = code.gauge.all_elements()
+    # N_X = {a : (a, 0) in H} and N_Z = {b : (0, b) in H}, listed outright.
+    n_x = Subspace.span(elems[~np.any(elems[:, n:], axis=1), :n], code.p, n)
+    n_z = Subspace.span(elems[~np.any(elems[:, :n], axis=1), n:], code.p, n)
+    if code.is_css():
+        assert code.css_split() == CssSplit(n_x, n_z)
+    else:
+        with pytest.raises(ValueError):
+            code.css_split()
+
+
+def test_derived_spaces_are_built_once(monkeypatch):
+    calls = {"omega": 0, "kernel": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(code_module, "omega_complement",
+                        counting("omega", code_module.omega_complement))
+    monkeypatch.setattr(code_module, "kernel", counting("kernel", code_module.kernel))
+    code = bacon_shor(3)
+    assert code.parameters() == (9, 1, 4)  # reads the centralizer and the stabilizer
+    assert calls["omega"] == 1
+    split = code.css_split()
+    assert code.is_css() and code.css_split() == split
+    assert calls["kernel"] == 2  # ker pi_Z and ker pi_X, once each
+    for name in ("stab_x", "stab_z", "logical_x", "logical_z"):
+        assert getattr(split, name) is getattr(split, name)

@@ -22,7 +22,7 @@ from subcss import (
     steane_recover,
     syndrome_of,
 )
-from subcss.decode import make_css_decoder
+from subcss.decode import _decoder_pair, make_css_decoder
 
 from conftest import random_subspace
 
@@ -210,3 +210,16 @@ def test_quotient_weight_dominates_coset_weight(rng):
         a = rng.integers(0, 2, size=16)
         min_wt = int(np.count_nonzero((elems + a) % 2, axis=1).min())
         assert min_wt <= dec.coset_weight(a)
+
+
+def test_decoder_cache_is_bounded_and_shared_by_value():
+    _decoder_pair.cache_clear()
+    for n in range(1, 41):
+        zero = Subspace.zero(2, n)
+        _decoder_pair(CssSplit(zero, zero))
+    assert _decoder_pair.cache_info().currsize <= 32
+    # A split equal in value to a cached one reuses its decoders.
+    first = _decoder_pair(bacon_shor(3).css_split())
+    hits = _decoder_pair.cache_info().hits
+    assert _decoder_pair(bacon_shor(3).css_split()) is first
+    assert _decoder_pair.cache_info().hits == hits + 1

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcss import Subspace, kernel, rank, rref, solve
-from subcss.gf import is_prime, validate_prime
+from subcss.gf import P_LIMIT, _independent_rows, is_prime, validate_prime
 
-from conftest import random_subspace
+from conftest import random_subspace, subspaces
 
 
 def test_is_prime():
@@ -19,6 +21,16 @@ def test_validate_prime_rejects_composites():
     with pytest.raises(ValueError):
         validate_prime(1)
     assert validate_prime(7) == 7
+
+
+def test_validate_prime_bounds_the_modulus():
+    assert P_LIMIT == 1 << 16
+    assert validate_prime(65521) == 65521  # the largest prime below the bound
+    with pytest.raises(ValueError, match="below"):
+        validate_prime(65537)
+    # Rejected before trial division, which would not finish for 31 digits.
+    with pytest.raises(ValueError, match="below"):
+        validate_prime(10**30 + 57)
 
 
 def test_rref_f2():
@@ -147,3 +159,65 @@ def test_mismatched_ambient_raises():
     b = Subspace.zero(2, 4)
     with pytest.raises(ValueError):
         a + b
+
+
+def test_reduce_and_contains_take_matrices():
+    s = Subspace.span([[1, 1, 0], [0, 0, 1]], 2, 3)
+    rows = np.array([[1, 1, 1], [1, 0, 0]])
+    assert np.array_equal(s.reduce(rows), [s.reduce(rows[0]), s.reduce(rows[1])])
+    assert s.contains(rows[:1]) and not s.contains(rows)
+    assert s.contains(np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(ValueError):
+        s.reduce(np.zeros((2, 4), dtype=np.int64))
+
+
+def test_complement_is_built_once():
+    s = Subspace.span([[1, 2, 0]], 3, 3)
+    assert s.complement() is s.complement()
+
+
+def _elements(space):
+    return {tuple(v) for v in space.all_elements()}
+
+
+@st.composite
+def _subspace_pairs(draw):
+    p = draw(st.sampled_from((2, 3)))
+    ambient = draw(st.integers(1, 5))
+    return draw(subspaces(p, ambient)), draw(subspaces(p, ambient))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_subspace_pairs())
+def test_intersect_matches_brute_force(pair):
+    a, b = pair
+    cap = a.intersect(b)
+    assert _elements(cap) == _elements(a) & _elements(b)
+    # The Zassenhaus rows are taken as the basis as-is: it must be canonical.
+    assert cap == Subspace.span(cap.basis, cap.p, cap.ambient)
+
+
+def _greedy_reference(small, vecs):
+    """Loop reference: keep a row iff it is outside small + span(kept rows)."""
+    kept, span = [], small
+    for i, v in enumerate(vecs):
+        if not span.contains(v):
+            kept.append(i)
+            span = span + Subspace.span(np.array([v]), small.p, small.ambient)
+    return kept
+
+
+@st.composite
+def _small_and_rows(draw):
+    p = draw(st.sampled_from((2, 3)))
+    ambient = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, p - 1), min_size=ambient, max_size=ambient)
+    rows = draw(st.lists(row, min_size=0, max_size=7))
+    return draw(subspaces(p, ambient)), np.array(rows, dtype=np.int64).reshape(-1, ambient)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_and_rows())
+def test_independent_rows_matches_greedy_loop(case):
+    small, rows = case
+    assert _independent_rows(small, rows) == _greedy_reference(small, rows)

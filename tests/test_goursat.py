@@ -16,10 +16,9 @@ from subcss import (
     reconstruct_from,
     trivial,
 )
-from subcss.code import _is_direct_product
 from subcss.pauli import parse_pauli
 
-from conftest import random_gauge_code
+from conftest import kernel_sum_is_css, random_gauge_code
 
 FIVE_QUBIT_E_X = ("IXXII", "IIXXI", "IIIXX", "XIIIX")
 FIVE_QUBIT_E_Z = ("ZIIZI", "IZIIZ", "ZIZII", "IZIZI")
@@ -112,8 +111,8 @@ def _minimal_conditions(code):
     data = goursat_of(code)
     n = code.n
     c1 = classify_stabilizer(code).minimal
-    c2 = _is_direct_product(code.centralizer, n)
-    c3 = _is_direct_product(code.stabilizer, n)
+    c2 = kernel_sum_is_css(code.centralizer, n)
+    c3 = kernel_sum_is_css(code.stabilizer, n)
 
     def _product(left, right):
         rows = [np.concatenate([a, np.zeros(n, dtype=np.int64)]) for a in left.basis]

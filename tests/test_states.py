@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcss import (
     CosetState,
@@ -17,6 +19,8 @@ from subcss import (
     dense_vector,
     is_fixed_by,
 )
+
+from conftest import css_splits
 
 BS3 = bacon_shor(3).css_split()
 
@@ -158,3 +162,27 @@ def test_apply_pauli_register_mismatch():
     st = codeword(TOY, np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
     with pytest.raises(ValueError):
         apply_pauli(st, PauliVector(2, np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)))
+
+
+@st.composite
+def _split_word_and_op(draw):
+    """A small CSS split, one of its codewords, and an arbitrary Pauli operator."""
+    split = draw(css_splits(primes=(2, 3), max_n=4))
+    p, n = split.p, split.n
+    logicals = split.logical_x.all_elements()
+    gauges = split.h_x.all_elements()
+    l = logicals[draw(st.integers(0, len(logicals) - 1))]
+    g = gauges[draw(st.integers(0, len(gauges) - 1))]
+    part = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return split, codeword(split, l, g), PauliVector(p, draw(part), draw(part))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_split_word_and_op())
+def test_symbolic_fixing_matches_dense_on_random_splits(case):
+    split, word, op = case
+    vec = dense_vector(word)
+    for g in [op, *_stabilizer_paulis(split)]:
+        dense = np.allclose(dense_vector(apply_pauli(word, g)), vec)
+        assert is_fixed_by(word, g) == dense
+    assert all(is_fixed_by(word, g) for g in _stabilizer_paulis(split))

@@ -9,6 +9,7 @@ request.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -157,8 +158,17 @@ def cmd_decode(args) -> int:
         raise InfeasibleRequest("the recovery procedure is defined for CSS codes only")
     split = code.css_split()
     if args.exhaustive_weight is not None:
-        weights = range(1, args.exhaustive_weight + 1)
-        rows = [(w, decode.exhaustive_sweep(split, w)) for w in weights]
+        top = args.exhaustive_weight
+        if top < 1:
+            raise ValueError("exhaustive weight must be >= 1")
+        # One row per weight; no error has weight above n.
+        weights = range(1, min(top, code.n) + 1)
+        errors = sum(math.comb(code.n, w) * (code.p**2 - 1) ** w for w in weights)
+        if max(errors, top) > decode._TABLE_LIMIT:
+            raise InfeasibleRequest(
+                f"sweep of {errors} errors in {top} rows exceeds {decode._TABLE_LIMIT}"
+            )
+        rows = [(w, decode.exhaustive_sweep(split, w)) for w in range(1, top + 1)]
     else:
         rows = [(args.q, decode.monte_carlo(split, args.q, args.trials, args.mc_seed).counts)]
     print("weight_or_q,trials,corrected,logical_failures,out_of_range")
@@ -174,6 +184,9 @@ def cmd_codewords(args) -> int:
     split = code.css_split()
     if args.dense and code.p**code.n > states._DENSE_LIMIT:
         raise InfeasibleRequest("dense amplitudes infeasible at this size")
+    labels = code.p ** (split.logical_x.dim - split.stab_x.dim)
+    if labels > states._CODEWORD_LIMIT:
+        raise InfeasibleRequest(f"{labels} codeword labels exceed {states._CODEWORD_LIMIT}")
     words = states.all_codewords(split)
     print(f"codewords = {len(words)} (exact)")
     print(f"support_size = {code.p**split.stab_x.dim} (exact)")

@@ -16,6 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import code as _code
 from .code import (
     CssSplit,
     _classical_coset_distance,
@@ -26,7 +27,7 @@ from .code import (
     _weight_batches,
 )
 from .gf import Subspace, fp_array, kernel, pivot_columns, solve
-from .pauli import PauliVector, unflatten
+from .pauli import PauliVector
 
 _TABLE_LIMIT = 1 << 20
 
@@ -66,36 +67,71 @@ class ClassicalCode:
         return _classical_coset_distance(self.k, self.r, budget=self.n).value
 
     @cached_property
-    def _leader_table(self) -> dict[bytes, np.ndarray] | None:
+    def _leader_table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(slots, leaders): syndrome index i (`_index`) has the coset leader
+        leaders[slots[i]], or none of weight below d_R/2 if slots[i] = -1.
+
+        The least weight wins; within a weight, the lexicographically least.
+        """
         n_syndromes = self.p ** self.f.shape[0]
         if n_syndromes > _TABLE_LIMIT:
             return None
-        table: dict[bytes, np.ndarray] = {}
-        zero = np.zeros(self.n, dtype=np.int64)
-        table[self._syn_key(zero)] = zero
-        max_w = (self.d_r - 1) // 2
-        for w in range(1, max_w + 1):
+        slots = np.full(n_syndromes, -1, dtype=np.int64)
+        slots[0] = 0
+        leaders = np.zeros((1, self.n), dtype=np.int64)
+        for w in range(1, (self.d_r - 1) // 2 + 1):
+            # The layer's best so far per syndrome empty below it, merged by one sort.
+            best, best_idx = leaders[:0], slots[:0]
             for batch in _weight_batches(_field_letters(self.p), self.n, w):
-                syns = (batch @ self.f.T) % self.p
-                for v, syn in zip(batch, syns):
-                    key = syn.tobytes()
-                    prev = table.get(key)
-                    # First hit at the lowest weight wins; within a weight,
-                    # keep the lexicographically smallest vector.
-                    if prev is None:
-                        table[key] = v.copy()
-                    elif np.count_nonzero(prev) == w and tuple(v) < tuple(prev):
-                        table[key] = v.copy()
-            if len(table) == n_syndromes:
+                idx = self._index(self.syndrome(batch))
+                empty = slots[idx] < 0
+                rows = np.vstack([best, batch[empty]])
+                idx = np.concatenate([best_idx, idx[empty]])
+                order = np.lexsort(np.vstack([rows.T[::-1], idx]))
+                best_idx, first = np.unique(idx[order], return_index=True)
+                best = rows[order[first]]
+            slots[best_idx] = len(leaders) + np.arange(len(best))
+            leaders = np.vstack([leaders, best])
+            if len(leaders) == n_syndromes:
                 break
-        return table
+        return slots, leaders
 
-    def _syn_key(self, v: np.ndarray) -> bytes:
-        return (((v @ self.f.T) % self.p).astype(np.int64)).tobytes()
+    def _index(self, syns: np.ndarray) -> np.ndarray:
+        """Each syndrome row read as a little-endian base-p number."""
+        return syns @ self.p ** np.arange(self.f.shape[0], dtype=np.int64)
+
+    @cached_property
+    def _in_image(self):
+        """Membership test of the column space of F: the achievable syndromes."""
+        return _membership_checker(Subspace.span(self.f.T, self.p, self.f.shape[0]))
 
     def syndrome(self, v) -> np.ndarray:
-        v = fp_array(v, self.p)
-        return (self.f @ v) % self.p
+        """F v for a vector v, or one syndrome row per row of a matrix v."""
+        return (fp_array(v, self.p) @ self.f.T) % self.p
+
+    def _leaders(self, syns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, found): row i is syndrome i's coset leader if found[i], else zero."""
+        if not np.all(self._in_image(syns)):
+            raise InconsistentSyndrome("syndrome not in the image of the parity check")
+        table = self._leader_table
+        if table is not None:
+            slots, leaders = table
+            slot = slots[self._index(syns)]
+            found = slot >= 0
+            return np.where(found[:, None], leaders[slot], 0), found
+        # Per-query weight-increasing search.
+        rows = np.zeros((len(syns), self.n), dtype=np.int64)
+        found = ~np.any(syns, axis=1)
+        for i in np.nonzero(~found)[0]:
+            hits = _min_weight_search(
+                lambda batch: np.all(self.syndrome(batch) == syns[i], axis=1),
+                _field_letters(self.p), self.n, (self.d_r - 1) // 2, all_at_weight=True,
+            )
+            if hits is not None:
+                # The lexicographically smallest vector of the least weight.
+                rows[i] = min(hits[1].tolist())
+                found[i] = True
+        return rows, found
 
     def decode_coset(self, syn) -> np.ndarray | None:
         """Minimum-weight vector v with F v = syn and wt(v) < d_R/2, else None.
@@ -105,30 +141,8 @@ class ClassicalCode:
         syn = fp_array(syn, self.p)
         if syn.shape != (self.f.shape[0],):
             raise ValueError("syndrome has the wrong length")
-        table = self._leader_table
-        if table is not None:
-            leader = table.get(syn.astype(np.int64).tobytes())
-            if leader is not None:
-                return leader.copy()
-            if solve(self.f, syn, self.p) is None:
-                raise InconsistentSyndrome("syndrome not in the image of the parity check")
-            return None
-        # Per-query weight-increasing search.
-        if solve(self.f, syn, self.p) is None:
-            raise InconsistentSyndrome("syndrome not in the image of the parity check")
-        if not np.any(syn):
-            return np.zeros(self.n, dtype=np.int64)
-        found = _min_weight_search(
-            lambda batch: np.all((batch @ self.f.T) % self.p == syn, axis=1),
-            _field_letters(self.p),
-            self.n,
-            (self.d_r - 1) // 2,
-            all_at_weight=True,
-        )
-        if found is None:
-            return None
-        # The lexicographically smallest vector of the least weight.
-        return np.array(min(found[1].tolist()), dtype=np.int64)
+        rows, found = self._leaders(syn[None])
+        return rows[0] if found[0] else None
 
 
 def make_css_decoder(split: CssSplit) -> tuple[ClassicalCode, ClassicalCode]:
@@ -174,6 +188,21 @@ class DecodeOutcome:
     residual: PauliVector
 
 
+def _recover(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Recover the errors (ex[i], ez[i]) together: (status codes, cx, cz).
+
+    A status code indexes DecodeStatus in declaration order. A side whose
+    syndrome has no leader corrects nothing, and the error is out of range.
+    """
+    x_side, z_side = _decoder_pair(split)
+    cx, found_x = x_side._leaders(x_side.syndrome(ex))
+    cz, found_z = z_side._leaders(z_side.syndrome(ez))
+    # The redundant subcodes are H_X and H_Z, their complements built once per decoder.
+    in_h_x, in_h_z = _membership_checker(x_side.r), _membership_checker(z_side.r)
+    in_gauge = in_h_x((ex - cx) % split.p) & in_h_z((ez - cz) % split.p)
+    return np.where(found_x & found_z, np.where(in_gauge, 0, 1), 2), cx, cz
+
+
 def steane_recover(split: CssSplit, e: PauliVector) -> DecodeOutcome:
     """Full recovery cycle: syndromes, independent X/Z decoding, residual check.
 
@@ -181,23 +210,9 @@ def steane_recover(split: CssSplit, e: PauliVector) -> DecodeOutcome:
     coset representative of weight below half the respective distance;
     in particular whenever swt(e) < d/2.
     """
-    x_side, z_side = _decoder_pair(split)
-    cx = x_side.decode_coset(x_side.syndrome(e.x))
-    cz = z_side.decode_coset(z_side.syndrome(e.z))
-    p, n = split.p, split.n
-    correction = PauliVector(
-        p,
-        cx if cx is not None else np.zeros(n, dtype=np.int64),
-        cz if cz is not None else np.zeros(n, dtype=np.int64),
-    )
-    residual = e - correction
-    if cx is None or cz is None:
-        status = DecodeStatus.OUT_OF_RANGE
-    elif split.h_x.contains(residual.x) and split.h_z.contains(residual.z):
-        status = DecodeStatus.CORRECTED
-    else:
-        status = DecodeStatus.LOGICAL_FAILURE
-    return DecodeOutcome(status=status, correction=correction, residual=residual)
+    codes, cx, cz = _recover(split, e.x[None], e.z[None])
+    correction = PauliVector(split.p, cx[0], cz[0])
+    return DecodeOutcome(list(DecodeStatus)[codes[0]], correction, e - correction)
 
 
 # Parity-check decoder in a standard-basis quotient (coset-level decoding) ---
@@ -222,12 +237,11 @@ class ParDecoder:
         self.f = syn_matrix
         self.par_matrix = syn_matrix[:, self.sigma0].copy()
         self.kernel = kernel(self.par_matrix, p)
-        self.d_par = _min_weight_of(self.kernel)
+        zero = Subspace.zero(p, len(self.sigma0))
+        self.d_par = _classical_coset_distance(self.kernel, zero).value
         d_h = _classical_coset_distance(code, h, budget=n).value
         if self.d_par != d_h:
-            raise AssertionError(
-                f"quotient distance {self.d_par} != coset distance {d_h}"
-            )
+            raise AssertionError(f"quotient distance {self.d_par} != coset distance {d_h}")
 
     def coset_weight(self, a) -> int:
         """Weight of a + H in the standard-basis quotient."""
@@ -254,14 +268,6 @@ class ParDecoder:
         out = np.zeros(self.n, dtype=np.int64)
         out[list(self.sigma0)] = best
         return out
-
-
-def _min_weight_of(space: Subspace) -> int:
-    """min Hamming weight over the nonzero elements (full enumeration)."""
-    elems = space.all_elements()
-    weights = np.count_nonzero(elems, axis=1)
-    nz = weights[weights > 0]
-    return int(nz.min()) if nz.size else 0
 
 
 def respects_weight(h: Subspace) -> bool:
@@ -314,18 +320,14 @@ class MonteCarloReport:
         return bad / self.counts.trials
 
 
-def _tally(outcomes) -> TrialCounts:
-    counts = {status: 0 for status in DecodeStatus}
-    total = 0
-    for out in outcomes:
-        counts[out.status] += 1
-        total += 1
-    return TrialCounts(
-        trials=total,
-        corrected=counts[DecodeStatus.CORRECTED],
-        logical_failures=counts[DecodeStatus.LOGICAL_FAILURE],
-        out_of_range=counts[DecodeStatus.OUT_OF_RANGE],
-    )
+def _tally(split: CssSplit, chunks) -> TrialCounts:
+    """Recover every error in a stream of chunks of flattened errors and count the statuses."""
+    n = split.n
+    counts = np.zeros(len(DecodeStatus), dtype=np.int64)
+    for e in chunks:
+        counts += np.bincount(_recover(split, e[:, :n], e[:, n:])[0], minlength=len(DecodeStatus))
+    # TrialCounts lists the statuses in DecodeStatus order.
+    return TrialCounts(int(counts.sum()), *(int(c) for c in counts))
 
 
 def monte_carlo(split: CssSplit, q: float, trials: int, seed: int) -> MonteCarloReport:
@@ -338,28 +340,24 @@ def monte_carlo(split: CssSplit, q: float, trials: int, seed: int) -> MonteCarlo
         raise ValueError("error probability must be in [0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p, n = split.p, split.n
-    vals = _site_values(p)
+    counts = _tally(split, _sampled_errors(split, q, trials, seed))
+    return MonteCarloReport(q=q, seed=seed, counts=counts)
+
+
+def _sampled_errors(split: CssSplit, q: float, trials: int, seed: int):
+    """Flattened sampled errors in chunks of <= _BATCH_ROWS rows; each trial
+    draws its site mask, then its hit values, whatever the chunk size."""
+    n, vals = split.n, _site_values(split.p)
     rng = np.random.default_rng(seed)
-    outcomes = []
-    for _ in range(trials):
-        mask = rng.random(n) < q
-        x = np.zeros(n, dtype=np.int64)
-        z = np.zeros(n, dtype=np.int64)
-        hit = np.nonzero(mask)[0]
-        if hit.size:
-            picks = vals[rng.integers(0, len(vals), size=hit.size)]
-            x[hit] = picks[:, 0]
-            z[hit] = picks[:, 1]
-        outcomes.append(steane_recover(split, PauliVector(p, x, z)))
-    return MonteCarloReport(q=q, seed=seed, counts=_tally(outcomes))
+    for lo in range(0, trials, _code._BATCH_ROWS):
+        chunk = np.zeros((min(_code._BATCH_ROWS, trials - lo), 2 * n), dtype=np.int64)
+        for row in chunk:
+            hit = np.nonzero(rng.random(n) < q)[0]
+            if hit.size:
+                row[hit], row[n + hit] = vals[rng.integers(0, len(vals), size=hit.size)].T
+        yield chunk
 
 
 def exhaustive_sweep(split: CssSplit, weight: int) -> TrialCounts:
     """Recover every Pauli error of symplectic weight exactly `weight`."""
-    p, n = split.p, split.n
-    outcomes = []
-    for batch in _weight_batches(_site_values(p), n, weight):
-        for row in batch:
-            outcomes.append(steane_recover(split, unflatten(row, p)))
-    return _tally(outcomes)
+    return _tally(split, _weight_batches(_site_values(split.p), split.n, weight))

@@ -17,6 +17,8 @@ from .gf import Subspace, fp_array
 from .pauli import PauliVector
 
 _DENSE_LIMIT = 1 << 20
+# Most codeword labels, p^(k+r), that `codewords` lists; each builds a coset state.
+_CODEWORD_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from subcss import CssSplit, Subspace, SubsystemCode, kernel
+from subcss import CssSplit, DecodeStatus, Subspace, SubsystemCode, kernel
 
 
 def random_subspace(rng, p, ambient):
@@ -28,6 +30,47 @@ def kernel_sum_is_css(h, n):
         return True
     pi_x, pi_z = h.basis[:, :n].T, h.basis[:, n:].T
     return (kernel(pi_x, h.p) + kernel(pi_z, h.p)).dim == h.dim
+
+
+def brute_force_recover(split, ex, ez):
+    """Reference Steane recovery of the errors (ex[i], ez[i]) by enumerating F_p^n.
+
+    X side: the syndrome of a is its dot products with every element of the
+    Z-type stabilizer space {b in H_Z : b . H_X = 0}; the correction is the
+    least-weight, then lexicographically least, v with a's syndrome, accepted
+    only if wt(v) < d_R / 2, d_R being the least weight of a v outside H_X with
+    zero syndrome. The Z side mirrors it. Returns (statuses, cx, cz).
+    """
+    p, n = split.p, split.n
+    space = np.array(list(product(range(p), repeat=n)), dtype=np.int64).reshape(-1, n)
+    space = space[np.argsort(np.count_nonzero(space, axis=1), kind="stable")]
+
+    def side(h, other, e):
+        h_set = {tuple(v) for v in h.all_elements()}
+        checks = np.array([b for b in other.all_elements() if not np.any(h.basis @ b % p)])
+        leaders = {}
+        for v in space:
+            leaders.setdefault(tuple(checks @ v % p), v)
+        d_r = min(np.count_nonzero(v) for v in space
+                  if tuple(v) not in h_set and not np.any(checks @ v % p))
+        c = np.zeros_like(e)
+        found, in_h = [], []
+        for i, row in enumerate(e):
+            v = leaders[tuple(checks @ row % p)]
+            found.append(2 * np.count_nonzero(v) < d_r)
+            c[i] = v if found[-1] else 0
+            in_h.append(tuple((row - c[i]) % p) in h_set)
+        return c, found, in_h
+
+    cx, found_x, in_x = side(split.h_x, split.h_z, ex)
+    cz, found_z, in_z = side(split.h_z, split.h_x, ez)
+    statuses = [
+        DecodeStatus.OUT_OF_RANGE if not (fx and fz)
+        else DecodeStatus.CORRECTED if ix and iz
+        else DecodeStatus.LOGICAL_FAILURE
+        for fx, fz, ix, iz in zip(found_x, found_z, in_x, in_z)
+    ]
+    return statuses, cx, cz
 
 
 @st.composite

@@ -149,8 +149,19 @@ def test_exit_code_infeasible(capsys):
     assert code == 3
     assert "infeasible" in err
 
+    # 2^26 codeword labels; 1.9e10 errors of symplectic weight <= 5 on 100 qubits.
+    for args in (["codewords", "builtin:bacon_shor", "--l", "6"],
+                 ["decode", "builtin:bacon_shor", "--l", "10", "--exhaustive-weight", "5"]):
+        code, out, err = run(capsys, *args)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "exceed" in err
 
-@pytest.mark.parametrize("bad", [["--q", "1.5"], ["--trials", "0"]])
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--q", "1.5"], ["--trials", "0"], ["--exhaustive-weight", "0"], ["--exhaustive-weight", "-3"]],
+)
 def test_decode_rejects_bad_sampling_options_before_output(capsys, bad):
     code, out, err = run(capsys, "decode", "builtin:bacon_shor", "--l", "3", *bad)
     assert code == 2

@@ -1,8 +1,12 @@
 """Steane-type recovery, classical coset decoding, and the quotient decoder."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
+from subcss import code as code_module
 from subcss import decode
 from subcss import (
     ClassicalCode,
@@ -22,9 +26,9 @@ from subcss import (
     steane_recover,
     syndrome_of,
 )
-from subcss.decode import _decoder_pair, make_css_decoder
+from subcss.decode import _decoder_pair, _recover, make_css_decoder
 
-from conftest import random_subspace
+from conftest import brute_force_recover, css_splits, random_subspace
 
 
 BS3 = bacon_shor(3).css_split()
@@ -119,6 +123,55 @@ def test_recover_reports_residual_in_gauge():
     assert out.status is DecodeStatus.CORRECTED
     assert BS3.h_x.contains(out.residual.x)
     assert BS3.h_z.contains(out.residual.z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits(primes=(2, 3), max_n=4))
+def test_batch_recovery_matches_brute_force(split):
+    # Every error (a, b) in F_p^n x F_p^n, recovered in one batch.
+    assume(split.logical_x != split.h_x and split.logical_z != split.h_z)
+    p, n = split.p, split.n
+    vecs = np.array(list(product(range(p), repeat=n)), dtype=np.int64).reshape(-1, n)
+    ex, ez = np.repeat(vecs, len(vecs), axis=0), np.tile(vecs, (len(vecs), 1))
+    codes, cx, cz = _recover(split, ex, ez)
+    statuses, ref_x, ref_z = brute_force_recover(split, ex, ez)
+    assert [list(DecodeStatus)[c] for c in codes] == statuses
+    assert np.array_equal(cx, ref_x) and np.array_equal(cz, ref_z)
+    # steane_recover is the one-error case of the batch.
+    for i in range(0, len(ex), 97):
+        out = steane_recover(split, PauliVector(p, ex[i], ez[i]))
+        assert out.status is statuses[i]
+        assert out.correction == PauliVector(p, cx[i], cz[i])
+
+
+def _qutrit_bacon_shor3():
+    """Bacon-Shor on a 3 x 3 qutrit grid: H_X from column pairs, H_Z from row pairs."""
+    eye = np.eye(9, dtype=np.int64)
+
+    def pairs(step):
+        rows = [eye[a] - eye[a + step] for a in range(9 - step) if step == 3 or a % 3 < 2]
+        return Subspace.span(rows, 3, 9)
+
+    return CssSplit(pairs(3), pairs(1))
+
+
+def test_counts_do_not_depend_on_chunk_size(monkeypatch):
+    qudit = _qutrit_bacon_shor3()
+    assert [side.d_r for side in make_css_decoder(qudit)] == [3, 3]
+
+    def counts():
+        _decoder_pair.cache_clear()
+        return [
+            monte_carlo(BS3, 0.05, 300, seed=7).counts,
+            monte_carlo(qudit, 0.1, 100, seed=3).counts,
+            exhaustive_sweep(BS4, 2),
+            exhaustive_sweep(qudit, 2),
+        ]
+
+    expected = counts()
+    monkeypatch.setattr(code_module, "_BATCH_ROWS", 7)
+    assert counts() == expected
+    _decoder_pair.cache_clear()
 
 
 def test_monte_carlo_deterministic():

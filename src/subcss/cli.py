@@ -161,14 +161,12 @@ def cmd_decode(args) -> int:
         top = args.exhaustive_weight
         if top < 1:
             raise ValueError("exhaustive weight must be >= 1")
-        # One row per weight; no error has weight above n.
+        # One row per weight up to n; no error has weight above n.
         weights = range(1, min(top, code.n) + 1)
         errors = sum(math.comb(code.n, w) * (code.p**2 - 1) ** w for w in weights)
-        if max(errors, top) > decode._TABLE_LIMIT:
-            raise InfeasibleRequest(
-                f"sweep of {errors} errors in {top} rows exceeds {decode._TABLE_LIMIT}"
-            )
-        rows = [(w, decode.exhaustive_sweep(split, w)) for w in range(1, top + 1)]
+        if errors > decode._TABLE_LIMIT:
+            raise InfeasibleRequest(f"sweep of {errors} errors exceeds {decode._TABLE_LIMIT}")
+        rows = [(w, decode.exhaustive_sweep(split, w)) for w in weights]
     else:
         rows = [(args.q, decode.monte_carlo(split, args.q, args.trials, args.mc_seed).counts)]
     print("weight_or_q,trials,corrected,logical_failures,out_of_range")

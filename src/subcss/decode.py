@@ -229,8 +229,7 @@ class ParDecoder:
 
     def __init__(self, h: Subspace, syn_matrix: np.ndarray, code: Subspace):
         p, n = h.p, h.ambient
-        pivots = pivot_columns(h.basis)
-        self.sigma0 = tuple(c for c in range(n) if c not in pivots)
+        self.sigma0 = tuple(np.delete(np.arange(n), pivot_columns(h.basis)).tolist())
         self.h = h
         self.p = p
         self.n = n

@@ -53,7 +53,7 @@ def rref(mat, p: int) -> np.ndarray:
     Row space is preserved; pivots are 1 with zeros elsewhere in their
     columns; zero rows sink to the bottom. Deterministic.
     """
-    m = fp_array(mat, p).copy()
+    m = fp_array(mat, p)
     if m.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     n_rows, n_cols = m.shape
@@ -61,28 +61,31 @@ def rref(mat, p: int) -> np.ndarray:
     for c in range(n_cols):
         if r == n_rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        nz = m[:, c].nonzero()[0]
+        k = nz.searchsorted(r)
+        if k == nz.size:
             continue
-        i = r + int(nz[0])
+        i = nz[k]
         if i != r:
             m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-        factors = m[:, c].copy()
-        factors[r] = 0
-        m = (m - np.outer(factors, m[r])) % p
+        if m[r, c] != 1:
+            m[r, c:] = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
+        if nz.size > 1:
+            # Clear column c in the rows nonzero there, from c on (rows at or
+            # below r vanish left of c); this zeroes the pivot row, so restore it.
+            nz[k] = r
+            pivot = m[r, c:].copy()
+            m[nz, c:] = (m[nz, c:] - m[nz, c, None] * pivot) % p
+            m[r, c:] = pivot
         r += 1
     return m
 
 
 def pivot_columns(rref_mat: np.ndarray) -> list[int]:
-    """Pivot column indices of a matrix already in RREF."""
-    pivots = []
-    for row in rref_mat:
-        nz = np.nonzero(row)[0]
-        if nz.size:
-            pivots.append(int(nz[0]))
-    return pivots
+    """Pivot columns of an RREF matrix: the first nonzero column of each nonzero row."""
+    nonzero = np.asarray(rref_mat) != 0
+    rows = nonzero[nonzero.any(axis=1)]
+    return rows.argmax(axis=1).tolist() if rows.size else []
 
 
 def rank(mat, p: int) -> int:
@@ -91,33 +94,26 @@ def rank(mat, p: int) -> int:
 
 def kernel(mat, p: int) -> "Subspace":
     """Right kernel {v : mat @ v = 0 mod p} as a canonical Subspace."""
-    m = fp_array(mat, p)
-    n_cols = m.shape[1]
-    red = rref(m, p)
+    red = rref(mat, p)
+    n_cols = red.shape[1]
     pivots = pivot_columns(red)
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = np.zeros((len(free), n_cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[i, pc] = (-red[row_idx, fc]) % p
+    free = np.delete(np.arange(n_cols), pivots)
+    basis = np.zeros((free.size, n_cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -red[: len(pivots), free].T % p
     return Subspace.span(basis, p, n_cols)
 
 
 def solve(mat, rhs, p: int) -> np.ndarray | None:
     """One particular solution of mat @ v = rhs mod p, or None if inconsistent."""
     m = fp_array(mat, p)
-    b = fp_array(rhs, p)
-    aug = rref(np.hstack([m, b.reshape(-1, 1)]), p)
+    aug = rref(np.hstack([m, fp_array(rhs, p).reshape(-1, 1)]), p)
     n_cols = m.shape[1]
+    pivots = pivot_columns(aug)
+    if pivots and pivots[-1] == n_cols:
+        return None
     v = np.zeros(n_cols, dtype=np.int64)
-    for row in aug:
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            continue
-        if nz[0] == n_cols:
-            return None
-        v[nz[0]] = row[n_cols]
+    v[pivots] = aug[: len(pivots), n_cols]
     return v
 
 

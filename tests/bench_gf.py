@@ -1,0 +1,43 @@
+"""Per-layer micro-benchmarks of the F_p core: `rref` and `kernel` on fixed inputs.
+
+Not part of the test suite (the file name does not match `test_*.py`). Run:
+
+    PYTHONPATH=src python -m pytest tests/bench_gf.py --benchmark-only
+"""
+
+import numpy as np
+import pytest
+
+from subcss import bacon_shor, delta, kernel, omega_complement, rref
+
+from conftest import reference_rref
+
+
+@pytest.fixture(scope="module")
+def zassenhaus_echelon():
+    """[[A, A], [B, 0]] for A = gauge, B = H^omega of the doubled Bacon-Shor l = 10.
+
+    The widest echelon `intersect` builds in the benchmark workloads: 400 x 800
+    over F_2 with about 0.6% nonzero entries.
+    """
+    code = delta(bacon_shor(10)).result
+    a, b = code.gauge.basis, omega_complement(code.gauge).basis
+    return np.block([[a, a], [b, np.zeros_like(b)]])
+
+
+def test_rref_zassenhaus_echelon(benchmark, zassenhaus_echelon):
+    red = benchmark(rref, zassenhaus_echelon, 2)
+    assert red.shape == (400, 800)
+    assert np.count_nonzero(red.any(axis=1)) == 400
+
+
+def test_kernel_bacon_shor10_gauge(benchmark):
+    gauge = bacon_shor(10).gauge
+    ker = benchmark(kernel, gauge.basis, 2)
+    assert ker.dim == 200 - gauge.dim
+
+
+def test_rref_small_dense_p3(benchmark):
+    mat = np.random.default_rng(12).integers(0, 3, size=(12, 16))
+    red = benchmark(rref, mat, 3)
+    assert np.array_equal(red, reference_rref(mat, 3))

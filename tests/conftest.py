@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from subcss import CssSplit, DecodeStatus, Subspace, SubsystemCode, kernel
+from subcss.gf import fp_array
 
 
 def random_subspace(rng, p, ambient):
@@ -21,6 +22,34 @@ def random_gauge_code(rng, p, n):
     dim = int(rng.integers(0, 2 * n + 1))
     rows = rng.integers(0, p, size=(dim, 2 * n))
     return SubsystemCode(p, n, Subspace.span(rows, p, 2 * n))
+
+
+def reference_rref(mat, p: int) -> np.ndarray:
+    """Reference echelon: each pivot step rewrites the whole matrix.
+
+    `gf.rref`, which updates only the rows and columns a pivot step can
+    change, must reproduce it bit for bit.
+    """
+    m = fp_array(mat, p).copy()
+    if m.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    n_rows, n_cols = m.shape
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
+        factors = m[:, c].copy()
+        factors[r] = 0
+        m = (m - np.outer(factors, m[r])) % p
+        r += 1
+    return m
 
 
 def kernel_sum_is_css(h, n):

@@ -101,6 +101,19 @@ def test_decode_exhaustive_csv(capsys):
     assert lines[1] == "1,48,48,0,0"
 
 
+def test_decode_exhaustive_rows_stop_at_n(capsys):
+    # Bacon-Shor l = 2 has n = 4: no error has weight above 4, so no rows for it.
+    code, out, _ = run(
+        capsys, "decode", "builtin:bacon_shor", "--l", "2", "--exhaustive-weight", "4"
+    )
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4"]
+    for top in ("6", "1000000000"):
+        assert run(capsys, "decode", "builtin:bacon_shor", "--l", "2",
+                   "--exhaustive-weight", top) == (0, out, "")
+
+
 def test_decode_code_flag_and_determinism(capsys):
     args = ["decode", "--code", "builtin:bacon_shor", "--l", "3",
             "--q", "0.05", "--trials", "200", "--seed", "11"]

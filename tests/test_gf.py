@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subcss import Subspace, kernel, rank, rref, solve
-from subcss.gf import P_LIMIT, _independent_rows, is_prime, validate_prime
+from subcss.gf import P_LIMIT, _independent_rows, is_prime, pivot_columns, validate_prime
 
-from conftest import random_subspace, subspaces
+from conftest import random_subspace, reference_rref, subspaces
 
 
 def test_is_prime():
@@ -221,3 +221,102 @@ def _small_and_rows(draw):
 def test_independent_rows_matches_greedy_loop(case):
     small, rows = case
     assert _independent_rows(small, rows) == _greedy_reference(small, rows)
+
+
+# The sparse pivot step against the dense reference echelon --------------------
+
+# 65521 is the largest prime below P_LIMIT: residue products come near 2^32.
+_PRIMES = (2, 3, 5, 7, 65521)
+
+
+@st.composite
+def _matrices(draw):
+    """(matrix, p): independent rows stacked with combinations of them, shuffled.
+
+    Fills run from all zero through very sparse to fully dense; either part of
+    the stack may be empty, and so may the columns.
+    """
+    p = draw(st.sampled_from(_PRIMES))
+    n_cols = draw(st.integers(0, 16))
+    n_base, n_dep = draw(st.integers(0, 10)), draw(st.integers(0, 6))
+    fill = draw(st.sampled_from((0.0, 0.03, 0.2, 0.6, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(1 if fill == 1.0 else 0, p, size=(n_base, n_cols))
+    base *= rng.random((n_base, n_cols)) < fill
+    stack = np.vstack([base, rng.integers(0, p, size=(n_dep, n_base)) @ base % p])
+    return stack[rng.permutation(len(stack))], p
+
+
+def _pivot_loop(mat):
+    return [int(np.nonzero(row)[0][0]) for row in mat if np.any(row)]
+
+
+def _reference_kernel(mat, p):
+    red = reference_rref(mat, p)
+    n_cols = red.shape[1]
+    pivots = _pivot_loop(red)
+    basis = np.zeros((n_cols - len(pivots), n_cols), dtype=np.int64)
+    for i, fc in enumerate(c for c in range(n_cols) if c not in pivots):
+        basis[i, fc] = 1
+        for row_idx, pc in enumerate(pivots):
+            basis[i, pc] = (-red[row_idx, fc]) % p
+    return Subspace.span(basis, p, n_cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_rref_matches_reference(case):
+    mat, p = case
+    before = mat.copy()
+    out = rref(mat, p)
+    assert out.dtype == np.int64 and out.shape == mat.shape
+    assert np.array_equal(out, reference_rref(mat, p))
+    assert np.array_equal(mat, before)
+    assert pivot_columns(out) == _pivot_loop(out)
+    assert pivot_columns(mat) == _pivot_loop(mat)
+
+
+@pytest.mark.parametrize("p", _PRIMES)
+@pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0), (5, 1), (1, 1)])
+def test_rref_edge_shapes_match_reference(p, shape, rng):
+    for mat in (np.zeros(shape, dtype=np.int64), rng.integers(0, p, size=shape)):
+        assert np.array_equal(rref(mat, p), reference_rref(mat, p))
+        assert pivot_columns(rref(mat, p)) == _pivot_loop(reference_rref(mat, p))
+        assert kernel(mat, p) == _reference_kernel(mat, p)
+
+
+def test_rref_accepts_read_only_input(rng):
+    space = random_subspace(rng, 5, 9)
+    mat = rng.integers(0, 5, size=(6, 9))
+    mat.setflags(write=False)
+    for ro in (space.basis, mat):
+        before = ro.copy()
+        out = rref(ro, 5)
+        assert out.flags.writeable and not np.shares_memory(out, ro)
+        assert np.array_equal(ro, before)
+        assert np.array_equal(out, reference_rref(ro, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_kernel_matches_reference(case):
+    mat, p = case
+    ker = kernel(mat, p)
+    assert ker == _reference_kernel(mat, p)
+    assert not np.any(mat @ ker.basis.T % p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(), st.data())
+def test_solve_matches_reference_rank(case, data):
+    mat, p = case
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, p, size=mat.shape[1])
+    rhs = mat @ x % p if data.draw(st.booleans()) else rng.integers(0, p, size=len(mat))
+    aug = np.hstack([mat, rhs.reshape(-1, 1)])
+    consistent = len(_pivot_loop(reference_rref(aug, p))) == len(_pivot_loop(reference_rref(mat, p)))
+    v = solve(mat, rhs, p)
+    if not consistent:
+        assert v is None
+    else:
+        assert np.array_equal(mat @ v % p, rhs)

@@ -9,6 +9,7 @@ request.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -16,8 +17,9 @@ import numpy as np
 
 from . import codefile, decode, goursat, states
 from .code import NoLogicalOperators, SubsystemCode, css_distances
-from .codefile import CodeFileError
+from .codefile import CodeFileError, _format_row
 from .double import delta
+from .pauli import PauliVector
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -132,11 +134,9 @@ def cmd_goursat(args) -> int:
         ("N_Z", data.n_z),
     ):
         for row in space.basis:
-            print(f"{label} basis: {' '.join(str(int(v)) for v in row)}")
+            print(f"{label} basis: {_format_row(row)}")
     for a, b in data.phi_pairs:
-        left = " ".join(str(int(v)) for v in a)
-        right = " ".join(str(int(v)) for v in b)
-        print(f"phi: {left} -> {right}")
+        print(f"phi: {_format_row(a)} -> {_format_row(b)}")
     return EXIT_OK
 
 
@@ -188,8 +188,6 @@ def cmd_codewords(args) -> int:
     words = states.all_codewords(split)
     print(f"codewords = {len(words)} (exact)")
     print(f"support_size = {code.p**split.stab_x.dim} (exact)")
-    from .pauli import PauliVector
-
     zeros = np.zeros(code.n, dtype=np.int64)
     stabs = [PauliVector(code.p, row, zeros) for row in split.stab_x.basis]
     stabs += [PauliVector(code.p, zeros, row) for row in split.stab_z.basis]
@@ -197,9 +195,7 @@ def cmd_codewords(args) -> int:
     for l, g, st in words:
         fixed = all(states.is_fixed_by(st, s) for s in stabs)
         all_fixed &= fixed
-        l_txt = " ".join(str(int(v)) for v in l)
-        g_txt = " ".join(str(int(v)) for v in g)
-        line = f"l = ({l_txt}) g = ({g_txt}) fixed = {fixed}"
+        line = f"l = ({_format_row(l)}) g = ({_format_row(g)}) fixed = {fixed}"
         if args.dense:
             dense_ok = all(
                 np.allclose(
@@ -226,7 +222,9 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="subcss",
         description="Exact toolkit for subsystem stabilizer and subsystem CSS codes",

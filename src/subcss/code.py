@@ -104,14 +104,10 @@ class SubsystemCode:
 
     @classmethod
     def from_css_split(cls, split: CssSplit) -> "SubsystemCode":
-        n = split.n
-        rows = []
-        for a in split.h_x.basis:
-            rows.append(np.concatenate([a, np.zeros(n, dtype=np.int64)]))
-        for b in split.h_z.basis:
-            rows.append(np.concatenate([np.zeros(n, dtype=np.int64), b]))
-        mat = np.array(rows, dtype=np.int64).reshape(-1, 2 * n)
-        return cls(split.p, n, Subspace.span(mat, split.p, 2 * n))
+        """H_X x H_Z: the span of the block-diagonal [[H_X, 0], [0, H_Z]]."""
+        x, z = split.h_x.basis, split.h_z.basis
+        mat = np.block([[x, np.zeros_like(x)], [np.zeros_like(z), z]])
+        return cls(split.p, split.n, Subspace.span(mat, split.p, 2 * split.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubsystemCode):
@@ -205,14 +201,14 @@ class SubsystemCode:
 def css_distances(split: CssSplit, budget: int | None = None) -> tuple[
     DistanceResult, DistanceResult, DistanceResult
 ]:
-    """(d_X, d_Z, d) of a CSS split via single-block weight-increasing search."""
+    """(d_X, d_Z, d) of a CSS split via single-block weight-increasing search.
+
+    d is exact when either side is: an exact side value v <= budget lies
+    below the other side's bound budget + 1.
+    """
     d_x = _classical_coset_distance(split.logical_x, split.h_x, budget)
     d_z = _classical_coset_distance(split.logical_z, split.h_z, budget)
-    if d_x.exact and d_z.exact:
-        d = DistanceResult(min(d_x.value, d_z.value), True)
-    else:
-        d = DistanceResult(min(d_x.value, d_z.value), False)
-    return d_x, d_z, d
+    return d_x, d_z, DistanceResult(min(d_x.value, d_z.value), d_x.exact or d_z.exact)
 
 
 def _classical_coset_distance(

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .code import SubsystemCode
-from .gf import fp_array, validate_prime
-from .pauli import PauliVector, format_pauli, parse_pauli
+from .gf import Subspace, fp_array, validate_prime
+from .pauli import PauliVector, format_pauli, parse_pauli, unflatten
 
 FORMATS = ("pauli", "symplectic")
 
@@ -81,16 +81,17 @@ def emit_code_file(code: SubsystemCode, fmt: str = "symplectic") -> str:
     """Serialize the canonical generators of a code."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    lines = [f"p={code.p} n={code.n} format={fmt}"]
-    for row in code.gauge.basis:
-        pv = PauliVector(code.p, row[: code.n], row[code.n :])
-        if fmt == "pauli":
-            lines.append(format_pauli(pv))
-        else:
-            a = " ".join(str(int(v)) for v in pv.x)
-            b = " ".join(str(int(v)) for v in pv.z)
-            lines.append(f"{a} | {b}")
-    return "\n".join(lines) + "\n"
+    n, basis = code.n, code.gauge.basis
+    if fmt == "pauli":
+        rows = [format_pauli(unflatten(row, code.p)) for row in basis]
+    else:
+        rows = [f"{_format_row(row[:n])} | {_format_row(row[n:])}" for row in basis]
+    return "\n".join([f"p={code.p} n={code.n} format={fmt}", *rows]) + "\n"
+
+
+def _format_row(row: np.ndarray) -> str:
+    """Space-separated entries of an integer row."""
+    return " ".join(map(str, row.tolist()))
 
 
 # Built-in examples ----------------------------------------------------------
@@ -113,20 +114,13 @@ def bacon_shor(l: int) -> SubsystemCode:
     if l < 2:
         raise ValueError("grid size must be at least 2")
     n = l * l
-    gens = []
-    for i in range(l):
-        for j in range(l - 1):
-            x = np.zeros(n, dtype=np.int64)
-            x[i * l + j] = 1
-            x[i * l + j + 1] = 1
-            gens.append(PauliVector(2, x, np.zeros(n, dtype=np.int64)))
-    for i in range(l - 1):
-        for j in range(l):
-            z = np.zeros(n, dtype=np.int64)
-            z[i * l + j] = 1
-            z[(i + 1) * l + j] = 1
-            gens.append(PauliVector(2, np.zeros(n, dtype=np.int64), z))
-    return SubsystemCode.from_generators(2, n, gens)
+    grid = np.arange(n).reshape(l, l)
+    left, top = grid[:, :-1].ravel(), grid[:-1, :].ravel()  # pairs (s, s + 1) and (s, s + l)
+    rows = np.arange(left.size)
+    gauge = np.zeros((2 * left.size, 2 * n), dtype=np.int64)
+    gauge[rows, left] = gauge[rows, left + 1] = 1
+    gauge[left.size + rows, n + top] = gauge[left.size + rows, n + top + l] = 1
+    return SubsystemCode(2, n, Subspace.span(gauge, 2, 2 * n))
 
 
 def trivial(n: int, p: int = 2) -> SubsystemCode:
@@ -141,12 +135,8 @@ def random_code(p: int, n: int, dim: int, seed: int) -> SubsystemCode:
     validate_prime(p)
     if not 0 <= dim <= 2 * n:
         raise ValueError("dim must be between 0 and 2n")
-    rng = np.random.default_rng(seed)
-    gens = []
-    for _ in range(dim):
-        vec = rng.integers(0, p, size=2 * n)
-        gens.append(PauliVector(p, vec[:n], vec[n:]))
-    return SubsystemCode.from_generators(p, n, gens)
+    rows = np.random.default_rng(seed).integers(0, p, size=(dim, 2 * n))
+    return SubsystemCode(p, n, Subspace.span(rows, p, 2 * n))
 
 
 def builtin_code(name: str, **params) -> SubsystemCode:

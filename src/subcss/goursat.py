@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .code import SubsystemCode
+from .code import CssSplit, SubsystemCode
 from .gf import Subspace, _independent_rows
 
 
@@ -71,15 +71,9 @@ def goursat_of(code: SubsystemCode) -> GoursatData:
 def reconstruct_from(data: GoursatData) -> SubsystemCode:
     """Rebuild the gauge group: span of the paired generators plus N_X x 0 and 0 x N_Z."""
     p, n = data.p, data.n
-    rows = []
-    for a, b in data.phi_pairs:
-        rows.append(np.concatenate([a, b]))
-    for a in data.n_x.basis:
-        rows.append(np.concatenate([a, np.zeros(n, dtype=np.int64)]))
-    for b in data.n_z.basis:
-        rows.append(np.concatenate([np.zeros(n, dtype=np.int64), b]))
-    mat = np.array(rows, dtype=np.int64).reshape(-1, 2 * n)
-    return SubsystemCode(p, n, Subspace.span(mat, p, 2 * n))
+    pairs = np.array(data.phi_pairs, dtype=np.int64).reshape(-1, 2 * n)
+    internal = SubsystemCode.from_css_split(CssSplit(data.n_x, data.n_z)).gauge.basis
+    return SubsystemCode(p, n, Subspace.span(np.vstack([pairs, internal]), p, 2 * n))
 
 
 @dataclass(frozen=True)

@@ -151,16 +151,12 @@ def psi(pv: PauliVector) -> PauliVector:
     return PauliVector(pv.p, pv.z.copy(), (-pv.x) % pv.p)
 
 
-def psi_flat(vec, p: int) -> np.ndarray:
-    return flatten(psi(unflatten(vec, p)))
-
-
 def psi_subspace(h: Subspace) -> Subspace:
-    """Image of a subspace of F_p^{2n} under the block swap."""
+    """Image of a subspace of F_p^{2n} under psi: a block swap of the basis with a sign."""
     if h.ambient % 2 != 0:
         raise ValueError("ambient dimension must be even")
-    rows = [psi_flat(row, h.p) for row in h.basis]
-    return Subspace.span(np.array(rows).reshape(-1, h.ambient), h.p, h.ambient)
+    n = h.ambient // 2
+    return Subspace.span(np.hstack([h.basis[:, n:], -h.basis[:, :n]]), h.p, h.ambient)
 
 
 def omega_complement(h: Subspace) -> Subspace:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from subcss import CssSplit, DecodeStatus, Subspace, SubsystemCode, kernel
+from subcss import CssSplit, DecodeStatus, PauliVector, Subspace, SubsystemCode, kernel
 from subcss.gf import fp_array
 
 
@@ -22,6 +22,29 @@ def random_gauge_code(rng, p, n):
     dim = int(rng.integers(0, 2 * n + 1))
     rows = rng.integers(0, p, size=(dim, 2 * n))
     return SubsystemCode(p, n, Subspace.span(rows, p, 2 * n))
+
+
+def reference_bacon_shor(l):
+    """Reference Bacon-Shor builder: one PauliVector per gauge generator.
+
+    Row-adjacent site pairs of the l x l grid give XX generators and
+    column-adjacent pairs give ZZ generators; `codefile.bacon_shor`, which
+    writes the gauge matrix by index arithmetic, must give the same code.
+    """
+    n = l * l
+    zeros = np.zeros(n, dtype=np.int64)
+    gens = []
+    for i in range(l):
+        for j in range(l - 1):
+            x = zeros.copy()
+            x[[i * l + j, i * l + j + 1]] = 1
+            gens.append(PauliVector(2, x, zeros))
+    for i in range(l - 1):
+        for j in range(l):
+            z = zeros.copy()
+            z[[i * l + j, (i + 1) * l + j]] = 1
+            gens.append(PauliVector(2, zeros, z))
+    return SubsystemCode.from_generators(2, n, gens)
 
 
 def reference_rref(mat, p: int) -> np.ndarray:

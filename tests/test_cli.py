@@ -3,7 +3,7 @@
 import pytest
 
 from subcss import parse_code_file
-from subcss.cli import main
+from subcss.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -201,3 +201,34 @@ def test_threads_flag_rejected(capsys):
         main(["--threads", "4", "info", "builtin:trivial", "--n", "2"])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(capsys):
+    # The cached parser handles a parse error followed by valid commands, and
+    # different subcommands in a row, exactly as a freshly built parser does.
+    requests = [
+        ["info", "--budget", "x", "builtin:trivial"],
+        ["info", "builtin:five_qubit"],
+        ["gen", "bacon_shor", "--l", "2"],
+        ["classify", "builtin:bacon_shor", "--l", "3"],
+        ["double", "builtin:trivial", "--n", "2", "--format", "pauli"],
+        ["decode", "builtin:bacon_shor", "--l", "2", "--trials", "5"],
+    ]
+
+    def outcome(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    assert build_parser() is build_parser()
+    shared = [outcome(argv) for argv in requests]
+    fresh = []
+    for argv in requests:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert shared[0][0] == 2 and "usage:" in shared[0][2]
+    assert all(rc == 0 for rc, _, _ in shared[1:])

@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcss import (
     CssSplit,
@@ -142,18 +143,28 @@ def test_css_split_mismatch_raises():
 
 
 @settings(max_examples=80, deadline=None)
-@given(css_splits(primes=(2, 3), max_n=4))
-def test_css_distance_agrees_with_symplectic(split):
-    # For CSS codes, min(d_X, d_Z) equals the full symplectic-weight search,
-    # and both searches find no logical operator on the same codes.
+@given(css_splits(primes=(2, 3), max_n=4), st.data())
+def test_css_distance_agrees_with_symplectic(split, data):
+    # For CSS codes, min(d_X, d_Z) equals the symplectic-weight search under
+    # the same budget, in value and in exactness, and both searches find no
+    # logical operator on the same codes.
+    budget = data.draw(st.integers(1, split.n))
     code = SubsystemCode.from_css_split(split)
     try:
-        d_sym = code.distance()
+        d_sym = code.distance(budget)
     except NoLogicalOperators:
         with pytest.raises(NoLogicalOperators):
-            css_distances(split)
+            css_distances(split, budget)
         return
-    assert css_distances(split)[2] == d_sym
+    assert css_distances(split, budget)[2] == d_sym
+
+
+def test_css_distance_exact_when_one_side_is_exact():
+    # H_X = span{110, 011}, H_Z = 0: d_X = 1 is exact, d_Z = 3 exceeds the budget.
+    split = CssSplit(Subspace.span([[1, 1, 0], [0, 1, 1]], 2, 3), Subspace.zero(2, 3))
+    d_x, d_z, d = css_distances(split, 2)
+    assert (str(d_x), str(d_z), str(d)) == ("1", ">=3", "1")
+    assert d == SubsystemCode.from_css_split(split).distance(2)
 
 
 def test_code_equality_and_repr():

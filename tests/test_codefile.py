@@ -5,6 +5,8 @@ import pytest
 
 from subcss import (
     CodeFileError,
+    PauliVector,
+    SubsystemCode,
     bacon_shor,
     builtin_code,
     emit_code_file,
@@ -16,14 +18,12 @@ from subcss import (
 from subcss.codefile import FIVE_QUBIT_GENERATORS
 from subcss.pauli import parse_pauli
 
-from conftest import random_gauge_code
+from conftest import random_gauge_code, reference_bacon_shor
 
 
 def test_five_qubit_matches_display():
     code = five_qubit()
     assert code.parameters() == (5, 1, 0)
-    from subcss import SubsystemCode
-
     gens = [parse_pauli(s, 2) for s in ("ZXXZI", "IZXXZ", "ZIZXX", "XZIZX")]
     assert code == SubsystemCode.from_generators(2, 5, gens)
     assert FIVE_QUBIT_GENERATORS == ("ZXXZI", "IZXXZ", "ZIZXX", "XZIZX")
@@ -101,6 +101,11 @@ def test_bacon_shor_generator_counts():
         bacon_shor(1)
 
 
+@pytest.mark.parametrize("l", range(2, 7))
+def test_bacon_shor_matches_generator_loop(l):
+    assert bacon_shor(l) == reference_bacon_shor(l)
+
+
 def test_trivial_params():
     assert trivial(2, p=5).parameters() == (2, 2, 0)
     with pytest.raises(ValueError):
@@ -117,6 +122,15 @@ def test_random_code_determinism():
         random_code(3, 4, 20, seed=0)
     with pytest.raises(ValueError):
         random_code(6, 4, 2, seed=0)
+
+
+def test_random_code_matches_per_row_draws():
+    # One (dim, 2n) draw gives the same stream as dim draws of 2n entries.
+    for p, n, dim, seed in ((2, 3, 4, 0), (3, 5, 5, 1), (5, 4, 8, 7), (7, 2, 1, 3)):
+        rng = np.random.default_rng(seed)
+        rows = [rng.integers(0, p, size=2 * n) for _ in range(dim)]
+        gens = [PauliVector(p, row[:n], row[n:]) for row in rows]
+        assert random_code(p, n, dim, seed) == SubsystemCode.from_generators(p, n, gens)
 
 
 def test_builtin_dispatch():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from subcss import SubsystemCode, delta, double_generator, double_subspace, five_qubit, trivial
-from subcss.double import DOUBLED_FIVE_QUBIT_DISTANCE, doubled_generators
-from subcss.pauli import omega_complement, parse_pauli
+from subcss.double import DOUBLED_FIVE_QUBIT_DISTANCE
+from subcss.pauli import omega_complement, parse_pauli, unflatten
 
 from conftest import gauge_codes, random_gauge_code, random_subspace
 
@@ -108,14 +108,13 @@ def test_distance_bracket(rng):
 @settings(max_examples=80, deadline=None)
 @given(gauge_codes(primes=(2, 3, 5), max_n=4))
 def test_delta_matches_double_subspace(code):
-    # The generator-level construction equals H x psi(H) at the subspace level.
-    assert delta(code).result.gauge == double_subspace(code.gauge)
-
-
-def test_doubled_generators_count():
-    gens = doubled_generators(five_qubit())
-    assert len(gens) == 8
-    assert all(g.n == 10 for g in gens)
+    # Reference: the paper's generator-level form, two doubled generators per
+    # source basis row, echelonized from scratch. delta and double_subspace
+    # build H x psi(H) as a block matrix instead.
+    gens = [g for row in code.gauge.basis for g in double_generator(unflatten(row, code.p))]
+    reference = SubsystemCode.from_generators(code.p, 2 * code.n, gens)
+    assert delta(code).result == reference
+    assert double_subspace(code.gauge) == reference.gauge
 
 
 def test_double_subspace_rejects_odd_ambient():

@@ -1,8 +1,9 @@
 """Full CLI transcripts compared byte for byte against stored goldens.
 
 The goldens pin what the line-level CLI tests leave open: the order of
-the Goursat phi pairs, the order of codeword labels, and the seeded
-Monte-Carlo CSV. Each file under tests/golden/ is the stdout of the
+the Goursat phi pairs, the order of codeword labels, the seeded
+Monte-Carlo CSV, and the canonical generator rows that `double` and `gen`
+write. Each file under tests/golden/ is the stdout of the
 command listed for it here.
 """
 
@@ -30,6 +31,10 @@ CASES["decode_exhaustive2_bacon_shor3"] = [
 CASES["decode_mc_bacon_shor3"] = [
     "decode", *CODES["bacon_shor3"], "--q", "0.05", "--trials", "300", "--seed", "7"
 ]
+CASES["double_five_qubit"] = ["double", *CODES["five_qubit"]]
+CASES["double_pauli_bacon_shor3"] = ["double", *CODES["bacon_shor3"], "--format", "pauli"]
+CASES["double_random_p3"] = ["double", *CODES["random_p3"]]
+CASES["gen_random_p3"] = ["gen", "random", "--p", "3", "--n", "4", "--dim", "4", "--seed", "0"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -2,11 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subcss import PauliVector, flatten, format_pauli, omega, parse_pauli, psi, swt, unflatten
-from subcss.pauli import omega_complement, psi_flat, psi_subspace, weight
+from subcss import (
+    PauliVector,
+    Subspace,
+    flatten,
+    format_pauli,
+    omega,
+    parse_pauli,
+    psi,
+    swt,
+    unflatten,
+)
+from subcss.pauli import omega_complement, psi_subspace, weight
 
-from conftest import random_subspace
+from conftest import random_subspace, subspaces
 
 
 def random_pauli(rng, p, n):
@@ -125,9 +137,19 @@ def test_omega_complement_annihilates(rng):
             assert omega(unflatten(u, 3), unflatten(v, 3)) == 0
 
 
-def test_psi_flat_matches_psi(rng):
-    vec = rng.integers(0, 3, size=8)
-    assert np.array_equal(psi_flat(vec, 3), flatten(psi(unflatten(vec, 3))))
+@st.composite
+def even_subspaces(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    return draw(subspaces(p, 2 * draw(st.integers(1, 4))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(even_subspaces())
+def test_psi_subspace_matches_per_row_psi(h):
+    # The block-swap construction equals the span of the vector-level psi images.
+    rows = [flatten(psi(unflatten(row, h.p))) for row in h.basis]
+    images = np.array(rows, dtype=np.int64).reshape(-1, h.ambient)
+    assert psi_subspace(h) == Subspace.span(images, h.p, h.ambient)
 
 
 def test_pauli_vector_validation():

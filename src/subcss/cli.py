@@ -58,6 +58,17 @@ def _add_code_arg(sub, positional=True):
     sub.add_argument("--seed", type=int, default=None, help="seed for builtin:random")
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of a search budget: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _distance_line(code: SubsystemCode, budget: int | None) -> str:
     try:
         d = code.distance(budget)
@@ -233,19 +244,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("info", help="parameters, distance, CSS structure")
     _add_code_arg(s)
-    s.add_argument("--budget", type=int, default=None, help="distance search cap (default n)")
+    s.add_argument("--budget", type=_non_negative_int, help="distance search cap (default n)")
     s.set_defaults(func=cmd_info)
 
     s = subs.add_parser("distance", help="distance only")
     _add_code_arg(s)
-    s.add_argument("--budget", type=int, default=None)
+    s.add_argument("--budget", type=_non_negative_int)
     s.set_defaults(func=cmd_distance)
 
     s = subs.add_parser("double", help="apply the stabilizer-to-CSS doubling map")
     _add_code_arg(s)
     s.add_argument("--out", default=None, help="output code file (default stdout)")
     s.add_argument("--format", choices=codefile.FORMATS, default="symplectic")
-    s.add_argument("--budget", type=int, default=None)
+    s.add_argument("--budget", type=_non_negative_int)
     s.set_defaults(func=cmd_double)
 
     s = subs.add_parser("goursat", help="external/internal CSS data and pairings")

@@ -179,23 +179,12 @@ class SubsystemCode:
         Weight-increasing exhaustive search; if no witness appears up to
         `budget` (default n), the result is the lower bound budget + 1.
         """
-        if self.centralizer == self.gauge:
-            raise NoLogicalOperators("H + H^w = H: the code has no logical operators")
-        budget = self.n if budget is None else budget
-        found = self._logical_search(budget)
-        return DistanceResult(found[0], True) if found else DistanceResult(budget + 1, False)
+        return _coset_distance(self.centralizer, self.gauge, _site_values(self.p), budget)
 
     def min_weight_logical(self, budget: int | None = None) -> PauliVector | None:
         """A minimum-symplectic-weight element of (H + H^w) \\ H, if found."""
-        found = self._logical_search(self.n if budget is None else budget)
+        found = _coset_search(self.centralizer, self.gauge, _site_values(self.p), budget)
         return unflatten(found[1], self.p) if found else None
-
-    def _logical_search(self, budget: int) -> tuple[int, np.ndarray] | None:
-        in_cent = _membership_checker(self.centralizer)
-        in_gauge = _membership_checker(self.gauge)
-        return _min_weight_search(
-            lambda batch: in_cent(batch) & ~in_gauge(batch), _site_values(self.p), self.n, budget
-        )
 
 
 def css_distances(split: CssSplit, budget: int | None = None) -> tuple[
@@ -206,25 +195,40 @@ def css_distances(split: CssSplit, budget: int | None = None) -> tuple[
     d is exact when either side is: an exact side value v <= budget lies
     below the other side's bound budget + 1.
     """
-    d_x = _classical_coset_distance(split.logical_x, split.h_x, budget)
-    d_z = _classical_coset_distance(split.logical_z, split.h_z, budget)
+    letters = _field_letters(split.p)
+    d_x = _coset_distance(split.logical_x, split.h_x, letters, budget)
+    d_z = _coset_distance(split.logical_z, split.h_z, letters, budget)
     return d_x, d_z, DistanceResult(min(d_x.value, d_z.value), d_x.exact or d_z.exact)
 
 
-def _classical_coset_distance(
-    big: Subspace, small: Subspace, budget: int | None = None
+def _coset_distance(
+    big: Subspace, small: Subspace, letters: np.ndarray, budget: int | None = None
 ) -> DistanceResult:
-    """min wt(big \\ small) by weight-increasing search; bound if capped."""
+    """min wt(big \\ small) over `letters` (see `_coset_search`); the bound
+    budget + 1 if nothing is found up to the budget."""
     if big == small:
-        raise NoLogicalOperators("no logical operators on this side")
-    n = big.ambient
+        raise NoLogicalOperators("no logical operators: the coset space is empty")
+    budget = big.ambient // letters.shape[1] if budget is None else budget
+    found = _coset_search(big, small, letters, budget)
+    return DistanceResult(found[0], True) if found else DistanceResult(budget + 1, False)
+
+
+def _coset_search(
+    big: Subspace, small: Subspace, letters: np.ndarray, budget: int | None = None
+) -> tuple[int, np.ndarray] | None:
+    """(w, v): v is the first vector of big \\ small in `_weight_batches` order
+    whose weight w is the least one up to `budget` (default n, the sites of
+    `letters`' layout); None if there is none.
+
+    Raises ValueError for a negative budget.
+    """
+    n = big.ambient // letters.shape[1]
     budget = n if budget is None else budget
+    if budget < 0:
+        raise ValueError(f"search budget must be >= 0, got {budget}")
     in_big = _membership_checker(big)
     in_small = _membership_checker(small)
-    found = _min_weight_search(
-        lambda batch: in_big(batch) & ~in_small(batch), _field_letters(big.p), n, budget
-    )
-    return DistanceResult(found[0], True) if found else DistanceResult(budget + 1, False)
+    return _min_weight_search(lambda batch: in_big(batch) & ~in_small(batch), letters, n, budget)
 
 
 # Search engine -------------------------------------------------------------

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .code import SubsystemCode
-from .gf import Subspace, fp_array, validate_prime
-from .pauli import PauliVector, format_pauli, parse_pauli, unflatten
+from .gf import Subspace, validate_prime
+from .pauli import flatten, format_pauli, parse_pauli, unflatten
 
 FORMATS = ("pauli", "symplectic")
 
@@ -27,18 +27,13 @@ class CodeFileError(Exception):
 def parse_code_file(text: str) -> tuple[SubsystemCode, str]:
     """Parse a code file into a SubsystemCode plus its format tag."""
     lines = text.splitlines()
-    header = None
-    header_no = 0
-    gens: list[PauliVector] = []
-    p = n = None
-    fmt = None
+    rows: list = []
+    p = n = fmt = None
     for i, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if header is None:
-            header = line
-            header_no = i
+        if fmt is None:
             try:
                 fields = dict(part.split("=", 1) for part in line.split())
                 p = validate_prime(int(fields["p"]))
@@ -52,29 +47,28 @@ def parse_code_file(text: str) -> tuple[SubsystemCode, str]:
                 raise CodeFileError(i, f"unknown format {fmt!r}")
             continue
         try:
-            gens.append(_parse_generator(line, p, n, fmt))
+            rows.append(_parse_row(line, p, n, fmt))
         except ValueError as exc:
             raise CodeFileError(i, str(exc)) from exc
-    if header is None:
+    if fmt is None:
         raise CodeFileError(1, "missing header line")
-    return SubsystemCode.from_generators(p, n, gens), fmt
+    gauge = np.array(rows, dtype=np.int64).reshape(-1, 2 * n)
+    return SubsystemCode(p, n, Subspace.span(gauge, p, 2 * n)), fmt
 
 
-def _parse_generator(line: str, p: int, n: int, fmt: str) -> PauliVector:
+def _parse_row(line: str, p: int, n: int, fmt: str):
+    """One generator line as its flattened row (x-block, then z-block)."""
     if fmt == "pauli":
         pv = parse_pauli(line, p)
-    else:
-        if "|" not in line:
-            raise ValueError("symplectic line must contain '|'")
-        a_text, b_text = line.split("|", 1)
-        x = fp_array([int(t) for t in a_text.split()], p)
-        z = fp_array([int(t) for t in b_text.split()], p)
-        if x.shape[0] != n or z.shape[0] != n:
-            raise ValueError(f"expected {n} entries per block")
-        pv = PauliVector(p, x, z)
-    if pv.n != n:
-        raise ValueError(f"generator has {pv.n} qudits, expected {n}")
-    return pv
+        if pv.n != n:
+            raise ValueError(f"generator has {pv.n} qudits, expected {n}")
+        return flatten(pv)
+    if "|" not in line:
+        raise ValueError("symplectic line must contain '|'")
+    blocks = [[int(t) % p for t in text.split()] for text in line.split("|", 1)]
+    if any(len(block) != n for block in blocks):
+        raise ValueError(f"expected {n} entries per block")
+    return blocks[0] + blocks[1]
 
 
 def emit_code_file(code: SubsystemCode, fmt: str = "symplectic") -> str:

@@ -19,14 +19,14 @@ import numpy as np
 from . import code as _code
 from .code import (
     CssSplit,
-    _classical_coset_distance,
+    _coset_distance,
     _field_letters,
     _membership_checker,
     _min_weight_search,
     _site_values,
     _weight_batches,
 )
-from .gf import Subspace, fp_array, kernel, pivot_columns, solve
+from .gf import Subspace, fp_array, kernel, pivot_columns
 from .pauli import PauliVector
 
 _TABLE_LIMIT = 1 << 20
@@ -64,7 +64,7 @@ class ClassicalCode:
     @cached_property
     def d_r(self) -> int:
         """min wt(K \\ R); exact (search to full length)."""
-        return _classical_coset_distance(self.k, self.r, budget=self.n).value
+        return _coset_distance(self.k, self.r, _field_letters(self.p)).value
 
     @cached_property
     def _leader_table(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -227,45 +227,37 @@ class ParDecoder:
     and the two decoders have equal distance.
     """
 
-    def __init__(self, h: Subspace, syn_matrix: np.ndarray, code: Subspace):
+    def __init__(self, h: Subspace, syn_matrix: np.ndarray):
         p, n = h.p, h.ambient
         self.sigma0 = tuple(np.delete(np.arange(n), pivot_columns(h.basis)).tolist())
         self.h = h
         self.p = p
         self.n = n
         self.f = syn_matrix
-        self.par_matrix = syn_matrix[:, self.sigma0].copy()
+        self.par_matrix = syn_matrix[:, self.sigma0]
         self.kernel = kernel(self.par_matrix, p)
+        # The quotient code ker(par_matrix), decoded up to its zero subcode.
         zero = Subspace.zero(p, len(self.sigma0))
-        self.d_par = _classical_coset_distance(self.kernel, zero).value
-        d_h = _classical_coset_distance(code, h, budget=n).value
-        if self.d_par != d_h:
-            raise AssertionError(f"quotient distance {self.d_par} != coset distance {d_h}")
+        self._quotient = ClassicalCode(self.kernel, zero, self.par_matrix)
+        self.d_par = self._quotient.d_r
 
     def coset_weight(self, a) -> int:
         """Weight of a + H in the standard-basis quotient."""
         residue = self.h.reduce(a)
         return int(np.count_nonzero(residue))
 
-    def decode(self, syn) -> np.ndarray:
+    def decode(self, syn) -> np.ndarray | None:
         """Coset representative of a + H (supported on sigma0) from the syndrome.
 
-        Correct whenever the quotient weight of the true coset is below
-        d_par / 2. Raises InconsistentSyndrome on unachievable input.
+        The quotient vector of least weight, then lexicographically least,
+        with this syndrome, if its weight is below d_par / 2; else None.
+        Raises InconsistentSyndrome on unachievable input.
         """
-        syn = fp_array(syn, self.p)
-        u0 = solve(self.par_matrix, syn, self.p)
-        if u0 is None:
-            raise InconsistentSyndrome("syndrome not in the image of the quotient check")
-        best = None
-        best_key = None
-        for k in self.kernel.all_elements():
-            u = (u0 + k) % self.p
-            key = (int(np.count_nonzero(u)), tuple(u))
-            if best_key is None or key < best_key:
-                best, best_key = u, key
+        u = self._quotient.decode_coset(syn)
+        if u is None:
+            return None
         out = np.zeros(self.n, dtype=np.int64)
-        out[list(self.sigma0)] = best
+        out[list(self.sigma0)] = u
         return out
 
 
@@ -287,13 +279,10 @@ def par_decoder_build(split: CssSplit, side: str = "X") -> ParDecoder:
     """
     if side not in ("X", "Z"):
         raise ValueError("side must be 'X' or 'Z'")
-    if side == "X":
-        h, code, checks = split.h_x, split.logical_x, split.stab_z
-    else:
-        h, code, checks = split.h_z, split.logical_z, split.stab_x
+    h, checks = (split.h_x, split.stab_z) if side == "X" else (split.h_z, split.stab_x)
     if not respects_weight(h):
         raise NotWeightRespecting(f"H_{side} has no weight-<=2 basis")
-    return ParDecoder(h, checks.basis, code)
+    return ParDecoder(h, checks.basis)
 
 
 # Statistical harness --------------------------------------------------------

@@ -19,6 +19,8 @@ import numpy as np
 # 2^32, and a dot product or matrix product over an ambient dimension
 # below 2^31 -- a sum of at most (p - 1)^2 * ambient -- fits in int64.
 P_LIMIT = 1 << 16
+# Most rows that an enumeration of all the elements of a span may build.
+ROW_LIMIT = 1 << 20
 
 
 def is_prime(p: int) -> bool:
@@ -240,11 +242,21 @@ class Subspace:
         return list(self.basis[_independent_rows(small, self.basis)])
 
     def all_elements(self) -> np.ndarray:
-        """All p**dim elements as a matrix; for exhaustive sweeps."""
-        if self.dim == 0:
-            return np.zeros((1, self.ambient), dtype=np.int64)
-        coeffs = np.array(list(product(range(self.p), repeat=self.dim)), dtype=np.int64)
-        return (coeffs @ self.basis) % self.p
+        """All p**dim elements as a matrix, at most `ROW_LIMIT` rows; for exhaustive sweeps."""
+        return _combinations(self.basis, self.p)
+
+
+def _combinations(rows: np.ndarray, p: int) -> np.ndarray:
+    """Every F_p combination of the rows, one per coefficient tuple in
+    `itertools.product` order; one zero row when there are no rows.
+
+    Raises ValueError above `ROW_LIMIT` combinations, before building any.
+    """
+    k = rows.shape[0]
+    if p**k > ROW_LIMIT:
+        raise ValueError(f"{p}^{k} combinations exceed the limit of {ROW_LIMIT} rows")
+    coeffs = np.array(list(product(range(p), repeat=k)), dtype=np.int64).reshape(p**k, k)
+    return (coeffs @ rows) % p
 
 
 def _independent_rows(small: Subspace, vecs) -> list[int]:

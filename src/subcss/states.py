@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import CssSplit
-from .gf import Subspace, fp_array
+from .gf import Subspace, _combinations, fp_array
 from .pauli import PauliVector
 
 _DENSE_LIMIT = 1 << 20
@@ -89,25 +89,11 @@ def codeword(split: CssSplit, l, g) -> CosetState:
 
 def all_codewords(split: CssSplit) -> list[tuple[np.ndarray, np.ndarray, CosetState]]:
     """Every (l, g, state) over canonical quotient label bases; p^(k+r) states."""
-    p = split.p
-    l_reps = split.logical_x.quotient_reps(split.h_x)
-    g_reps = split.h_x.quotient_reps(split.stab_x)
-    out = []
-    for l in _span_points(l_reps, p, split.n):
-        for g in _span_points(g_reps, p, split.n):
-            out.append((l, g, codeword(split, l, g)))
-    return out
-
-
-def _span_points(reps, p: int, n: int):
-    from itertools import product
-
-    if not reps:
-        yield np.zeros(n, dtype=np.int64)
-        return
-    mat = np.array(reps, dtype=np.int64)
-    for coeffs in product(range(p), repeat=len(reps)):
-        yield (np.array(coeffs, dtype=np.int64) @ mat) % p
+    p, n = split.p, split.n
+    l_reps = np.array(split.logical_x.quotient_reps(split.h_x), dtype=np.int64).reshape(-1, n)
+    g_reps = np.array(split.h_x.quotient_reps(split.stab_x), dtype=np.int64).reshape(-1, n)
+    ls, gs = _combinations(l_reps, p), _combinations(g_reps, p)
+    return [(l, g, codeword(split, l, g)) for l in ls for g in gs]
 
 
 def apply_x(state: CosetState, a) -> CosetState:

@@ -1,0 +1,38 @@
+"""Per-layer micro-benchmarks of decoding and subspace intersection on fixed inputs.
+
+Not part of the test suite (the file name does not match `test_*.py`). Run:
+
+    PYTHONPATH=src python -m pytest tests/bench_decode.py --benchmark-only
+"""
+
+import numpy as np
+
+from subcss import ClassicalCode, Subspace, bacon_shor, par_decoder_build
+from subcss.decode import make_css_decoder
+
+
+def test_par_decoder_build_bacon_shor6(benchmark):
+    split = bacon_shor(6).css_split()
+    dec = benchmark(par_decoder_build, split, "X")
+    assert dec.d_par == 6
+
+
+def test_leader_table_bacon_shor5_x(benchmark):
+    # A fresh code each round, its distance known, so a round times only the table.
+    x_side = make_css_decoder(bacon_shor(5).css_split())[0]
+
+    def fresh():
+        code = ClassicalCode(x_side.k, x_side.r, x_side.f)
+        code.d_r = x_side.d_r
+        return (code,), {}
+
+    slots, leaders = benchmark.pedantic(lambda code: code._leader_table, setup=fresh, rounds=20)
+    assert slots.size == 2**4 and len(leaders) == 16
+
+
+def test_intersect_dims_30_40_p3(benchmark):
+    rng = np.random.default_rng(30)
+    a = Subspace.span(rng.integers(0, 3, size=(30, 120)), 3, 120)
+    b = Subspace.span(rng.integers(0, 3, size=(40, 120)), 3, 120)
+    assert (a.dim, b.dim) == (30, 40)
+    assert benchmark(a.intersect, b).dim == 0

@@ -196,6 +196,31 @@ def test_modulus_bound_at_input(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "builtin:five_qubit", "--budget", "-3"],
+        ["distance", "builtin:bacon_shor", "--l", "3", "--budget", "-1"],
+        ["double", "builtin:five_qubit", "--budget", "-1"],
+        ["distance", "builtin:five_qubit", "--budget", "x"],
+    ],
+)
+def test_negative_budget_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert f"--budget: expected an integer >= 0, got '{argv[-1]}'" in captured.err
+
+
+def test_zero_budget_prints_the_bound_one(capsys):
+    code, out, _ = run(capsys, "distance", "builtin:bacon_shor", "--l", "3", "--budget", "0")
+    assert code == 0
+    assert out == "d = >=1 (search-bounded)\n"
+
+
 def test_threads_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "4", "info", "builtin:trivial", "--n", "2"])

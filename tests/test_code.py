@@ -92,6 +92,19 @@ def test_distance_budget_bound():
     assert str(DistanceResult(4, True)) == "4"
 
 
+def test_negative_budget_is_rejected():
+    code = five_qubit()
+    with pytest.raises(ValueError, match="budget"):
+        code.distance(budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        code.min_weight_logical(budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        css_distances(bacon_shor(3).css_split(), budget=-3)
+    # Budget 0 searches nothing: the bound is 1.
+    assert code.distance(budget=0) == DistanceResult(1, False)
+    assert code.min_weight_logical(budget=0) is None
+
+
 def test_no_logical_operators():
     # Full gauge group: H + H^w = H, so the search set is empty.
     code = SubsystemCode(2, 2, Subspace.full(2, 4))

@@ -86,6 +86,50 @@ def test_parse_errors_carry_line_numbers():
     assert e.value.line_no == 2  # missing block separator
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "# intro\n\np=2 n=2 format=symplectic\n\n# next\n1 0 1 0\n",
+            "line 6: symplectic line must contain '|'",
+        ),
+        (
+            "p=3 n=2 format=symplectic\n# one\n\n# two\n1 0 | 1\n",
+            "line 5: expected 2 entries per block",
+        ),
+        (
+            "p=3 n=2 format=symplectic\n\n# c\n1 2 | 0 1\n1 x | 0 1\n",
+            "line 5: invalid literal for int() with base 10: 'x'",
+        ),
+        # Both blocks are read before their lengths are checked.
+        (
+            "p=3 n=2 format=symplectic\n# c\n\n1 | 0 y\n",
+            "line 4: invalid literal for int() with base 10: 'y'",
+        ),
+        ("p=2 n=2 format=pauli\n# c\n\nXX\n# d\nXQ\n", "line 6: invalid Pauli token 'XQ'"),
+        (
+            "# a\np=2 n=3 format=pauli\n\n# b\nXXZ\nXX\n",
+            "line 6: generator has 2 qudits, expected 3",
+        ),
+        (
+            "p=3 n=2 format=pauli\n# c\nX1Z2 I\nX1Z2 X0Z1 I\n",
+            "line 4: generator has 3 qudits, expected 2",
+        ),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(CodeFileError) as e:
+        parse_code_file(text)
+    assert str(e.value) == message
+
+
+def test_symplectic_entries_are_read_mod_p():
+    # Entries are reduced as they are read, so no entry overflows the int64 matrix.
+    code, _ = parse_code_file("p=3 n=2 format=symplectic\n100000000000000000000001 -1 | 0 4\n")
+    # The row (2, 2 | 0, 1), scaled to a leading 1.
+    assert code.gauge.basis.tolist() == [[1, 1, 0, 2]]
+
+
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_code_file(five_qubit(), "json")

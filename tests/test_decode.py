@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subcss import code as code_module
 from subcss import decode
@@ -13,10 +14,12 @@ from subcss import (
     CssSplit,
     DecodeStatus,
     InconsistentSyndrome,
+    NoLogicalOperators,
     NotWeightRespecting,
     PauliVector,
     Subspace,
     bacon_shor,
+    css_distances,
     delta,
     exhaustive_sweep,
     five_qubit,
@@ -28,7 +31,7 @@ from subcss import (
 )
 from subcss.decode import _decoder_pair, _recover, make_css_decoder
 
-from conftest import brute_force_recover, css_splits, random_subspace
+from conftest import brute_force_recover, css_splits, random_subspace, subspaces
 
 
 BS3 = bacon_shor(3).css_split()
@@ -253,6 +256,67 @@ def test_par_decoder_not_weight_respecting():
         par_decoder_build(split, "X")
     with pytest.raises(ValueError):
         par_decoder_build(BS4, "Y")
+
+
+@st.composite
+def weight_respecting_splits(draw):
+    """A CssSplit whose H_X is spanned by random weight-1 and weight-2 rows; any H_Z."""
+    p = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 5))
+    site = st.integers(0, n - 1)
+    # Letter a on one site and b on another; b = 0 or one site twice gives weight 1.
+    pairs = draw(st.lists(st.tuples(site, st.integers(1, p - 1), site, st.integers(0, p - 1))))
+    rows = np.zeros((len(pairs), n), dtype=np.int64)
+    for i, (s, a, t, b) in enumerate(pairs):
+        rows[i, t] = b
+        rows[i, s] = a
+    return CssSplit(Subspace.span(rows, p, n), draw(subspaces(p, n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(weight_respecting_splits())
+def test_par_decoder_matches_coset_distance_and_brute_force_leaders(split):
+    p = split.p
+    assert respects_weight(split.h_x)
+    try:
+        d_x = css_distances(split)[0].value
+    except NoLogicalOperators:
+        with pytest.raises(NoLogicalOperators):
+            par_decoder_build(split, "X")
+        return
+    dec = par_decoder_build(split, "X")
+    # On a weight-respecting gauge code the quotient and coset distances agree.
+    assert dec.d_par == d_x
+    # Brute-force leader of each achievable syndrome: least weight, then
+    # lexicographically least, over all of F_p^{|sigma0|}.
+    m = len(dec.sigma0)
+    space = sorted(product(range(p), repeat=m), key=lambda u: (np.count_nonzero(u), u))
+    leaders = {}
+    for u in space:
+        leaders.setdefault(tuple((dec.par_matrix @ u % p).tolist()), u)
+    for syn, u in leaders.items():
+        got = dec.decode(syn)
+        if 2 * np.count_nonzero(u) < dec.d_par:
+            want = np.zeros(split.n, dtype=np.int64)
+            want[list(dec.sigma0)] = u
+            assert got is not None and np.array_equal(got, want)
+        else:
+            assert got is None
+
+
+def test_par_decoder_never_enumerates_the_kernel(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Subspace.all_elements called")
+
+    monkeypatch.setattr(Subspace, "all_elements", refuse)
+    dec = par_decoder_build(BS4, "X")
+    a = np.zeros(16, dtype=np.int64)
+    a[dec.sigma0[1]] = 1
+    assert np.array_equal(dec.decode(dec.f @ a % 2), a)
+    zero = Subspace.zero(2, 12)
+    dec = par_decoder_build(CssSplit(zero, zero), "X")
+    assert dec.d_par == 1 and dec.kernel.dim == 12
+    assert np.array_equal(dec.decode(np.zeros(0, dtype=np.int64)), np.zeros(12))
 
 
 def test_quotient_weight_dominates_coset_weight(rng):

@@ -1,12 +1,21 @@
 """Exact F_p linear algebra: RREF, kernels, and canonical subspaces."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subcss import Subspace, kernel, rank, rref, solve
-from subcss.gf import P_LIMIT, _independent_rows, is_prime, pivot_columns, validate_prime
+from subcss.gf import (
+    P_LIMIT,
+    ROW_LIMIT,
+    _independent_rows,
+    is_prime,
+    pivot_columns,
+    validate_prime,
+)
 
 from conftest import random_subspace, reference_rref, subspaces
 
@@ -152,6 +161,18 @@ def test_all_elements():
     for e in elems:
         assert s.contains(e)
     assert Subspace.zero(3, 2).all_elements().shape == (1, 2)
+    # Coefficients of the basis rows run in itertools.product order.
+    assert Subspace.full(3, 2).all_elements().tolist() == [
+        list(c) for c in product(range(3), repeat=2)
+    ]
+
+
+def test_all_elements_refuses_more_than_the_row_limit():
+    assert 2**20 == ROW_LIMIT
+    with pytest.raises(ValueError, match="limit"):
+        Subspace.full(2, 21).all_elements()
+    with pytest.raises(ValueError, match="limit"):
+        Subspace.full(2, 40).all_elements()
 
 
 def test_mismatched_ambient_raises():

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import codefile, decode, goursat, states
-from .code import NoLogicalOperators, SubsystemCode, css_distances
+from .code import DistanceResult, NoLogicalOperators, SubsystemCode, css_distances
 from .codefile import CodeFileError, _format_row
 from .double import delta
 from .pauli import PauliVector
@@ -69,41 +69,49 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _distance_line(code: SubsystemCode, budget: int | None) -> str:
+def _report(name: str, value) -> None:
+    """Print one `name = value (mode)` line. A DistanceResult is exact or
+    search-bounded, None is a distance with no logical operators to measure,
+    and any other value is exact."""
+    if value is None:
+        print(f"{name} = undefined (no logical operators)")
+        return
+    exact = value.exact if isinstance(value, DistanceResult) else True
+    print(f"{name} = {value} ({'exact' if exact else 'search-bounded'})")
+
+
+def _distances(code: SubsystemCode, budget: int | None) -> tuple:
+    """(d_X, d_Z, d) under `budget`, each side None on a non-CSS code, and
+    all three None when the code has no logical operators."""
     try:
-        d = code.distance(budget)
+        if code.is_css():
+            return css_distances(code.css_split(), budget)
+        return None, None, code.distance(budget)
     except NoLogicalOperators:
-        return "d = undefined (no logical operators)"
-    mode = "exact" if d.exact else "search-bounded"
-    return f"d = {d} ({mode})"
+        return None, None, None
 
 
 def cmd_info(args) -> int:
     code = _load_code(args.code, args)
-    n, k, r = code.parameters()
-    print(f"n = {n} (exact)")
-    print(f"k = {k} (exact)")
-    print(f"r = {r} (exact)")
-    print(_distance_line(code, args.budget))
+    for name, value in zip("nkr", code.parameters()):
+        _report(name, value)
     css = code.is_css()
-    print(f"is_css = {css} (exact)")
+    d_x, d_z, d = _distances(code, args.budget)
+    _report("d", d)
+    _report("is_css", css)
     if css:
         split = code.css_split()
-        print(f"dim_H_X = {split.h_x.dim} (exact)")
-        print(f"dim_H_Z = {split.h_z.dim} (exact)")
-        try:
-            d_x, d_z, _ = css_distances(split, args.budget)
-            for name, d in (("d_X", d_x), ("d_Z", d_z)):
-                mode = "exact" if d.exact else "search-bounded"
-                print(f"{name} = {d} ({mode})")
-        except NoLogicalOperators:
-            print("d_X = undefined (no logical operators)")
+        _report("dim_H_X", split.h_x.dim)
+        _report("dim_H_Z", split.h_z.dim)
+        _report("d_X", d_x)
+        if d_x is not None:
+            _report("d_Z", d_z)
     return EXIT_OK
 
 
 def cmd_distance(args) -> int:
     code = _load_code(args.code, args)
-    print(_distance_line(code, args.budget))
+    _report("d", _distances(code, args.budget)[2])
     return EXIT_OK
 
 
@@ -133,17 +141,11 @@ def cmd_double(args) -> int:
 def cmd_goursat(args) -> int:
     code = _load_code(args.code, args)
     data = goursat.goursat_of(code)
-    print(f"dim_E_X = {data.e_x.dim} (exact)")
-    print(f"dim_E_Z = {data.e_z.dim} (exact)")
-    print(f"dim_N_X = {data.n_x.dim} (exact)")
-    print(f"dim_N_Z = {data.n_z.dim} (exact)")
-    print(f"phi_pairs = {data.pair_count()} (exact)")
-    for label, space in (
-        ("E_X", data.e_x),
-        ("E_Z", data.e_z),
-        ("N_X", data.n_x),
-        ("N_Z", data.n_z),
-    ):
+    spaces = (("E_X", data.e_x), ("E_Z", data.e_z), ("N_X", data.n_x), ("N_Z", data.n_z))
+    for label, space in spaces:
+        _report(f"dim_{label}", space.dim)
+    _report("phi_pairs", data.pair_count())
+    for label, space in spaces:
         for row in space.basis:
             print(f"{label} basis: {_format_row(row)}")
     for a, b in data.phi_pairs:
@@ -154,8 +156,8 @@ def cmd_goursat(args) -> int:
 def cmd_classify(args) -> int:
     code = _load_code(args.code, args)
     cls = goursat.classify_stabilizer(code)
-    print(f"maximal = {cls.maximal} (exact)")
-    print(f"minimal = {cls.minimal} (exact)")
+    _report("maximal", cls.maximal)
+    _report("minimal", cls.minimal)
     print(f"region = {cls.region()}")
     return EXIT_OK
 
@@ -197,8 +199,8 @@ def cmd_codewords(args) -> int:
     if labels > states._CODEWORD_LIMIT:
         raise InfeasibleRequest(f"{labels} codeword labels exceed {states._CODEWORD_LIMIT}")
     words = states.all_codewords(split)
-    print(f"codewords = {len(words)} (exact)")
-    print(f"support_size = {code.p**split.stab_x.dim} (exact)")
+    _report("codewords", len(words))
+    _report("support_size", code.p**split.stab_x.dim)
     zeros = np.zeros(code.n, dtype=np.int64)
     stabs = [PauliVector(code.p, row, zeros) for row in split.stab_x.basis]
     stabs += [PauliVector(code.p, zeros, row) for row in split.stab_z.basis]
@@ -218,7 +220,7 @@ def cmd_codewords(args) -> int:
             )
             line += f" dense_agrees = {dense_ok}"
         print(line)
-    print(f"all_fixed = {all_fixed} (exact)")
+    _report("all_fixed", all_fixed)
     return EXIT_OK
 
 

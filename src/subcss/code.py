@@ -160,16 +160,22 @@ class SubsystemCode:
         n_z = Subspace.span(kernel(x.T, self.p).basis @ z, self.p, self.n)
         return n_x, n_z
 
+    @cached_property
+    def _split(self) -> CssSplit:
+        """(N_X, N_Z) as one CssSplit, so its derived spaces are built once."""
+        return CssSplit(*self._internal)
+
     def is_css(self) -> bool:
         """H = H_X x H_Z iff N_X x N_Z already fills H: dim N_X + dim N_Z = dim H."""
         n_x, n_z = self._internal
         return n_x.dim + n_z.dim == self.gauge.dim
 
     def css_split(self) -> CssSplit:
-        """Split H = N_X x N_Z; raises ValueError if the code is not CSS."""
+        """Split H = N_X x N_Z (the same object on every call); raises
+        ValueError if the code is not CSS."""
         if not self.is_css():
             raise ValueError("code is not CSS")
-        return CssSplit(*self._internal)
+        return self._split
 
     # Distance --------------------------------------------------------------
 
@@ -178,11 +184,26 @@ class SubsystemCode:
 
         Weight-increasing exhaustive search; if no witness appears up to
         `budget` (default n), the result is the lower bound budget + 1.
+
+        A CSS code is answered by its two classical codes: d = min(d_X, d_Z).
+        There H + H^w = L_X x L_Z, so a logical (a, b) not in H has
+        a in L_X \\ H_X or b in L_Z \\ H_Z, with wt(a), wt(b) <= swt(a, b),
+        while (a, 0) has swt(a, 0) = wt(a). Under a budget B the symplectic
+        search finds nothing up to B iff neither side does, so the value and
+        its exactness are the symplectic search's for every budget, 0
+        included. Both sides raise NoLogicalOperators together, since
+        dim L_X - dim H_X = dim L_Z - dim H_Z = k.
         """
+        if self.is_css():
+            return css_distances(self.css_split(), budget)[2]
         return _coset_distance(self.centralizer, self.gauge, _site_values(self.p), budget)
 
     def min_weight_logical(self, budget: int | None = None) -> PauliVector | None:
-        """A minimum-symplectic-weight element of (H + H^w) \\ H, if found."""
+        """A minimum-symplectic-weight element of (H + H^w) \\ H, if found.
+
+        Always the symplectic search, CSS codes included, so the witness is
+        the first one in `_weight_batches` order over the p^2 - 1 site values.
+        """
         found = _coset_search(self.centralizer, self.gauge, _site_values(self.p), budget)
         return unflatten(found[1], self.p) if found else None
 

@@ -133,19 +133,24 @@ def random_code(p: int, n: int, dim: int, seed: int) -> SubsystemCode:
     return SubsystemCode(p, n, Subspace.span(rows, p, 2 * n))
 
 
+# Each builtin with the options it takes and their defaults.
+_BUILTINS = {
+    "five_qubit": (five_qubit, {}),
+    "bacon_shor": (bacon_shor, {"l": 3}),
+    "trivial": (trivial, {"n": 1, "p": 2}),
+    "random": (random_code, {"p": 2, "n": 4, "dim": 4, "seed": 0}),
+}
+
+
 def builtin_code(name: str, **params) -> SubsystemCode:
-    """Dispatch for ``builtin:<name>`` code specs."""
-    if name == "five_qubit":
-        return five_qubit()
-    if name == "bacon_shor":
-        return bacon_shor(int(params.get("l", 3)))
-    if name == "trivial":
-        return trivial(int(params.get("n", 1)), int(params.get("p", 2)))
-    if name == "random":
-        return random_code(
-            int(params.get("p", 2)),
-            int(params.get("n", 4)),
-            int(params.get("dim", 4)),
-            int(params.get("seed", 0)),
-        )
-    raise ValueError(f"unknown builtin code {name!r}")
+    """Dispatch for ``builtin:<name>`` code specs; an option the builtin does
+    not take is a ValueError, not silently dropped."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin code {name!r}")
+    build, defaults = _BUILTINS[name]
+    unknown = [key for key in params if key not in defaults]
+    if unknown:
+        takes = ", ".join(defaults) or "no options"
+        raise ValueError(f"builtin code {name!r} does not take {', '.join(unknown)} "
+                         f"(it takes {takes})")
+    return build(**{key: int(params.get(key, default)) for key, default in defaults.items()})

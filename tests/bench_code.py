@@ -1,0 +1,47 @@
+"""Per-layer micro-benchmarks of distance search on fixed inputs.
+
+Times the CSS distance route, the symplectic search it replaces on CSS
+codes, the weight-layer enumerator, and the batched membership test.
+Not part of the test suite (the file name does not match `test_*.py`). Run:
+
+    PYTHONPATH=src python -m pytest tests/bench_code.py --benchmark-only
+"""
+
+from math import comb
+
+from subcss import DistanceResult, bacon_shor
+from subcss.code import _BATCH_ROWS, _membership_checker, _site_values, _weight_batches
+
+from conftest import symplectic_distance
+
+
+def test_distance_bacon_shor6(benchmark):
+    # A fresh code each round, so a round also builds the split and its spaces.
+    d = benchmark.pedantic(lambda code: code.distance(), setup=lambda: ((bacon_shor(6),), {}),
+                           rounds=3)
+    assert d == DistanceResult(6, True)
+
+
+def test_symplectic_reference_bacon_shor4(benchmark):
+    code = bacon_shor(4)
+    assert benchmark(symplectic_distance, code) == DistanceResult(4, True)
+
+
+def test_weight_batches_symplectic_p2_n25_w4(benchmark):
+    letters = _site_values(2)
+
+    def enumerate_layer():
+        return sum(batch.shape[0] for batch in _weight_batches(letters, 25, 4))
+
+    vectors = benchmark(enumerate_layer)
+    assert vectors == comb(25, 4) * 3**4
+    benchmark.extra_info["vectors_per_s"] = vectors / benchmark.stats.stats.median
+
+
+def test_membership_one_batch_bacon_shor5(benchmark):
+    in_centralizer = _membership_checker(bacon_shor(5).centralizer)
+    # At weight 9 one site set has 3^9 > _BATCH_ROWS letter tuples: a full batch.
+    batch = next(_weight_batches(_site_values(2), 25, 9))
+    assert batch.shape[0] == _BATCH_ROWS
+    hits = benchmark(in_centralizer, batch)
+    assert hits.shape == (_BATCH_ROWS,)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from subcss import CssSplit, DecodeStatus, PauliVector, Subspace, SubsystemCode, kernel
+from subcss.code import _coset_distance, _site_values
 from subcss.gf import fp_array
 
 
@@ -22,6 +23,13 @@ def random_gauge_code(rng, p, n):
     dim = int(rng.integers(0, 2 * n + 1))
     rows = rng.integers(0, p, size=(dim, 2 * n))
     return SubsystemCode(p, n, Subspace.span(rows, p, 2 * n))
+
+
+def symplectic_distance(code, budget=None):
+    """Reference distance: the symplectic search over (H + H^w) \\ H with the
+    p^2 - 1 single-site values, which `SubsystemCode.distance` runs only on
+    non-CSS codes. Raises NoLogicalOperators when k = 0."""
+    return _coset_distance(code.centralizer, code.gauge, _site_values(code.p), budget)
 
 
 def reference_bacon_shor(l):

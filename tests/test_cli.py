@@ -221,6 +221,22 @@ def test_zero_budget_prints_the_bound_one(capsys):
     assert out == "d = >=1 (search-bounded)\n"
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["info", "builtin:bacon_shor", "--l", "2", "--p", "4"], "p"),
+        (["info", "builtin:five_qubit", "--n", "9"], "n"),
+        (["gen", "bacon_shor", "--p", "3"], "p"),
+        (["decode", "builtin:bacon_shor", "--l", "3", "--code-seed", "5", "--trials", "5"], "seed"),
+    ],
+)
+def test_builtin_rejects_options_it_does_not_take(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"does not take {option} " in err
+
+
 def test_threads_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "4", "info", "builtin:trivial", "--n", "2"])

@@ -19,6 +19,7 @@ from subcss import (
     trivial,
 )
 from subcss import code as code_module
+from subcss.cli import main
 from subcss.code import (
     _BATCH_ROWS,
     DistanceResult,
@@ -28,7 +29,13 @@ from subcss.code import (
 )
 from subcss.pauli import flatten, omega_complement, swt
 
-from conftest import css_splits, gauge_codes, kernel_sum_is_css, random_gauge_code
+from conftest import (
+    css_splits,
+    gauge_codes,
+    kernel_sum_is_css,
+    random_gauge_code,
+    symplectic_distance,
+)
 
 
 def test_five_qubit_parameters():
@@ -159,17 +166,21 @@ def test_css_split_mismatch_raises():
 @given(css_splits(primes=(2, 3), max_n=4), st.data())
 def test_css_distance_agrees_with_symplectic(split, data):
     # For CSS codes, min(d_X, d_Z) equals the symplectic-weight search under
-    # the same budget, in value and in exactness, and both searches find no
-    # logical operator on the same codes.
-    budget = data.draw(st.integers(1, split.n))
+    # the same budget, in value and in exactness, and both find no logical
+    # operator on the same codes. `distance` answers CSS codes through the
+    # two sides, so the reference is the symplectic search itself.
+    budget = data.draw(st.integers(0, split.n))
     code = SubsystemCode.from_css_split(split)
     try:
-        d_sym = code.distance(budget)
+        expected = symplectic_distance(code, budget)
     except NoLogicalOperators:
         with pytest.raises(NoLogicalOperators):
             css_distances(split, budget)
+        with pytest.raises(NoLogicalOperators):
+            code.distance(budget)
         return
-    assert css_distances(split, budget)[2] == d_sym
+    assert css_distances(split, budget)[2] == expected
+    assert code.distance(budget) == expected
 
 
 def test_css_distance_exact_when_one_side_is_exact():
@@ -177,7 +188,34 @@ def test_css_distance_exact_when_one_side_is_exact():
     split = CssSplit(Subspace.span([[1, 1, 0], [0, 1, 1]], 2, 3), Subspace.zero(2, 3))
     d_x, d_z, d = css_distances(split, 2)
     assert (str(d_x), str(d_z), str(d)) == ("1", ">=3", "1")
-    assert d == SubsystemCode.from_css_split(split).distance(2)
+    assert d == symplectic_distance(SubsystemCode.from_css_split(split), 2)
+
+
+def test_css_distance_never_runs_the_symplectic_search(monkeypatch, capsys):
+    def refuse(p):
+        raise AssertionError("symplectic search on a CSS code")
+
+    monkeypatch.setattr(code_module, "_site_values", refuse)
+    assert bacon_shor(5).distance() == DistanceResult(5, True)
+    assert str(bacon_shor(5).distance(3)) == ">=4"
+    assert main(["info", "builtin:bacon_shor", "--l", "4"]) == 0
+    assert "d = 4 (exact)\n" in capsys.readouterr().out
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits(primes=(2, 3), max_n=4))
+def test_css_min_weight_logical_is_a_distance_witness(split):
+    # min_weight_logical stays on the symplectic search; its witness has the
+    # weight that the two-sided distance reports.
+    code = SubsystemCode.from_css_split(split)
+    try:
+        d = code.distance()
+    except NoLogicalOperators:
+        assert code.min_weight_logical() is None
+        return
+    op = code.min_weight_logical()
+    assert swt(op) == d.value
+    assert code.centralizer.contains(flatten(op)) and not code.gauge.contains(flatten(op))
 
 
 def test_code_equality_and_repr():
@@ -304,7 +342,7 @@ def test_derived_spaces_are_built_once(monkeypatch):
     assert code.parameters() == (9, 1, 4)  # reads the centralizer and the stabilizer
     assert calls["omega"] == 1
     split = code.css_split()
-    assert code.is_css() and code.css_split() == split
+    assert code.is_css() and code.css_split() is split
     assert calls["kernel"] == 2  # ker pi_Z and ker pi_X, once each
     for name in ("stab_x", "stab_z", "logical_x", "logical_z"):
         assert getattr(split, name) is getattr(split, name)

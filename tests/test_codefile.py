@@ -186,6 +186,20 @@ def test_builtin_dispatch():
         builtin_code("steane")
 
 
+@pytest.mark.parametrize(
+    "name, params, option",
+    [
+        ("five_qubit", {"n": 9}, "n"),
+        ("bacon_shor", {"l": 2, "p": 4}, "p"),
+        ("trivial", {"n": 2, "seed": 1}, "seed"),
+        ("random", {"p": 3, "l": 2}, "l"),
+    ],
+)
+def test_builtin_rejects_options_it_does_not_take(name, params, option):
+    with pytest.raises(ValueError, match=f"{name}' does not take {option} "):
+        builtin_code(name, **params)
+
+
 def test_roundtrip_random_codes(rng):
     for _ in range(20):
         p = int(rng.choice([2, 3]))

@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subcss import SubsystemCode, delta, double_generator, double_subspace, five_qubit, trivial
+from subcss import (
+    NoLogicalOperators,
+    SubsystemCode,
+    delta,
+    double_generator,
+    double_subspace,
+    five_qubit,
+    trivial,
+)
 from subcss.double import DOUBLED_FIVE_QUBIT_DISTANCE
 from subcss.pauli import omega_complement, parse_pauli, unflatten
 
-from conftest import gauge_codes, random_gauge_code, random_subspace
+from conftest import gauge_codes, random_gauge_code, random_subspace, symplectic_distance
 
 # Doubled five-qubit stabilizer generators as displayed (first register block
 # then second register block per generator).
@@ -103,6 +112,26 @@ def test_distance_bracket(rng):
         assert d.value <= d2.value <= 2 * d.value
         checked += 1
     assert checked >= 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(gauge_codes(primes=(2,), max_n=3), gauge_codes(primes=(3,), max_n=2)))
+def test_doubled_distance_matches_symplectic_reference(code):
+    # Delta(H) is CSS, so its distance comes from its two classical codes; the
+    # reference searches the materialized double symplectically.
+    doubled = delta(code).result
+    materialized = SubsystemCode(doubled.p, doubled.n, doubled.gauge)
+    try:
+        expected = symplectic_distance(materialized)
+    except NoLogicalOperators:
+        with pytest.raises(NoLogicalOperators):
+            doubled.distance()
+        with pytest.raises(NoLogicalOperators):
+            symplectic_distance(code)
+        return
+    assert doubled.distance() == expected
+    d = symplectic_distance(code).value
+    assert d <= expected.value <= 2 * d
 
 
 @settings(max_examples=80, deadline=None)

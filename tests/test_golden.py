@@ -35,6 +35,13 @@ CASES["double_five_qubit"] = ["double", *CODES["five_qubit"]]
 CASES["double_pauli_bacon_shor3"] = ["double", *CODES["bacon_shor3"], "--format", "pauli"]
 CASES["double_random_p3"] = ["double", *CODES["random_p3"]]
 CASES["gen_random_p3"] = ["gen", "random", "--p", "3", "--n", "4", "--dim", "4", "--seed", "0"]
+BACON_SHOR5 = ["builtin:bacon_shor", "--l", "5"]
+CASES["info_bacon_shor5"] = ["info", *BACON_SHOR5]
+CASES["distance_budget4_bacon_shor5"] = ["distance", *BACON_SHOR5, "--budget", "4"]
+# A CSS code with no logical operators: every distance line reads "undefined".
+CASES["info_random_p3_empty"] = [
+    "info", "builtin:random", "--p", "3", "--n", "0", "--dim", "0", "--seed", "0"
+]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -206,17 +206,15 @@ def cmd_codewords(args) -> int:
     stabs += [PauliVector(code.p, zeros, row) for row in split.stab_z.basis]
     all_fixed = True
     for l, g, st in words:
-        fixed = all(states.is_fixed_by(st, s) for s in stabs)
+        fixes = [states.is_fixed_by(st, s) for s in stabs]
+        fixed = all(fixes)
         all_fixed &= fixed
         line = f"l = ({_format_row(l)}) g = ({_format_row(g)}) fixed = {fixed}"
         if args.dense:
+            vec = states.dense_vector(st)
             dense_ok = all(
-                np.allclose(
-                    states.dense_vector(states.apply_pauli(st, s)),
-                    states.dense_vector(st),
-                )
-                == states.is_fixed_by(st, s)
-                for s in stabs
+                np.allclose(states.dense_vector(states.apply_pauli(st, s)), vec) == f
+                for s, f in zip(stabs, fixes)
             )
             line += f" dense_agrees = {dense_ok}"
         print(line)

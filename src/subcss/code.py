@@ -249,7 +249,12 @@ def _coset_search(
         raise ValueError(f"search budget must be >= 0, got {budget}")
     in_big = _membership_checker(big)
     in_small = _membership_checker(small)
-    return _min_weight_search(lambda batch: in_big(batch) & ~in_small(batch), letters, n, budget)
+    for w in range(1, budget + 1):
+        for batch in _weight_batches(letters, n, w):
+            hits = batch[in_big(batch) & ~in_small(batch)]
+            if len(hits):
+                return w, hits[0]
+    return None
 
 
 # Search engine -------------------------------------------------------------
@@ -303,27 +308,4 @@ def _weight_batches(letters: np.ndarray, n: int, w: int) -> Iterator[np.ndarray]
             batch = np.zeros((row_ids.size, b * n), dtype=np.int64)
             batch[row_ids, cols] = vals[None]
             yield batch
-
-
-def _min_weight_search(
-    pred, letters: np.ndarray, n: int, budget: int, all_at_weight: bool = False
-) -> tuple[int, np.ndarray] | None:
-    """Weight-increasing search over the layers w = 1..budget.
-
-    `pred` maps a batch to one boolean per row. Returns (w, v) for the
-    least w with a hit, v being its first hit in `_weight_batches` order;
-    with `all_at_weight`, v holds every hit of weight w instead. None when
-    no vector of weight <= budget hits.
-    """
-    for w in range(1, budget + 1):
-        found = []
-        for batch in _weight_batches(letters, n, w):
-            hits = batch[pred(batch)]
-            if len(hits):
-                if not all_at_weight:
-                    return w, hits[0]
-                found.append(hits)
-        if found:
-            return w, np.vstack(found)
-    return None
 

@@ -22,7 +22,6 @@ from .code import (
     _coset_distance,
     _field_letters,
     _membership_checker,
-    _min_weight_search,
     _site_values,
     _weight_batches,
 )
@@ -48,18 +47,18 @@ class ClassicalCode:
     below half the distance min wt(K \\ R).
     """
 
-    def __init__(self, k: Subspace, r: Subspace, f: np.ndarray):
-        if not k.contains_space(r):
-            raise ValueError("redundant subcode must lie inside the code")
-        f = fp_array(f, k.p)
-        if kernel(f, k.p) != k:
-            raise ValueError("parity check kernel does not equal the code")
+    def __init__(self, f: np.ndarray, r: Subspace):
+        f = fp_array(f, r.p)
+        if f.ndim != 2 or f.shape[1] != r.ambient:
+            raise ValueError(f"parity check must be a matrix with {r.ambient} columns")
+        self.k = kernel(f, r.p)
+        if not self.k.contains_space(r):
+            raise ValueError("redundant subcode must lie inside the kernel of the parity check")
         f.setflags(write=False)
-        self.k = k
         self.r = r
         self.f = f
-        self.p = k.p
-        self.n = k.ambient
+        self.p = r.p
+        self.n = r.ambient
 
     @cached_property
     def d_r(self) -> int:
@@ -68,31 +67,38 @@ class ClassicalCode:
 
     @cached_property
     def _leader_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(slots, leaders): syndrome index i (`_index`) has the coset leader
-        leaders[slots[i]], or none of weight below d_R/2 if slots[i] = -1.
-
-        The least weight wins; within a weight, the lexicographically least.
-        """
+        """`_fill` over every syndrome, slot i being the syndrome of `_index` i;
+        None above _TABLE_LIMIT syndromes."""
         n_syndromes = self.p ** self.f.shape[0]
         if n_syndromes > _TABLE_LIMIT:
             return None
-        slots = np.full(n_syndromes, -1, dtype=np.int64)
-        slots[0] = 0
-        leaders = np.zeros((1, self.n), dtype=np.int64)
-        for w in range(1, (self.d_r - 1) // 2 + 1):
-            # The layer's best so far per syndrome empty below it, merged by one sort.
-            best, best_idx = leaders[:0], slots[:0]
+        return self._fill(lambda batch: self._index(self.syndrome(batch)), n_syndromes)
+
+    def _fill(self, slot_of, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, leaders): slot s has the coset leader leaders[slots[s]], or
+        none of weight below d_R/2 if slots[s] = -1.
+
+        `slot_of` maps a batch of vectors to one slot per row, -1 where no
+        slot wants the row. The least weight wins, from w = 0 (the zero row)
+        up; within a weight, the lexicographically least.
+        """
+        slots = np.full(n_slots, -1, dtype=np.int64)
+        leaders = np.zeros((0, self.n), dtype=np.int64)
+        for w in range((self.d_r - 1) // 2 + 1):
+            # The layer's best so far per slot empty below it, merged by one sort.
+            best, best_slot = leaders[:0], slots[:0]
             for batch in _weight_batches(_field_letters(self.p), self.n, w):
-                idx = self._index(self.syndrome(batch))
-                empty = slots[idx] < 0
+                slot = slot_of(batch)
+                empty = slot >= 0
+                empty[empty] = slots[slot[empty]] < 0
                 rows = np.vstack([best, batch[empty]])
-                idx = np.concatenate([best_idx, idx[empty]])
-                order = np.lexsort(np.vstack([rows.T[::-1], idx]))
-                best_idx, first = np.unique(idx[order], return_index=True)
+                slot = np.concatenate([best_slot, slot[empty]])
+                order = np.lexsort(np.vstack([rows.T[::-1], slot]))
+                best_slot, first = np.unique(slot[order], return_index=True)
                 best = rows[order[first]]
-            slots[best_idx] = len(leaders) + np.arange(len(best))
+            slots[best_slot] = len(leaders) + np.arange(len(best))
             leaders = np.vstack([leaders, best])
-            if len(leaders) == n_syndromes:
+            if len(leaders) == n_slots:
                 break
         return slots, leaders
 
@@ -117,20 +123,24 @@ class ClassicalCode:
         if table is not None:
             slots, leaders = table
             slot = slots[self._index(syns)]
-            found = slot >= 0
-            return np.where(found[:, None], leaders[slot], 0), found
-        # Per-query weight-increasing search.
+        else:
+            # One slot per distinct syndrome, all filled by one enumeration;
+            # rows are matched by value, so no base-p index can overflow.
+            wanted, inverse = np.unique(syns, axis=0, return_inverse=True)
+
+            def slot_of(batch):
+                keys, key = np.unique(
+                    np.vstack([wanted, self.syndrome(batch)]), axis=0, return_inverse=True
+                )
+                slot_of_key = np.full(len(keys), -1, dtype=np.int64)
+                slot_of_key[key[: len(wanted)]] = np.arange(len(wanted))
+                return slot_of_key[key[len(wanted) :]]
+
+            slots, leaders = self._fill(slot_of, len(wanted))
+            slot = slots[inverse]
+        found = slot >= 0
         rows = np.zeros((len(syns), self.n), dtype=np.int64)
-        found = ~np.any(syns, axis=1)
-        for i in np.nonzero(~found)[0]:
-            hits = _min_weight_search(
-                lambda batch: np.all(self.syndrome(batch) == syns[i], axis=1),
-                _field_letters(self.p), self.n, (self.d_r - 1) // 2, all_at_weight=True,
-            )
-            if hits is not None:
-                # The lexicographically smallest vector of the least weight.
-                rows[i] = min(hits[1].tolist())
-                found[i] = True
+        rows[found] = leaders[slot[found]]
         return rows, found
 
     def decode_coset(self, syn) -> np.ndarray | None:
@@ -148,12 +158,13 @@ class ClassicalCode:
 def make_css_decoder(split: CssSplit) -> tuple[ClassicalCode, ClassicalCode]:
     """The X-side and Z-side classical codes of a subsystem CSS code.
 
-    X side: code H_X + H_Z^theta, redundant subcode H_X, parity check the
-    basis matrix of the Z-type stabilizer space H_Z cap H_X^theta (its
-    kernel is exactly the code). Z side is the X<->Z mirror.
+    X side: parity check the basis matrix of the Z-type stabilizer space
+    S_Z = H_Z cap H_X^theta, redundant subcode H_X. Its code is
+    ker S_Z = H_Z^theta + H_X = L_X, the canonical basis of `split.logical_x`.
+    Z side is the X<->Z mirror.
     """
-    x_side = ClassicalCode(split.logical_x, split.h_x, split.stab_z.basis)
-    z_side = ClassicalCode(split.logical_z, split.h_z, split.stab_x.basis)
+    x_side = ClassicalCode(split.stab_z.basis, split.h_x)
+    z_side = ClassicalCode(split.stab_x.basis, split.h_z)
     return x_side, z_side
 
 
@@ -235,10 +246,9 @@ class ParDecoder:
         self.n = n
         self.f = syn_matrix
         self.par_matrix = syn_matrix[:, self.sigma0]
-        self.kernel = kernel(self.par_matrix, p)
         # The quotient code ker(par_matrix), decoded up to its zero subcode.
-        zero = Subspace.zero(p, len(self.sigma0))
-        self._quotient = ClassicalCode(self.kernel, zero, self.par_matrix)
+        self._quotient = ClassicalCode(self.par_matrix, Subspace.zero(p, len(self.sigma0)))
+        self.kernel = self._quotient.k
         self.d_par = self._quotient.d_r
 
     def coset_weight(self, a) -> int:

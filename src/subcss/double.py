@@ -17,10 +17,6 @@ from .code import CssSplit, SubsystemCode
 from .gf import Subspace
 from .pauli import PauliVector, flatten, psi, psi_subspace, unflatten
 
-# Distance of the doubled five-qubit code, frozen from full enumeration of
-# its centralizer (the doubling bracket alone only guarantees 3..6).
-DOUBLED_FIVE_QUBIT_DISTANCE = 3
-
 
 def double_generator(g: PauliVector) -> tuple[PauliVector, PauliVector]:
     """The X-type and Z-type images of one source generator."""

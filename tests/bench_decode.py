@@ -1,5 +1,9 @@
 """Per-layer micro-benchmarks of decoding and subspace intersection on fixed inputs.
 
+Times the `Par` decoder build, one coset-leader table, Monte-Carlo decode
+trials with warm decoders (table lookups, and the batched leader fill with
+the table switched off), and `Subspace.intersect`.
+
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
     PYTHONPATH=src python -m pytest tests/bench_decode.py --benchmark-only
@@ -7,8 +11,8 @@ Not part of the test suite (the file name does not match `test_*.py`). Run:
 
 import numpy as np
 
-from subcss import ClassicalCode, Subspace, bacon_shor, par_decoder_build
-from subcss.decode import make_css_decoder
+from subcss import ClassicalCode, Subspace, bacon_shor, decode, monte_carlo, par_decoder_build
+from subcss.decode import _decoder_pair, make_css_decoder
 
 
 def test_par_decoder_build_bacon_shor6(benchmark):
@@ -22,12 +26,33 @@ def test_leader_table_bacon_shor5_x(benchmark):
     x_side = make_css_decoder(bacon_shor(5).css_split())[0]
 
     def fresh():
-        code = ClassicalCode(x_side.k, x_side.r, x_side.f)
+        code = ClassicalCode(x_side.f, x_side.r)
         code.d_r = x_side.d_r
         return (code,), {}
 
     slots, leaders = benchmark.pedantic(lambda code: code._leader_table, setup=fresh, rounds=20)
     assert slots.size == 2**4 and len(leaders) == 16
+
+
+def _decode_trials(benchmark, split, trials):
+    # Warm decoders: the leader table (if any) and both d_R are built before timing.
+    for side in _decoder_pair(split):
+        side.d_r, side._leader_table
+    report = benchmark(monte_carlo, split, 0.05, trials, 3)
+    assert report.counts.trials == trials
+    benchmark.extra_info["trials_per_s"] = trials / benchmark.stats.stats.median
+
+
+def test_monte_carlo_bacon_shor4(benchmark):
+    _decode_trials(benchmark, bacon_shor(4).css_split(), 5000)
+
+
+def test_monte_carlo_bacon_shor5_without_table(benchmark, monkeypatch):
+    # Every chunk of trials fills its distinct syndromes in one enumeration.
+    monkeypatch.setattr(decode, "_TABLE_LIMIT", 0)
+    split = bacon_shor(5).css_split()
+    _decode_trials(benchmark, split, 5000)
+    assert all(side._leader_table is None for side in _decoder_pair(split))
 
 
 def test_intersect_dims_30_40_p3(benchmark):

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subcss import code as code_module
@@ -29,6 +29,7 @@ from subcss import (
     steane_recover,
     syndrome_of,
 )
+from subcss.code import _weight_batches
 from subcss.decode import _decoder_pair, _recover, make_css_decoder
 
 from conftest import brute_force_recover, css_splits, random_subspace, subspaces
@@ -48,8 +49,8 @@ def _pauli(p, n, x_sites=(), z_sites=()):
 
 
 def test_repetition_code_decoding():
-    k = Subspace.span([[1, 1, 1]], 2, 3)
-    code = ClassicalCode(k, Subspace.zero(2, 3), [[1, 1, 0], [0, 1, 1]])
+    code = ClassicalCode([[1, 1, 0], [0, 1, 1]], Subspace.zero(2, 3))
+    assert code.k == Subspace.span([[1, 1, 1]], 2, 3)
     assert code.d_r == 3
     for i in range(3):
         e = np.zeros(3, dtype=np.int64)
@@ -59,27 +60,85 @@ def test_repetition_code_decoding():
 
 
 def test_classical_code_validation():
-    k = Subspace.span([[1, 1, 1]], 2, 3)
-    with pytest.raises(ValueError):
-        ClassicalCode(k, Subspace.zero(2, 3), [[1, 0, 0]])  # kernel mismatch
-    with pytest.raises(ValueError):
-        ClassicalCode(k, Subspace.full(2, 3), [[1, 1, 0], [0, 1, 1]])
+    with pytest.raises(ValueError, match="inside the kernel"):
+        ClassicalCode([[1, 1, 0], [0, 1, 1]], Subspace.full(2, 3))
+    with pytest.raises(ValueError, match="3 columns"):
+        ClassicalCode([1, 1, 0], Subspace.zero(2, 3))  # a vector, not a matrix
+    with pytest.raises(ValueError, match="3 columns"):
+        ClassicalCode([[1, 1, 0, 1]], Subspace.zero(2, 3))
 
 
 def test_inconsistent_syndrome():
     # F has dependent rows, so (1, 0) is outside its image.
-    k = Subspace.span([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2, 3)
-    code = ClassicalCode(k, Subspace.zero(2, 3), [[1, 1, 1], [1, 1, 1]])
+    code = ClassicalCode([[1, 1, 1], [1, 1, 1]], Subspace.zero(2, 3))
     with pytest.raises(InconsistentSyndrome):
         code.decode_coset([1, 0])
 
 
-def test_out_of_range_syndrome():
+def test_out_of_range_syndrome(monkeypatch):
     # Even-weight code: d_R = 2 so no nonzero error is within range.
-    k = Subspace.span([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], 2, 4)
-    code = ClassicalCode(k, Subspace.zero(2, 4), [[1, 1, 1, 1]])
+    code = ClassicalCode([[1, 1, 1, 1]], Subspace.zero(2, 4))
     assert code.d_r == 2
     assert code.decode_coset([1]) is None
+    # Without the table the one queried syndrome is nonzero: no slot is filled.
+    monkeypatch.setattr(decode, "_TABLE_LIMIT", 0)
+    batched = ClassicalCode([[1, 1, 1, 1]], Subspace.zero(2, 4))
+    assert batched._leader_table is None
+    assert batched.decode_coset([1]) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits((2, 3, 5), 5))
+def test_css_decoder_sides_are_the_logical_spaces(split):
+    # Each side builds K = ker F itself; it is L_X (L_Z) as a canonical basis.
+    x_side, z_side = make_css_decoder(split)
+    assert x_side.k == split.logical_x and x_side.r == split.h_x
+    assert z_side.k == split.logical_z and z_side.r == split.h_z
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits((2, 3), 4))
+@example(BS3)
+# d_X = 3 while H_X holds a weight-1 vector, whose syndrome is the zero one.
+@example(CssSplit(Subspace.span([[1, 0, 0, 0]], 2, 4), Subspace.span([[0, 1, 1, 0], [0, 0, 1, 1]], 2, 4)))
+def test_leaders_follow_the_one_rule(split):
+    # Brute force over F_p^n: the leader of a syndrome is its least-weight,
+    # then lexicographically least, vector, kept if its weight is below d_R/2.
+    for side in make_css_decoder(split):
+        if side.k == side.r:
+            continue
+        space = sorted(product(range(side.p), repeat=side.n), key=lambda v: (np.count_nonzero(v), v))
+        leaders = {}
+        for v in space:
+            leaders.setdefault(tuple(side.syndrome(v).tolist()), v)
+        syns = np.array(list(leaders), dtype=np.int64)
+        rows, found = side._leaders(syns)
+        for syn, row, hit in zip(syns, rows, found):
+            v = leaders[tuple(syn.tolist())]
+            assert hit == (2 * np.count_nonzero(v) < side.d_r)
+            assert np.array_equal(row, v if hit else np.zeros(side.n, dtype=np.int64))
+
+
+def test_batched_leaders_enumerate_each_weight_once(monkeypatch):
+    # The qutrit repetition code on 5 sites: d_R = 5, leaders up to weight 2.
+    rep = [[1, 2, 0, 0, 0], [0, 1, 2, 0, 0], [0, 0, 1, 2, 0], [0, 0, 0, 1, 2]]
+    side = ClassicalCode(rep, Subspace.zero(3, 5))
+    t = (side.d_r - 1) // 2
+    weights = []
+
+    def counting(letters, n, w):
+        weights.append(w)
+        return _weight_batches(letters, n, w)
+
+    monkeypatch.setattr(decode, "_TABLE_LIMIT", 0)
+    monkeypatch.setattr(decode, "_weight_batches", counting)
+    monkeypatch.setattr(code_module, "_weight_batches", counting)
+    # Errors of weight 1 and 2, each with a leader of its own weight.
+    errors = np.vstack([np.eye(5, dtype=np.int64), 2 * np.eye(5, dtype=np.int64), [[1, 0, 2, 0, 0]]])
+    syns = side.syndrome(errors)
+    rows, found = side._leaders(syns)
+    assert found.all() and np.array_equal(rows, errors)
+    assert t == 2 and sorted(weights) == [0, 1, 2]
 
 
 def test_syndrome_linearity_and_gauge_invariance(rng):
@@ -194,8 +253,8 @@ def test_monte_carlo_noiseless():
 
 
 def test_search_decoding_matches_table(rng, monkeypatch):
-    # Per-query search (table disabled) answers every achievable syndrome
-    # exactly as the coset-leader table does.
+    # With the table disabled, leaders are filled per batch of queries; each
+    # achievable syndrome, alone or in a batch, gets the table's answer.
     splits = [BS3, BS4, DOUBLED]
     for _ in range(30):
         p = int(rng.choice([2, 3]))
@@ -206,13 +265,18 @@ def test_search_decoding_matches_table(rng, monkeypatch):
     for side in sides:
         # The achievable syndromes are the column space of the parity check.
         syndromes = Subspace.span(side.f.T, side.p, side.f.shape[0]).all_elements()
-        expected.append([(syn, side.decode_coset(syn)) for syn in syndromes])
+        # One batch holds every syndrome twice, the zero one included, shuffled.
+        batch = rng.permutation(np.vstack([syndromes, syndromes]))
+        answers = [(syn, side.decode_coset(syn)) for syn in syndromes]
+        expected.append((batch, side._leaders(batch), answers))
         assert side._leader_table is not None
     monkeypatch.setattr(decode, "_TABLE_LIMIT", 0)
     nonzero = 0
-    for side, answers in zip(sides, expected):
-        search = ClassicalCode(side.k, side.r, side.f)
+    for side, (batch, (rows, found), answers) in zip(sides, expected):
+        search = ClassicalCode(side.f, side.r)
         assert search._leader_table is None
+        got_rows, got_found = search._leaders(batch)
+        assert np.array_equal(got_found, found) and np.array_equal(got_rows, rows)
         for syn, leader in answers:
             got = search.decode_coset(syn)
             if leader is None:

@@ -31,14 +31,13 @@ class InfeasibleRequest(Exception):
 
 
 def _load_code(spec: str, args) -> SubsystemCode:
+    """A builtin with its options, or a code file, which takes none."""
+    params = {key: getattr(args, key, None) for key in ("l", "n", "p", "dim", "seed")}
+    params = {key: val for key, val in params.items() if val is not None}
     if spec.startswith("builtin:"):
-        name = spec.split(":", 1)[1]
-        params = {}
-        for key in ("l", "n", "p", "dim", "seed"):
-            val = getattr(args, key, None)
-            if val is not None:
-                params[key] = val
-        return codefile.builtin_code(name, **params)
+        return codefile.builtin_code(spec.split(":", 1)[1], **params)
+    if params:
+        raise ValueError(f"code files take no builtin options (got {', '.join(params)})")
     try:
         with open(spec) as fh:
             text = fh.read()
@@ -163,6 +162,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.code is not None and args.code_opt is not None:
+        raise ValueError("give the code once: positional or --code, not both")
     spec = args.code if args.code is not None else args.code_opt
     if spec is None:
         raise CodeFileError(0, "no code given (positional or --code)")

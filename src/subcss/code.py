@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf import Subspace, kernel, validate_prime
+from .gf import Subspace, _block_spaces, rref, validate_prime
 from .pauli import PauliVector, flatten, omega_complement, unflatten
 
 
@@ -104,10 +104,11 @@ class SubsystemCode:
 
     @classmethod
     def from_css_split(cls, split: CssSplit) -> "SubsystemCode":
-        """H_X x H_Z: the span of the block-diagonal [[H_X, 0], [0, H_Z]]."""
+        """H_X x H_Z, spanned by the block-diagonal [[H_X, 0], [0, H_Z]]; two
+        canonical bases on disjoint blocks already form its canonical basis."""
         x, z = split.h_x.basis, split.h_z.basis
         mat = np.block([[x, np.zeros_like(x)], [np.zeros_like(z), z]])
-        return cls(split.p, split.n, Subspace.span(mat, split.p, 2 * split.n))
+        return cls(split.p, split.n, Subspace(split.p, 2 * split.n, mat))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubsystemCode):
@@ -149,33 +150,26 @@ class SubsystemCode:
     # CSS structure ---------------------------------------------------------
 
     @cached_property
-    def _internal(self) -> tuple[Subspace, Subspace]:
-        """(N_X, N_Z): N_X = {a : (a, 0) in H} and N_Z = {b : (0, b) in H}.
-
-        N_X is the x-part image of the generator combinations whose z-parts
-        cancel (the kernel of pi_Z), and symmetrically for N_Z.
-        """
-        x, z = self.gauge.basis[:, : self.n], self.gauge.basis[:, self.n :]
-        n_x = Subspace.span(kernel(z.T, self.p).basis @ x, self.p, self.n)
-        n_z = Subspace.span(kernel(x.T, self.p).basis @ z, self.p, self.n)
-        return n_x, n_z
-
-    @cached_property
-    def _split(self) -> CssSplit:
-        """(N_X, N_Z) as one CssSplit, so its derived spaces are built once."""
-        return CssSplit(*self._internal)
+    def _goursat(self) -> tuple[Subspace, Subspace, CssSplit]:
+        """(E_X, E_Z, CssSplit(N_X, N_Z)): the projections of H, N_X = {a : (a, 0)
+        in H} and N_Z = {b : (0, b) in H}. `_block_spaces` reads E_X and N_Z off
+        H's basis in (x, z) order, and E_Z and N_X off one echelon in (z, x) order."""
+        n, p, basis = self.n, self.p, self.gauge.basis
+        e_x, n_z = _block_spaces(basis, n, p)
+        e_z, n_x = _block_spaces(rref(np.hstack([basis[:, n:], basis[:, :n]]), p), n, p)
+        return e_x, e_z, CssSplit(n_x, n_z)
 
     def is_css(self) -> bool:
         """H = H_X x H_Z iff N_X x N_Z already fills H: dim N_X + dim N_Z = dim H."""
-        n_x, n_z = self._internal
-        return n_x.dim + n_z.dim == self.gauge.dim
+        split = self._goursat[2]
+        return split.h_x.dim + split.h_z.dim == self.gauge.dim
 
     def css_split(self) -> CssSplit:
         """Split H = N_X x N_Z (the same object on every call); raises
         ValueError if the code is not CSS."""
         if not self.is_css():
             raise ValueError("code is not CSS")
-        return self._split
+        return self._goursat[2]
 
     # Distance --------------------------------------------------------------
 

@@ -214,14 +214,13 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """A cap B from one echelon of [[A, A], [B, 0]] (Zassenhaus).
 
-        The stacked rows are independent, so the echelon has no zero row;
-        the rows whose left half vanishes have right halves that span
-        A cap B and are already its canonical (RREF) basis.
+        The stacked rows are independent, so the echelon has no zero row,
+        and A cap B is its part whose left half vanishes (`_block_spaces`).
         """
         self._check_compatible(other)
-        a, b, m = self.basis, other.basis, self.ambient
+        a, b = self.basis, other.basis
         red = rref(np.block([[a, a], [b, np.zeros_like(b)]]), self.p)
-        return Subspace(self.p, m, red[~np.any(red[:, :m], axis=1), m:])
+        return _block_spaces(red, self.ambient, self.p)[1]
 
     def complement(self) -> "Subspace":
         """Dot-product (theta) complement {a : a . self = 0}, built once."""
@@ -244,6 +243,14 @@ class Subspace:
     def all_elements(self) -> np.ndarray:
         """All p**dim elements as a matrix, at most `ROW_LIMIT` rows; for exhaustive sweeps."""
         return _combinations(self.basis, self.p)
+
+
+def _block_spaces(red: np.ndarray, m: int, p: int) -> tuple[Subspace, Subspace]:
+    """(projection to the first m coordinates, {v : (0, v) in the row space}) of
+    an RREF `red` without zero rows: the left blocks of its rows nonzero there
+    and the right blocks of its rows that vanish there, each a canonical basis."""
+    left = np.any(red[:, :m], axis=1)
+    return Subspace(p, m, red[left, :m]), Subspace(p, red.shape[1] - m, red[~left, m:])
 
 
 def _combinations(rows: np.ndarray, p: int) -> np.ndarray:

@@ -53,19 +53,17 @@ class GoursatData:
 
 
 def goursat_of(code: SubsystemCode) -> GoursatData:
-    """Extract Goursat data from the gauge group's generator matrices.
+    """Goursat data of the gauge group, from the code's cached spaces.
 
-    Columns of pi_X / pi_Z are the x- and z-parts of the canonical
-    generators; pairs are picked by a greedy scan of generator columns
-    in input order, so the result is deterministic.
+    E_X, E_Z, N_X and N_Z are read off two echelons of H (see
+    `SubsystemCode._goursat`); pairs are picked by a greedy scan of the
+    canonical generators in order, so the result is deterministic.
     """
-    p, n = code.p, code.n
+    n = code.n
     x, z = code.gauge.basis[:, :n], code.gauge.basis[:, n:]
-    n_x, n_z = code._internal
-    pairs = tuple((x[j].copy(), z[j].copy()) for j in _independent_rows(n_x, x))
-    return GoursatData(
-        e_x=Subspace.span(x, p, n), e_z=Subspace.span(z, p, n), n_x=n_x, n_z=n_z, phi_pairs=pairs
-    )
+    e_x, e_z, split = code._goursat
+    pairs = tuple((x[j].copy(), z[j].copy()) for j in _independent_rows(split.h_x, x))
+    return GoursatData(e_x=e_x, e_z=e_z, n_x=split.h_x, n_z=split.h_z, phi_pairs=pairs)
 
 
 def reconstruct_from(data: GoursatData) -> SubsystemCode:

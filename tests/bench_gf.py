@@ -1,4 +1,5 @@
-"""Per-layer micro-benchmarks of the F_p core: `rref` and `kernel` on fixed inputs.
+"""Per-layer micro-benchmarks of the F_p core: `rref` and `kernel` on fixed inputs,
+and the Goursat spaces built on it (`goursat_of`, `classify_stabilizer`).
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -8,7 +9,15 @@ Not part of the test suite (the file name does not match `test_*.py`). Run:
 import numpy as np
 import pytest
 
-from subcss import bacon_shor, delta, kernel, omega_complement, rref
+from subcss import (
+    bacon_shor,
+    classify_stabilizer,
+    delta,
+    goursat_of,
+    kernel,
+    omega_complement,
+    rref,
+)
 
 from conftest import reference_rref
 
@@ -41,3 +50,17 @@ def test_rref_small_dense_p3(benchmark):
     mat = np.random.default_rng(12).integers(0, 3, size=(12, 16))
     red = benchmark(rref, mat, 3)
     assert np.array_equal(red, reference_rref(mat, 3))
+
+
+# A fresh code each round, so a round also builds the code's Goursat spaces.
+
+
+def test_goursat_of_bacon_shor10(benchmark):
+    data = benchmark.pedantic(goursat_of, setup=lambda: ((bacon_shor(10),), {}), rounds=20)
+    assert (data.e_x.dim, data.n_x.dim, data.pair_count()) == (90, 90, 0)
+
+
+def test_classify_stabilizer_bacon_shor10(benchmark):
+    cls = benchmark.pedantic(classify_stabilizer, setup=lambda: ((bacon_shor(10),), {}),
+                             rounds=20)
+    assert cls.minimal and cls.maximal

@@ -92,6 +92,20 @@ def kernel_sum_is_css(h, n):
     return (kernel(pi_x, h.p) + kernel(pi_z, h.p)).dim == h.dim
 
 
+def reference_goursat_spaces(code):
+    """Reference Goursat spaces (E_X, E_Z, N_X, N_Z), each spanned outright:
+    the x- and z-parts of the generators, and the x-part (z-part) images of
+    the generator combinations whose z-parts (x-parts) cancel."""
+    p, n = code.p, code.n
+    x, z = code.gauge.basis[:, :n], code.gauge.basis[:, n:]
+    return (
+        Subspace.span(x, p, n),
+        Subspace.span(z, p, n),
+        Subspace.span(kernel(z.T, p).basis @ x, p, n),
+        Subspace.span(kernel(x.T, p).basis @ z, p, n),
+    )
+
+
 def brute_force_recover(split, ex, ez):
     """Reference Steane recovery of the errors (ex[i], ez[i]) by enumerating F_p^n.
 

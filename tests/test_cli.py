@@ -237,6 +237,33 @@ def test_builtin_rejects_options_it_does_not_take(capsys, argv, option):
     assert f"does not take {option} " in err
 
 
+@pytest.mark.parametrize(
+    "command, options, named",
+    [
+        ("info", ["--l", "5"], "l"),
+        ("info", ["--seed", "9", "--dim", "2"], "dim, seed"),
+        ("distance", ["--p", "3"], "p"),
+        ("codewords", ["--n", "4"], "n"),
+        ("decode", ["--code-seed", "5", "--trials", "5"], "seed"),
+    ],
+)
+def test_code_file_rejects_builtin_options(tmp_path, capsys, command, options, named):
+    path = tmp_path / "bs3.code"
+    assert run(capsys, "gen", "bacon_shor", "--l", "3", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, command, str(path), *options)
+    assert (code, out) == (2, "")
+    assert err == f"error: code files take no builtin options (got {named})\n"
+
+
+def test_decode_rejects_the_code_given_twice(tmp_path, capsys):
+    path = tmp_path / "bs3.code"
+    assert run(capsys, "gen", "bacon_shor", "--l", "3", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "decode", "builtin:bacon_shor", "--l", "3",
+                         "--code", str(path), "--trials", "5")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "--code" in err
+
+
 def test_threads_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "4", "info", "builtin:trivial", "--n", "2"])

@@ -19,6 +19,7 @@ from subcss import (
     trivial,
 )
 from subcss import code as code_module
+from subcss import gf as gf_module
 from subcss.cli import main
 from subcss.code import (
     _BATCH_ROWS,
@@ -34,6 +35,7 @@ from conftest import (
     gauge_codes,
     kernel_sum_is_css,
     random_gauge_code,
+    reference_goursat_spaces,
     symplectic_distance,
 )
 
@@ -327,7 +329,7 @@ def test_is_css_and_split_match_kernel_sum_reference(code):
 
 
 def test_derived_spaces_are_built_once(monkeypatch):
-    calls = {"omega": 0, "kernel": 0}
+    calls = {"omega": 0, "rref": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -337,12 +339,67 @@ def test_derived_spaces_are_built_once(monkeypatch):
 
     monkeypatch.setattr(code_module, "omega_complement",
                         counting("omega", code_module.omega_complement))
-    monkeypatch.setattr(code_module, "kernel", counting("kernel", code_module.kernel))
+    monkeypatch.setattr(code_module, "rref", counting("rref", code_module.rref))
     code = bacon_shor(3)
     assert code.parameters() == (9, 1, 4)  # reads the centralizer and the stabilizer
     assert calls["omega"] == 1
     split = code.css_split()
     assert code.is_css() and code.css_split() is split
-    assert calls["kernel"] == 2  # ker pi_Z and ker pi_X, once each
+    assert calls["rref"] == 1  # the (z, x) echelon of H, built once
     for name in ("stab_x", "stab_z", "logical_x", "logical_z"):
         assert getattr(split, name) is getattr(split, name)
+
+
+@st.composite
+def _gauges_with_dependent_rows(draw):
+    """A code at p in {2, 3, 5} and n <= 5, spanned by 0..2n random rows and
+    up to two F_p combinations of them, shuffled in."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(0, 5))
+
+    def matrix(max_rows, cols):
+        vec = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+        rows = draw(st.lists(vec, max_size=max_rows))
+        return np.array(rows, dtype=np.int64).reshape(len(rows), cols)
+
+    rows = matrix(2 * n, 2 * n)
+    mixed = np.vstack([rows, matrix(2, len(rows)) @ rows % p])
+    order = draw(st.permutations(range(len(mixed))))
+    return SubsystemCode(p, n, Subspace.span(mixed[list(order)], p, 2 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gauges_with_dependent_rows())
+def test_goursat_spaces_match_the_reference(code):
+    e_x, e_z, split = code._goursat
+    for got, want in zip((e_x, e_z, split.h_x, split.h_z), reference_goursat_spaces(code)):
+        assert got.basis.dtype == want.basis.dtype and got.basis.shape == want.basis.shape
+        assert got.basis.tobytes() == want.basis.tobytes()
+    assert code.is_css() == kernel_sum_is_css(code.gauge, code.n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=5))
+def test_from_css_split_is_canonical_as_built(split):
+    x, z = split.h_x.basis, split.h_z.basis
+    mat = np.block([[x, np.zeros_like(x)], [np.zeros_like(z), z]])
+    want = Subspace.span(mat, split.p, 2 * split.n).basis
+    got = SubsystemCode.from_css_split(split).gauge.basis
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_is_css_runs_one_echelon(monkeypatch):
+    code = bacon_shor(4)
+    calls = []
+    rref = gf_module.rref
+
+    def counting(*args):
+        calls.append(args)
+        return rref(*args)
+
+    # Every binding of `rref` that `is_css` can reach, in gf and in code.
+    monkeypatch.setattr(gf_module, "rref", counting)
+    monkeypatch.setattr(code_module, "rref", counting, raising=False)
+    assert code.is_css()
+    assert len(calls) == 1

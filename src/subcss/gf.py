@@ -272,6 +272,6 @@ def _independent_rows(small: Subspace, vecs) -> list[int]:
     Row i is kept iff it is not in small + span(rows before i). These are
     the pivot columns past small's among the columns of [small.basis; vecs]^T.
     """
-    vecs = fp_array(vecs, small.p).reshape(-1, small.ambient)
+    vecs = fp_array(vecs, small.p).reshape(len(vecs), small.ambient)
     stacked = np.vstack([small.basis, vecs]).T
     return [c - small.dim for c in pivot_columns(rref(stacked, small.p)) if c >= small.dim]

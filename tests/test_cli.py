@@ -133,6 +133,27 @@ def test_codewords_output(capsys):
     assert "all_fixed = True (exact)" in out
 
 
+@pytest.mark.parametrize("dense", [[], ["--dense"]])
+def test_codewords_on_the_empty_register(capsys, dense):
+    code, out, err = run(capsys, "codewords", "builtin:random", "--p", "3", "--n", "0",
+                         "--dim", "0", *dense)
+    word = "l = () g = () fixed = True" + (" dense_agrees = True" if dense else "")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["codewords = 1 (exact)", "support_size = 1 (exact)", word,
+                                "all_fixed = True (exact)"]
+
+
+def test_codewords_dense_bacon_shor4(capsys):
+    # 1024 labels, each cross-checked on 2^16 exact amplitudes.
+    code, out, _ = run(capsys, "codewords", "builtin:bacon_shor", "--l", "4", "--dense")
+    lines = out.splitlines()
+    words = [line for line in lines if line.startswith("l = ")]
+    assert code == 0 and lines[0] == "codewords = 1024 (exact)"
+    assert len(words) == 1024
+    assert all(line.endswith(" fixed = True dense_agrees = True") for line in words)
+    assert lines[-1] == "all_fixed = True (exact)"
+
+
 def test_exit_code_parse_errors(tmp_path, capsys):
     code, _, err = run(capsys, "info", str(tmp_path / "missing.code"))
     assert code == 2

@@ -1,5 +1,7 @@
 """Symbolic coset-state codewords and their stabilizer action."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,9 @@ from subcss import (
     is_fixed_by,
 )
 
-from conftest import css_splits
+from subcss.states import _dense_fixing_table, _fixing_table
+
+from conftest import css_splits, subspaces
 
 BS3 = bacon_shor(3).css_split()
 
@@ -186,3 +190,154 @@ def test_symbolic_fixing_matches_dense_on_random_splits(case):
         dense = np.allclose(dense_vector(apply_pauli(word, g)), vec)
         assert is_fixed_by(word, g) == dense
     assert all(is_fixed_by(word, g) for g in _stabilizer_paulis(split))
+
+
+def _reference_codewords(split):
+    """[codeword(split, l, g)] over the label grid, l-major, coefficients in
+    `itertools.product` order on each side's canonical quotient basis."""
+    p, n = split.p, split.n
+
+    def grid(reps):
+        zero = np.zeros(n, dtype=np.int64)
+        return [sum((c * r for c, r in zip(cs, reps)), zero) % p
+                for cs in product(range(p), repeat=len(reps))]
+
+    ls = grid(split.logical_x.quotient_reps(split.h_x))
+    gs = grid(split.h_x.quotient_reps(split.stab_x))
+    return [(l, g, codeword(split, l, g)) for l in ls for g in gs]
+
+
+def _assert_same_words(words, reference):
+    assert len(words) == len(reference)
+    for (l, g, state), (l0, g0, state0) in zip(words, reference):
+        assert np.array_equal(l, l0) and np.array_equal(g, g0)
+        assert state.support == state0.support
+        assert np.array_equal(state.offset, state0.offset)
+        assert np.array_equal(state.phase, state0.phase)
+        assert state.global_phase == state0.global_phase
+
+
+def test_all_codewords_is_codeword_over_the_label_grid():
+    _assert_same_words(all_codewords(BS3), _reference_codewords(BS3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=4))
+def test_all_codewords_is_codeword_over_random_label_grids(split):
+    _assert_same_words(all_codewords(split), _reference_codewords(split))
+
+
+def test_all_codewords_on_the_empty_register():
+    # n = 0: one codeword, the empty offset on the zero support.
+    split = CssSplit(Subspace.zero(3, 0), Subspace.zero(3, 0))
+    [(l, g, state)] = all_codewords(split)
+    assert l.shape == g.shape == state.offset.shape == (0,)
+    assert state.support.dim == 0
+
+
+def _element(draw, space):
+    """A drawn element of a subspace: a coefficient tuple times its basis."""
+    p = space.p
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=space.dim, max_size=space.dim))
+    return np.array(coeffs, dtype=np.int64) @ space.basis % p
+
+
+@st.composite
+def _states_and_ops(draw):
+    """Coset states on one drawn support S <= F_p^n, and Paulis X^a Z^b.
+
+    Each phase functional lies in S^theta or is arbitrary, and each global
+    phase is arbitrary. Each operator is arbitrary or has a in S and b in
+    S^theta, so the fixing table holds both verdicts.
+    """
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 4))
+    support = draw(subspaces(p, n))
+    anything = Subspace.full(p, n)
+    states = [
+        CosetState(
+            offset=_element(draw, anything),
+            support=support,
+            phase=_element(draw, draw(st.sampled_from((support.complement(), anything)))),
+            global_phase=draw(st.integers(0, p - 1)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    ops = []
+    for _ in range(draw(st.integers(1, 4))):
+        on_support = draw(st.booleans())
+        a = _element(draw, support if on_support else anything)
+        b = _element(draw, support.complement() if on_support else anything)
+        ops.append(PauliVector(p, a, b))
+    return states, ops
+
+
+def _tables(states, ops):
+    xs = np.array([op.x for op in ops])
+    zs = np.array([op.z for op in ops])
+    return _fixing_table(states, xs, zs), _dense_fixing_table(states, xs, zs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_states_and_ops())
+def test_batched_fixing_table_is_is_fixed_by(case):
+    states, ops = case
+    fixed, _ = _tables(states, ops)
+    assert fixed.tolist() == [[is_fixed_by(state, op) for op in ops] for state in states]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_states_and_ops())
+def test_exact_dense_table_matches_complex_amplitudes(case):
+    states, ops = case
+    _, dense = _tables(states, ops)
+    for state, row in zip(states, dense):
+        vec = dense_vector(state)
+        for op, verdict in zip(ops, row):
+            assert verdict == np.allclose(dense_vector(apply_pauli(state, op)), vec)
+            assert verdict == np.allclose(_dense_apply(op, vec, state.p), vec)
+
+
+def test_fixing_tables_hold_false_cells():
+    # A Z logical that pairs with the offset, an X shift off the support, and
+    # a Z phase outside S^theta each leave the codeword unfixed.
+    l = np.zeros(9, dtype=np.int64)
+    l[[0, 3, 6]] = 1
+    word = codeword(BS3, l, np.zeros(9, dtype=np.int64))
+    zeros = np.zeros(9, dtype=np.int64)
+    e0 = np.eye(9, dtype=np.int64)[0]
+    ops = [*_stabilizer_paulis(BS3), PauliVector(2, zeros, np.repeat([1, 0], [3, 6])),
+           PauliVector(2, e0, zeros), PauliVector(2, zeros, e0)]
+    fixed, dense = _tables([word], ops)
+    expected = [True] * len(_stabilizer_paulis(BS3)) + [False, False, False]
+    assert fixed.tolist() == dense.tolist() == [expected]
+
+
+def test_z_part_compensates_a_phase_functional_off_s_theta():
+    # On o + S = {(t, 1)}, phi = (1, 0) gives amplitude omega^t. X^(1,0) adds
+    # phi . a = 1 to it, and Z^(0,1) takes b . x = 1 off again: fixed, in
+    # both tables, though phi is not in S^theta. Z^(0,1) alone is not.
+    support = Subspace.span([[1, 0]], 3, 2)
+    state = CosetState(offset=[0, 1], support=support, phase=[1, 0])
+    ops = [PauliVector(3, [1, 0], [0, 1]), PauliVector(3, [1, 0], [0, 2]),
+           PauliVector(3, [0, 0], [0, 1])]
+    fixed, dense = _tables([state], ops)
+    assert fixed.tolist() == dense.tolist() == [[True, False, False]]
+    assert [is_fixed_by(state, op) for op in ops] == [True, False, False]
+
+
+def test_dense_table_resets_between_states():
+    # X moves state 1's basis state |0> onto |1>, where state 0 -- also at
+    # exponent 0 -- sat just before: only a reset array answers "not fixed".
+    zero = Subspace.zero(2, 1)
+    states = [CosetState(offset=[1], support=zero, phase=[0]),
+              CosetState(offset=[0], support=zero, phase=[0])]
+    _, dense = _tables(states, [PauliVector(2, [1], [0])])
+    assert dense.tolist() == [[False], [False]]
+
+
+def test_fixing_tables_need_one_support():
+    states = [CosetState(offset=[0, 0], support=Subspace.zero(2, 2), phase=[0, 0]),
+              CosetState(offset=[0, 0], support=Subspace.full(2, 2), phase=[0, 0])]
+    with pytest.raises(ValueError):
+        _tables(states, [PauliVector(2, [0, 0], [0, 0])])

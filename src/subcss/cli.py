@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import codefile, decode, goursat, states
+from . import codefile, decode, gf, goursat, states
 from .code import DistanceResult, NoLogicalOperators, SubsystemCode, css_distances
 from .codefile import CodeFileError, _format_row
 from .double import delta
@@ -170,18 +170,22 @@ def cmd_decode(args) -> int:
     if not code.is_css():
         raise InfeasibleRequest("the recovery procedure is defined for CSS codes only")
     split = code.css_split()
-    if args.exhaustive_weight is not None:
-        top = args.exhaustive_weight
-        if top < 1:
-            raise ValueError("exhaustive weight must be >= 1")
-        # One row per weight up to n; no error has weight above n.
-        weights = range(1, min(top, code.n) + 1)
-        errors = sum(math.comb(code.n, w) * (code.p**2 - 1) ** w for w in weights)
-        if errors > decode._TABLE_LIMIT:
-            raise InfeasibleRequest(f"sweep of {errors} errors exceeds {decode._TABLE_LIMIT}")
-        rows = [(w, decode.exhaustive_sweep(split, w)) for w in weights]
-    else:
-        rows = [(args.q, decode.monte_carlo(split, args.q, args.trials, args.mc_seed).counts)]
+    try:
+        if args.exhaustive_weight is not None:
+            top = args.exhaustive_weight
+            if top < 1:
+                raise ValueError("exhaustive weight must be >= 1")
+            # One row per weight up to n; no error has weight above n.
+            weights = range(1, min(top, code.n) + 1)
+            errors = sum(math.comb(code.n, w) * (code.p**2 - 1) ** w for w in weights)
+            if errors > gf.ROW_LIMIT:
+                raise InfeasibleRequest(f"sweep of {errors} errors exceeds {gf.ROW_LIMIT}")
+            rows = [(w, decode.exhaustive_sweep(split, w)) for w in weights]
+        else:
+            rows = [(args.q, decode.monte_carlo(split, args.q, args.trials, args.mc_seed).counts)]
+    except NoLogicalOperators as exc:
+        # k = 0: neither classical code has a distance to decode up to.
+        raise InfeasibleRequest(f"nothing to decode: {exc}") from exc
     print("weight_or_q,trials,corrected,logical_failures,out_of_range")
     for label, c in rows:
         print(f"{label},{c.trials},{c.corrected},{c.logical_failures},{c.out_of_range}")
@@ -198,20 +202,23 @@ def cmd_codewords(args) -> int:
     labels = code.p ** (split.logical_x.dim - split.stab_x.dim)
     if labels > states._CODEWORD_LIMIT:
         raise InfeasibleRequest(f"{labels} codeword labels exceed {states._CODEWORD_LIMIT}")
-    words = states.all_codewords(split)
-    _report("codewords", len(words))
+    ls, gs, offsets = states._label_grid(split)
+    _report("codewords", len(offsets))
     _report("support_size", code.p**split.stab_x.dim)
     # The stabilizer rows X^a Z^b: (S_X basis | 0) and (0 | S_Z basis).
     x_rows, z_rows = split.stab_x.basis, split.stab_z.basis
     xs = np.vstack([x_rows, np.zeros_like(z_rows)])
     zs = np.vstack([np.zeros_like(x_rows), z_rows])
-    coset_states = [st for _, _, st in words]
-    fixes = states._fixing_table(coset_states, xs, zs)
+    # Every codeword has phi = 0 and gamma = 0; the tables still read both.
+    phases = np.zeros_like(offsets)
+    fixes = states._fixing_table(split.stab_x, offsets, phases, xs, zs)
     fixed = np.all(fixes, axis=1)
     if args.dense:
-        agrees = np.all(states._dense_fixing_table(coset_states, xs, zs) == fixes, axis=1)
+        gammas = np.zeros(len(offsets), dtype=np.int64)
+        dense = states._dense_fixing_table(split.stab_x, offsets, phases, gammas, xs, zs)
+        agrees = np.all(dense == fixes, axis=1)
     lines = []
-    for i, (l, g, _) in enumerate(words):
+    for i, (l, g) in enumerate(zip(ls, gs)):
         line = f"l = ({_format_row(l)}) g = ({_format_row(g)}) fixed = {bool(fixed[i])}"
         if args.dense:
             line += f" dense_agrees = {bool(agrees[i])}"

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf
 from .code import CssSplit
 from .gf import Subspace, _combinations, fp_array
 from .pauli import PauliVector
 
 _DENSE_LIMIT = 1 << 20
-# Most codeword labels, p^(k+r), that `codewords` lists; each builds a coset state.
+# Most codeword labels, p^(k+r), that `codewords` lists.
 _CODEWORD_LIMIT = 1 << 16
 
 
@@ -92,11 +93,15 @@ def _label_grid(split: CssSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     One `_combinations` grid per side, over the canonical quotient bases of
     L_X / H_X and H_X / S_X, paired l-major; p^(k+r) rows of length n each
-    (one empty row when n = 0).
+    (one empty row when n = 0). Raises ValueError above `gf.ROW_LIMIT`
+    rows, before building any.
     """
     p, n = split.p, split.n
     l_reps = split.logical_x.quotient_reps(split.h_x)
     g_reps = split.h_x.quotient_reps(split.stab_x)
+    dim = len(l_reps) + len(g_reps)
+    if p**dim > gf.ROW_LIMIT:
+        raise ValueError(f"{p}^{dim} codeword labels exceed the limit of {gf.ROW_LIMIT} rows")
     ls = _combinations(np.array(l_reps, dtype=np.int64).reshape(len(l_reps), n), p)
     gs = _combinations(np.array(g_reps, dtype=np.int64).reshape(len(g_reps), n), p)
     ls, gs = np.repeat(ls, len(gs), axis=0), np.tile(gs, (len(ls), 1))
@@ -164,23 +169,9 @@ def dense_vector(state: CosetState) -> np.ndarray:
     return amps
 
 
-def _stacked(states: list[CosetState], xs, zs):
-    """(support, offsets, phases, X parts, Z parts) of states sharing one support,
-    as arrays with one row per state and per operator X^xs[j] Z^zs[j]."""
-    support = states[0].support
-    if any(st.support is not support and st.support != support for st in states):
-        raise ValueError("the states must share one support")
-    p, n = support.p, support.ambient
-
-    def rows(vectors) -> np.ndarray:
-        return fp_array(vectors, p).reshape(len(vectors), n)
-
-    offsets, phases = rows([st.offset for st in states]), rows([st.phase for st in states])
-    return support, offsets, phases, rows(xs), rows(zs)
-
-
-def _fixing_table(states: list[CosetState], xs, zs) -> np.ndarray:
-    """fixed[i, j] = is_fixed_by(states[i], X^xs[j] Z^zs[j]) for states on one support S.
+def _fixing_table(support: Subspace, offsets, phases, a, b) -> np.ndarray:
+    """fixed[i, j] = is_fixed_by(state i, X^a[j] Z^b[j]), state i being
+    (offsets[i], support, phases[i]) with any global phase.
 
     X^a Z^b takes (o, S, phi, gamma) to (o + a, S, phi + b, gamma - (phi + b) . a).
     That is the same state iff a is in S, b is in S^theta (phi + b agrees
@@ -189,14 +180,14 @@ def _fixing_table(states: list[CosetState], xs, zs) -> np.ndarray:
     mod p. With a in S and b in S^theta, b . a = 0, so the last test is
     b . o = phi . a. Each membership test runs once per operator.
     """
-    support, offsets, phases, a, b = _stacked(states, xs, zs)
     in_support = ~np.any(support.reduce(a), axis=1)
     in_complement = ~np.any(support.complement().reduce(b), axis=1)
     return in_support & in_complement & ((offsets @ b.T - phases @ a.T) % support.p == 0)
 
 
-def _dense_fixing_table(states: list[CosetState], xs, zs) -> np.ndarray:
-    """The same table as `_fixing_table`, read off exact dense amplitudes.
+def _dense_fixing_table(support: Subspace, offsets, phases, global_phases, a, b) -> np.ndarray:
+    """The same table as `_fixing_table`, read off exact dense amplitudes of
+    the states (offsets[i], support, phases[i], global_phases[i]).
 
     A state is an int32 exponent array E over the p^n basis states (the
     radix order of `dense_vector`), -1 where the amplitude is zero. X^a Z^b
@@ -204,21 +195,20 @@ def _dense_fixing_table(states: list[CosetState], xs, zs) -> np.ndarray:
     the state iff E[x + a] = E[x] + b . x mod p for every x in o + S. One
     p^n array serves every state: a state writes its |S| entries, reads the
     |S| x s shifted ones, and resets what it wrote. The reads total
-    len(states) x |S| x s cells; for the codewords of a split that is
-    p^(dim L_X) x s <= p^n x s, never len(states) x p^n.
+    len(offsets) x |S| x s cells; for the codewords of a split that is
+    p^(dim L_X) x s <= p^n x s, never len(offsets) x p^n.
     """
-    support, offsets, phases, a, b = _stacked(states, xs, zs)
     p, n = support.p, support.ambient
     if p**n > _DENSE_LIMIT:
         raise ValueError(f"dense amplitudes of dimension {p}^{n} exceed the size limit")
     elements = support.all_elements()
     radix = p ** np.arange(n - 1, -1, -1)
     exponents = np.full(p**n, -1, dtype=np.int32)
-    table = np.empty((len(states), a.shape[0]), dtype=bool)
-    for i, st in enumerate(states):
-        x = (offsets[i] + elements) % p
+    table = np.empty((len(offsets), a.shape[0]), dtype=bool)
+    for i, (offset, phase, gamma) in enumerate(zip(offsets, phases, global_phases)):
+        x = (offset + elements) % p
         at = x @ radix
-        here = (st.global_phase + x @ phases[i]) % p
+        here = (gamma + x @ phase) % p
         exponents[at] = here
         moved = ((x + a[:, None, :]) % p) @ radix
         table[i] = np.all(exponents[moved] == (here + b @ x.T) % p, axis=1)

@@ -1,9 +1,10 @@
-"""End-to-end micro-benchmarks of `subcss codewords --dense` on fixed codes.
+"""End-to-end micro-benchmarks of `subcss codewords` on fixed codes.
 
 Times the whole CLI request (label grid, stabilizer fixing table, exact dense
-cross-check, report) through `cli.main` with stdout captured, on the qudit
-Bacon-Shor code (p = 3, l = 3), the doubled five-qudit code at p = 3 and the
-4 x 4 Bacon-Shor code (1024 labels on 2^16 amplitudes).
+cross-check with `--dense`, report) through `cli.main` with stdout captured:
+`--dense` on the qudit Bacon-Shor code (p = 3, l = 3), the doubled
+five-qudit code at p = 3 and the 4 x 4 Bacon-Shor code (1024 labels on 2^16
+amplitudes), and the symbolic table alone on the qudit Bacon-Shor code.
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -19,20 +20,7 @@ import pytest
 from subcss import Subspace, SubsystemCode, delta, emit_code_file
 from subcss.cli import main
 
-
-def _qudit_bacon_shor(p, l):
-    """X X^-1 on row-adjacent sites and Z Z^-1 on column-adjacent ones."""
-    n = l * l
-    rows = []
-    for i in range(l):
-        for j in range(l - 1):
-            rows.append(np.zeros(2 * n, dtype=np.int64))
-            rows[-1][[i * l + j, i * l + j + 1]] = 1, p - 1
-    for i in range(l - 1):
-        for j in range(l):
-            rows.append(np.zeros(2 * n, dtype=np.int64))
-            rows[-1][[n + i * l + j, n + (i + 1) * l + j]] = 1, p - 1
-    return SubsystemCode(p, n, Subspace.span(rows, p, 2 * n))
+from conftest import qudit_bacon_shor
 
 
 def _five_qudit(p):
@@ -49,7 +37,7 @@ def _five_qudit(p):
 def code_files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("codes")
     files = {}
-    for name, code in (("bs3_p3", _qudit_bacon_shor(3, 3)),
+    for name, code in (("bs3_p3", qudit_bacon_shor(3, 3)),
                        ("five2_p3", delta(_five_qudit(3)).result)):
         files[name] = directory / f"{name}.code"
         files[name].write_text(emit_code_file(code))
@@ -60,7 +48,7 @@ def _codewords(benchmark, *argv):
     def request():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            rc = main(["codewords", *argv, "--dense"])
+            rc = main(["codewords", *argv])
         return rc, out.getvalue()
 
     rc, out = benchmark(request)
@@ -69,14 +57,19 @@ def _codewords(benchmark, *argv):
 
 
 def test_codewords_dense_qudit_bacon_shor3_p3(benchmark, code_files):
+    out = _codewords(benchmark, str(code_files["bs3_p3"]), "--dense")
+    assert out.startswith("codewords = 243 (exact)")
+
+
+def test_codewords_qudit_bacon_shor3_p3(benchmark, code_files):
     out = _codewords(benchmark, str(code_files["bs3_p3"]))
     assert out.startswith("codewords = 243 (exact)")
 
 
 def test_codewords_dense_doubled_five_qudit_p3(benchmark, code_files):
-    _codewords(benchmark, str(code_files["five2_p3"]))
+    _codewords(benchmark, str(code_files["five2_p3"]), "--dense")
 
 
 def test_codewords_dense_bacon_shor4(benchmark):
-    out = _codewords(benchmark, "builtin:bacon_shor", "--l", "4")
+    out = _codewords(benchmark, "builtin:bacon_shor", "--l", "4", "--dense")
     assert out.startswith("codewords = 1024 (exact)")

@@ -55,6 +55,22 @@ def reference_bacon_shor(l):
     return SubsystemCode.from_generators(2, n, gens)
 
 
+def qudit_bacon_shor(p, l):
+    """The qudit Bacon-Shor code on an l x l grid: X X^-1 on row-adjacent
+    sites and Z Z^-1 on column-adjacent ones."""
+    n = l * l
+    rows = []
+    for i in range(l):
+        for j in range(l - 1):
+            rows.append(np.zeros(2 * n, dtype=np.int64))
+            rows[-1][[i * l + j, i * l + j + 1]] = 1, p - 1
+    for i in range(l - 1):
+        for j in range(l):
+            rows.append(np.zeros(2 * n, dtype=np.int64))
+            rows[-1][[n + i * l + j, n + (i + 1) * l + j]] = 1, p - 1
+    return SubsystemCode(p, n, Subspace.span(rows, p, 2 * n))
+
+
 def reference_rref(mat, p: int) -> np.ndarray:
     """Reference echelon: each pivot step rewrites the whole matrix.
 

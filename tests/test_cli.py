@@ -1,9 +1,25 @@
 """End-to-end CLI behavior: commands, formats, and the exit-code contract."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from subcss import parse_code_file
+from subcss import (
+    CssSplit,
+    PauliVector,
+    Subspace,
+    SubsystemCode,
+    all_codewords,
+    bacon_shor,
+    emit_code_file,
+    is_fixed_by,
+    parse_code_file,
+)
+from subcss import decode, states
 from subcss.cli import build_parser, main
+
+from conftest import qudit_bacon_shor
 
 
 def run(capsys, *argv):
@@ -154,6 +170,53 @@ def test_codewords_dense_bacon_shor4(capsys):
     assert lines[-1] == "all_fixed = True (exact)"
 
 
+@pytest.mark.parametrize("dense", [[], ["--dense"]])
+def test_codewords_builds_no_coset_state(tmp_path, capsys, monkeypatch, dense):
+    # The CLI reads the label grid as arrays: a CosetState would raise here.
+    path = tmp_path / "bs3_p3.code"
+    path.write_text(emit_code_file(qudit_bacon_shor(3, 3)))
+
+    def refuse(self):
+        raise AssertionError("codewords built a CosetState")
+
+    monkeypatch.setattr(states.CosetState, "__post_init__", refuse)
+    code, out, err = run(capsys, "codewords", str(path), *dense)
+    assert (code, err) == (0, "")
+    assert out.startswith("codewords = 243 (exact)") and out.endswith("all_fixed = True (exact)\n")
+
+
+def _random_split(p, n, seed):
+    rng = np.random.default_rng(seed)
+    h_x, h_z = (Subspace.span(rng.integers(0, p, (n // 2, n)), p, n) for _ in range(2))
+    return CssSplit(h_x, h_z)
+
+
+@pytest.mark.parametrize("split", [
+    bacon_shor(3).css_split(),
+    qudit_bacon_shor(3, 2).css_split(),
+    CssSplit(Subspace.span([[1, 0, 0, 0]], 2, 4), Subspace.span([[0, 1, 1, 0], [0, 0, 1, 1]], 2, 4)),
+    _random_split(3, 4, 1),
+    _random_split(5, 4, 2),
+    _random_split(2, 6, 3),
+])
+def test_codewords_fixed_column_is_is_fixed_by(tmp_path, capsys, split):
+    # Each CLI row: the labels of all_codewords, and fixed = every stabilizer
+    # X^a and Z^b fixes the codeword, by the per-state reference.
+    path = tmp_path / "split.code"
+    path.write_text(emit_code_file(SubsystemCode.from_css_split(split)))
+    code, out, _ = run(capsys, "codewords", str(path))
+    zeros = np.zeros(split.n, dtype=np.int64)
+    stabilizers = [PauliVector(split.p, a, zeros) for a in split.stab_x.basis]
+    stabilizers += [PauliVector(split.p, zeros, b) for b in split.stab_z.basis]
+    expected = [
+        f"l = ({' '.join(map(str, l))}) g = ({' '.join(map(str, g))}) "
+        f"fixed = {all(is_fixed_by(state, op) for op in stabilizers)}"
+        for l, g, state in all_codewords(split)
+    ]
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("l = ")] == expected
+
+
 def test_exit_code_parse_errors(tmp_path, capsys):
     code, _, err = run(capsys, "info", str(tmp_path / "missing.code"))
     assert code == 2
@@ -190,6 +253,28 @@ def test_exit_code_infeasible(capsys):
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and "exceed" in err
+
+
+@pytest.mark.parametrize("options", [
+    ["--p", "2", "--n", "2", "--dim", "3", "--code-seed", "1", "--trials", "5"],
+    ["--p", "2", "--n", "2", "--dim", "3", "--code-seed", "1", "--exhaustive-weight", "1"],
+    ["--n", "0", "--dim", "0", "--trials", "5"],
+])
+def test_decode_without_logical_operators_is_infeasible(capsys, options):
+    # k = 0 CSS codes: nothing to decode, as `info` reports d = undefined.
+    code, out, err = run(capsys, "decode", "builtin:random", *options)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "no logical operators" in err
+
+
+def test_decode_sweep_without_the_leader_table(capsys, monkeypatch):
+    # The sweep guard does not depend on the leader table's size limit.
+    monkeypatch.setattr(decode, "_TABLE_LIMIT", 0)
+    code, out, err = run(capsys, "decode", "builtin:bacon_shor", "--l", "3",
+                         "--exhaustive-weight", "2")
+    golden = Path(__file__).parent / "golden" / "decode_exhaustive2_bacon_shor3.txt"
+    assert (code, out, err) == (0, golden.read_text(), "")
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,8 @@ from subcss import (
     is_fixed_by,
 )
 
-from subcss.states import _dense_fixing_table, _fixing_table
+from subcss import gf
+from subcss.states import _dense_fixing_table, _fixing_table, _label_grid
 
 from conftest import css_splits, subspaces
 
@@ -227,6 +228,17 @@ def test_all_codewords_is_codeword_over_random_label_grids(split):
     _assert_same_words(all_codewords(split), _reference_codewords(split))
 
 
+def test_label_grid_guards_the_whole_grid(monkeypatch):
+    # k = 6 and r = 5 in F_2^12: each side's grid fits 2^8 rows, the 2^11
+    # pairs do not, and neither the grid nor all_codewords builds them.
+    eye = np.eye(12, dtype=np.int64)
+    split = CssSplit(Subspace.span(eye[:6], 2, 12), Subspace.span(eye[:5], 2, 12))
+    monkeypatch.setattr(gf, "ROW_LIMIT", 1 << 8)
+    for build in (_label_grid, all_codewords):
+        with pytest.raises(ValueError, match=r"2\^11 codeword labels"):
+            build(split)
+
+
 def test_all_codewords_on_the_empty_register():
     # n = 0: one codeword, the empty offset on the zero support.
     split = CssSplit(Subspace.zero(3, 0), Subspace.zero(3, 0))
@@ -273,9 +285,15 @@ def _states_and_ops(draw):
 
 
 def _tables(states, ops):
+    """Both fixing tables of coset states on one support, from their arrays."""
+    support = states[0].support
+    offsets = np.array([state.offset for state in states])
+    phases = np.array([state.phase for state in states])
+    gammas = np.array([state.global_phase for state in states])
     xs = np.array([op.x for op in ops])
     zs = np.array([op.z for op in ops])
-    return _fixing_table(states, xs, zs), _dense_fixing_table(states, xs, zs)
+    return (_fixing_table(support, offsets, phases, xs, zs),
+            _dense_fixing_table(support, offsets, phases, gammas, xs, zs))
 
 
 @settings(max_examples=100, deadline=None)
@@ -334,10 +352,3 @@ def test_dense_table_resets_between_states():
               CosetState(offset=[0], support=zero, phase=[0])]
     _, dense = _tables(states, [PauliVector(2, [1], [0])])
     assert dense.tolist() == [[False], [False]]
-
-
-def test_fixing_tables_need_one_support():
-    states = [CosetState(offset=[0, 0], support=Subspace.zero(2, 2), phase=[0, 0]),
-              CosetState(offset=[0, 0], support=Subspace.full(2, 2), phase=[0, 0])]
-    with pytest.raises(ValueError):
-        _tables(states, [PauliVector(2, [0, 0], [0, 0])])

@@ -3,7 +3,7 @@
 Reports are line-oriented ``key = value`` text; numeric results carry
 their computation mode (exact, search-bounded, or sampled). Exit codes:
 0 success, 2 rejected input (parse error or invalid value), 3 infeasible
-request.
+request, including one that runs out of memory.
 """
 
 from __future__ import annotations
@@ -318,6 +318,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except InfeasibleRequest as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

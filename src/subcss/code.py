@@ -4,12 +4,15 @@ A code is a subspace H of F_p^{2n} (the gauge group modulo phases). Its
 parameters come from the tower 0 <= H cap H^w <= H <= H + H^w <= F_p^{2n},
 and the distance is the minimum symplectic weight over (H + H^w) \\ H.
 
-Every minimum-weight question here is answered by one engine: an
-enumerator of the vectors of weight exactly w over an alphabet of nonzero
-single-site letters, and a weight-increasing search over its layers.
+Weights are counted over an alphabet of nonzero single-site letters.
 Hamming weight on F_p^n uses the letters F_p \\ {0}; symplectic weight on
 F_p^{2n} is Hamming weight over the alphabet F_p^2, whose letters are the
 nonzero (x, z) values of one site.
+
+A minimum weight min wt(big \\ small) is read off the syndromes of small:
+one recursion gives the least weight of every syndrome, and every coset
+leader (`_syndrome_weights`). Where that is too costly, an enumerator of the
+vectors of weight exactly w answers, searching its layers by weight.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
+from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import gf
 from .gf import Subspace, _block_spaces, rref, validate_prime
 from .pauli import PauliVector, flatten, omega_complement, unflatten
 
@@ -176,8 +181,9 @@ class SubsystemCode:
     def distance(self, budget: int | None = None) -> DistanceResult:
         """Minimum symplectic weight over (H + H^w) \\ H.
 
-        Weight-increasing exhaustive search; if no witness appears up to
-        `budget` (default n), the result is the lower bound budget + 1.
+        Exact from the syndrome space of H (`_coset_distance`), or by a
+        weight-increasing search where that space is too large; a value
+        above `budget` (default n) is reported as the lower bound budget + 1.
 
         A CSS code is answered by its two classical codes: d = min(d_X, d_Z).
         There H + H^w = L_X x L_Z, so a logical (a, b) not in H has
@@ -205,7 +211,7 @@ class SubsystemCode:
 def css_distances(split: CssSplit, budget: int | None = None) -> tuple[
     DistanceResult, DistanceResult, DistanceResult
 ]:
-    """(d_X, d_Z, d) of a CSS split via single-block weight-increasing search.
+    """(d_X, d_Z, d) of a CSS split, each side a Hamming-weight `_coset_distance`.
 
     d is exact when either side is: an exact side value v <= budget lies
     below the other side's bound budget + 1.
@@ -219,13 +225,35 @@ def css_distances(split: CssSplit, budget: int | None = None) -> tuple[
 def _coset_distance(
     big: Subspace, small: Subspace, letters: np.ndarray, budget: int | None = None
 ) -> DistanceResult:
-    """min wt(big \\ small) over `letters` (see `_coset_search`); the bound
-    budget + 1 if nothing is found up to the budget."""
+    """min wt(big \\ small) over `letters`, from the syndrome weights when
+    `_engine_pays`, else by `_coset_search`; the bound budget + 1 if it exceeds
+    `budget` (default n, the sites of `letters`' layout).
+
+    Raises NoLogicalOperators if big == small, ValueError for a negative budget.
+    """
     if big == small:
         raise NoLogicalOperators("no logical operators: the coset space is empty")
-    budget = big.ambient // letters.shape[1] if budget is None else budget
-    found = _coset_search(big, small, letters, budget)
-    return DistanceResult(found[0], True) if found else DistanceResult(budget + 1, False)
+    n = big.ambient // letters.shape[1]
+    budget = _budget(budget, n)
+    p, check = small.p, small.complement().basis
+    m = check.shape[0]
+    if _engine_pays(p, m, n, len(letters), budget):
+        # big \ small has the syndromes F(big) \ {0}; index 0 is the zero one.
+        image = Subspace.span(big.basis @ check.T, p, m)
+        weights = _syndrome_weights(check, letters, p)[0]
+        d = int(weights[_SyndromeGrid(p, m).span(image.basis)[1:]].min())
+    else:
+        found = _coset_search(big, small, letters, budget)
+        d = found[0] if found else budget + 1
+    return DistanceResult(d, True) if d <= budget else DistanceResult(budget + 1, False)
+
+
+def _budget(budget: int | None, n: int) -> int:
+    """A search budget: n if None; ValueError if negative."""
+    budget = n if budget is None else budget
+    if budget < 0:
+        raise ValueError(f"search budget must be >= 0, got {budget}")
+    return budget
 
 
 def _coset_search(
@@ -238,9 +266,7 @@ def _coset_search(
     Raises ValueError for a negative budget.
     """
     n = big.ambient // letters.shape[1]
-    budget = n if budget is None else budget
-    if budget < 0:
-        raise ValueError(f"search budget must be >= 0, got {budget}")
+    budget = _budget(budget, n)
     in_big = _membership_checker(big)
     in_small = _membership_checker(small)
     for w in range(1, budget + 1):
@@ -249,6 +275,143 @@ def _coset_search(
             if len(hits):
                 return w, hits[0]
     return None
+
+
+# Syndrome engine -------------------------------------------------------------
+
+
+def _engine_pays(p: int, m: int, n: int, n_letters: int, budget: int) -> bool:
+    """Whether `_syndrome_weights` over p^m syndromes, n sites and `n_letters`
+    letters is feasible and costs no more than the enumeration's worst case.
+
+    Feasible: p^m <= `gf.ROW_LIMIT`. Its cost is p^m * n * n_letters cells.
+    The enumeration lists sum C(n, w) * n_letters^w vectors for w up to the
+    budget, but never past weight m: a full-rank check matrix has m independent
+    columns, so every syndrome has a preimage of weight at most m. All Python
+    ints, so nothing wraps.
+    """
+    size = int(p) ** m
+    if size > gf.ROW_LIMIT:
+        return False
+    cost, listed = size * n * n_letters, 0
+    for w in range(min(budget, m) + 1):
+        listed += comb(n, w) * n_letters**w
+        if listed >= cost:
+            return True
+    return False
+
+
+def _digits(p: int, k: int) -> np.ndarray:
+    """Row t is the k little-endian base-p digits of t, for t < p^k."""
+    return (np.arange(p**k, dtype=np.int64)[:, None] // p ** np.arange(k, dtype=np.int64)) % p
+
+
+class _SyndromeGrid:
+    """The syndromes F_p^m as the indices 0..p^m - 1, read little-endian base p.
+
+    An index is split into its low and high digit halves, so translating
+    syndromes by -c takes two lookup tables of about sqrt(p^m) entries each.
+    """
+
+    def __init__(self, p: int, m: int):
+        self.p, self.size, self._half = p, p**m, m // 2
+        self._base = p**self._half
+        self._digits = (_digits(p, self._half), _digits(p, m - self._half))
+        self._places = tuple(p ** np.arange(d.shape[1], dtype=np.int64) for d in self._digits)
+
+    def tables(self, cs: np.ndarray) -> list[np.ndarray]:
+        """(lo, hi) for the rows c of cs: row i of lo (hi) maps the low (high)
+        half-index of each syndrome s to that of s - cs[i]."""
+        parts = (cs[:, None, : self._half], cs[:, None, self._half :])
+        return [
+            ((d - part) % self.p) @ places
+            for d, part, places in zip(self._digits, parts, self._places)
+        ]
+
+    def minus(self, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The index of s - c for the syndrome s of each index in idx, c having
+        the table rows (lo, hi); one row of indices per table row."""
+        return lo[..., idx % self._base] + self._base * hi[..., idx // self._base]
+
+    def shifted(self, values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """values[s - c] for every syndrome s, c having the table row (lo, hi)."""
+        return values.reshape(-1, self._base)[hi].take(lo, axis=1).ravel()
+
+    def span(self, rows: np.ndarray) -> np.ndarray:
+        """The indices of every F_p combination of the rows, zero first."""
+        idx = np.zeros(1, dtype=np.int64)
+        for row in rows:
+            multiples = -np.arange(self.p, dtype=np.int64)[:, None] * row % self.p
+            idx = self.minus(idx, *self.tables(multiples)).ravel()
+        return idx
+
+
+def _letter_syndromes(check: np.ndarray, letters: np.ndarray, p: int) -> np.ndarray:
+    """(n, L, m): entry [j, x] is the syndrome of letter x placed on site j, its
+    column i going to coordinate i*n + j (the `_weight_batches` layout)."""
+    (m, cols), b = check.shape, letters.shape[1]
+    return np.einsum("xb,mbj->jxm", letters, check.reshape(m, b, cols // b)) % p
+
+
+def _syndrome_weights(
+    check: np.ndarray, letters: np.ndarray, p: int, keep_letters: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(W, won): W[s] is the least weight over `letters` of a v with
+    check @ v = s, for every syndrome s by its `_SyndromeGrid` index; n + 1
+    where there is no such v.
+
+    One recursion over the sites, last to first, starting from W(0) = 0:
+    W_j(s) = min(W_{j+1}(s), min_x W_{j+1}(s - x.F_j) + 1) over the letters x,
+    x.F_j being the syndrome of x on site j. If `keep_letters`, won[j, s] is
+    the winning letter on site j (1-based, 0 for none); the comparison is
+    strict, so no letter and then earlier letters win ties. Else won is None.
+    """
+    shifts = _letter_syndromes(check, letters, p)
+    n = len(shifts)
+    grid = _SyndromeGrid(p, check.shape[0])
+    weights = np.full(grid.size, n + 1, dtype=np.min_scalar_type(n + 2))
+    weights[0] = 0
+    won = np.zeros((n, grid.size), np.min_scalar_type(len(letters))) if keep_letters else None
+    for j in reversed(range(n)):
+        best = weights.copy()
+        for x, (shift, lo, hi) in enumerate(zip(shifts[j], *grid.tables(shifts[j])), start=1):
+            if shift.any():
+                step = grid.shifted(weights, lo, hi) + 1
+                if keep_letters:
+                    won[j, step < best] = x
+                np.minimum(best, step, out=best)
+        weights = best
+    return weights, won
+
+
+def _syndrome_leaders(
+    check: np.ndarray, letters: np.ndarray, p: int, top: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(slots, leaders): the syndrome of `_SyndromeGrid` index s has the coset
+    leader leaders[slots[s]] if its weight is at most `top`, else slots[s] = -1.
+
+    The leader is the least-weight, then lexicographically least, v with
+    check @ v = s: the letters `_syndrome_weights` kept, walked from the first
+    site on. Leaders come in order of weight, then index.
+    """
+    weights, won = _syndrome_weights(check, letters, p, keep_letters=True)
+    shifts = _letter_syndromes(check, letters, p)
+    grid, n, b = _SyndromeGrid(p, check.shape[0]), len(shifts), letters.shape[1]
+    order = np.argsort(weights, kind="stable")
+    kept = order[weights[order] <= top]
+    slots = np.full(grid.size, -1, dtype=np.int64)
+    slots[kept] = np.arange(len(kept))
+    leaders = np.zeros((len(kept), b * n), dtype=np.int64)
+    values = np.vstack([np.zeros((1, b), dtype=np.int64), letters])
+    syn = kept.copy()
+    for j in range(n):
+        x = won[j, syn]
+        leaders[:, j + n * np.arange(b)] = values[x]
+        lo, hi = grid.tables(shifts[j])
+        for letter in np.flatnonzero(np.bincount(x)[1:]):
+            moved = x == letter + 1
+            syn[moved] = grid.minus(syn[moved], lo[letter], hi[letter])
+    return slots, leaders
 
 
 # Search engine -------------------------------------------------------------

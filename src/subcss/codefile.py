@@ -35,7 +35,7 @@ def parse_code_file(text: str) -> tuple[SubsystemCode, str]:
             continue
         if fmt is None:
             try:
-                fields = dict(part.split("=", 1) for part in line.split())
+                fields = _header_fields(line)
                 p = validate_prime(int(fields["p"]))
                 n = int(fields["n"])
                 fmt = fields["format"]
@@ -54,6 +54,22 @@ def parse_code_file(text: str) -> tuple[SubsystemCode, str]:
         raise CodeFileError(1, "missing header line")
     gauge = np.array(rows, dtype=np.int64).reshape(-1, 2 * n)
     return SubsystemCode(p, n, Subspace.span(gauge, p, 2 * n)), fmt
+
+
+def _header_fields(line: str) -> dict[str, str]:
+    """The header's key=value pairs; ValueError for a part without '=', a
+    key given twice, or a key other than p, n and format."""
+    fields: dict[str, str] = {}
+    for part in line.split():
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(f"expected key=value, got {part!r}")
+        if key in fields:
+            raise ValueError(f"key {key!r} given twice")
+        if key not in ("p", "n", "format"):
+            raise ValueError(f"unknown key {key!r}")
+        fields[key] = value
+    return fields
 
 
 def _parse_row(line: str, p: int, n: int, fmt: str):

@@ -23,6 +23,7 @@ from .code import (
     _field_letters,
     _membership_checker,
     _site_values,
+    _syndrome_leaders,
     _weight_batches,
 )
 from .gf import Subspace, fp_array, kernel, pivot_columns
@@ -62,33 +63,46 @@ class ClassicalCode:
 
     @cached_property
     def d_r(self) -> int:
-        """min wt(K \\ R); exact (search to full length)."""
+        """min wt(K \\ R), exact: from the syndrome space of R where that is
+        small enough, else by search to full length (`_coset_distance`)."""
         return _coset_distance(self.k, self.r, _field_letters(self.p)).value
 
     @cached_property
     def _leader_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """`_fill` over every syndrome, slot i being the syndrome of `_index` i;
-        None above _TABLE_LIMIT syndromes."""
-        n_syndromes = self.p ** self.f.shape[0]
-        if n_syndromes > _TABLE_LIMIT:
-            return None
-        return self._fill(lambda batch: self._index(self.syndrome(batch)), n_syndromes)
+        """(slots, leaders): slot i, the syndrome of `_index` i, has the coset
+        leader leaders[slots[i]], or none of weight below d_R/2 if slots[i] = -1.
 
-    def _fill(self, slot_of, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
-        """(slots, leaders): slot s has the coset leader leaders[slots[s]], or
-        none of weight below d_R/2 if slots[s] = -1.
-
-        `slot_of` maps a batch of vectors to one slot per row, -1 where no
-        slot wants the row. The least weight wins, from w = 0 (the zero row)
-        up; within a weight, the lexicographically least.
+        One recursion over all p^m syndromes of F (`_syndrome_leaders`), with
+        `_fill`'s rule: least weight, then lexicographically least. None above
+        _TABLE_LIMIT cells, the p^m * n * (p - 1) (syndrome, site, letter)
+        steps of the recursion.
         """
-        slots = np.full(n_slots, -1, dtype=np.int64)
+        if int(self.p) ** self.f.shape[0] * self.n * (self.p - 1) > _TABLE_LIMIT:
+            return None
+        return _syndrome_leaders(self.f, _field_letters(self.p), self.p, (self.d_r - 1) // 2)
+
+    def _fill(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, leaders) for distinct syndrome rows `wanted`: row s has the
+        coset leader leaders[slots[s]], or none of weight below d_R/2 if
+        slots[s] = -1.
+
+        One enumeration fills every row, from w = 0 (the zero vector) up; the
+        least weight wins, and within a weight the lexicographically least.
+        Syndromes are matched by value, so no base-p index can overflow.
+        """
+        n_wanted = len(wanted)
+        slots = np.full(n_wanted, -1, dtype=np.int64)
         leaders = np.zeros((0, self.n), dtype=np.int64)
         for w in range((self.d_r - 1) // 2 + 1):
             # The layer's best so far per slot empty below it, merged by one sort.
             best, best_slot = leaders[:0], slots[:0]
             for batch in _weight_batches(_field_letters(self.p), self.n, w):
-                slot = slot_of(batch)
+                keys, key = np.unique(
+                    np.vstack([wanted, self.syndrome(batch)]), axis=0, return_inverse=True
+                )
+                slot_of_key = np.full(len(keys), -1, dtype=np.int64)
+                slot_of_key[key[:n_wanted]] = np.arange(n_wanted)
+                slot = slot_of_key[key[n_wanted:]]
                 empty = slot >= 0
                 empty[empty] = slots[slot[empty]] < 0
                 rows = np.vstack([best, batch[empty]])
@@ -98,7 +112,7 @@ class ClassicalCode:
                 best = rows[order[first]]
             slots[best_slot] = len(leaders) + np.arange(len(best))
             leaders = np.vstack([leaders, best])
-            if len(leaders) == n_slots:
+            if len(leaders) == n_wanted:
                 break
         return slots, leaders
 
@@ -124,19 +138,8 @@ class ClassicalCode:
             slots, leaders = table
             slot = slots[self._index(syns)]
         else:
-            # One slot per distinct syndrome, all filled by one enumeration;
-            # rows are matched by value, so no base-p index can overflow.
             wanted, inverse = np.unique(syns, axis=0, return_inverse=True)
-
-            def slot_of(batch):
-                keys, key = np.unique(
-                    np.vstack([wanted, self.syndrome(batch)]), axis=0, return_inverse=True
-                )
-                slot_of_key = np.full(len(keys), -1, dtype=np.int64)
-                slot_of_key[key[: len(wanted)]] = np.arange(len(wanted))
-                return slot_of_key[key[len(wanted) :]]
-
-            slots, leaders = self._fill(slot_of, len(wanted))
+            slots, leaders = self._fill(wanted)
             slot = slots[inverse]
         found = slot >= 0
         rows = np.zeros((len(syns), self.n), dtype=np.int64)

@@ -1,7 +1,8 @@
 """Per-layer micro-benchmarks of distance search on fixed inputs.
 
-Times the CSS distance route, the symplectic search it replaces on CSS
-codes, the weight-layer enumerator, and the batched membership test.
+Times the CSS distance route (the syndrome engine on Bacon-Shor 6, 7 and
+10), the symplectic search it replaces on CSS codes, the weight-layer
+enumerator, and the batched membership test.
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
     PYTHONPATH=src python -m pytest tests/bench_code.py --benchmark-only
@@ -9,7 +10,9 @@ Not part of the test suite (the file name does not match `test_*.py`). Run:
 
 from math import comb
 
-from subcss import DistanceResult, bacon_shor
+import pytest
+
+from subcss import DistanceResult, bacon_shor, css_distances
 from subcss.code import _BATCH_ROWS, _membership_checker, _site_values, _weight_batches
 
 from conftest import symplectic_distance
@@ -20,6 +23,14 @@ def test_distance_bacon_shor6(benchmark):
     d = benchmark.pedantic(lambda code: code.distance(), setup=lambda: ((bacon_shor(6),), {}),
                            rounds=3)
     assert d == DistanceResult(6, True)
+
+
+@pytest.mark.parametrize("l", [7, 10])
+def test_css_distances_bacon_shor(benchmark, l):
+    # A fresh split each round, so a round also builds L_X, L_Z and their complements.
+    d = benchmark.pedantic(css_distances, setup=lambda: ((bacon_shor(l).css_split(),), {}),
+                           rounds=5)
+    assert d == (DistanceResult(l, True),) * 3
 
 
 def test_symplectic_reference_bacon_shor4(benchmark):

@@ -1,8 +1,9 @@
 """Per-layer micro-benchmarks of decoding and subspace intersection on fixed inputs.
 
-Times the `Par` decoder build, one coset-leader table, Monte-Carlo decode
-trials with warm decoders (table lookups, and the batched leader fill with
-the table switched off), and `Subspace.intersect`.
+Times the `Par` decoder build, coset-leader tables (alone on Bacon-Shor 5;
+with `d_r` on Bacon-Shor 7 and 10), Monte-Carlo decode trials with warm
+decoders (table lookups, and the batched leader fill with the table switched
+off), and `Subspace.intersect`.
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -10,6 +11,7 @@ Not part of the test suite (the file name does not match `test_*.py`). Run:
 """
 
 import numpy as np
+import pytest
 
 from subcss import ClassicalCode, Subspace, bacon_shor, decode, monte_carlo, par_decoder_build
 from subcss.decode import _decoder_pair, make_css_decoder
@@ -32,6 +34,20 @@ def test_leader_table_bacon_shor5_x(benchmark):
 
     slots, leaders = benchmark.pedantic(lambda code: code._leader_table, setup=fresh, rounds=20)
     assert slots.size == 2**4 and len(leaders) == 16
+
+
+@pytest.mark.parametrize("l", [7, 10])
+def test_d_r_and_leader_table_bacon_shor_x(benchmark, l):
+    # A fresh code each round: a round runs d_R, then the table up to weight (d_R - 1) // 2.
+    x_side = make_css_decoder(bacon_shor(l).css_split())[0]
+
+    def build(code):
+        return code.d_r, code._leader_table
+
+    d_r, (slots, leaders) = benchmark.pedantic(
+        build, setup=lambda: ((ClassicalCode(x_side.f, x_side.r),), {}), rounds=5
+    )
+    assert d_r == l and slots.size == 2 ** (l - 1)
 
 
 def _decode_trials(benchmark, split, trials):

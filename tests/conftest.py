@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from subcss import CssSplit, DecodeStatus, PauliVector, Subspace, SubsystemCode, kernel
-from subcss.code import _coset_distance, _site_values
+from subcss import (
+    CssSplit,
+    DecodeStatus,
+    DistanceResult,
+    NoLogicalOperators,
+    PauliVector,
+    Subspace,
+    SubsystemCode,
+    kernel,
+)
+from subcss.code import _coset_search, _site_values
 from subcss.gf import fp_array
 
 
@@ -26,10 +35,15 @@ def random_gauge_code(rng, p, n):
 
 
 def symplectic_distance(code, budget=None):
-    """Reference distance: the symplectic search over (H + H^w) \\ H with the
-    p^2 - 1 single-site values, which `SubsystemCode.distance` runs only on
-    non-CSS codes. Raises NoLogicalOperators when k = 0."""
-    return _coset_distance(code.centralizer, code.gauge, _site_values(code.p), budget)
+    """Reference distance: the weight-increasing search over (H + H^w) \\ H with
+    the p^2 - 1 single-site values, whatever the size of H's syndrome space;
+    the bound budget + 1 if nothing is found up to `budget` (default n).
+    Raises NoLogicalOperators when k = 0."""
+    if code.centralizer == code.gauge:
+        raise NoLogicalOperators("no logical operators")
+    budget = code.n if budget is None else budget
+    found = _coset_search(code.centralizer, code.gauge, _site_values(code.p), budget)
+    return DistanceResult(found[0], True) if found else DistanceResult(budget + 1, False)
 
 
 def reference_bacon_shor(l):

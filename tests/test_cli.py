@@ -255,6 +255,17 @@ def test_exit_code_infeasible(capsys):
         assert err.startswith("error:") and "exceed" in err
 
 
+def test_out_of_memory_is_infeasible(tmp_path, capsys):
+    # The 2n x 2n matrices of n = 3,000,000 qubits need 262 TiB: the first
+    # allocation fails at once.
+    huge = tmp_path / "huge.code"
+    huge.write_text("p=2 n=3000000 format=symplectic\n")
+    code, out, err = run(capsys, "info", str(huge))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("options", [
     ["--p", "2", "--n", "2", "--dim", "3", "--code-seed", "1", "--trials", "5"],
     ["--p", "2", "--n", "2", "--dim", "3", "--code-seed", "1", "--exhaustive-weight", "1"],

@@ -24,6 +24,8 @@ from subcss.cli import main
 from subcss.code import (
     _BATCH_ROWS,
     DistanceResult,
+    _coset_distance,
+    _engine_pays,
     _field_letters,
     _site_values,
     _weight_batches,
@@ -403,3 +405,74 @@ def test_is_css_runs_one_echelon(monkeypatch):
     monkeypatch.setattr(code_module, "rref", counting, raising=False)
     assert code.is_css()
     assert len(calls) == 1
+
+
+# Syndrome engine ---------------------------------------------------------------
+
+
+def _engine_and_search(big, small, letters, budget):
+    """`_coset_distance` with the syndrome engine forced on, then off; None
+    where it raises NoLogicalOperators."""
+    results = []
+    for pays in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(code_module, "_engine_pays", lambda *args: pays)
+            try:
+                results.append(_coset_distance(big, small, letters, budget))
+            except NoLogicalOperators:
+                results.append(None)
+    return results
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=4))
+def test_engine_matches_the_search_on_both_css_sides(split):
+    letters = _field_letters(split.p)
+    for big, small in ((split.logical_x, split.h_x), (split.logical_z, split.h_z)):
+        for budget in range(split.n + 1):
+            engine, search = _engine_and_search(big, small, letters, budget)
+            assert engine == search
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=3))
+def test_engine_matches_the_search_on_symplectic_weight(code):
+    # Also through `distance`, CSS codes included, against the reference search.
+    letters = _site_values(code.p)
+    for budget in range(code.n + 1):
+        engine, search = _engine_and_search(code.centralizer, code.gauge, letters, budget)
+        assert engine == search
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(code_module, "_engine_pays", lambda *args: True)
+            if search is None:
+                with pytest.raises(NoLogicalOperators):
+                    code.distance(budget)
+            else:
+                assert code.distance(budget) == symplectic_distance(code, budget) == search
+
+
+def test_engine_gate_reads_only_sizes():
+    # Bacon-Shor 3, one side, at budget 1: 2^3 * 9 cells against 1 + 9 vectors.
+    assert not _engine_pays(2, 3, 9, 1, 1)
+    # Qudit Bacon-Shor (5, 3), budget 2: 5^3 * 9 * 4 cells against 613 vectors.
+    assert not _engine_pays(5, 3, 9, 4, 2)
+    assert _engine_pays(5, 3, 9, 4, 9)
+    # The enumeration never passes weight m, whatever the budget.
+    assert _engine_pays(2, 5, 25, 1, 3) and not _engine_pays(2, 1, 25, 1, 25)
+    # Past gf.ROW_LIMIT syndromes, and past int64 (65521^5 > 2^63), it never runs.
+    assert not _engine_pays(2, 21, 100, 1, 100)
+    assert not _engine_pays(65521, 5, 6, 65520, 6)
+
+
+def test_syndrome_spaces_beyond_int64_take_the_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("syndrome engine above its gate")
+
+    monkeypatch.setattr(code_module, "_syndrome_weights", refuse)
+    p = 65521
+    # H_X = 0, H_Z = <e_0>: the X side has p^5 syndromes and the Z side p^4,
+    # both above 2^63; a weight-1 vector is a logical on each side.
+    split = CssSplit(Subspace.zero(p, 5), Subspace.span([[1, 0, 0, 0, 0]], p, 5))
+    assert p**4 > 2**63
+    one = DistanceResult(1, True)
+    assert css_distances(split) == (one, one, one)

@@ -115,6 +115,9 @@ def test_parse_errors_carry_line_numbers():
             "p=3 n=2 format=pauli\n# c\nX1Z2 I\nX1Z2 X0Z1 I\n",
             "line 4: generator has 3 qudits, expected 2",
         ),
+        # A header key given twice, or one the format does not have.
+        ("p=2 n=2 format=symplectic p=3\n", "line 1: bad header: key 'p' given twice"),
+        ("# c\np=2 n=2 format=pauli bogus=7\nXX\n", "line 2: bad header: unknown key 'bogus'"),
     ],
 )
 def test_parse_error_messages(text, message):

@@ -29,7 +29,7 @@ from subcss import (
     steane_recover,
     syndrome_of,
 )
-from subcss.code import _weight_batches
+from subcss.code import DistanceResult, _digits, _weight_batches
 from subcss.decode import _decoder_pair, _recover, make_css_decoder
 
 from conftest import brute_force_recover, css_splits, random_subspace, subspaces
@@ -139,6 +139,72 @@ def test_batched_leaders_enumerate_each_weight_once(monkeypatch):
     rows, found = side._leaders(syns)
     assert found.all() and np.array_equal(rows, errors)
     assert t == 2 and sorted(weights) == [0, 1, 2]
+
+
+def _assert_table_matches_fill(side):
+    """The leader table of every syndrome against the batched fill of them all."""
+    slots, leaders = side._leader_table
+    # Row i of the digits is the syndrome of `_index` i.
+    wanted, inverse = np.unique(_digits(side.p, side.f.shape[0]), axis=0, return_inverse=True)
+    fill_slots, fill_leaders = side._fill(wanted)
+    fill_slots = fill_slots[inverse]
+    assert np.array_equal(slots >= 0, fill_slots >= 0)
+    kept = slots >= 0
+    assert np.array_equal(leaders[slots[kept]], fill_leaders[fill_slots[kept]])
+    # Leaders come in order of weight, then syndrome index.
+    index = np.flatnonzero(kept)[np.argsort(slots[kept])]
+    weight = np.count_nonzero(leaders, axis=1)
+    assert np.array_equal(np.lexsort((index, weight)), np.arange(len(leaders)))
+
+
+@pytest.mark.parametrize("l", range(3, 8))
+def test_bacon_shor_leader_tables_match_the_fill(l):
+    for side in make_css_decoder(bacon_shor(l).css_split()):
+        _assert_table_matches_fill(side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=4))
+@example(DOUBLED)
+def test_leader_table_matches_the_fill(split):
+    for side in make_css_decoder(split):
+        if side.k != side.r:
+            _assert_table_matches_fill(side)
+
+
+@settings(max_examples=25, deadline=None)
+@given(css_splits(primes=(5,), max_n=3), st.integers(0, 2**32 - 1))
+def test_qudit_recovery_matches_brute_force(split, seed):
+    assume(split.logical_x != split.h_x and split.logical_z != split.h_z)
+    rng = np.random.default_rng(seed)
+    ex, ez = rng.integers(0, 5, size=(2, 200, split.n))
+    codes, cx, cz = _recover(split, ex, ez)
+    statuses, ref_x, ref_z = brute_force_recover(split, ex, ez)
+    assert [list(DecodeStatus)[c] for c in codes] == statuses
+    assert np.array_equal(cx, ref_x) and np.array_equal(cz, ref_z)
+
+
+@pytest.mark.parametrize("l", range(3, 11))
+def test_bacon_shor_distances_and_d_r(l):
+    split = bacon_shor(l).css_split()
+    d = DistanceResult(l, True)
+    assert css_distances(split) == (d, d, d)
+    assert [side.d_r for side in make_css_decoder(split)] == [l, l]
+
+
+def test_classical_code_beyond_int64_takes_the_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("syndrome engine above its gate")
+
+    monkeypatch.setattr(code_module, "_syndrome_weights", refuse)
+    monkeypatch.setattr(decode, "_syndrome_leaders", refuse)
+    p = 65521
+    # K = <e_5> and R = 0: p^6 syndromes of R for d_R, p^5 of F for the table.
+    code = ClassicalCode(np.eye(5, 6, dtype=np.int64), Subspace.zero(p, 6))
+    assert code.d_r == 1
+    assert code._leader_table is None
+    assert np.array_equal(code.decode_coset(np.zeros(5, dtype=np.int64)), np.zeros(6))
+    assert code.decode_coset([1, 0, 0, 0, 0]) is None
 
 
 def test_syndrome_linearity_and_gauge_invariance(rng):

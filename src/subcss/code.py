@@ -11,8 +11,9 @@ nonzero (x, z) values of one site.
 
 A minimum weight min wt(big \\ small) is read off the syndromes of small:
 one recursion gives the least weight of every syndrome, and every coset
-leader (`_syndrome_weights`). Where that is too costly, an enumerator of the
-vectors of weight exactly w answers, searching its layers by weight.
+leader (`_syndrome_weights`). An enumerator of the vectors of weight exactly
+w searches the low weights first, while that is cheaper than the recursion
+(`_enumeration_reach`), and all of them where the recursion is too costly.
 """
 
 from __future__ import annotations
@@ -181,9 +182,10 @@ class SubsystemCode:
     def distance(self, budget: int | None = None) -> DistanceResult:
         """Minimum symplectic weight over (H + H^w) \\ H.
 
-        Exact from the syndrome space of H (`_coset_distance`), or by a
-        weight-increasing search where that space is too large; a value
-        above `budget` (default n) is reported as the lower bound budget + 1.
+        Exact (`_coset_distance`): a weight-increasing search over the low
+        weights, and the syndrome space of H past them where that is cheaper;
+        a value above `budget` (default n) is reported as the lower bound
+        budget + 1.
 
         A CSS code is answered by its two classical codes: d = min(d_X, d_Z).
         There H + H^w = L_X x L_Z, so a logical (a, b) not in H has
@@ -225,9 +227,9 @@ def css_distances(split: CssSplit, budget: int | None = None) -> tuple[
 def _coset_distance(
     big: Subspace, small: Subspace, letters: np.ndarray, budget: int | None = None
 ) -> DistanceResult:
-    """min wt(big \\ small) over `letters`, from the syndrome weights when
-    `_engine_pays`, else by `_coset_search`; the bound budget + 1 if it exceeds
-    `budget` (default n, the sites of `letters`' layout).
+    """min wt(big \\ small) over `letters`: `_coset_search` up to the
+    `_enumeration_reach`, then the syndrome weights; the bound budget + 1 if it
+    exceeds `budget` (default n, the sites of `letters`' layout).
 
     Raises NoLogicalOperators if big == small, ValueError for a negative budget.
     """
@@ -237,14 +239,17 @@ def _coset_distance(
     budget = _budget(budget, n)
     p, check = small.p, small.complement().basis
     m = check.shape[0]
-    if _engine_pays(p, m, n, len(letters), budget):
-        # big \ small has the syndromes F(big) \ {0}; index 0 is the zero one.
-        image = Subspace.span(big.basis @ check.T, p, m)
-        weights = _syndrome_weights(check, letters, p)[0]
-        d = int(weights[_SyndromeGrid(p, m).span(image.basis)[1:]].min())
+    reach = _enumeration_reach(p, m, n, len(letters), budget)
+    found = _coset_search(big, small, letters, reach)
+    if found:
+        d = found[0]
+    elif reach < min(budget, m):
+        # big \ small has the syndromes F(big) \ {0}.
+        image = _span_grid(Subspace.span(big.basis @ check.T, p, m).basis, p, m)
+        image[(0,) * m] = False
+        d = int(_syndrome_weights(check, letters, p)[0][image].min())
     else:
-        found = _coset_search(big, small, letters, budget)
-        d = found[0] if found else budget + 1
+        d = budget + 1
     return DistanceResult(d, True) if d <= budget else DistanceResult(budget + 1, False)
 
 
@@ -280,70 +285,65 @@ def _coset_search(
 # Syndrome engine -------------------------------------------------------------
 
 
-def _engine_pays(p: int, m: int, n: int, n_letters: int, budget: int) -> bool:
-    """Whether `_syndrome_weights` over p^m syndromes, n sites and `n_letters`
-    letters is feasible and costs no more than the enumeration's worst case.
+def _enumeration_reach(p: int, m: int, n: int, n_letters: int, budget: int) -> int:
+    """The weight up to which the enumeration lists vectors before
+    `_syndrome_weights` answers the rest, for p^m syndromes, n sites and
+    `n_letters` letters: the largest w <= min(budget, m) whose vectors, all
+    weights up to w, cost no more than the recursion. At min(budget, m) the
+    recursion never runs, as above `gf.ROW_LIMIT` syndromes.
 
-    Feasible: p^m <= `gf.ROW_LIMIT`. Its cost is p^m * n * n_letters cells.
-    The enumeration lists sum C(n, w) * n_letters^w vectors for w up to the
-    budget, but never past weight m: a full-rank check matrix has m independent
-    columns, so every syndrome has a preimage of weight at most m. All Python
-    ints, so nothing wraps.
+    No answer lies past weight m: a full-rank check matrix has m independent
+    columns, so every syndrome has a preimage of weight at most m. The
+    recursion costs, per (site, letter), the index maps of `_translator` (at
+    most m * p^ceil(m/2) digits) and one gather of p^m cells; a listed vector
+    costs at least its n sites. The enumeration stops at the distance, so it
+    goes first while it is the cheaper: whatever the distance, the two together
+    cost at most twice the cheaper one. All Python ints, so nothing wraps.
     """
+    top = min(budget, m)
     size = int(p) ** m
     if size > gf.ROW_LIMIT:
-        return False
-    cost, listed = size * n * n_letters, 0
-    for w in range(min(budget, m) + 1):
+        return top
+    cost, listed = n * n_letters * (size + m * int(p) ** -(-m // 2)), 0
+    for w in range(top + 1):
         listed += comb(n, w) * n_letters**w
-        if listed >= cost:
-            return True
-    return False
+        if n * listed > cost:
+            return w - 1
+    return top
 
 
-def _digits(p: int, k: int) -> np.ndarray:
-    """Row t is the k little-endian base-p digits of t, for t < p^k."""
-    return (np.arange(p**k, dtype=np.int64)[:, None] // p ** np.arange(k, dtype=np.int64)) % p
+def _translator(p: int, m: int):
+    """translate(grid, c) = grid[s - c] for every syndrome s of a (p,)*m grid.
 
-
-class _SyndromeGrid:
-    """The syndromes F_p^m as the indices 0..p^m - 1, read little-endian base p.
-
-    An index is split into its low and high digit halves, so translating
-    syndromes by -c takes two lookup tables of about sqrt(p^m) entries each.
+    The grid is seen as a matrix whose row (column) index is the first m // 2
+    (the other) coordinates of s, read big-endian base p. Translating s by -c
+    moves rows and columns separately: two index maps of at most p^ceil(m/2)
+    entries, built per call, and one gather.
     """
+    halves = []
+    for part in (slice(0, m // 2), slice(m // 2, m)):
+        place = p ** np.arange(part.stop - part.start - 1, -1, -1, dtype=np.int64)
+        digits = np.arange(p ** len(place), dtype=np.int64)[:, None] // place % p
+        halves.append((part, digits, place))
 
-    def __init__(self, p: int, m: int):
-        self.p, self.size, self._half = p, p**m, m // 2
-        self._base = p**self._half
-        self._digits = (_digits(p, self._half), _digits(p, m - self._half))
-        self._places = tuple(p ** np.arange(d.shape[1], dtype=np.int64) for d in self._digits)
+    def translate(grid: np.ndarray, c: np.ndarray) -> np.ndarray:
+        rows, cols = (((digits - c[part]) % p) @ place for part, digits, place in halves)
+        return grid.reshape(len(rows), len(cols))[rows].take(cols, axis=1).reshape(grid.shape)
 
-    def tables(self, cs: np.ndarray) -> list[np.ndarray]:
-        """(lo, hi) for the rows c of cs: row i of lo (hi) maps the low (high)
-        half-index of each syndrome s to that of s - cs[i]."""
-        parts = (cs[:, None, : self._half], cs[:, None, self._half :])
-        return [
-            ((d - part) % self.p) @ places
-            for d, part, places in zip(self._digits, parts, self._places)
-        ]
+    return translate
 
-    def minus(self, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """The index of s - c for the syndrome s of each index in idx, c having
-        the table rows (lo, hi); one row of indices per table row."""
-        return lo[..., idx % self._base] + self._base * hi[..., idx // self._base]
 
-    def shifted(self, values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """values[s - c] for every syndrome s, c having the table row (lo, hi)."""
-        return values.reshape(-1, self._base)[hi].take(lo, axis=1).ravel()
-
-    def span(self, rows: np.ndarray) -> np.ndarray:
-        """The indices of every F_p combination of the rows, zero first."""
-        idx = np.zeros(1, dtype=np.int64)
-        for row in rows:
-            multiples = -np.arange(self.p, dtype=np.int64)[:, None] * row % self.p
-            idx = self.minus(idx, *self.tables(multiples)).ravel()
-        return idx
+def _span_grid(rows: np.ndarray, p: int, m: int) -> np.ndarray:
+    """The F_p span of the rows, as a boolean (p,)*m grid."""
+    translate = _translator(p, m)
+    span = np.zeros((p,) * m, dtype=bool)
+    span[(0,) * m] = True
+    for row in rows:
+        grown = span.copy()
+        for a in range(1, p):
+            grown |= translate(span, a * row % p)
+        span = grown
+    return span
 
 
 def _letter_syndromes(check: np.ndarray, letters: np.ndarray, p: int) -> np.ndarray:
@@ -357,28 +357,28 @@ def _syndrome_weights(
     check: np.ndarray, letters: np.ndarray, p: int, keep_letters: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(W, won): W[s] is the least weight over `letters` of a v with
-    check @ v = s, for every syndrome s by its `_SyndromeGrid` index; n + 1
-    where there is no such v.
+    check @ v = s, for every syndrome s of the (p,)*m grid; n + 1 where there
+    is no such v.
 
     One recursion over the sites, last to first, starting from W(0) = 0:
     W_j(s) = min(W_{j+1}(s), min_x W_{j+1}(s - x.F_j) + 1) over the letters x,
-    x.F_j being the syndrome of x on site j. If `keep_letters`, won[j, s] is
+    x.F_j being the syndrome of x on site j. If `keep_letters`, won[j][s] is
     the winning letter on site j (1-based, 0 for none); the comparison is
     strict, so no letter and then earlier letters win ties. Else won is None.
     """
     shifts = _letter_syndromes(check, letters, p)
-    n = len(shifts)
-    grid = _SyndromeGrid(p, check.shape[0])
-    weights = np.full(grid.size, n + 1, dtype=np.min_scalar_type(n + 2))
-    weights[0] = 0
-    won = np.zeros((n, grid.size), np.min_scalar_type(len(letters))) if keep_letters else None
+    n, m = len(shifts), check.shape[0]
+    translate = _translator(p, m)
+    weights = np.full((p,) * m, n + 1, dtype=np.min_scalar_type(n + 2))
+    weights[(0,) * m] = 0
+    won = np.zeros((n, *weights.shape), np.min_scalar_type(len(letters))) if keep_letters else None
     for j in reversed(range(n)):
         best = weights.copy()
-        for x, (shift, lo, hi) in enumerate(zip(shifts[j], *grid.tables(shifts[j])), start=1):
+        for x, shift in enumerate(shifts[j], start=1):
             if shift.any():
-                step = grid.shifted(weights, lo, hi) + 1
+                step = translate(weights, shift) + 1
                 if keep_letters:
-                    won[j, step < best] = x
+                    won[j][step < best] = x
                 np.minimum(best, step, out=best)
         weights = best
     return weights, won
@@ -387,8 +387,9 @@ def _syndrome_weights(
 def _syndrome_leaders(
     check: np.ndarray, letters: np.ndarray, p: int, top: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(slots, leaders): the syndrome of `_SyndromeGrid` index s has the coset
-    leader leaders[slots[s]] if its weight is at most `top`, else slots[s] = -1.
+    """(slots, leaders): the syndrome at flat index i of the (p,)*m grid (its
+    coordinates read big-endian base p) has the coset leader leaders[slots[i]]
+    if its weight is at most `top`, else slots[i] = -1.
 
     The leader is the least-weight, then lexicographically least, v with
     check @ v = s: the letters `_syndrome_weights` kept, walked from the first
@@ -396,21 +397,20 @@ def _syndrome_leaders(
     """
     weights, won = _syndrome_weights(check, letters, p, keep_letters=True)
     shifts = _letter_syndromes(check, letters, p)
-    grid, n, b = _SyndromeGrid(p, check.shape[0]), len(shifts), letters.shape[1]
+    (n, _, m), b = shifts.shape, letters.shape[1]
+    weights, won = weights.ravel(), won.reshape(n, -1)
     order = np.argsort(weights, kind="stable")
     kept = order[weights[order] <= top]
-    slots = np.full(grid.size, -1, dtype=np.int64)
+    slots = np.full(weights.size, -1, dtype=np.int64)
     slots[kept] = np.arange(len(kept))
     leaders = np.zeros((len(kept), b * n), dtype=np.int64)
     values = np.vstack([np.zeros((1, b), dtype=np.int64), letters])
-    syn = kept.copy()
+    place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    syn = kept[:, None] // place % p
     for j in range(n):
-        x = won[j, syn]
+        x = won[j, syn @ place]
         leaders[:, j + n * np.arange(b)] = values[x]
-        lo, hi = grid.tables(shifts[j])
-        for letter in np.flatnonzero(np.bincount(x)[1:]):
-            moved = x == letter + 1
-            syn[moved] = grid.minus(syn[moved], lo[letter], hi[letter])
+        syn = (syn - np.vstack([np.zeros((1, m), dtype=np.int64), shifts[j]])[x]) % p
     return slots, leaders
 
 
@@ -435,8 +435,7 @@ def _field_letters(p: int) -> np.ndarray:
 
 def _site_values(p: int) -> np.ndarray:
     """The p^2 - 1 nontrivial (x, z) single-site values, lexicographic."""
-    vals = [(i, j) for i in range(p) for j in range(p) if (i, j) != (0, 0)]
-    return np.array(vals, dtype=np.int64)
+    return np.indices((p, p), dtype=np.int64).reshape(2, -1).T[1:]
 
 
 def _weight_batches(letters: np.ndarray, n: int, w: int) -> Iterator[np.ndarray]:

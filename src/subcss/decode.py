@@ -20,6 +20,7 @@ from . import code as _code
 from .code import (
     CssSplit,
     _coset_distance,
+    _enumeration_reach,
     _field_letters,
     _membership_checker,
     _site_values,
@@ -63,8 +64,9 @@ class ClassicalCode:
 
     @cached_property
     def d_r(self) -> int:
-        """min wt(K \\ R), exact: from the syndrome space of R where that is
-        small enough, else by search to full length (`_coset_distance`)."""
+        """min wt(K \\ R), exact (`_coset_distance` to full length): a search
+        over the low weights, and the syndrome space of R past them where
+        that is cheaper."""
         return _coset_distance(self.k, self.r, _field_letters(self.p)).value
 
     @cached_property
@@ -72,37 +74,35 @@ class ClassicalCode:
         """(slots, leaders): slot i, the syndrome of `_index` i, has the coset
         leader leaders[slots[i]], or none of weight below d_R/2 if slots[i] = -1.
 
-        One recursion over all p^m syndromes of F (`_syndrome_leaders`), with
-        `_fill`'s rule: least weight, then lexicographically least. None above
-        _TABLE_LIMIT cells, the p^m * n * (p - 1) (syndrome, site, letter)
-        steps of the recursion.
+        The least weight wins, then the lexicographically least. Built by one
+        recursion over all p^m syndromes of F (`_syndrome_leaders`) where that
+        costs less than enumerating up to weight (d_R - 1) // 2 (the
+        `_enumeration_reach` falls short of it), else by `_fill` over every
+        syndrome; None above _TABLE_LIMIT syndromes.
         """
-        if int(self.p) ** self.f.shape[0] * self.n * (self.p - 1) > _TABLE_LIMIT:
+        m, top = self.f.shape[0], (self.d_r - 1) // 2
+        n_syndromes = int(self.p) ** m
+        if n_syndromes > _TABLE_LIMIT:
             return None
-        return _syndrome_leaders(self.f, _field_letters(self.p), self.p, (self.d_r - 1) // 2)
+        if _enumeration_reach(self.p, m, self.n, self.p - 1, top) < min(top, m):
+            return _syndrome_leaders(self.f, _field_letters(self.p), self.p, top)
+        return self._fill(lambda batch: self._index(self.syndrome(batch)), n_syndromes)
 
-    def _fill(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(slots, leaders) for distinct syndrome rows `wanted`: row s has the
-        coset leader leaders[slots[s]], or none of weight below d_R/2 if
-        slots[s] = -1.
+    def _fill(self, slot_of, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, leaders): slot s has the coset leader leaders[slots[s]], or
+        none of weight below d_R/2 if slots[s] = -1.
 
-        One enumeration fills every row, from w = 0 (the zero vector) up; the
-        least weight wins, and within a weight the lexicographically least.
-        Syndromes are matched by value, so no base-p index can overflow.
+        `slot_of` maps a batch of vectors to one slot per row, -1 where no
+        slot wants the row. The least weight wins, from w = 0 (the zero row)
+        up; within a weight, the lexicographically least.
         """
-        n_wanted = len(wanted)
-        slots = np.full(n_wanted, -1, dtype=np.int64)
+        slots = np.full(n_slots, -1, dtype=np.int64)
         leaders = np.zeros((0, self.n), dtype=np.int64)
         for w in range((self.d_r - 1) // 2 + 1):
             # The layer's best so far per slot empty below it, merged by one sort.
             best, best_slot = leaders[:0], slots[:0]
             for batch in _weight_batches(_field_letters(self.p), self.n, w):
-                keys, key = np.unique(
-                    np.vstack([wanted, self.syndrome(batch)]), axis=0, return_inverse=True
-                )
-                slot_of_key = np.full(len(keys), -1, dtype=np.int64)
-                slot_of_key[key[:n_wanted]] = np.arange(n_wanted)
-                slot = slot_of_key[key[n_wanted:]]
+                slot = slot_of(batch)
                 empty = slot >= 0
                 empty[empty] = slots[slot[empty]] < 0
                 rows = np.vstack([best, batch[empty]])
@@ -112,13 +112,14 @@ class ClassicalCode:
                 best = rows[order[first]]
             slots[best_slot] = len(leaders) + np.arange(len(best))
             leaders = np.vstack([leaders, best])
-            if len(leaders) == n_wanted:
+            if len(leaders) == n_slots:
                 break
         return slots, leaders
 
     def _index(self, syns: np.ndarray) -> np.ndarray:
-        """Each syndrome row read as a little-endian base-p number."""
-        return syns @ self.p ** np.arange(self.f.shape[0], dtype=np.int64)
+        """Each syndrome row read as a big-endian base-p number: its flat index
+        in the (p,)*m grid of `_syndrome_leaders`."""
+        return syns @ self.p ** np.arange(self.f.shape[0] - 1, -1, -1, dtype=np.int64)
 
     @cached_property
     def _in_image(self):
@@ -138,8 +139,19 @@ class ClassicalCode:
             slots, leaders = table
             slot = slots[self._index(syns)]
         else:
+            # One slot per distinct syndrome, all filled by one enumeration;
+            # rows are matched by value, so no base-p index can overflow.
             wanted, inverse = np.unique(syns, axis=0, return_inverse=True)
-            slots, leaders = self._fill(wanted)
+
+            def slot_of(batch):
+                keys, key = np.unique(
+                    np.vstack([wanted, self.syndrome(batch)]), axis=0, return_inverse=True
+                )
+                slot_of_key = np.full(len(keys), -1, dtype=np.int64)
+                slot_of_key[key[: len(wanted)]] = np.arange(len(wanted))
+                return slot_of_key[key[len(wanted) :]]
+
+            slots, leaders = self._fill(slot_of, len(wanted))
             slot = slots[inverse]
         found = slot >= 0
         rows = np.zeros((len(syns), self.n), dtype=np.int64)

@@ -25,7 +25,7 @@ from subcss.code import (
     _BATCH_ROWS,
     DistanceResult,
     _coset_distance,
-    _engine_pays,
+    _enumeration_reach,
     _field_letters,
     _site_values,
     _weight_batches,
@@ -410,13 +410,18 @@ def test_is_css_runs_one_echelon(monkeypatch):
 # Syndrome engine ---------------------------------------------------------------
 
 
+# The enumeration's reach forced to nothing (the syndrome engine answers every
+# weight), then to the whole budget (the engine never runs), then left alone.
+_REACHES = (lambda *args: 0, lambda p, m, n, n_letters, budget: budget, _enumeration_reach)
+
+
 def _engine_and_search(big, small, letters, budget):
-    """`_coset_distance` with the syndrome engine forced on, then off; None
-    where it raises NoLogicalOperators."""
+    """`_coset_distance` at each of `_REACHES`; None where it raises
+    NoLogicalOperators."""
     results = []
-    for pays in (True, False):
+    for reach in _REACHES:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(code_module, "_engine_pays", lambda *args: pays)
+            mp.setattr(code_module, "_enumeration_reach", reach)
             try:
                 results.append(_coset_distance(big, small, letters, budget))
             except NoLogicalOperators:
@@ -430,8 +435,8 @@ def test_engine_matches_the_search_on_both_css_sides(split):
     letters = _field_letters(split.p)
     for big, small in ((split.logical_x, split.h_x), (split.logical_z, split.h_z)):
         for budget in range(split.n + 1):
-            engine, search = _engine_and_search(big, small, letters, budget)
-            assert engine == search
+            engine, search, mixed = _engine_and_search(big, small, letters, budget)
+            assert engine == search == mixed
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,10 +445,10 @@ def test_engine_matches_the_search_on_symplectic_weight(code):
     # Also through `distance`, CSS codes included, against the reference search.
     letters = _site_values(code.p)
     for budget in range(code.n + 1):
-        engine, search = _engine_and_search(code.centralizer, code.gauge, letters, budget)
-        assert engine == search
+        engine, search, mixed = _engine_and_search(code.centralizer, code.gauge, letters, budget)
+        assert engine == search == mixed
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(code_module, "_engine_pays", lambda *args: True)
+            mp.setattr(code_module, "_enumeration_reach", _REACHES[0])
             if search is None:
                 with pytest.raises(NoLogicalOperators):
                     code.distance(budget)
@@ -451,17 +456,39 @@ def test_engine_matches_the_search_on_symplectic_weight(code):
                 assert code.distance(budget) == symplectic_distance(code, budget) == search
 
 
-def test_engine_gate_reads_only_sizes():
-    # Bacon-Shor 3, one side, at budget 1: 2^3 * 9 cells against 1 + 9 vectors.
-    assert not _engine_pays(2, 3, 9, 1, 1)
-    # Qudit Bacon-Shor (5, 3), budget 2: 5^3 * 9 * 4 cells against 613 vectors.
-    assert not _engine_pays(5, 3, 9, 4, 2)
-    assert _engine_pays(5, 3, 9, 4, 9)
-    # The enumeration never passes weight m, whatever the budget.
-    assert _engine_pays(2, 5, 25, 1, 3) and not _engine_pays(2, 1, 25, 1, 25)
+def test_enumeration_reach_reads_only_sizes():
+    # Bacon-Shor 3, one side, at budget 1: 9 * 10 listed sites against the
+    # recursion's 9 * (2^3 + 3 * 2^2) cells; the enumeration answers alone.
+    assert _enumeration_reach(2, 3, 9, 1, 1) == 1
+    # Qudit Bacon-Shor (5, 3): 613 vectors up to weight 2 go first; past them
+    # the recursion's 36 * (5^3 + 3 * 5^2) cells answer.
+    assert _enumeration_reach(5, 3, 9, 4, 2) == 2
+    assert _enumeration_reach(5, 3, 9, 4, 9) == 2
+    # Never past weight m, whatever the budget; at m = 1 the recursion answers all.
+    assert _enumeration_reach(2, 5, 25, 1, 3) == 1
+    assert _enumeration_reach(2, 1, 25, 1, 25) == 0
     # Past gf.ROW_LIMIT syndromes, and past int64 (65521^5 > 2^63), it never runs.
-    assert not _engine_pays(2, 21, 100, 1, 100)
-    assert not _engine_pays(65521, 5, 6, 65520, 6)
+    assert _enumeration_reach(2, 21, 100, 1, 100) == 21
+    assert _enumeration_reach(65521, 5, 6, 65520, 6) == 5
+    # Symplectic letters at p = 1021 on 3 sites, m = 2: the 3 (p^2 - 1)
+    # vectors of weight 1 go before 3 (p^2 - 1) gathers of p^2 cells.
+    p = 1021
+    assert _enumeration_reach(p, 2, 3, p**2 - 1, 3) == 1
+
+
+def test_weight_one_logicals_never_wait_for_the_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("syndrome engine ran")
+
+    monkeypatch.setattr(code_module, "_syndrome_weights", refuse)
+    # A non-CSS code at p = 1021, n = 3, dim H = 4, so m = 2: Z on the first
+    # site is a logical, in the first batch of weight 1. The recursion would
+    # take 3 (p^2 - 1) gathers of p^2 cells.
+    p = 1021
+    x, z = np.eye(6, dtype=np.int64)[:3], np.eye(6, dtype=np.int64)[3:]
+    gauge = Subspace.span([x[1], z[1], x[2] + z[2], z[0] + x[2]], p, 6)
+    assert not SubsystemCode(p, 3, gauge).is_css()
+    assert SubsystemCode(p, 3, gauge).distance() == DistanceResult(1, True)
 
 
 def test_syndrome_spaces_beyond_int64_take_the_search(monkeypatch):

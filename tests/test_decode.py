@@ -29,7 +29,7 @@ from subcss import (
     steane_recover,
     syndrome_of,
 )
-from subcss.code import DistanceResult, _digits, _weight_batches
+from subcss.code import DistanceResult, _field_letters, _syndrome_leaders, _weight_batches
 from subcss.decode import _decoder_pair, _recover, make_css_decoder
 
 from conftest import brute_force_recover, css_splits, random_subspace, subspaces
@@ -142,12 +142,10 @@ def test_batched_leaders_enumerate_each_weight_once(monkeypatch):
 
 
 def _assert_table_matches_fill(side):
-    """The leader table of every syndrome against the batched fill of them all."""
-    slots, leaders = side._leader_table
-    # Row i of the digits is the syndrome of `_index` i.
-    wanted, inverse = np.unique(_digits(side.p, side.f.shape[0]), axis=0, return_inverse=True)
-    fill_slots, fill_leaders = side._fill(wanted)
-    fill_slots = fill_slots[inverse]
+    """The leader table of the syndrome recursion against `_fill` over every
+    syndrome, slot i being the syndrome of `_index` i in both."""
+    slots, leaders = _syndrome_leaders(side.f, _field_letters(side.p), side.p, (side.d_r - 1) // 2)
+    fill_slots, fill_leaders = side._fill(lambda batch: side._index(side.syndrome(batch)), slots.size)
     assert np.array_equal(slots >= 0, fill_slots >= 0)
     kept = slots >= 0
     assert np.array_equal(leaders[slots[kept]], fill_leaders[fill_slots[kept]])
@@ -170,6 +168,31 @@ def test_leader_table_matches_the_fill(split):
     for side in make_css_decoder(split):
         if side.k != side.r:
             _assert_table_matches_fill(side)
+
+
+def test_bacon_shor10_table_comes_from_the_recursion(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("leader table enumerated")
+
+    monkeypatch.setattr(ClassicalCode, "_fill", refuse)
+    x_side = make_css_decoder(bacon_shor(10).css_split())[0]
+    slots, leaders = x_side._leader_table
+    assert slots.size == 2**9 and np.count_nonzero(leaders, axis=1).max() == 4
+
+
+def test_leader_table_wherever_the_syndromes_fit():
+    # F = [I_6 | 1] over F_7: 7^6 syndromes, a table however many sites and
+    # letters; K is spanned by (1, ..., 1, -1), so d_R = 7.
+    f = np.hstack([np.eye(6, dtype=np.int64), np.ones((6, 1), dtype=np.int64)])
+    code = ClassicalCode(f, Subspace.zero(7, 7))
+    assert code.d_r == 7
+    slots, leaders = code._leader_table
+    assert slots.size == 7**6
+    error = np.array([0, 3, 0, 0, 5, 0, 0])
+    assert np.array_equal(code.decode_coset(code.syndrome(error)), error)
+    # Weight 4 is beyond d_R / 2, but its coset holds one vector of weight 3.
+    leader = code.decode_coset(code.syndrome([1, 1, 1, 1, 0, 0, 0]))
+    assert np.array_equal(leader, [0, 0, 0, 0, 6, 6, 1])
 
 
 @settings(max_examples=25, deadline=None)

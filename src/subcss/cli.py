@@ -161,6 +161,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    sampling = {"--q": args.q, "--trials": args.trials, "--seed": args.mc_seed}
+    given = [flag for flag, value in sampling.items() if value is not None]
+    if args.exhaustive_weight is not None and given:
+        raise ValueError(f"sampling options ({', '.join(given)}) do nothing with --exhaustive-weight")
     if args.code is not None and args.code_opt is not None:
         raise ValueError("give the code once: positional or --code, not both")
     spec = args.code if args.code is not None else args.code_opt
@@ -182,7 +186,10 @@ def cmd_decode(args) -> int:
                 raise InfeasibleRequest(f"sweep of {errors} errors exceeds {gf.ROW_LIMIT}")
             rows = [(w, decode.exhaustive_sweep(split, w)) for w in weights]
         else:
-            rows = [(args.q, decode.monte_carlo(split, args.q, args.trials, args.mc_seed).counts)]
+            q = 0.01 if args.q is None else args.q
+            trials = 1000 if args.trials is None else args.trials
+            seed = 0 if args.mc_seed is None else args.mc_seed
+            rows = [(q, decode.monte_carlo(split, q, trials, seed).counts)]
     except NoLogicalOperators as exc:
         # k = 0: neither classical code has a distance to decode up to.
         raise InfeasibleRequest(f"nothing to decode: {exc}") from exc
@@ -282,9 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dim", type=int, default=None)
     s.add_argument("--code-seed", dest="seed", type=int, default=None,
                    help="seed for builtin:random")
-    s.add_argument("--q", type=float, default=0.01, help="per-site error probability")
-    s.add_argument("--trials", type=int, default=1000)
-    s.add_argument("--seed", dest="mc_seed", type=int, default=0, help="sampling seed")
+    s.add_argument("--q", type=float, default=None,
+                   help="per-site error probability (sampling; default 0.01)")
+    s.add_argument("--trials", type=int, default=None, help="sampled trials (default 1000)")
+    s.add_argument("--seed", dest="mc_seed", type=int, default=None,
+                   help="sampling seed (default 0)")
     s.add_argument(
         "--exhaustive-weight",
         type=int,

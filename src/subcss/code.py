@@ -14,6 +14,7 @@ one recursion gives the least weight of every syndrome, and every coset
 leader (`_syndrome_weights`). An enumerator of the vectors of weight exactly
 w searches the low weights first, while that is cheaper than the recursion
 (`_enumeration_reach`), and all of them where the recursion is too costly.
+`_coset_leaders` alone sizes, lays out and builds a coset-leader table.
 """
 
 from __future__ import annotations
@@ -231,6 +232,9 @@ def _coset_distance(
     `_enumeration_reach`, then the syndrome weights; the bound budget + 1 if it
     exceeds `budget` (default n, the sites of `letters`' layout).
 
+    No distance exceeds m, the rows of small's check matrix (see
+    `_enumeration_reach`): nothing up to m - 1 means d = m, with no recursion.
+
     Raises NoLogicalOperators if big == small, ValueError for a negative budget.
     """
     if big == small:
@@ -243,13 +247,14 @@ def _coset_distance(
     found = _coset_search(big, small, letters, reach)
     if found:
         d = found[0]
-    elif reach < min(budget, m):
+    elif reach >= min(budget, m - 1):
+        # Nothing up to the reach: d = m past m - 1, else d is past the budget.
+        d = min(m, budget + 1)
+    else:
         # big \ small has the syndromes F(big) \ {0}.
         image = _span_grid(Subspace.span(big.basis @ check.T, p, m).basis, p, m)
         image[(0,) * m] = False
-        d = int(_syndrome_weights(check, letters, p)[0][image].min())
-    else:
-        d = budget + 1
+        d = int(_syndrome_weights(_letter_syndromes(check, letters, p), p)[0][image].min())
     return DistanceResult(d, True) if d <= budget else DistanceResult(budget + 1, False)
 
 
@@ -289,8 +294,9 @@ def _enumeration_reach(p: int, m: int, n: int, n_letters: int, budget: int) -> i
     """The weight up to which the enumeration lists vectors before
     `_syndrome_weights` answers the rest, for p^m syndromes, n sites and
     `n_letters` letters: the largest w <= min(budget, m) whose vectors, all
-    weights up to w, cost no more than the recursion. At min(budget, m) the
-    recursion never runs, as above `gf.ROW_LIMIT` syndromes.
+    weights up to w, cost no more than the recursion. At min(budget, m) a
+    distance needs no recursion, as above `gf.ROW_LIMIT` syndromes, nor at
+    m - 1 below the budget.
 
     No answer lies past weight m: a full-rank check matrix has m independent
     columns, so every syndrome has a preimage of weight at most m. The
@@ -312,17 +318,23 @@ def _enumeration_reach(p: int, m: int, n: int, n_letters: int, budget: int) -> i
     return top
 
 
+def _grid_index(syns: np.ndarray, p: int) -> np.ndarray:
+    """Each syndrome row's flat index in the (p,)*m grid: C order, the row read
+    big-endian base p. The unit rows np.eye(m) give the place values."""
+    return syns @ int(p) ** np.arange(syns.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
 def _translator(p: int, m: int):
     """translate(grid, c) = grid[s - c] for every syndrome s of a (p,)*m grid.
 
     The grid is seen as a matrix whose row (column) index is the first m // 2
-    (the other) coordinates of s, read big-endian base p. Translating s by -c
+    (the other) coordinates of s, read as by `_grid_index`. Translating s by -c
     moves rows and columns separately: two index maps of at most p^ceil(m/2)
     entries, built per call, and one gather.
     """
     halves = []
     for part in (slice(0, m // 2), slice(m // 2, m)):
-        place = p ** np.arange(part.stop - part.start - 1, -1, -1, dtype=np.int64)
+        place = _grid_index(np.eye(part.stop - part.start, dtype=np.int64), p)
         digits = np.arange(p ** len(place), dtype=np.int64)[:, None] // place % p
         halves.append((part, digits, place))
 
@@ -354,11 +366,11 @@ def _letter_syndromes(check: np.ndarray, letters: np.ndarray, p: int) -> np.ndar
 
 
 def _syndrome_weights(
-    check: np.ndarray, letters: np.ndarray, p: int, keep_letters: bool = False
+    shifts: np.ndarray, p: int, keep_letters: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(W, won): W[s] is the least weight over `letters` of a v with
-    check @ v = s, for every syndrome s of the (p,)*m grid; n + 1 where there
-    is no such v.
+    """(W, won) for the letter syndromes `shifts` of `_letter_syndromes`: W[s]
+    is the least weight over the letters of a v with syndrome s, for every
+    syndrome s of the (p,)*m grid; n + 1 where there is no such v.
 
     One recursion over the sites, last to first, starting from W(0) = 0:
     W_j(s) = min(W_{j+1}(s), min_x W_{j+1}(s - x.F_j) + 1) over the letters x,
@@ -366,12 +378,11 @@ def _syndrome_weights(
     the winning letter on site j (1-based, 0 for none); the comparison is
     strict, so no letter and then earlier letters win ties. Else won is None.
     """
-    shifts = _letter_syndromes(check, letters, p)
-    n, m = len(shifts), check.shape[0]
+    n, n_letters, m = shifts.shape
     translate = _translator(p, m)
     weights = np.full((p,) * m, n + 1, dtype=np.min_scalar_type(n + 2))
     weights[(0,) * m] = 0
-    won = np.zeros((n, *weights.shape), np.min_scalar_type(len(letters))) if keep_letters else None
+    won = np.zeros((n, *weights.shape), np.min_scalar_type(n_letters)) if keep_letters else None
     for j in reversed(range(n)):
         best = weights.copy()
         for x, shift in enumerate(shifts[j], start=1):
@@ -384,33 +395,74 @@ def _syndrome_weights(
     return weights, won
 
 
+def _coset_leaders(
+    check: np.ndarray, letters: np.ndarray, p: int, top: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(slots, leaders): the syndrome of `_grid_index` i has the coset leader
+    leaders[slots[i]] if its weight is at most `top`, else slots[i] = -1;
+    None above `gf.ROW_LIMIT` syndromes. The leader of s is the least-weight,
+    then lexicographically least, v over `letters` with check @ v = s; leaders
+    come in order of weight, then index, in the least dtype holding p - 1.
+    The recursion builds it where the `_enumeration_reach` falls short of
+    `top`, else the enumeration does."""
+    m, n = check.shape[0], check.shape[1] // letters.shape[1]
+    size = int(p) ** m
+    if size > gf.ROW_LIMIT:
+        return None
+    if _enumeration_reach(p, m, n, len(letters), top) < min(top, m):
+        return _syndrome_leaders(check, letters, p, top)
+    return _enumerated_leaders(check, letters, p, top, lambda syns: _grid_index(syns, p), size)
+
+
 def _syndrome_leaders(
     check: np.ndarray, letters: np.ndarray, p: int, top: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(slots, leaders): the syndrome at flat index i of the (p,)*m grid (its
-    coordinates read big-endian base p) has the coset leader leaders[slots[i]]
-    if its weight is at most `top`, else slots[i] = -1.
-
-    The leader is the least-weight, then lexicographically least, v with
-    check @ v = s: the letters `_syndrome_weights` kept, walked from the first
-    site on. Leaders come in order of weight, then index.
-    """
-    weights, won = _syndrome_weights(check, letters, p, keep_letters=True)
+    """The `_coset_leaders` table from the letters `_syndrome_weights` kept,
+    walked from the first site on."""
     shifts = _letter_syndromes(check, letters, p)
+    weights, won = _syndrome_weights(shifts, p, keep_letters=True)
     (n, _, m), b = shifts.shape, letters.shape[1]
     weights, won = weights.ravel(), won.reshape(n, -1)
     order = np.argsort(weights, kind="stable")
     kept = order[weights[order] <= top]
     slots = np.full(weights.size, -1, dtype=np.int64)
     slots[kept] = np.arange(len(kept))
-    leaders = np.zeros((len(kept), b * n), dtype=np.int64)
-    values = np.vstack([np.zeros((1, b), dtype=np.int64), letters])
-    place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    leaders = np.zeros((len(kept), b * n), dtype=np.min_scalar_type(p - 1))
+    values = np.vstack([np.zeros((1, b), dtype=np.int64), letters]).astype(leaders.dtype)
+    place = _grid_index(np.eye(m, dtype=np.int64), p)
     syn = kept[:, None] // place % p
     for j in range(n):
         x = won[j, syn @ place]
         leaders[:, j + n * np.arange(b)] = values[x]
         syn = (syn - np.vstack([np.zeros((1, m), dtype=np.int64), shifts[j]])[x]) % p
+    return slots, leaders
+
+
+def _enumerated_leaders(
+    check: np.ndarray, letters: np.ndarray, p: int, top: int, slot_of, n_slots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The `_coset_leaders` table of `n_slots` slots by enumerating weights 0 to
+    `top`: `slot_of` maps a batch of syndromes to one slot per row, -1 where no
+    slot wants the row; the least weight, then least row, fills a slot."""
+    n = check.shape[1] // letters.shape[1]
+    slots = np.full(n_slots, -1, dtype=np.int64)
+    leaders = np.zeros((0, check.shape[1]), dtype=np.min_scalar_type(p - 1))
+    for w in range(top + 1):
+        # The layer's best so far per slot empty below it, merged by one sort.
+        best, best_slot = leaders[:0], slots[:0]
+        for batch in _weight_batches(letters, n, w):
+            slot = slot_of(batch @ check.T % p)
+            empty = slot >= 0
+            empty[empty] = slots[slot[empty]] < 0
+            rows = np.vstack([best, batch[empty]])
+            slot = np.concatenate([best_slot, slot[empty]])
+            order = np.lexsort(np.vstack([rows.T[::-1], slot]))
+            best_slot, first = np.unique(slot[order], return_index=True)
+            best = rows[order[first]]
+        slots[best_slot] = len(leaders) + np.arange(len(best))
+        leaders = np.vstack([leaders, best.astype(leaders.dtype)])
+        if len(leaders) == n_slots:
+            break
     return slots, leaders
 
 

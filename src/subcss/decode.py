@@ -20,17 +20,16 @@ from . import code as _code
 from .code import (
     CssSplit,
     _coset_distance,
-    _enumeration_reach,
+    _coset_leaders,
+    _enumerated_leaders,
     _field_letters,
+    _grid_index,
     _membership_checker,
     _site_values,
-    _syndrome_leaders,
     _weight_batches,
 )
 from .gf import Subspace, fp_array, kernel, pivot_columns
 from .pauli import PauliVector
-
-_TABLE_LIMIT = 1 << 20
 
 
 class InconsistentSyndrome(Exception):
@@ -47,6 +46,9 @@ class ClassicalCode:
     Decoding succeeds "up to R": the decoder returns a representative of
     the error's R-coset whenever the coset contains a vector of weight
     below half the distance min wt(K \\ R).
+
+    It only looks leaders up: in `code._coset_leaders`' table of F, or in a
+    batch's own one where F has too many syndromes for a table.
     """
 
     def __init__(self, f: np.ndarray, r: Subspace):
@@ -71,55 +73,9 @@ class ClassicalCode:
 
     @cached_property
     def _leader_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(slots, leaders): slot i, the syndrome of `_index` i, has the coset
-        leader leaders[slots[i]], or none of weight below d_R/2 if slots[i] = -1.
-
-        The least weight wins, then the lexicographically least. Built by one
-        recursion over all p^m syndromes of F (`_syndrome_leaders`) where that
-        costs less than enumerating up to weight (d_R - 1) // 2 (the
-        `_enumeration_reach` falls short of it), else by `_fill` over every
-        syndrome; None above _TABLE_LIMIT syndromes.
-        """
-        m, top = self.f.shape[0], (self.d_r - 1) // 2
-        n_syndromes = int(self.p) ** m
-        if n_syndromes > _TABLE_LIMIT:
-            return None
-        if _enumeration_reach(self.p, m, self.n, self.p - 1, top) < min(top, m):
-            return _syndrome_leaders(self.f, _field_letters(self.p), self.p, top)
-        return self._fill(lambda batch: self._index(self.syndrome(batch)), n_syndromes)
-
-    def _fill(self, slot_of, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
-        """(slots, leaders): slot s has the coset leader leaders[slots[s]], or
-        none of weight below d_R/2 if slots[s] = -1.
-
-        `slot_of` maps a batch of vectors to one slot per row, -1 where no
-        slot wants the row. The least weight wins, from w = 0 (the zero row)
-        up; within a weight, the lexicographically least.
-        """
-        slots = np.full(n_slots, -1, dtype=np.int64)
-        leaders = np.zeros((0, self.n), dtype=np.int64)
-        for w in range((self.d_r - 1) // 2 + 1):
-            # The layer's best so far per slot empty below it, merged by one sort.
-            best, best_slot = leaders[:0], slots[:0]
-            for batch in _weight_batches(_field_letters(self.p), self.n, w):
-                slot = slot_of(batch)
-                empty = slot >= 0
-                empty[empty] = slots[slot[empty]] < 0
-                rows = np.vstack([best, batch[empty]])
-                slot = np.concatenate([best_slot, slot[empty]])
-                order = np.lexsort(np.vstack([rows.T[::-1], slot]))
-                best_slot, first = np.unique(slot[order], return_index=True)
-                best = rows[order[first]]
-            slots[best_slot] = len(leaders) + np.arange(len(best))
-            leaders = np.vstack([leaders, best])
-            if len(leaders) == n_slots:
-                break
-        return slots, leaders
-
-    def _index(self, syns: np.ndarray) -> np.ndarray:
-        """Each syndrome row read as a big-endian base-p number: its flat index
-        in the (p,)*m grid of `_syndrome_leaders`."""
-        return syns @ self.p ** np.arange(self.f.shape[0] - 1, -1, -1, dtype=np.int64)
+        """(slots, leaders): the `_coset_leaders` table of F's syndromes up to
+        weight (d_R - 1) // 2; None above `gf.ROW_LIMIT` syndromes."""
+        return _coset_leaders(self.f, _field_letters(self.p), self.p, (self.d_r - 1) // 2)
 
     @cached_property
     def _in_image(self):
@@ -137,21 +93,20 @@ class ClassicalCode:
         table = self._leader_table
         if table is not None:
             slots, leaders = table
-            slot = slots[self._index(syns)]
+            slot = slots[_grid_index(syns, self.p)]
         else:
             # One slot per distinct syndrome, all filled by one enumeration;
             # rows are matched by value, so no base-p index can overflow.
             wanted, inverse = np.unique(syns, axis=0, return_inverse=True)
 
-            def slot_of(batch):
-                keys, key = np.unique(
-                    np.vstack([wanted, self.syndrome(batch)]), axis=0, return_inverse=True
-                )
+            def slot_of(batch_syns):
+                keys, key = np.unique(np.vstack([wanted, batch_syns]), axis=0, return_inverse=True)
                 slot_of_key = np.full(len(keys), -1, dtype=np.int64)
                 slot_of_key[key[: len(wanted)]] = np.arange(len(wanted))
                 return slot_of_key[key[len(wanted) :]]
 
-            slots, leaders = self._fill(slot_of, len(wanted))
+            letters, top = _field_letters(self.p), (self.d_r - 1) // 2
+            slots, leaders = _enumerated_leaders(self.f, letters, self.p, top, slot_of, len(wanted))
             slot = slots[inverse]
         found = slot >= 0
         rows = np.zeros((len(syns), self.n), dtype=np.int64)

@@ -13,7 +13,7 @@ Not part of the test suite (the file name does not match `test_*.py`). Run:
 import numpy as np
 import pytest
 
-from subcss import ClassicalCode, Subspace, bacon_shor, decode, monte_carlo, par_decoder_build
+from subcss import ClassicalCode, Subspace, bacon_shor, monte_carlo, par_decoder_build
 from subcss.decode import _decoder_pair, make_css_decoder
 
 
@@ -65,7 +65,8 @@ def test_monte_carlo_bacon_shor4(benchmark):
 
 def test_monte_carlo_bacon_shor5_without_table(benchmark, monkeypatch):
     # Every chunk of trials fills its distinct syndromes in one enumeration.
-    monkeypatch.setattr(decode, "_TABLE_LIMIT", 0)
+    monkeypatch.setattr(ClassicalCode, "_leader_table", None)
+    _decoder_pair.cache_clear()
     split = bacon_shor(5).css_split()
     _decode_trials(benchmark, split, 5000)
     assert all(side._leader_table is None for side in _decoder_pair(split))

@@ -280,8 +280,10 @@ def test_decode_without_logical_operators_is_infeasible(capsys, options):
 
 
 def test_decode_sweep_without_the_leader_table(capsys, monkeypatch):
-    # The sweep guard does not depend on the leader table's size limit.
-    monkeypatch.setattr(decode, "_TABLE_LIMIT", 0)
+    # The sweep guard does not depend on the leader table: with the table off,
+    # every batch of errors fills its own leaders, as above gf.ROW_LIMIT syndromes.
+    monkeypatch.setattr(decode.ClassicalCode, "_leader_table", None)
+    decode._decoder_pair.cache_clear()
     code, out, err = run(capsys, "decode", "builtin:bacon_shor", "--l", "3",
                          "--exhaustive-weight", "2")
     golden = Path(__file__).parent / "golden" / "decode_exhaustive2_bacon_shor3.txt"
@@ -290,13 +292,22 @@ def test_decode_sweep_without_the_leader_table(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "bad",
-    [["--q", "1.5"], ["--trials", "0"], ["--exhaustive-weight", "0"], ["--exhaustive-weight", "-3"]],
+    [
+        ["--q", "1.5"],
+        ["--trials", "0"],
+        ["--exhaustive-weight", "0"],
+        ["--exhaustive-weight", "-3"],
+        # A sweep draws no samples, so the sampling options would do nothing.
+        ["--exhaustive-weight", "2", "--q", "0.01"],
+        ["--exhaustive-weight", "2", "--trials", "10"],
+        ["--exhaustive-weight", "2", "--seed", "5"],
+    ],
 )
 def test_decode_rejects_bad_sampling_options_before_output(capsys, bad):
     code, out, err = run(capsys, "decode", "builtin:bacon_shor", "--l", "3", *bad)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_modulus_bound_at_input(tmp_path, capsys):

@@ -25,6 +25,7 @@ from subcss.code import (
     _BATCH_ROWS,
     DistanceResult,
     _coset_distance,
+    _coset_search,
     _enumeration_reach,
     _field_letters,
     _site_values,
@@ -36,6 +37,7 @@ from conftest import (
     css_splits,
     gauge_codes,
     kernel_sum_is_css,
+    qudit_bacon_shor,
     random_gauge_code,
     reference_goursat_spaces,
     symplectic_distance,
@@ -503,3 +505,54 @@ def test_syndrome_spaces_beyond_int64_take_the_search(monkeypatch):
     assert p**4 > 2**63
     one = DistanceResult(1, True)
     assert css_distances(split) == (one, one, one)
+
+
+def _search_distance(big, small, letters, budget):
+    """Reference: the weight-increasing search alone, or the bound budget + 1."""
+    found = _coset_search(big, small, letters, budget)
+    return DistanceResult(found[0], True) if found else DistanceResult(budget + 1, False)
+
+
+def _refuse_the_recursion(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recursion ran")
+
+    monkeypatch.setattr(code_module, "_syndrome_weights", refuse)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_distance_m_needs_no_recursion(monkeypatch, p):
+    # Qudit Bacon-Shor 3: each side has m = 3 check rows and d = 3; the
+    # enumeration reaches weight 2, and no distance exceeds m.
+    split = qudit_bacon_shor(p, 3).css_split()
+    _refuse_the_recursion(monkeypatch)
+    three = DistanceResult(3, True)
+    assert css_distances(split) == (three, three, three)
+    letters = _field_letters(p)
+    for big, small in ((split.logical_x, split.h_x), (split.logical_z, split.h_z)):
+        for budget in range(split.n + 1):
+            assert _coset_distance(big, small, letters, budget) == _search_distance(
+                big, small, letters, budget
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=3), css_splits(primes=(2, 3, 5), max_n=4))
+def test_distance_past_reach_m_minus_1_is_m(code, split):
+    # With the enumeration's reach at m - 1 the recursion never runs, and every
+    # budget gives the search's value, on symplectic weight and on CSS sides.
+    letters = _field_letters(split.p)
+    cases = [
+        (code.centralizer, code.gauge, _site_values(code.p)),
+        (split.logical_x, split.h_x, letters),
+        (split.logical_z, split.h_z, letters),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_the_recursion(mp)
+        mp.setattr(code_module, "_enumeration_reach", lambda p, m, n, L, budget: min(budget, m - 1))
+        for big, small, letters in cases:
+            if big == small:
+                continue
+            for budget in range(big.ambient // letters.shape[1] + 1):
+                got = _coset_distance(big, small, letters, budget)
+                assert got == _search_distance(big, small, letters, budget)

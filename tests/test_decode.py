@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subcss import code as code_module
-from subcss import decode
 from subcss import (
     ClassicalCode,
     CssSplit,
@@ -29,7 +28,14 @@ from subcss import (
     steane_recover,
     syndrome_of,
 )
-from subcss.code import DistanceResult, _field_letters, _syndrome_leaders, _weight_batches
+from subcss.code import (
+    DistanceResult,
+    _enumerated_leaders,
+    _field_letters,
+    _grid_index,
+    _syndrome_leaders,
+    _weight_batches,
+)
 from subcss.decode import _decoder_pair, _recover, make_css_decoder
 
 from conftest import brute_force_recover, css_splits, random_subspace, subspaces
@@ -81,7 +87,7 @@ def test_out_of_range_syndrome(monkeypatch):
     assert code.d_r == 2
     assert code.decode_coset([1]) is None
     # Without the table the one queried syndrome is nonzero: no slot is filled.
-    monkeypatch.setattr(decode, "_TABLE_LIMIT", 0)
+    monkeypatch.setattr(ClassicalCode, "_leader_table", None)
     batched = ClassicalCode([[1, 1, 1, 1]], Subspace.zero(2, 4))
     assert batched._leader_table is None
     assert batched.decode_coset([1]) is None
@@ -113,6 +119,8 @@ def test_leaders_follow_the_one_rule(split):
             leaders.setdefault(tuple(side.syndrome(v).tolist()), v)
         syns = np.array(list(leaders), dtype=np.int64)
         rows, found = side._leaders(syns)
+        # Tables store leaders in the least dtype holding p - 1; lookups give int64.
+        assert rows.dtype == np.int64
         for syn, row, hit in zip(syns, rows, found):
             v = leaders[tuple(syn.tolist())]
             assert hit == (2 * np.count_nonzero(v) < side.d_r)
@@ -130,8 +138,7 @@ def test_batched_leaders_enumerate_each_weight_once(monkeypatch):
         weights.append(w)
         return _weight_batches(letters, n, w)
 
-    monkeypatch.setattr(decode, "_TABLE_LIMIT", 0)
-    monkeypatch.setattr(decode, "_weight_batches", counting)
+    monkeypatch.setattr(ClassicalCode, "_leader_table", None)
     monkeypatch.setattr(code_module, "_weight_batches", counting)
     # Errors of weight 1 and 2, each with a leader of its own weight.
     errors = np.vstack([np.eye(5, dtype=np.int64), 2 * np.eye(5, dtype=np.int64), [[1, 0, 2, 0, 0]]])
@@ -142,10 +149,15 @@ def test_batched_leaders_enumerate_each_weight_once(monkeypatch):
 
 
 def _assert_table_matches_fill(side):
-    """The leader table of the syndrome recursion against `_fill` over every
-    syndrome, slot i being the syndrome of `_index` i in both."""
-    slots, leaders = _syndrome_leaders(side.f, _field_letters(side.p), side.p, (side.d_r - 1) // 2)
-    fill_slots, fill_leaders = side._fill(lambda batch: side._index(side.syndrome(batch)), slots.size)
+    """The leader table of the syndrome recursion against the enumeration over
+    every syndrome, slot i being the syndrome of `_grid_index` i in both, each
+    table's entries in the least dtype that holds p - 1."""
+    p, letters, top = side.p, _field_letters(side.p), (side.d_r - 1) // 2
+    slots, leaders = _syndrome_leaders(side.f, letters, p, top)
+    fill_slots, fill_leaders = _enumerated_leaders(
+        side.f, letters, p, top, lambda syns: _grid_index(syns, p), slots.size
+    )
+    assert leaders.dtype == fill_leaders.dtype == np.min_scalar_type(p - 1)
     assert np.array_equal(slots >= 0, fill_slots >= 0)
     kept = slots >= 0
     assert np.array_equal(leaders[slots[kept]], fill_leaders[fill_slots[kept]])
@@ -174,10 +186,11 @@ def test_bacon_shor10_table_comes_from_the_recursion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("leader table enumerated")
 
-    monkeypatch.setattr(ClassicalCode, "_fill", refuse)
+    monkeypatch.setattr(code_module, "_enumerated_leaders", refuse)
     x_side = make_css_decoder(bacon_shor(10).css_split())[0]
     slots, leaders = x_side._leader_table
     assert slots.size == 2**9 and np.count_nonzero(leaders, axis=1).max() == 4
+    assert leaders.dtype == np.uint8
 
 
 def test_leader_table_wherever_the_syndromes_fit():
@@ -187,7 +200,7 @@ def test_leader_table_wherever_the_syndromes_fit():
     code = ClassicalCode(f, Subspace.zero(7, 7))
     assert code.d_r == 7
     slots, leaders = code._leader_table
-    assert slots.size == 7**6
+    assert slots.size == 7**6 and leaders.dtype == np.uint8
     error = np.array([0, 3, 0, 0, 5, 0, 0])
     assert np.array_equal(code.decode_coset(code.syndrome(error)), error)
     # Weight 4 is beyond d_R / 2, but its coset holds one vector of weight 3.
@@ -220,7 +233,7 @@ def test_classical_code_beyond_int64_takes_the_search(monkeypatch):
         raise AssertionError("syndrome engine above its gate")
 
     monkeypatch.setattr(code_module, "_syndrome_weights", refuse)
-    monkeypatch.setattr(decode, "_syndrome_leaders", refuse)
+    monkeypatch.setattr(code_module, "_syndrome_leaders", refuse)
     p = 65521
     # K = <e_5> and R = 0: p^6 syndromes of R for d_R, p^5 of F for the table.
     code = ClassicalCode(np.eye(5, 6, dtype=np.int64), Subspace.zero(p, 6))
@@ -359,7 +372,7 @@ def test_search_decoding_matches_table(rng, monkeypatch):
         answers = [(syn, side.decode_coset(syn)) for syn in syndromes]
         expected.append((batch, side._leaders(batch), answers))
         assert side._leader_table is not None
-    monkeypatch.setattr(decode, "_TABLE_LIMIT", 0)
+    monkeypatch.setattr(ClassicalCode, "_leader_table", None)
     nonzero = 0
     for side, (batch, (rows, found), answers) in zip(sides, expected):
         search = ClassicalCode(side.f, side.r)

@@ -16,6 +16,7 @@ from subcss import (
     SubsystemCode,
     kernel,
 )
+from subcss import code as code_module
 from subcss.code import _coset_search, _site_values
 from subcss.gf import fp_array
 
@@ -175,6 +176,25 @@ def brute_force_recover(split, ex, ez):
         for fx, fz, ix, iz in zip(found_x, found_z, in_x, in_z)
     ]
     return statuses, cx, cz
+
+
+def reference_sampled_errors(split, q, trials, seed):
+    """Reference Monte-Carlo sampler: one trial at a time, its site mask from
+    `rng.random(n) < q`, then one `rng.integers` letter per hit site.
+
+    Flattened errors in chunks of <= `code._BATCH_ROWS` rows. The package's
+    sampler draws differently, so its samples must match these only in
+    distribution.
+    """
+    n, vals = split.n, _site_values(split.p)
+    rng = np.random.default_rng(seed)
+    for lo in range(0, trials, code_module._BATCH_ROWS):
+        chunk = np.zeros((min(code_module._BATCH_ROWS, trials - lo), 2 * n), dtype=np.int64)
+        for row in chunk:
+            hit = np.nonzero(rng.random(n) < q)[0]
+            if hit.size:
+                row[hit], row[n + hit] = vals[rng.integers(0, len(vals), size=hit.size)].T
+        yield chunk
 
 
 @st.composite

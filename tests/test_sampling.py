@@ -1,0 +1,106 @@
+"""The Monte-Carlo sampler, checked in distribution against fixed bounds.
+
+Every test runs on the package's sampler (`decode._sampled_errors`) and on
+`reference_sampled_errors`, the one-trial-at-a-time sampler of earlier
+versions. The two draw different streams from one seed, so they are held
+to the same laws, not to the same samples: per-site hit rate q, letters
+uniform over the p^2 - 1 nontrivial single-site values, and Monte-Carlo
+failure counts within binomial bounds of each other. Seeds are fixed, and
+each bound is loose enough (5 standard deviations, or a chi-square tail
+of e^-16) that a correct sampler passes it on any seed.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from subcss import CssSplit, Subspace, bacon_shor, monte_carlo
+from subcss import decode
+from subcss.decode import _tally
+
+from conftest import qudit_bacon_shor, reference_sampled_errors
+
+SAMPLERS = [
+    pytest.param(decode._sampled_errors, id="package"),
+    pytest.param(reference_sampled_errors, id="reference"),
+]
+
+# Binomial counts pass within Z standard deviations of their mean.
+Z = 5.0
+
+
+def _sample(sampler, p, n, q, trials, seed):
+    """The sampler's errors on n sites at prime p, as one (trials, 2n) array."""
+    split = CssSplit(Subspace.zero(p, n), Subspace.zero(p, n))
+    return np.vstack(list(sampler(split, q, trials, seed)))
+
+
+def _hits(e, n):
+    return (e[:, :n] != 0) | (e[:, n:] != 0)
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("p, n, q, seed", [(2, 9, 0.05, 1), (3, 9, 0.1, 2), (5, 4, 0.3, 3)])
+def test_each_site_is_hit_with_probability_q(sampler, p, n, q, seed):
+    trials = 20_000
+    hits = _hits(_sample(sampler, p, n, q, trials, seed), n)
+    sd = math.sqrt(trials * q * (1 - q))
+    assert np.all(np.abs(hits.sum(axis=0) - trials * q) <= Z * sd)
+    # Sites are independent: a trial misses every site with probability (1 - q)^n.
+    clean = (1 - q) ** n
+    clean_sd = math.sqrt(trials * clean * (1 - clean))
+    assert abs(np.count_nonzero(~hits.any(axis=1)) - trials * clean) <= Z * clean_sd
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("p, seed", [(2, 4), (3, 5), (5, 6)])
+def test_hit_letters_are_uniform(sampler, p, seed):
+    n, m = 8, p * p - 1
+    e = _sample(sampler, p, n, 0.5, 6000, seed)
+    assert e.min() >= 0 and e.max() < p
+    # A hit site's letter (x, z) != (0, 0), read as the integer x p + z in 1 .. m.
+    letters = (e[:, :n] * p + e[:, n:])[_hits(e, n)]
+    counts = np.bincount(letters, minlength=p * p)[1:]
+    expected = letters.size / m
+    assert expected > 500
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    # Laurent-Massart: P(chi2_k >= k + 2 sqrt(k x) + 2 x) <= e^-x, here x = 16.
+    k = m - 1
+    assert chi2 <= k + 2 * math.sqrt(16 * k) + 32
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_q_one_hits_every_site_and_q_zero_none(sampler, p):
+    n, trials = 7, 500
+    every = _sample(sampler, p, n, 1.0, trials, 8)
+    assert every.shape == (trials, 2 * n) and _hits(every, n).all()
+    assert every.min() >= 0 and every.max() < p
+    none = _sample(sampler, p, n, 0.0, trials, 8)
+    assert none.shape == (trials, 2 * n) and not none.any()
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize(
+    "split, q",
+    [
+        pytest.param(bacon_shor(3).css_split(), 0.05, id="bacon_shor3"),
+        pytest.param(qudit_bacon_shor(3, 3).css_split(), 0.1, id="qutrit_bacon_shor3"),
+    ],
+)
+def test_failure_counts_match_the_reference_sampler(monkeypatch, sampler, split, q):
+    trials = 10_000
+    monkeypatch.setattr(decode, "_sampled_errors", sampler)
+    got = monte_carlo(split, q, trials, seed=21).counts
+    ref = _tally(split, reference_sampled_errors(split, q, trials, 22))
+    assert got.trials == ref.trials == trials
+    for pick in (
+        lambda c: c.logical_failures,
+        lambda c: c.out_of_range,
+        lambda c: c.logical_failures + c.out_of_range,
+    ):
+        a, b = pick(got), pick(ref)
+        # Two samples of one binomial: their difference has variance 2 T r (1 - r).
+        rate = max((a + b) / (2 * trials), 1 / trials)
+        assert abs(a - b) <= Z * math.sqrt(2 * trials * rate * (1 - rate)) + 1

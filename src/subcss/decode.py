@@ -302,27 +302,38 @@ def monte_carlo(split: CssSplit, q: float, trials: int, seed: int) -> MonteCarlo
     """Sample i.i.d. site-wise errors and tally recovery statuses.
 
     Each site is independently nontrivial with probability q, uniform
-    over the p^2 - 1 nontrivial single-site values.
+    over the p^2 - 1 nontrivial single-site values; one uniform draw per
+    site decides both (`_sampled_errors`), so a seed fixes the counts.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("error probability must be in [0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     counts = _tally(split, _sampled_errors(split, q, trials, seed))
     return MonteCarloReport(q=q, seed=seed, counts=counts)
 
 
 def _sampled_errors(split: CssSplit, q: float, trials: int, seed: int):
-    """Flattened sampled errors in chunks of <= _BATCH_ROWS rows; each trial
-    draws its site mask, then its hit values, whatever the chunk size."""
+    """Flattened sampled errors in chunks of <= _BATCH_ROWS rows.
+
+    A chunk draws one uniform u per site at once. The site is hit iff
+    u < q; then u / q is uniform on [0, 1), so its letter is the
+    floor(u / q * m)-th of the m = p^2 - 1 nontrivial values, clamped to
+    m - 1 where the product rounds up to m. `Generator.random` fills the
+    rows in order, so the samples do not depend on the chunk size.
+    """
     n, vals = split.n, _site_values(split.p)
+    m = len(vals)
     rng = np.random.default_rng(seed)
     for lo in range(0, trials, _code._BATCH_ROWS):
-        chunk = np.zeros((min(_code._BATCH_ROWS, trials - lo), 2 * n), dtype=np.int64)
-        for row in chunk:
-            hit = np.nonzero(rng.random(n) < q)[0]
-            if hit.size:
-                row[hit], row[n + hit] = vals[rng.integers(0, len(vals), size=hit.size)].T
+        u = rng.random((min(_code._BATCH_ROWS, trials - lo), n))
+        # Letters only at the hit sites, so q = 0 divides nothing.
+        rows, sites = np.nonzero(u < q)
+        letters = vals[np.minimum((u[rows, sites] / q * m).astype(np.int64), m - 1)]
+        chunk = np.zeros((len(u), 2 * n), dtype=np.int64)
+        chunk[rows, sites], chunk[rows, n + sites] = letters.T
         yield chunk
 
 

@@ -1,9 +1,9 @@
 """Per-layer micro-benchmarks of decoding and subspace intersection on fixed inputs.
 
 Times the `Par` decoder build, coset-leader tables (alone on Bacon-Shor 5;
-with `d_r` on Bacon-Shor 7 and 10), Monte-Carlo decode trials with warm
-decoders (table lookups, and the batched leader fill with the table switched
-off), and `Subspace.intersect`.
+with `d_r` on Bacon-Shor 7 and 10), the Monte-Carlo sampler alone, Monte-Carlo
+decode trials with warm decoders (table lookups on Bacon-Shor 4 and 10, and the
+batched leader fill with the table switched off), and `Subspace.intersect`.
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from subcss import ClassicalCode, Subspace, bacon_shor, monte_carlo, par_decoder_build
-from subcss.decode import _decoder_pair, make_css_decoder
+from subcss.decode import _decoder_pair, _sampled_errors, make_css_decoder
 
 
 def test_par_decoder_build_bacon_shor6(benchmark):
@@ -61,6 +61,21 @@ def _decode_trials(benchmark, split, trials):
 
 def test_monte_carlo_bacon_shor4(benchmark):
     _decode_trials(benchmark, bacon_shor(4).css_split(), 5000)
+
+
+def test_monte_carlo_bacon_shor10(benchmark):
+    _decode_trials(benchmark, bacon_shor(10).css_split(), 20_000)
+
+
+def test_sampler_bacon_shor10(benchmark):
+    # The errors of 20,000 trials on 100 sites, drawn but not decoded.
+    split, trials = bacon_shor(10).css_split(), 20_000
+
+    def draw():
+        return sum(len(chunk) for chunk in _sampled_errors(split, 0.05, trials, 3))
+
+    assert benchmark(draw) == trials
+    benchmark.extra_info["trials_per_s"] = trials / benchmark.stats.stats.median
 
 
 def test_monte_carlo_bacon_shor5_without_table(benchmark, monkeypatch):

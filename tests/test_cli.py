@@ -301,6 +301,8 @@ def test_decode_sweep_without_the_leader_table(capsys, monkeypatch):
         ["--exhaustive-weight", "2", "--q", "0.01"],
         ["--exhaustive-weight", "2", "--trials", "10"],
         ["--exhaustive-weight", "2", "--seed", "5"],
+        # Rejected by monte_carlo, not by numpy, so that the message names the option.
+        ["--seed", "-1"],
     ],
 )
 def test_decode_rejects_bad_sampling_options_before_output(capsys, bad):
@@ -308,6 +310,8 @@ def test_decode_rejects_bad_sampling_options_before_output(capsys, bad):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    if bad == ["--seed", "-1"]:
+        assert "seed" in err
 
 
 def test_modulus_bound_at_input(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Steane-type recovery, classical coset decoding, and the quotient decoder."""
 
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +353,18 @@ def test_monte_carlo_noiseless():
         monte_carlo(BS3, 1.5, 10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo(BS3, 0.1, 0, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        monte_carlo(BS3, 0.1, 10, seed=-1)
+
+
+def test_readme_failure_rates_of_bacon_shor_3_and_4():
+    # The README's sampled table: each cell is one 20,000-trial run at seed 1.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### Logical-failure rates (sampled)")[1].split("```")[0]
+    for l, split in ((3, BS3), (4, BS4)):
+        rates = [monte_carlo(split, q, 20_000, seed=1).failure_rate for q in (0.01, 0.02, 0.05)]
+        row = f"| {l} | {split.n} | " + " | ".join(f"{r:.5f}" for r in rates) + " |"
+        assert row in table.splitlines()
 
 
 def test_search_decoding_matches_table(rng, monkeypatch):

@@ -10,9 +10,10 @@ F_p^{2n} is Hamming weight over the alphabet F_p^2, whose letters are the
 nonzero (x, z) values of one site.
 
 A minimum weight min wt(big \\ small) is read off the syndromes of small:
-one recursion gives the least weight of every syndrome, and every coset
-leader (`_syndrome_weights`). An enumerator of the vectors of weight exactly
-w searches the low weights first, while that is cheaper than the recursion
+one recursion gives the least weight of every syndrome and every coset leader
+(`_syndrome_weights`), and, with a syndrome basis as its sites, the syndromes
+big reaches (`_image_grid`). An enumerator of the vectors of weight exactly w
+searches the low weights first, while that is cheaper than the recursion
 (`_enumeration_reach`), and all of them where the recursion is too costly.
 `_coset_leaders` alone sizes, lays out and builds a coset-leader table.
 """
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import gf
-from .gf import Subspace, _block_spaces, rref, validate_prime
+from .gf import Subspace, _block_spaces, _grid_digits, _grid_index, rref, validate_prime
 from .pauli import PauliVector, flatten, omega_complement, unflatten
 
 
@@ -252,7 +253,7 @@ def _coset_distance(
         d = min(m, budget + 1)
     else:
         # big \ small has the syndromes F(big) \ {0}.
-        image = _span_grid(Subspace.span(big.basis @ check.T, p, m).basis, p, m)
+        image = _image_grid(Subspace.span(big.basis @ check.T, p, m).basis, p)
         image[(0,) * m] = False
         d = int(_syndrome_weights(_letter_syndromes(check, letters, p), p)[0][image].min())
     return DistanceResult(d, True) if d <= budget else DistanceResult(budget + 1, False)
@@ -318,44 +319,24 @@ def _enumeration_reach(p: int, m: int, n: int, n_letters: int, budget: int) -> i
     return top
 
 
-def _grid_index(syns: np.ndarray, p: int) -> np.ndarray:
-    """Each syndrome row's flat index in the (p,)*m grid: C order, the row read
-    big-endian base p. The unit rows np.eye(m) give the place values."""
-    return syns @ int(p) ** np.arange(syns.shape[-1] - 1, -1, -1, dtype=np.int64)
-
-
 def _translator(p: int, m: int):
     """translate(grid, c) = grid[s - c] for every syndrome s of a (p,)*m grid.
 
     The grid is seen as a matrix whose row (column) index is the first m // 2
-    (the other) coordinates of s, read as by `_grid_index`. Translating s by -c
+    (the other) coordinates of s, read by `_grid_index`. Translating s by -c
     moves rows and columns separately: two index maps of at most p^ceil(m/2)
     entries, built per call, and one gather.
     """
     halves = []
     for part in (slice(0, m // 2), slice(m // 2, m)):
         place = _grid_index(np.eye(part.stop - part.start, dtype=np.int64), p)
-        digits = np.arange(p ** len(place), dtype=np.int64)[:, None] // place % p
-        halves.append((part, digits, place))
+        halves.append((part, _grid_digits(np.arange(p ** len(place)), p, len(place)), place))
 
     def translate(grid: np.ndarray, c: np.ndarray) -> np.ndarray:
         rows, cols = (((digits - c[part]) % p) @ place for part, digits, place in halves)
         return grid.reshape(len(rows), len(cols))[rows].take(cols, axis=1).reshape(grid.shape)
 
     return translate
-
-
-def _span_grid(rows: np.ndarray, p: int, m: int) -> np.ndarray:
-    """The F_p span of the rows, as a boolean (p,)*m grid."""
-    translate = _translator(p, m)
-    span = np.zeros((p,) * m, dtype=bool)
-    span[(0,) * m] = True
-    for row in rows:
-        grown = span.copy()
-        for a in range(1, p):
-            grown |= translate(span, a * row % p)
-        span = grown
-    return span
 
 
 def _letter_syndromes(check: np.ndarray, letters: np.ndarray, p: int) -> np.ndarray:
@@ -395,6 +376,14 @@ def _syndrome_weights(
     return weights, won
 
 
+def _image_grid(rows: np.ndarray, p: int) -> np.ndarray:
+    """The F_p span of the syndrome rows, as a boolean (p,)*m grid: the
+    syndromes `_syndrome_weights` reaches with the rows as its sites and their
+    nonzero multiples as its letters, each at a weight of at most len(rows)."""
+    shifts = _letter_syndromes(rows.T, _field_letters(p), p)
+    return _syndrome_weights(shifts, p)[0] <= len(rows)
+
+
 def _coset_leaders(
     check: np.ndarray, letters: np.ndarray, p: int, top: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -429,10 +418,9 @@ def _syndrome_leaders(
     slots[kept] = np.arange(len(kept))
     leaders = np.zeros((len(kept), b * n), dtype=np.min_scalar_type(p - 1))
     values = np.vstack([np.zeros((1, b), dtype=np.int64), letters]).astype(leaders.dtype)
-    place = _grid_index(np.eye(m, dtype=np.int64), p)
-    syn = kept[:, None] // place % p
+    syn = _grid_digits(kept, p, m)
     for j in range(n):
-        x = won[j, syn @ place]
+        x = won[j, _grid_index(syn, p)]
         leaders[:, j + n * np.arange(b)] = values[x]
         syn = (syn - np.vstack([np.zeros((1, m), dtype=np.int64), shifts[j]])[x]) % p
     return slots, leaders
@@ -473,10 +461,7 @@ _BATCH_ROWS = 1 << 14
 
 def _membership_checker(space: Subspace):
     """Vectorized membership test: v in space iff C v = 0 for C = basis of space^theta."""
-    comp = space.complement().basis
-    p = space.p
-    if comp.shape[0] == 0:
-        return lambda batch: np.ones(batch.shape[0], dtype=bool)
+    comp, p = space.complement().basis, space.p
     return lambda batch: ~np.any((batch @ comp.T) % p, axis=1)
 
 
@@ -502,8 +487,6 @@ def _weight_batches(letters: np.ndarray, n: int, w: int) -> Iterator[np.ndarray]
     per_sites = m**w
     sites_per_batch = max(1, _BATCH_ROWS // per_sites)
     letters_per_batch = min(per_sites, _BATCH_ROWS)
-    # Digit i of a letter-tuple index t is letter position i, most significant first.
-    place = m ** np.arange(w - 1, -1, -1, dtype=np.int64)
     block_cols = n * np.arange(b, dtype=np.int64)
     site_sets = combinations(range(n), w)
     while chunk := list(islice(site_sets, sites_per_batch)):
@@ -511,7 +494,8 @@ def _weight_batches(letters: np.ndarray, n: int, w: int) -> Iterator[np.ndarray]
         cols = sites[:, None, :, None] + block_cols
         for lo in range(0, per_sites, letters_per_batch):
             t = np.arange(lo, min(lo + letters_per_batch, per_sites), dtype=np.int64)
-            vals = letters[(t[:, None] // place) % m]
+            # Letter-tuple t lists its letters as the digits of t in base m.
+            vals = letters[_grid_digits(t, m, w)]
             row_ids = np.arange(len(chunk) * len(t)).reshape(len(chunk), len(t), 1, 1)
             batch = np.zeros((row_ids.size, b * n), dtype=np.int64)
             batch[row_ids, cols] = vals[None]

@@ -176,8 +176,9 @@ def _recover(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarra
     syndrome has no leader corrects nothing, and the error is out of range.
     """
     x_side, z_side = _decoder_pair(split)
-    cx, found_x = x_side._leaders(x_side.syndrome(ex))
-    cz, found_z = z_side._leaders(z_side.syndrome(ez))
+    # The errors are already in [0, p), so their syndromes need no `fp_array`.
+    cx, found_x = x_side._leaders(ex @ x_side.f.T % split.p)
+    cz, found_z = z_side._leaders(ez @ z_side.f.T % split.p)
     # The redundant subcodes are H_X and H_Z, their complements built once per decoder.
     in_h_x, in_h_z = _membership_checker(x_side.r), _membership_checker(z_side.r)
     in_gauge = in_h_x((ex - cx) % split.p) & in_h_z((ez - cz) % split.p)
@@ -306,7 +307,7 @@ def monte_carlo(split: CssSplit, q: float, trials: int, seed: int) -> MonteCarlo
     site decides both (`_sampled_errors`), so a seed fixes the counts.
     """
     if not 0.0 <= q <= 1.0:
-        raise ValueError("error probability must be in [0, 1]")
+        raise ValueError(f"error probability q must be in [0, 1], got {q}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:

@@ -11,7 +11,6 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -254,16 +253,28 @@ def _block_spaces(red: np.ndarray, m: int, p: int) -> tuple[Subspace, Subspace]:
 
 
 def _combinations(rows: np.ndarray, p: int) -> np.ndarray:
-    """Every F_p combination of the rows, one per coefficient tuple in
-    `itertools.product` order; one zero row when there are no rows.
+    """Every F_p combination of the rows, the coefficients running over the
+    `_grid_digits` rows (first row most significant); one zero row when k = 0.
 
     Raises ValueError above `ROW_LIMIT` combinations, before building any.
     """
     k = rows.shape[0]
     if p**k > ROW_LIMIT:
         raise ValueError(f"{p}^{k} combinations exceed the limit of {ROW_LIMIT} rows")
-    coeffs = np.array(list(product(range(p), repeat=k)), dtype=np.int64).reshape(p**k, k)
-    return (coeffs @ rows) % p
+    return _grid_digits(np.arange(p**k, dtype=np.int64), p, k) @ rows % p
+
+
+def _grid_index(rows: np.ndarray, base: int) -> np.ndarray:
+    """Each row's flat index in the (base,)*width grid: C order, the row read
+    big-endian base `base`. The unit rows np.eye(width) give the place values."""
+    return rows @ int(base) ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def _grid_digits(index: np.ndarray, base: int, width: int) -> np.ndarray:
+    """The rows at the given flat indices of the (base,)*width grid, one row
+    of `width` digits per index, by the place values of `_grid_index`; its inverse."""
+    place = int(base) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return index[..., None] // place % base
 
 
 def _independent_rows(small: Subspace, vecs) -> list[int]:

@@ -157,12 +157,11 @@ def classify_stabilizer(code: SubsystemCode) -> StabilizerClass:
     group. Maximal iff the external code of the stabilizer's
     Goursat data attains (E_X cap N_Z^theta) x (E_Z cap N_X^theta).
     """
-    data = goursat_of(code)
+    e_x, e_z, internal = code._goursat
     minimal = SubsystemCode(code.p, code.n, code.centralizer).is_css()
-    stab_code = SubsystemCode(code.p, code.n, code.stabilizer)
-    stab_data = goursat_of(stab_code)
+    stab_e_x, stab_e_z, _ = SubsystemCode(code.p, code.n, code.stabilizer)._goursat
     maximal = (
-        stab_data.e_x == data.e_x.intersect(data.n_z.complement())
-        and stab_data.e_z == data.e_z.intersect(data.n_x.complement())
+        stab_e_x == e_x.intersect(internal.h_z.complement())
+        and stab_e_z == e_z.intersect(internal.h_x.complement())
     )
     return StabilizerClass(minimal=minimal, maximal=maximal)

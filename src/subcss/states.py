@@ -14,7 +14,7 @@ import numpy as np
 
 from . import gf
 from .code import CssSplit
-from .gf import Subspace, _combinations, fp_array
+from .gf import Subspace, _combinations, _grid_index, fp_array
 from .pauli import PauliVector
 
 _DENSE_LIMIT = 1 << 20
@@ -189,8 +189,9 @@ def _dense_fixing_table(support: Subspace, offsets, phases, global_phases, a, b)
     """The same table as `_fixing_table`, read off exact dense amplitudes of
     the states (offsets[i], support, phases[i], global_phases[i]).
 
-    A state is an int32 exponent array E over the p^n basis states (the
-    radix order of `dense_vector`), -1 where the amplitude is zero. X^a Z^b
+    A state is an int32 exponent array E over the p^n basis states in
+    `_grid_index` order (as in `dense_vector`), -1 where the amplitude is
+    zero; the place values are computed once. X^a Z^b
     maps psi(x) to omega^(b . x) psi(x) at x + a, a bijection, so it fixes
     the state iff E[x + a] = E[x] + b . x mod p for every x in o + S. One
     p^n array serves every state: a state writes its |S| entries, reads the
@@ -202,15 +203,15 @@ def _dense_fixing_table(support: Subspace, offsets, phases, global_phases, a, b)
     if p**n > _DENSE_LIMIT:
         raise ValueError(f"dense amplitudes of dimension {p}^{n} exceed the size limit")
     elements = support.all_elements()
-    radix = p ** np.arange(n - 1, -1, -1)
+    place = _grid_index(np.eye(n, dtype=np.int64), p)
     exponents = np.full(p**n, -1, dtype=np.int32)
     table = np.empty((len(offsets), a.shape[0]), dtype=bool)
     for i, (offset, phase, gamma) in enumerate(zip(offsets, phases, global_phases)):
         x = (offset + elements) % p
-        at = x @ radix
+        at = x @ place
         here = (gamma + x @ phase) % p
         exponents[at] = here
-        moved = ((x + a[:, None, :]) % p) @ radix
+        moved = ((x + a[:, None, :]) % p) @ place
         table[i] = np.all(exponents[moved] == (here + b @ x.T) % p, axis=1)
         exponents[at] = -1
     return table

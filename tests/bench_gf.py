@@ -1,5 +1,6 @@
-"""Per-layer micro-benchmarks of the F_p core: `rref` and `kernel` on fixed inputs,
-and the Goursat spaces built on it (`goursat_of`, `classify_stabilizer`).
+"""Per-layer micro-benchmarks of the F_p core: `rref`, `kernel` and `all_elements`
+on fixed inputs, and the Goursat spaces built on it (`goursat_of`,
+`classify_stabilizer`).
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from subcss import (
+    Subspace,
     bacon_shor,
     classify_stabilizer,
     delta,
@@ -50,6 +52,14 @@ def test_rref_small_dense_p3(benchmark):
     mat = np.random.default_rng(12).integers(0, 3, size=(12, 16))
     red = benchmark(rref, mat, 3)
     assert np.array_equal(red, reference_rref(mat, 3))
+
+
+def test_all_elements_dim16_in_f2_40(benchmark):
+    span = Subspace.span(np.random.default_rng(16).integers(0, 2, size=(16, 40)), 2, 40)
+    assert span.dim == 16
+    elements = benchmark(span.all_elements)
+    assert elements.shape == (1 << 16, 40)
+    assert len(np.unique(elements, axis=0)) == 1 << 16
 
 
 # A fresh code each round, so a round also builds the code's Goursat spaces.

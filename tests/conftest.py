@@ -114,6 +114,29 @@ def reference_rref(mat, p: int) -> np.ndarray:
     return m
 
 
+def reference_combinations(rows, p):
+    """Reference span listing: every F_p combination of the rows, one per
+    coefficient tuple in `itertools.product` order; one zero row when there
+    are no rows. `gf._combinations` must reproduce it bit for bit."""
+    k = rows.shape[0]
+    coeffs = np.array(list(product(range(p), repeat=k)), dtype=np.int64).reshape(p**k, k)
+    return (coeffs @ rows) % p
+
+
+def reference_span_grid(rows, p, m):
+    """Reference image grid: the F_p span of the rows as a boolean (p,)*m grid,
+    grown one row at a time by every nonzero multiple of it. A translation by c
+    is `np.roll` by c along every axis."""
+    span = np.zeros((p,) * m, dtype=bool)
+    span[(0,) * m] = True
+    for row in rows:
+        grown = span.copy()
+        for a in range(1, p):
+            grown |= np.roll(span, tuple(a * row % p), axis=tuple(range(m)))
+        span = grown
+    return span
+
+
 def kernel_sum_is_css(h, n):
     """Reference CSS test: H <= F_p^{2n} splits as H_X x H_Z iff the kernels
     of its x- and z-part generator matrices sum to the whole coefficient space."""

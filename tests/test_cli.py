@@ -303,6 +303,7 @@ def test_decode_sweep_without_the_leader_table(capsys, monkeypatch):
         ["--exhaustive-weight", "2", "--seed", "5"],
         # Rejected by monte_carlo, not by numpy, so that the message names the option.
         ["--seed", "-1"],
+        ["--q", "nan"],
     ],
 )
 def test_decode_rejects_bad_sampling_options_before_output(capsys, bad):
@@ -312,6 +313,9 @@ def test_decode_rejects_bad_sampling_options_before_output(capsys, bad):
     assert err.startswith("error:") and err.count("\n") == 1
     if bad == ["--seed", "-1"]:
         assert "seed" in err
+    if bad[0] == "--q":
+        # The message names the option and the value it rejects.
+        assert " q must be in [0, 1]" in err and err.rstrip().endswith(f"got {bad[1]}")
 
 
 def test_modulus_bound_at_input(tmp_path, capsys):

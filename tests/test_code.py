@@ -28,6 +28,7 @@ from subcss.code import (
     _coset_search,
     _enumeration_reach,
     _field_letters,
+    _image_grid,
     _site_values,
     _weight_batches,
 )
@@ -40,6 +41,7 @@ from conftest import (
     qudit_bacon_shor,
     random_gauge_code,
     reference_goursat_spaces,
+    reference_span_grid,
     symplectic_distance,
 )
 
@@ -456,6 +458,26 @@ def test_engine_matches_the_search_on_symplectic_weight(code):
                     code.distance(budget)
             else:
                 assert code.distance(budget) == symplectic_distance(code, budget) == search
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.integers(1, 6), st.data())
+def test_image_grid_matches_the_span_grid(p, m, data):
+    """The recursion's image grid is the span of the rows, with zero rows and
+    F_p combinations of earlier rows shuffled in."""
+
+    def matrix(max_rows, cols):
+        vec = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+        rows = data.draw(st.lists(vec, max_size=max_rows))
+        return np.array(rows, dtype=np.int64).reshape(len(rows), cols)
+
+    rows = matrix(m, m)
+    zeros = np.zeros((data.draw(st.integers(0, 1)), m), dtype=np.int64)
+    mixed = np.vstack([rows, matrix(2, len(rows)) @ rows % p, zeros])
+    mixed = mixed[list(data.draw(st.permutations(range(len(mixed)))))]
+    got = _image_grid(mixed, p)
+    assert got.dtype == bool and got.shape == (p,) * m
+    assert np.array_equal(got, reference_span_grid(mixed, p, m))
 
 
 def test_enumeration_reach_reads_only_sizes():

@@ -11,13 +11,16 @@ from subcss import Subspace, kernel, rank, rref, solve
 from subcss.gf import (
     P_LIMIT,
     ROW_LIMIT,
+    _combinations,
+    _grid_digits,
+    _grid_index,
     _independent_rows,
     is_prime,
     pivot_columns,
     validate_prime,
 )
 
-from conftest import random_subspace, reference_rref, subspaces
+from conftest import random_subspace, reference_combinations, reference_rref, subspaces
 
 
 def test_is_prime():
@@ -164,6 +167,32 @@ def test_all_elements():
     # Coefficients of the basis rows run in itertools.product order.
     assert Subspace.full(3, 2).all_elements().tolist() == [
         list(c) for c in product(range(3), repeat=2)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(0, 5), st.integers(0, 6), st.data())
+def test_combinations_match_the_product_order_listing(p, k, n, data):
+    vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    rows = np.array(data.draw(st.lists(vec, min_size=k, max_size=k)), dtype=np.int64)
+    rows = rows.reshape(k, n)
+    got, want = _combinations(rows, p), reference_combinations(rows, p)
+    assert got.dtype == want.dtype and got.shape == want.shape == (p**k, n)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 9), st.integers(0, 6), st.data())
+def test_grid_digits_invert_grid_index(base, width, data):
+    index = np.array(data.draw(st.lists(st.integers(0, base**width - 1), max_size=20)),
+                     dtype=np.int64)
+    digits = _grid_digits(index, base, width)
+    assert digits.shape == (len(index), width)
+    assert np.all((0 <= digits) & (digits < base))
+    assert np.array_equal(_grid_index(digits, base), index)
+    # Big-endian: the unit rows give the place values, the first the largest.
+    assert _grid_index(np.eye(width, dtype=np.int64), base).tolist() == [
+        base ** (width - 1 - i) for i in range(width)
     ]
 
 

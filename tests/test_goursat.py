@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from subcss import (
     GoursatData,
@@ -16,9 +17,10 @@ from subcss import (
     reconstruct_from,
     trivial,
 )
+from subcss import goursat as goursat_module
 from subcss.pauli import parse_pauli
 
-from conftest import kernel_sum_is_css, random_gauge_code
+from conftest import gauge_codes, kernel_sum_is_css, random_gauge_code
 
 FIVE_QUBIT_E_X = ("IXXII", "IIXXI", "IIIXX", "XIIIX")
 FIVE_QUBIT_E_Z = ("ZIIZI", "IZIIZ", "ZIZII", "IZIZI")
@@ -144,3 +146,22 @@ def test_minimal_and_maximal_iff_css(rng):
         code = random_gauge_code(rng, p, n)
         cls = classify_stabilizer(code)
         assert (cls.minimal and cls.maximal) == code.is_css()
+
+
+@settings(max_examples=80, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=3))
+def test_maximal_matches_the_goursat_data(code):
+    """Maximal iff the stabilizer's externals are (E_X cap N_Z^theta, E_Z cap
+    N_X^theta), read here off `goursat_of`, which `classify_stabilizer` skips."""
+    data = goursat_of(code)
+    stab = goursat_of(SubsystemCode(code.p, code.n, code.stabilizer))
+    want = (stab.e_x == data.e_x.intersect(data.n_z.complement())
+            and stab.e_z == data.e_z.intersect(data.n_x.complement()))
+
+    def refuse(*args):
+        raise AssertionError("classify_stabilizer built GoursatData")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(goursat_module, "goursat_of", refuse)
+        fresh = SubsystemCode(code.p, code.n, code.gauge)
+        assert classify_stabilizer(fresh).maximal == want

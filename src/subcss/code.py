@@ -4,6 +4,13 @@ A code is a subspace H of F_p^{2n} (the gauge group modulo phases). Its
 parameters come from the tower 0 <= H cap H^w <= H <= H + H^w <= F_p^{2n},
 and the distance is the minimum symplectic weight over (H + H^w) \\ H.
 
+Each pair (A + B, A cap B) of the tower comes from one Zassenhaus echelon
+(`Subspace.sum_and_intersection`). A CSS code H_X x H_Z has H^w =
+H_Z^theta x H_X^theta, so its tower is built from its two classical codes
+alone: (L_X, S_X) from one echelon of H_X against H_Z^theta, (L_Z, S_Z) from
+one of H_Z against H_X^theta, and H + H^w = L_X x L_Z, H cap H^w = S_X x S_Z.
+Any other code runs one echelon of H against H^w on 2n columns.
+
 Weights are counted over an alphabet of nonzero single-site letters.
 Hamming weight on F_p^n uses the letters F_p \\ {0}; symplectic weight on
 F_p^{2n} is Hamming weight over the alphabet F_p^2, whose letters are the
@@ -50,7 +57,8 @@ class DistanceResult:
 
 @dataclass(frozen=True)
 class CssSplit:
-    """The two classical codes H_X, H_Z <= F_p^n of a subsystem CSS code."""
+    """The two classical codes H_X, H_Z <= F_p^n of a subsystem CSS code, and
+    their towers (L_X, S_X) and (L_Z, S_Z), each pair from one echelon."""
 
     h_x: Subspace
     h_z: Subspace
@@ -68,24 +76,34 @@ class CssSplit:
         return self.h_x.ambient
 
     @cached_property
+    def _x_tower(self) -> tuple[Subspace, Subspace]:
+        """(L_X, S_X) from one Zassenhaus echelon of H_X against H_Z^theta."""
+        return self.h_x.sum_and_intersection(self.h_z.complement())
+
+    @cached_property
+    def _z_tower(self) -> tuple[Subspace, Subspace]:
+        """(L_Z, S_Z) from one Zassenhaus echelon of H_Z against H_X^theta."""
+        return self.h_z.sum_and_intersection(self.h_x.complement())
+
+    @property
     def stab_x(self) -> Subspace:
         """S_X = H_X cap H_Z^theta: the X-type stabilizer space."""
-        return self.h_x.intersect(self.h_z.complement())
+        return self._x_tower[1]
 
-    @cached_property
+    @property
     def stab_z(self) -> Subspace:
         """S_Z = H_Z cap H_X^theta: the Z-type stabilizer space."""
-        return self.h_z.intersect(self.h_x.complement())
+        return self._z_tower[1]
 
-    @cached_property
+    @property
     def logical_x(self) -> Subspace:
         """L_X = H_X + H_Z^theta: the X-type logical space."""
-        return self.h_x + self.h_z.complement()
+        return self._x_tower[0]
 
-    @cached_property
+    @property
     def logical_z(self) -> Subspace:
         """L_Z = H_Z + H_X^theta: the Z-type logical space."""
-        return self.h_z + self.h_x.complement()
+        return self._z_tower[0]
 
 
 class SubsystemCode:
@@ -112,11 +130,11 @@ class SubsystemCode:
 
     @classmethod
     def from_css_split(cls, split: CssSplit) -> "SubsystemCode":
-        """H_X x H_Z, spanned by the block-diagonal [[H_X, 0], [0, H_Z]]; two
-        canonical bases on disjoint blocks already form its canonical basis."""
-        x, z = split.h_x.basis, split.h_z.basis
-        mat = np.block([[x, np.zeros_like(x)], [np.zeros_like(z), z]])
-        return cls(split.p, split.n, Subspace(split.p, 2 * split.n, mat))
+        """H_X x H_Z (`_block_product`). Its Goursat spaces are E = N = (H_X, H_Z),
+        stored with the split itself, so no echelon has to find them again."""
+        code = cls(split.p, split.n, _block_product(split.h_x, split.h_z))
+        code._goursat = (split.h_x, split.h_z, split)
+        return code
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubsystemCode):
@@ -134,18 +152,37 @@ class SubsystemCode:
 
     @cached_property
     def _omega_comp(self) -> Subspace:
-        """H^w, shared by the centralizer and the stabilizer."""
+        """H^w, built once."""
         return omega_complement(self.gauge)
 
     @cached_property
+    def _tower(self) -> tuple[Subspace, Subspace]:
+        """(H + H^w, H cap H^w), shared by the centralizer and the stabilizer.
+
+        A CSS code H = H_X x H_Z has H^w = H_Z^theta x H_X^theta, so its tower
+        factors into the two classical towers of its split: (L_X x L_Z,
+        S_X x S_Z), one echelon per side on n columns and none on 2n. Any
+        other code runs one Zassenhaus echelon of H against H^w.
+        """
+        if self.is_css():
+            split = self._goursat[2]
+            return (
+                _block_product(split.logical_x, split.logical_z),
+                _block_product(split.stab_x, split.stab_z),
+            )
+        return self.gauge.sum_and_intersection(self._omega_comp)
+
+    @cached_property
     def centralizer(self) -> Subspace:
-        """H + H^w: all logical (commuting-with-stabilizer) operators."""
-        return self.gauge + self._omega_comp
+        """H + H^w: all logical (commuting-with-stabilizer) operators; for a
+        CSS code L_X x L_Z (see `_tower`)."""
+        return self._tower[0]
 
     @cached_property
     def stabilizer(self) -> Subspace:
-        """H cap H^w: the stabilizer group modulo phases."""
-        return self.gauge.intersect(self._omega_comp)
+        """H cap H^w: the stabilizer group modulo phases; for a CSS code
+        S_X x S_Z (see `_tower`)."""
+        return self._tower[1]
 
     def parameters(self) -> tuple[int, int, int]:
         """(n, k, r): physical, logical, and gauge qudit counts."""
@@ -210,6 +247,14 @@ class SubsystemCode:
         """
         found = _coset_search(self.centralizer, self.gauge, _site_values(self.p), budget)
         return unflatten(found[1], self.p) if found else None
+
+
+def _block_product(a: Subspace, b: Subspace) -> Subspace:
+    """A x B <= F_p^{2n}, spanned by the block-diagonal [[A, 0], [0, B]]; two
+    canonical bases on disjoint blocks already form its canonical basis."""
+    x, z = a.basis, b.basis
+    mat = np.block([[x, np.zeros_like(x)], [np.zeros_like(z), z]])
+    return Subspace(a.p, 2 * a.ambient, mat)
 
 
 def css_distances(split: CssSplit, budget: int | None = None) -> tuple[

@@ -42,6 +42,7 @@ class DoubledCode:
 
 
 def delta(code: SubsystemCode) -> DoubledCode:
-    """Double a subsystem stabilizer code into a subsystem CSS code."""
-    result = SubsystemCode(code.p, 2 * code.n, double_subspace(code.gauge))
+    """Double a subsystem stabilizer code into a subsystem CSS code, built from
+    its split (H, psi(H)), so the result knows its split without an echelon."""
+    result = SubsystemCode.from_css_split(CssSplit(code.gauge, psi_subspace(code.gauge)))
     return DoubledCode(source=code, result=result)

@@ -207,19 +207,27 @@ class Subspace:
         return self.contains(other.basis)
 
     def __add__(self, other: "Subspace") -> "Subspace":
+        """A + B from one echelon of the stacked bases; `sum_and_intersection`
+        gives it too, but over twice the columns."""
         self._check_compatible(other)
         return Subspace.span(np.vstack([self.basis, other.basis]), self.p, self.ambient)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """A cap B from one echelon of [[A, A], [B, 0]] (Zassenhaus).
+    def sum_and_intersection(self, other: "Subspace") -> tuple["Subspace", "Subspace"]:
+        """(A + B, A cap B) from one echelon of [[A, A], [B, 0]] (Zassenhaus).
 
-        The stacked rows are independent, so the echelon has no zero row,
-        and A cap B is its part whose left half vanishes (`_block_spaces`).
+        The stacked rows are independent, so the echelon has no zero row.
+        Its rows nonzero on the left half have the left halves A + B, and
+        its rows that vanish there have the right halves A cap B
+        (`_block_spaces`).
         """
         self._check_compatible(other)
         a, b = self.basis, other.basis
         red = rref(np.block([[a, a], [b, np.zeros_like(b)]]), self.p)
-        return _block_spaces(red, self.ambient, self.p)[1]
+        return _block_spaces(red, self.ambient, self.p)
+
+    def intersect(self, other: "Subspace") -> "Subspace":
+        """A cap B: the second half of `sum_and_intersection`."""
+        return self.sum_and_intersection(other)[1]
 
     def complement(self) -> "Subspace":
         """Dot-product (theta) complement {a : a . self = 0}, built once."""

@@ -85,15 +85,15 @@ def check_complement_data(code: SubsystemCode) -> DataCheckReport:
 
     Externals of H^w must be (N_Z^theta, N_X^theta) and internals
     (E_Z^theta, E_X^theta); a failure indicates an implementation bug.
+    Reads the four spaces of each code from `SubsystemCode._goursat`.
     """
-    data = goursat_of(code)
-    comp_code = SubsystemCode(code.p, code.n, code._omega_comp)
-    comp_data = goursat_of(comp_code)
+    e_x, e_z, internal = code._goursat
+    comp_e_x, comp_e_z, comp_internal = SubsystemCode(code.p, code.n, code._omega_comp)._goursat
     checks = {
-        "external_x": comp_data.e_x == data.n_z.complement(),
-        "external_z": comp_data.e_z == data.n_x.complement(),
-        "internal_x": comp_data.n_x == data.e_z.complement(),
-        "internal_z": comp_data.n_z == data.e_x.complement(),
+        "external_x": comp_e_x == internal.h_z.complement(),
+        "external_z": comp_e_z == internal.h_x.complement(),
+        "internal_x": comp_internal.h_x == e_z.complement(),
+        "internal_z": comp_internal.h_z == e_x.complement(),
     }
     return DataCheckReport(passed=all(checks.values()), details=checks)
 
@@ -103,30 +103,30 @@ def check_intersection_data(c1: SubsystemCode, c2: SubsystemCode) -> DataCheckRe
 
     Internals must equal pairwise intersections of the originals'
     internals; externals must sit between those intersections and the
-    pairwise intersections of the originals' externals.
+    pairwise intersections of the originals' externals. Reads the four
+    spaces of each code from `SubsystemCode._goursat`.
     """
     if c1.p != c2.p or c1.n != c2.n:
         raise ValueError("codes have mismatched modulus or qudit count")
-    d1, d2 = goursat_of(c1), goursat_of(c2)
-    inter = SubsystemCode(c1.p, c1.n, c1.gauge.intersect(c2.gauge))
-    di = goursat_of(inter)
-    n_x_cap = d1.n_x.intersect(d2.n_x)
-    n_z_cap = d1.n_z.intersect(d2.n_z)
-    e_x_cap = d1.e_x.intersect(d2.e_x)
-    e_z_cap = d1.e_z.intersect(d2.e_z)
+    (e_x1, e_z1, s1), (e_x2, e_z2, s2) = c1._goursat, c2._goursat
+    e_xi, e_zi, si = SubsystemCode(c1.p, c1.n, c1.gauge.intersect(c2.gauge))._goursat
+    n_x_cap = s1.h_x.intersect(s2.h_x)
+    n_z_cap = s1.h_z.intersect(s2.h_z)
+    e_x_cap = e_x1.intersect(e_x2)
+    e_z_cap = e_z1.intersect(e_z2)
     checks = {
-        "internal_x": di.n_x == n_x_cap,
-        "internal_z": di.n_z == n_z_cap,
-        "sandwich_x": di.e_x.contains_space(n_x_cap) and e_x_cap.contains_space(di.e_x),
-        "sandwich_z": di.e_z.contains_space(n_z_cap) and e_z_cap.contains_space(di.e_z),
+        "internal_x": si.h_x == n_x_cap,
+        "internal_z": si.h_z == n_z_cap,
+        "sandwich_x": e_xi.contains_space(n_x_cap) and e_x_cap.contains_space(e_xi),
+        "sandwich_z": e_zi.contains_space(n_z_cap) and e_z_cap.contains_space(e_zi),
     }
     return DataCheckReport(
         passed=all(checks.values()),
         details={
             **checks,
             "dims": {
-                "T": di.e_x.dim,
-                "W": di.e_z.dim,
+                "T": e_xi.dim,
+                "W": e_zi.dim,
                 "N_cap": (n_x_cap.dim, n_z_cap.dim),
                 "E_cap": (e_x_cap.dim, e_z_cap.dim),
             },
@@ -154,14 +154,17 @@ def classify_stabilizer(code: SubsystemCode) -> StabilizerClass:
     """Decide the maximal/minimal stabilizer properties of a code.
 
     Minimal iff H + H^w is a direct product, i.e. is itself a CSS gauge
-    group. Maximal iff the external code of the stabilizer's
-    Goursat data attains (E_X cap N_Z^theta) x (E_Z cap N_X^theta).
+    group. H + H^w = (H cap H^w)^w and (A x B)^w = B^theta x A^theta, so
+    that holds iff the stabilizer is CSS, which the stabilizer's Goursat
+    spaces, read for the maximal test anyway, decide. Maximal iff the
+    external code of the stabilizer's Goursat data attains
+    (E_X cap N_Z^theta) x (E_Z cap N_X^theta).
     """
     e_x, e_z, internal = code._goursat
-    minimal = SubsystemCode(code.p, code.n, code.centralizer).is_css()
-    stab_e_x, stab_e_z, _ = SubsystemCode(code.p, code.n, code.stabilizer)._goursat
+    stab = SubsystemCode(code.p, code.n, code.stabilizer)
+    stab_e_x, stab_e_z, _ = stab._goursat
     maximal = (
         stab_e_x == e_x.intersect(internal.h_z.complement())
         and stab_e_z == e_z.intersect(internal.h_x.complement())
     )
-    return StabilizerClass(minimal=minimal, maximal=maximal)
+    return StabilizerClass(minimal=stab.is_css(), maximal=maximal)

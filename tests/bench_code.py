@@ -1,6 +1,7 @@
 """Per-layer micro-benchmarks of distance search on fixed inputs.
 
-Times the CSS distance route (the syndrome engine on Bacon-Shor 6, 7 and
+Times the code tower (`parameters()` of a fresh CSS and a fresh non-CSS
+code), the CSS distance route (the syndrome engine on Bacon-Shor 6, 7 and
 10), the symplectic search it replaces on CSS codes, the weight-layer
 enumerator, and the batched membership test.
 Not part of the test suite (the file name does not match `test_*.py`). Run:
@@ -12,10 +13,25 @@ from math import comb
 
 import pytest
 
-from subcss import DistanceResult, bacon_shor, css_distances
+from subcss import DistanceResult, bacon_shor, css_distances, delta, random_code
 from subcss.code import _BATCH_ROWS, _membership_checker, _site_values, _weight_batches
 
-from conftest import symplectic_distance
+from conftest import record_rate, symplectic_distance
+
+
+def test_parameters_delta_bacon_shor10(benchmark):
+    # A fresh CSS code each round (n = 200), built from its split, so a round
+    # times the tower from the split's two classical towers.
+    params = benchmark.pedantic(lambda code: code.parameters(),
+                                setup=lambda: ((delta(bacon_shor(10)).result,), {}), rounds=5)
+    assert params == (200, 2, 162)
+
+
+def test_parameters_random_p5_n40(benchmark):
+    # A fresh non-CSS code each round: a round builds H^w and the 2n-wide tower.
+    params = benchmark.pedantic(lambda code: code.parameters(),
+                                setup=lambda: ((random_code(5, 40, 40, 1),), {}), rounds=20)
+    assert params == (40, 20, 20)
 
 
 def test_distance_bacon_shor6(benchmark):
@@ -46,7 +62,7 @@ def test_weight_batches_symplectic_p2_n25_w4(benchmark):
 
     vectors = benchmark(enumerate_layer)
     assert vectors == comb(25, 4) * 3**4
-    benchmark.extra_info["vectors_per_s"] = vectors / benchmark.stats.stats.median
+    record_rate(benchmark, "vectors_per_s", vectors)
 
 
 def test_membership_one_batch_bacon_shor5(benchmark):

@@ -16,6 +16,8 @@ import pytest
 from subcss import ClassicalCode, Subspace, bacon_shor, monte_carlo, par_decoder_build
 from subcss.decode import _decoder_pair, _sampled_errors, make_css_decoder
 
+from conftest import record_rate
+
 
 def test_par_decoder_build_bacon_shor6(benchmark):
     split = bacon_shor(6).css_split()
@@ -56,7 +58,7 @@ def _decode_trials(benchmark, split, trials):
         side.d_r, side._leader_table
     report = benchmark(monte_carlo, split, 0.05, trials, 3)
     assert report.counts.trials == trials
-    benchmark.extra_info["trials_per_s"] = trials / benchmark.stats.stats.median
+    record_rate(benchmark, "trials_per_s", trials)
 
 
 def test_monte_carlo_bacon_shor4(benchmark):
@@ -75,7 +77,7 @@ def test_sampler_bacon_shor10(benchmark):
         return sum(len(chunk) for chunk in _sampled_errors(split, 0.05, trials, 3))
 
     assert benchmark(draw) == trials
-    benchmark.extra_info["trials_per_s"] = trials / benchmark.stats.stats.median
+    record_rate(benchmark, "trials_per_s", trials)
 
 
 def test_monte_carlo_bacon_shor5_without_table(benchmark, monkeypatch):

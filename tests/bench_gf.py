@@ -28,8 +28,9 @@ from conftest import reference_rref
 def zassenhaus_echelon():
     """[[A, A], [B, 0]] for A = gauge, B = H^omega of the doubled Bacon-Shor l = 10.
 
-    The widest echelon `intersect` builds in the benchmark workloads: 400 x 800
-    over F_2 with about 0.6% nonzero entries.
+    A fixed large sparse input, 400 x 800 over F_2 with about 0.6% nonzero
+    entries: the 2n-wide tower echelon of that code, which, being CSS, builds
+    its tower from its split instead.
     """
     code = delta(bacon_shor(10)).result
     a, b = code.gauge.basis, omega_complement(code.gauge).basis

@@ -19,6 +19,7 @@ from subcss import (
 from subcss import code as code_module
 from subcss.code import _coset_search, _site_values
 from subcss.gf import fp_array
+from subcss.pauli import psi_subspace
 
 
 def random_subspace(rng, p, ambient):
@@ -146,6 +147,15 @@ def kernel_sum_is_css(h, n):
     return (kernel(pi_x, h.p) + kernel(pi_z, h.p)).dim == h.dim
 
 
+def reference_tower(code):
+    """Reference tower (H + H^w, H cap H^w) on 2n columns, whatever the code:
+    H^w as the theta-complement of psi(H), then `+` and `intersect` with it.
+    `SubsystemCode`, which builds a CSS code's tower from its split, must
+    give the same spaces."""
+    comp = psi_subspace(code.gauge).complement()
+    return code.gauge + comp, code.gauge.intersect(comp)
+
+
 def reference_goursat_spaces(code):
     """Reference Goursat spaces (E_X, E_Z, N_X, N_Z), each spanned outright:
     the x- and z-parts of the generators, and the x-part (z-part) images of
@@ -218,6 +228,13 @@ def reference_sampled_errors(split, q, trials, seed):
             if hit.size:
                 row[hit], row[n + hit] = vals[rng.integers(0, len(vals), size=hit.size)].T
         yield chunk
+
+
+def record_rate(benchmark, key, count):
+    """Store count / median seconds per round as the benchmark's extra info
+    `key`; nothing when timing is off, as `--benchmark-disable` keeps no stats."""
+    if benchmark.stats is not None:
+        benchmark.extra_info[key] = count / benchmark.stats.stats.median
 
 
 @st.composite

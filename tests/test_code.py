@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subcss import (
@@ -42,6 +42,7 @@ from conftest import (
     random_gauge_code,
     reference_goursat_spaces,
     reference_span_grid,
+    reference_tower,
     symplectic_distance,
 )
 
@@ -335,7 +336,7 @@ def test_is_css_and_split_match_kernel_sum_reference(code):
 
 
 def test_derived_spaces_are_built_once(monkeypatch):
-    calls = {"omega": 0, "rref": 0}
+    calls = {"omega": 0, "rref": 0, "tower": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -346,14 +347,25 @@ def test_derived_spaces_are_built_once(monkeypatch):
     monkeypatch.setattr(code_module, "omega_complement",
                         counting("omega", code_module.omega_complement))
     monkeypatch.setattr(code_module, "rref", counting("rref", code_module.rref))
+    monkeypatch.setattr(Subspace, "sum_and_intersection",
+                        counting("tower", Subspace.sum_and_intersection))
+    # A CSS code: its tower is the block products of its split's two towers.
     code = bacon_shor(3)
     assert code.parameters() == (9, 1, 4)  # reads the centralizer and the stabilizer
-    assert calls["omega"] == 1
     split = code.css_split()
     assert code.is_css() and code.css_split() is split
-    assert calls["rref"] == 1  # the (z, x) echelon of H, built once
     for name in ("stab_x", "stab_z", "logical_x", "logical_z"):
         assert getattr(split, name) is getattr(split, name)
+    code.parameters()
+    # No H^w, the (z, x) echelon of H once, and one echelon per side of the split.
+    assert calls == {"omega": 0, "rref": 1, "tower": 2}
+    # A non-CSS code: H^w once, and one Zassenhaus echelon of H against it.
+    calls.update(omega=0, rref=0, tower=0)
+    code = five_qubit()
+    assert code.parameters() == (5, 1, 0)
+    assert code.centralizer is code.centralizer and code.stabilizer is code.stabilizer
+    code.parameters()
+    assert calls == {"omega": 1, "rref": 1, "tower": 1}
 
 
 @st.composite
@@ -393,6 +405,29 @@ def test_from_css_split_is_canonical_as_built(split):
     got = SubsystemCode.from_css_split(split).gauge.basis
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=5))
+@example(CssSplit(Subspace.zero(3, 4), Subspace.zero(3, 4)))  # dim H = 0
+@example(CssSplit(Subspace.full(2, 3), Subspace.full(2, 3)))  # H = F_p^{2n}
+@example(CssSplit(Subspace.zero(5, 2), Subspace.full(5, 2)))
+def test_css_tower_matches_the_2n_reference(split):
+    built = SubsystemCode.from_css_split(split)
+    # The same code as a plain gauge subspace finds its split by echelon.
+    for code in (built, SubsystemCode(split.p, split.n, built.gauge)):
+        assert code.is_css()
+        assert (code.centralizer, code.stabilizer) == reference_tower(code)
+        assert code.centralizer.basis.dtype == np.int64
+
+
+@settings(max_examples=80, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=5))
+def test_from_css_split_stores_its_goursat_spaces(split):
+    code = SubsystemCode.from_css_split(split)
+    e_x, e_z, internal = code._goursat
+    assert internal is split and code.css_split() is split
+    assert (e_x, e_z, internal.h_x, internal.h_z) == reference_goursat_spaces(code)
 
 
 def test_is_css_runs_one_echelon(monkeypatch):

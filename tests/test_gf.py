@@ -245,6 +245,10 @@ def test_intersect_matches_brute_force(pair):
     assert _elements(cap) == _elements(a) & _elements(b)
     # The Zassenhaus rows are taken as the basis as-is: it must be canonical.
     assert cap == Subspace.span(cap.basis, cap.p, cap.ambient)
+    # Its other half is the sum, as `+` builds it from the stacked bases.
+    total, cap_too = a.sum_and_intersection(b)
+    assert total == a + b and cap_too == cap
+    assert total == Subspace.span(total.basis, total.p, total.ambient)
 
 
 def _greedy_reference(small, vecs):

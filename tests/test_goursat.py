@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcss import (
     GoursatData,
@@ -20,7 +21,7 @@ from subcss import (
 from subcss import goursat as goursat_module
 from subcss.pauli import parse_pauli
 
-from conftest import gauge_codes, kernel_sum_is_css, random_gauge_code
+from conftest import gauge_codes, kernel_sum_is_css, random_gauge_code, subspaces
 
 FIVE_QUBIT_E_X = ("IXXII", "IIXXI", "IIIXX", "XIIIX")
 FIVE_QUBIT_E_Z = ("ZIIZI", "IZIIZ", "ZIZII", "IZIZI")
@@ -81,6 +82,44 @@ def test_complement_data_checks(rng):
         n = int(rng.choice([2, 3]))
         report = check_complement_data(random_gauge_code(rng, p, n))
         assert report.passed, report.details
+
+
+def _reference_reports(c1, c2):
+    """The two checks' reports from full `goursat_of` data of every code."""
+    p, n = c1.p, c1.n
+    d, dc = goursat_of(c1), goursat_of(SubsystemCode(p, n, c1._omega_comp))
+    complement = {
+        "external_x": dc.e_x == d.n_z.complement(),
+        "external_z": dc.e_z == d.n_x.complement(),
+        "internal_x": dc.n_x == d.e_z.complement(),
+        "internal_z": dc.n_z == d.e_x.complement(),
+    }
+    d2, di = goursat_of(c2), goursat_of(SubsystemCode(p, n, c1.gauge.intersect(c2.gauge)))
+    caps = [getattr(d, f).intersect(getattr(d2, f)) for f in ("n_x", "n_z", "e_x", "e_z")]
+    intersection = {
+        "internal_x": di.n_x == caps[0],
+        "internal_z": di.n_z == caps[1],
+        "sandwich_x": di.e_x.contains_space(caps[0]) and caps[2].contains_space(di.e_x),
+        "sandwich_z": di.e_z.contains_space(caps[1]) and caps[3].contains_space(di.e_z),
+        "dims": {"T": di.e_x.dim, "W": di.e_z.dim, "N_cap": (caps[0].dim, caps[1].dim),
+                 "E_cap": (caps[2].dim, caps[3].dim)},
+    }
+    return complement, intersection
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=3), st.data())
+def test_data_checks_report_as_from_goursat_data(c1, data):
+    c2 = SubsystemCode(c1.p, c1.n, data.draw(subspaces(c1.p, 2 * c1.n)))
+    complement, intersection = _reference_reports(c1, c2)
+
+    def refuse(*args):
+        raise AssertionError("a data check built GoursatData")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(goursat_module, "goursat_of", refuse)
+        assert check_complement_data(c1).details == complement
+        assert check_intersection_data(c1, c2).details == intersection
 
 
 def test_intersection_data_checks(rng):
@@ -146,6 +185,17 @@ def test_minimal_and_maximal_iff_css(rng):
         code = random_gauge_code(rng, p, n)
         cls = classify_stabilizer(code)
         assert (cls.minimal and cls.maximal) == code.is_css()
+
+
+@settings(max_examples=80, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=3))
+def test_centralizer_is_css_iff_stabilizer_is_css(code):
+    """H + H^w = (H cap H^w)^w, and an omega-complement of a product is one,
+    so `classify_stabilizer` may read minimality off the stabilizer."""
+    centralizer = SubsystemCode(code.p, code.n, code.centralizer)
+    stabilizer = SubsystemCode(code.p, code.n, code.stabilizer)
+    assert centralizer.is_css() == stabilizer.is_css()
+    assert classify_stabilizer(code).minimal == kernel_sum_is_css(code.centralizer, code.n)
 
 
 @settings(max_examples=80, deadline=None)

@@ -46,6 +46,15 @@ def _load_code(spec: str, args) -> SubsystemCode:
     return code
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write an `--out` file; a path that cannot be written is rejected input."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _add_code_arg(sub, positional=True):
     if positional:
         sub.add_argument("code", help="code file path or builtin:<name>")
@@ -118,20 +127,19 @@ def cmd_double(args) -> int:
     doubled = delta(code)
     n, k, r = code.parameters()
     n2, k2, r2 = doubled.result.parameters()
-    print(f"source = [[{n},{k},{r}]]")
-    print(f"doubled = [[{n2},{k2},{r2}]]")
+    lines = [f"source = [[{n},{k},{r}]]", f"doubled = [[{n2},{k2},{r2}]]"]
     try:
         d = code.distance(args.budget)
         if d.exact:
-            print(f"d_bracket = [{d.value}, {2 * d.value}] (exact source distance)")
+            lines.append(f"d_bracket = [{d.value}, {2 * d.value}] (exact source distance)")
     except NoLogicalOperators:
         pass
     text = codefile.emit_code_file(doubled.result, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"written = {args.out}")
-    else:
+        _write_out(args.out, text)
+        lines.append(f"written = {args.out}")
+    print("\n".join(lines))
+    if not args.out:
         sys.stdout.write(text)
     return EXIT_OK
 
@@ -239,8 +247,7 @@ def cmd_gen(args) -> int:
     code = _load_code(f"builtin:{args.name}", args)
     text = codefile.emit_code_file(code, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

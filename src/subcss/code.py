@@ -9,7 +9,7 @@ Each pair (A + B, A cap B) of the tower comes from one Zassenhaus echelon
 H_Z^theta x H_X^theta, so its tower is built from its two classical codes
 alone: (L_X, S_X) from one echelon of H_X against H_Z^theta, (L_Z, S_Z) from
 one of H_Z against H_X^theta, and H + H^w = L_X x L_Z, H cap H^w = S_X x S_Z.
-Any other code runs one echelon of H against H^w on 2n columns.
+Any other code's is the X tower of its double (H, psi(H)), as psi(H)^theta = H^w.
 
 Weights are counted over an alphabet of nonzero single-site letters.
 Hamming weight on F_p^n uses the letters F_p \\ {0}; symplectic weight on
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import gf
 from .gf import Subspace, _block_spaces, _grid_digits, _grid_index, rref, validate_prime
-from .pauli import PauliVector, flatten, omega_complement, unflatten
+from .pauli import PauliVector, flatten, psi_subspace, unflatten
 
 
 class NoLogicalOperators(Exception):
@@ -151,9 +151,14 @@ class SubsystemCode:
     # Tower -----------------------------------------------------------------
 
     @cached_property
+    def _double_split(self) -> CssSplit:
+        """(H, psi(H)), the split of Delta(H), whose X tower is H's (see `_tower`)."""
+        return CssSplit(self.gauge, psi_subspace(self.gauge))
+
+    @property
     def _omega_comp(self) -> Subspace:
-        """H^w, built once."""
-        return omega_complement(self.gauge)
+        """H^w = psi(H)^theta, the complement in the double's X tower."""
+        return self._double_split.h_z.complement()
 
     @cached_property
     def _tower(self) -> tuple[Subspace, Subspace]:
@@ -162,7 +167,8 @@ class SubsystemCode:
         A CSS code H = H_X x H_Z has H^w = H_Z^theta x H_X^theta, so its tower
         factors into the two classical towers of its split: (L_X x L_Z,
         S_X x S_Z), one echelon per side on n columns and none on 2n. Any
-        other code runs one Zassenhaus echelon of H against H^w.
+        other code's is its double's X tower, one echelon of H against
+        psi(H)^theta = H^w, so `delta` reuses it.
         """
         if self.is_css():
             split = self._goursat[2]
@@ -170,18 +176,18 @@ class SubsystemCode:
                 _block_product(split.logical_x, split.logical_z),
                 _block_product(split.stab_x, split.stab_z),
             )
-        return self.gauge.sum_and_intersection(self._omega_comp)
+        return self._double_split._x_tower
 
     @cached_property
     def centralizer(self) -> Subspace:
-        """H + H^w: all logical (commuting-with-stabilizer) operators; for a
-        CSS code L_X x L_Z (see `_tower`)."""
+        """H + H^w: all logical (commuting-with-stabilizer) operators; L_X x L_Z
+        for a CSS code, else its double's L_X (see `_tower`)."""
         return self._tower[0]
 
     @cached_property
     def stabilizer(self) -> Subspace:
-        """H cap H^w: the stabilizer group modulo phases; for a CSS code
-        S_X x S_Z (see `_tower`)."""
+        """H cap H^w: the stabilizer group modulo phases; S_X x S_Z for a CSS
+        code, else its double's S_X (see `_tower`)."""
         return self._tower[1]
 
     def parameters(self) -> tuple[int, int, int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import CssSplit, SubsystemCode
+from .code import SubsystemCode, _block_product
 from .gf import Subspace
 from .pauli import PauliVector, flatten, psi, psi_subspace, unflatten
 
@@ -30,9 +30,10 @@ def double_subspace(h: Subspace) -> Subspace:
     """H x psi(H) inside F_p^{4n}, under the a-block/b-block flattening.
 
     A doubled qudit register carries the source a-blocks on the first n
-    qudits and the source b-blocks on the last n.
+    qudits and the source b-blocks on the last n. As psi(H)^theta = H^w,
+    the X tower of this split is H's tower, which is why n, k and r double.
     """
-    return SubsystemCode.from_css_split(CssSplit(h, psi_subspace(h))).gauge
+    return _block_product(h, psi_subspace(h))
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class DoubledCode:
 
 
 def delta(code: SubsystemCode) -> DoubledCode:
-    """Double a subsystem stabilizer code into a subsystem CSS code, built from
-    its split (H, psi(H)), so the result knows its split without an echelon."""
-    result = SubsystemCode.from_css_split(CssSplit(code.gauge, psi_subspace(code.gauge)))
-    return DoubledCode(source=code, result=result)
+    """Double a code into a subsystem CSS code, built from the code's own split
+    (H, psi(H)); its X tower, H's tower as psi(H)^theta = H^w, is then built once."""
+    return DoubledCode(source=code, result=SubsystemCode.from_css_split(code._double_split))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import Subspace, fp_array, kernel, validate_prime
+from .gf import Subspace, fp_array, validate_prime
 
 _QUBIT_LETTERS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _TOKEN_RE = re.compile(r"^X(\d+)Z(\d+)$")
@@ -151,21 +151,15 @@ def psi(pv: PauliVector) -> PauliVector:
     return PauliVector(pv.p, pv.z.copy(), (-pv.x) % pv.p)
 
 
-def _psi_rows(h: Subspace) -> np.ndarray:
-    """psi of each basis row of a subspace of F_p^{2n}: a block swap with a sign."""
+def psi_subspace(h: Subspace) -> Subspace:
+    """Image of a subspace of F_p^{2n} under psi; psi(H) is the H_Z of H's double."""
     if h.ambient % 2 != 0:
         raise ValueError("ambient dimension must be even")
     n = h.ambient // 2
-    return np.hstack([h.basis[:, n:], -h.basis[:, :n]])
-
-
-def psi_subspace(h: Subspace) -> Subspace:
-    """Image of a subspace of F_p^{2n} under psi."""
-    return Subspace.span(_psi_rows(h), h.p, h.ambient)
+    return Subspace.span(np.hstack([h.basis[:, n:], -h.basis[:, :n]]), h.p, h.ambient)
 
 
 def omega_complement(h: Subspace) -> Subspace:
-    """Omega-complement {u : omega(u, h) = 0} = theta-complement of psi(h): the
-    kernel of the psi rows themselves, since a kernel depends only on the row
-    space and so needs no canonical basis of psi(h) first."""
-    return kernel(_psi_rows(h), h.p)
+    """{u : omega(u, h) = 0} = psi(h)^theta, as u . psi(h) = -omega(u, h); a code's
+    double (H, psi(H)) has it as H_Z^theta, so its X tower is H's own."""
+    return psi_subspace(h).complement()

@@ -1,9 +1,10 @@
 """Per-layer micro-benchmarks of distance search on fixed inputs.
 
 Times the code tower (`parameters()` of a fresh CSS and a fresh non-CSS
-code), the CSS distance route (the syndrome engine on Bacon-Shor 6, 7 and
-10), the symplectic search it replaces on CSS codes, the weight-layer
-enumerator, and the batched membership test.
+code), the core of `double` on a fresh non-CSS code, the CSS distance route
+(the syndrome engine on Bacon-Shor 6, 7 and 10), the symplectic search it
+replaces on CSS codes, the weight-layer enumerator, and the batched
+membership test.
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
     PYTHONPATH=src python -m pytest tests/bench_code.py --benchmark-only
@@ -32,6 +33,17 @@ def test_parameters_random_p5_n40(benchmark):
     params = benchmark.pedantic(lambda code: code.parameters(),
                                 setup=lambda: ((random_code(5, 40, 40, 1),), {}), rounds=20)
     assert params == (40, 20, 20)
+
+
+def test_double_parameters_random_p5_n40(benchmark):
+    # The core of `subcss double` on a fresh non-CSS code each round: the
+    # source's tower, then the double's, whose X side is the source's tower.
+    def double(code):
+        return code.parameters(), delta(code).result.parameters()
+
+    params = benchmark.pedantic(double, setup=lambda: ((random_code(5, 40, 40, 1),), {}),
+                                rounds=20)
+    assert params == ((40, 20, 20), (80, 40, 40))
 
 
 def test_distance_bacon_shor6(benchmark):

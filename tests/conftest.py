@@ -19,7 +19,6 @@ from subcss import (
 from subcss import code as code_module
 from subcss.code import _coset_search, _site_values
 from subcss.gf import fp_array
-from subcss.pauli import psi_subspace
 
 
 def random_subspace(rng, p, ambient):
@@ -147,12 +146,21 @@ def kernel_sum_is_css(h, n):
     return (kernel(pi_x, h.p) + kernel(pi_z, h.p)).dim == h.dim
 
 
+def reference_omega_complement(h):
+    """Reference H^w: the kernel of H's basis rows block-swapped and signed,
+    (a, b) -> (b, -a), with no echelon of psi(H) first. `pauli.omega_complement`
+    and `SubsystemCode._omega_comp`, which take the theta-complement of
+    `psi_subspace(h)`, must give the same canonical basis."""
+    n = h.ambient // 2
+    return kernel(np.hstack([h.basis[:, n:], -h.basis[:, :n]]), h.p)
+
+
 def reference_tower(code):
     """Reference tower (H + H^w, H cap H^w) on 2n columns, whatever the code:
-    H^w as the theta-complement of psi(H), then `+` and `intersect` with it.
-    `SubsystemCode`, which builds a CSS code's tower from its split, must
-    give the same spaces."""
-    comp = psi_subspace(code.gauge).complement()
+    `reference_omega_complement`, then `+` and `intersect` with it.
+    `SubsystemCode`, which builds a CSS code's tower from its split and any
+    other code's from the split of its double, must give the same spaces."""
+    comp = reference_omega_complement(code.gauge)
     return code.gauge + comp, code.gauge.intersect(comp)
 
 

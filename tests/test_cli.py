@@ -91,6 +91,20 @@ def test_double_writes_css_file(tmp_path, capsys):
     assert parsed.parameters() == (10, 2, 0)
 
 
+@pytest.mark.parametrize("argv", [
+    ("double", "builtin:five_qubit"),
+    ("gen", "five_qubit"),
+])
+def test_unwritable_out_is_rejected_input(tmp_path, capsys, argv):
+    path = tmp_path / "missing_dir" / "x.code"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: cannot write {path}: ")
+    assert not path.parent.exists()
+
+
 def test_classify_five_qubit(capsys):
     code, out, _ = run(capsys, "classify", "builtin:five_qubit")
     assert code == 0

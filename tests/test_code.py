@@ -15,6 +15,7 @@ from subcss import (
     SubsystemCode,
     bacon_shor,
     css_distances,
+    delta,
     five_qubit,
     trivial,
 )
@@ -41,6 +42,7 @@ from conftest import (
     qudit_bacon_shor,
     random_gauge_code,
     reference_goursat_spaces,
+    reference_omega_complement,
     reference_span_grid,
     reference_tower,
     symplectic_distance,
@@ -336,7 +338,7 @@ def test_is_css_and_split_match_kernel_sum_reference(code):
 
 
 def test_derived_spaces_are_built_once(monkeypatch):
-    calls = {"omega": 0, "rref": 0, "tower": 0}
+    calls = {"psi": 0, "kernel": 0, "rref": 0, "tower": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -344,8 +346,8 @@ def test_derived_spaces_are_built_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(code_module, "omega_complement",
-                        counting("omega", code_module.omega_complement))
+    monkeypatch.setattr(code_module, "psi_subspace", counting("psi", code_module.psi_subspace))
+    monkeypatch.setattr(gf_module, "kernel", counting("kernel", gf_module.kernel))
     monkeypatch.setattr(code_module, "rref", counting("rref", code_module.rref))
     monkeypatch.setattr(Subspace, "sum_and_intersection",
                         counting("tower", Subspace.sum_and_intersection))
@@ -357,15 +359,21 @@ def test_derived_spaces_are_built_once(monkeypatch):
     for name in ("stab_x", "stab_z", "logical_x", "logical_z"):
         assert getattr(split, name) is getattr(split, name)
     code.parameters()
-    # No H^w, the (z, x) echelon of H once, and one echelon per side of the split.
-    assert calls == {"omega": 0, "rref": 1, "tower": 2}
-    # A non-CSS code: H^w once, and one Zassenhaus echelon of H against it.
-    calls.update(omega=0, rref=0, tower=0)
+    # No psi(H), the (z, x) echelon of H once, and one echelon per side of the
+    # split, each against the other side's complement.
+    assert calls == {"psi": 0, "kernel": 2, "rref": 1, "tower": 2}
+    # A non-CSS code: psi(H) once, its complement H^w, and one Zassenhaus
+    # echelon of H against it, the X tower of the double (H, psi(H)).
+    calls.update(psi=0, kernel=0, rref=0, tower=0)
     code = five_qubit()
     assert code.parameters() == (5, 1, 0)
     assert code.centralizer is code.centralizer and code.stabilizer is code.stabilizer
     code.parameters()
-    assert calls == {"omega": 1, "rref": 1, "tower": 1}
+    assert calls == {"psi": 1, "kernel": 1, "rref": 1, "tower": 1}
+    # The double reuses that split and its X tower: only its Z side, H^theta
+    # and one echelon of psi(H) against it, is new.
+    assert delta(code).result.parameters() == (10, 2, 0)
+    assert calls == {"psi": 1, "kernel": 2, "rref": 1, "tower": 2}
 
 
 @st.composite
@@ -419,6 +427,35 @@ def test_css_tower_matches_the_2n_reference(split):
         assert code.is_css()
         assert (code.centralizer, code.stabilizer) == reference_tower(code)
         assert code.centralizer.basis.dtype == np.int64
+
+
+def _same_bits(got, want):
+    return (got.p, got.ambient) == (want.p, want.ambient) and (
+        got.basis.dtype == want.basis.dtype and got.basis.shape == want.basis.shape
+        and got.basis.tobytes() == want.basis.tobytes())
+
+
+@settings(max_examples=120, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=4))
+@example(five_qubit())
+@example(bacon_shor(2))
+@example(SubsystemCode(3, 2, Subspace.zero(3, 4)))
+@example(SubsystemCode(2, 2, Subspace.full(2, 4)))
+def test_tower_and_double_share_one_omega_complement(code):
+    # H^w bit for bit against the kernel of the signed, block-swapped rows.
+    comp = reference_omega_complement(code.gauge)
+    assert _same_bits(omega_complement(code.gauge), comp)
+    assert _same_bits(code._omega_comp, comp)
+    assert _same_bits(code.centralizer, code.gauge + comp)
+    assert _same_bits(code.stabilizer, code.gauge.intersect(comp))
+    # The double is built from the code's own split, whose X tower a non-CSS
+    # code's centralizer and stabilizer already are.
+    split = code._double_split
+    doubled = delta(code).result
+    assert doubled.css_split() is split
+    if not code.is_css():
+        assert code.centralizer is split.logical_x and code.stabilizer is split.stab_x
+    assert doubled.parameters() == tuple(2 * v for v in code.parameters())
 
 
 @settings(max_examples=80, deadline=None)

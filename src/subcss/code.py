@@ -7,8 +7,8 @@ and the distance is the minimum symplectic weight over (H + H^w) \\ H.
 Each pair (A + B, A cap B) of the tower comes from one Zassenhaus echelon
 (`Subspace.sum_and_intersection`). A CSS code H_X x H_Z has H^w =
 H_Z^theta x H_X^theta, so its tower is built from its two classical codes
-alone: (L_X, S_X) from one echelon of H_X against H_Z^theta, (L_Z, S_Z) from
-one of H_Z against H_X^theta, and H + H^w = L_X x L_Z, H cap H^w = S_X x S_Z.
+alone: (L_X, S_X) from one echelon of H_X against H_Z^theta, its theta-dual
+(L_Z, S_Z) = (S_X^theta, L_X^theta), H + H^w = L_X x L_Z, H cap H^w = S_X x S_Z.
 Any other code's is the X tower of its double (H, psi(H)), as psi(H)^theta = H^w.
 
 Weights are counted over an alphabet of nonzero single-site letters.
@@ -58,7 +58,7 @@ class DistanceResult:
 @dataclass(frozen=True)
 class CssSplit:
     """The two classical codes H_X, H_Z <= F_p^n of a subsystem CSS code, and
-    their towers (L_X, S_X) and (L_Z, S_Z), each pair from one echelon."""
+    their towers: (L_X, S_X) from one echelon, (L_Z, S_Z) as its theta-dual."""
 
     h_x: Subspace
     h_z: Subspace
@@ -80,11 +80,6 @@ class CssSplit:
         """(L_X, S_X) from one Zassenhaus echelon of H_X against H_Z^theta."""
         return self.h_x.sum_and_intersection(self.h_z.complement())
 
-    @cached_property
-    def _z_tower(self) -> tuple[Subspace, Subspace]:
-        """(L_Z, S_Z) from one Zassenhaus echelon of H_Z against H_X^theta."""
-        return self.h_z.sum_and_intersection(self.h_x.complement())
-
     @property
     def stab_x(self) -> Subspace:
         """S_X = H_X cap H_Z^theta: the X-type stabilizer space."""
@@ -92,8 +87,8 @@ class CssSplit:
 
     @property
     def stab_z(self) -> Subspace:
-        """S_Z = H_Z cap H_X^theta: the Z-type stabilizer space."""
-        return self._z_tower[1]
+        """S_Z = H_Z cap H_X^theta = L_X^theta: the Z-type stabilizer space."""
+        return self.logical_x.complement()
 
     @property
     def logical_x(self) -> Subspace:
@@ -102,8 +97,8 @@ class CssSplit:
 
     @property
     def logical_z(self) -> Subspace:
-        """L_Z = H_Z + H_X^theta: the Z-type logical space."""
-        return self._z_tower[0]
+        """L_Z = H_Z + H_X^theta = S_X^theta: the Z-type logical space."""
+        return self.stab_x.complement()
 
 
 class SubsystemCode:
@@ -323,7 +318,7 @@ def _coset_search(
 ) -> tuple[int, np.ndarray] | None:
     """(w, v): v is the first vector of big \\ small in `_weight_batches` order
     whose weight w is the least one up to `budget` (default n, the sites of
-    `letters`' layout); None if there is none.
+    `letters`' layout; no vector is heavier); None if there is none.
 
     Raises ValueError for a negative budget.
     """
@@ -331,7 +326,7 @@ def _coset_search(
     budget = _budget(budget, n)
     in_big = _membership_checker(big)
     in_small = _membership_checker(small)
-    for w in range(1, budget + 1):
+    for w in range(1, min(budget, n) + 1):
         for batch in _weight_batches(letters, n, w):
             hits = batch[in_big(batch) & ~in_small(batch)]
             if len(hits):

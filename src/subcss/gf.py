@@ -94,15 +94,19 @@ def rank(mat, p: int) -> int:
 
 
 def kernel(mat, p: int) -> "Subspace":
-    """Right kernel {v : mat @ v = 0 mod p} as a canonical Subspace."""
-    red = rref(mat, p)
+    """Right kernel {v : mat @ v = 0 mod p} as a canonical Subspace, from one
+    echelon R of mat's columns reversed: b_f = e_f - sum_i R[i, f] e_{P_i} ends in
+    its 1 at free column f, 0 on the other free columns, so reversed it is the RREF."""
+    if (mat := np.asarray(mat)).ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    red = rref(mat[:, ::-1], validate_prime(p))
     n_cols = red.shape[1]
     pivots = pivot_columns(red)
     free = np.delete(np.arange(n_cols), pivots)
     basis = np.zeros((free.size, n_cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -red[: len(pivots), free].T % p
-    return Subspace.span(basis, p, n_cols)
+    return Subspace(p, n_cols, basis[::-1, ::-1])
 
 
 def solve(mat, rhs, p: int) -> np.ndarray | None:

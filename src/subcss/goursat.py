@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .code import CssSplit, SubsystemCode
-from .gf import Subspace, _independent_rows
+from .gf import Subspace, _independent_rows, rank
 
 
 @dataclass(frozen=True)
@@ -158,13 +158,15 @@ def classify_stabilizer(code: SubsystemCode) -> StabilizerClass:
     that holds iff the stabilizer is CSS, which the stabilizer's Goursat
     spaces, read for the maximal test anyway, decide. Maximal iff the
     external code of the stabilizer's Goursat data attains
-    (E_X cap N_Z^theta) x (E_Z cap N_X^theta).
+    (E_X cap N_Z^theta) x (E_Z cap N_X^theta). It always lies inside, so it
+    attains it iff the dimensions agree: dim (E_X cap N_Z^theta) is dim E_X
+    less the rank of the products of E_X's basis with N_Z's, and Z mirrors X.
     """
     e_x, e_z, internal = code._goursat
     stab = SubsystemCode(code.p, code.n, code.stabilizer)
     stab_e_x, stab_e_z, _ = stab._goursat
     maximal = (
-        stab_e_x == e_x.intersect(internal.h_z.complement())
-        and stab_e_z == e_z.intersect(internal.h_x.complement())
+        stab_e_x.dim == e_x.dim - rank(e_x.basis @ internal.h_z.basis.T, code.p)
+        and stab_e_z.dim == e_z.dim - rank(e_z.basis @ internal.h_x.basis.T, code.p)
     )
     return StabilizerClass(minimal=stab.is_css(), maximal=maximal)

@@ -18,6 +18,7 @@ from subcss import (
     goursat_of,
     kernel,
     omega_complement,
+    random_code,
     rref,
 )
 
@@ -47,6 +48,14 @@ def test_kernel_bacon_shor10_gauge(benchmark):
     gauge = bacon_shor(10).gauge
     ker = benchmark(kernel, gauge.basis, 2)
     assert ker.dim == 200 - gauge.dim
+
+
+def test_kernel_random_p3_n400_gauge(benchmark):
+    """A wide low-rank input: the 10 x 800 gauge basis of a random code, whose
+    kernel has 790 rows."""
+    gauge = random_code(3, 400, 10, 1).gauge
+    ker = benchmark(kernel, gauge.basis, 3)
+    assert ker.dim == 800 - gauge.dim == 790
 
 
 def test_rref_small_dense_p3(benchmark):

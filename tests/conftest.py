@@ -164,6 +164,28 @@ def reference_tower(code):
     return code.gauge + comp, code.gauge.intersect(comp)
 
 
+def reference_z_tower(split):
+    """Reference Z side (L_Z, S_Z) of a split: one Zassenhaus echelon of H_Z
+    against H_X^theta. `CssSplit`, which takes them as the theta-complements
+    S_X^theta and L_X^theta of its X side, must give the same spaces."""
+    return split.h_z.sum_and_intersection(split.h_x.complement())
+
+
+def reference_classify_stabilizer(code):
+    """Reference taxonomy (minimal, maximal): the stabilizer is CSS, and its
+    externals equal (E_X cap N_Z^theta, E_Z cap N_X^theta), each intersection
+    built. `classify_stabilizer`, which compares dimensions from two ranks,
+    must agree."""
+    e_x, e_z, internal = code._goursat
+    stab = SubsystemCode(code.p, code.n, code.stabilizer)
+    stab_e_x, stab_e_z, _ = stab._goursat
+    maximal = (
+        stab_e_x == e_x.intersect(internal.h_z.complement())
+        and stab_e_z == e_z.intersect(internal.h_x.complement())
+    )
+    return stab.is_css(), maximal
+
+
 def reference_goursat_spaces(code):
     """Reference Goursat spaces (E_X, E_Z, N_X, N_Z), each spanned outright:
     the x- and z-parts of the generators, and the x-part (z-part) images of

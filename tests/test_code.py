@@ -17,6 +17,7 @@ from subcss import (
     css_distances,
     delta,
     five_qubit,
+    random_code,
     trivial,
 )
 from subcss import code as code_module
@@ -45,6 +46,7 @@ from conftest import (
     reference_omega_complement,
     reference_span_grid,
     reference_tower,
+    reference_z_tower,
     symplectic_distance,
 )
 
@@ -123,6 +125,26 @@ def test_negative_budget_is_rejected():
     assert code.min_weight_logical(budget=0) is None
 
 
+def test_coset_search_stops_at_weight_n(monkeypatch):
+    """No vector is heavier than n, so a budget past n searches weights 1..n
+    only: a k = 0 code answers a budget of 10^9 at once, and a k > 0 code
+    gives the witness of the default budget."""
+    weights = []
+
+    def recording(letters, n, w):
+        assert w <= n, f"searched weight {w} on {n} sites"
+        weights.append(w)
+        return _weight_batches(letters, n, w)
+
+    monkeypatch.setattr(code_module, "_weight_batches", recording)
+    code = random_code(2, 3, 6, 0)
+    assert code.parameters() == (3, 0, 2)
+    assert code.min_weight_logical(budget=10**9) is None
+    assert weights == [1, 2, 3]
+    for code in (five_qubit(), bacon_shor(2), random_code(3, 3, 2, 5)):
+        assert code.min_weight_logical(budget=10**9) == code.min_weight_logical()
+
+
 def test_no_logical_operators():
     # Full gauge group: H + H^w = H, so the search set is empty.
     code = SubsystemCode(2, 2, Subspace.full(2, 4))
@@ -171,6 +193,19 @@ def test_css_split_mismatch_raises():
         CssSplit(Subspace.zero(2, 3), Subspace.zero(2, 4))
     with pytest.raises(ValueError):
         CssSplit(Subspace.zero(2, 3), Subspace.zero(3, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=5))
+@example(bacon_shor(3).css_split())
+@example(delta(five_qubit()).result.css_split())
+@example(CssSplit(Subspace.zero(3, 4), Subspace.full(3, 4)))
+def test_z_side_is_the_theta_dual_of_the_x_side(split):
+    """For any pair (H_X, H_Z), L_Z = S_X^theta and S_Z = L_X^theta: the split
+    takes its Z side as those complements, with no echelon of its own."""
+    assert (split.logical_z, split.stab_z) == reference_z_tower(split)
+    assert split.stab_z is split.logical_x.complement()
+    assert split.logical_z is split.stab_x.complement()
 
 
 @settings(max_examples=80, deadline=None)
@@ -359,9 +394,10 @@ def test_derived_spaces_are_built_once(monkeypatch):
     for name in ("stab_x", "stab_z", "logical_x", "logical_z"):
         assert getattr(split, name) is getattr(split, name)
     code.parameters()
-    # No psi(H), the (z, x) echelon of H once, and one echelon per side of the
-    # split, each against the other side's complement.
-    assert calls == {"psi": 0, "kernel": 2, "rref": 1, "tower": 2}
+    # No psi(H), the (z, x) echelon of H once, and one echelon of the split's X
+    # side against H_Z^theta; the Z side is the theta-dual, L_Z = S_X^theta and
+    # S_Z = L_X^theta, two more complements and no echelon of its own.
+    assert calls == {"psi": 0, "kernel": 3, "rref": 1, "tower": 1}
     # A non-CSS code: psi(H) once, its complement H^w, and one Zassenhaus
     # echelon of H against it, the X tower of the double (H, psi(H)).
     calls.update(psi=0, kernel=0, rref=0, tower=0)
@@ -370,10 +406,10 @@ def test_derived_spaces_are_built_once(monkeypatch):
     assert code.centralizer is code.centralizer and code.stabilizer is code.stabilizer
     code.parameters()
     assert calls == {"psi": 1, "kernel": 1, "rref": 1, "tower": 1}
-    # The double reuses that split and its X tower: only its Z side, H^theta
-    # and one echelon of psi(H) against it, is new.
+    # The double reuses that split and its X tower: only its Z side, the
+    # complements of the centralizer and the stabilizer, is new.
     assert delta(code).result.parameters() == (10, 2, 0)
-    assert calls == {"psi": 1, "kernel": 2, "rref": 1, "tower": 2}
+    assert calls == {"psi": 1, "kernel": 3, "rref": 1, "tower": 1}
 
 
 @st.composite

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subcss import Subspace, kernel, rank, rref, solve
+from subcss import gf as gf_module
 from subcss.gf import (
     P_LIMIT,
     ROW_LIMIT,
@@ -224,6 +225,41 @@ def test_reduce_and_contains_take_matrices():
 def test_complement_is_built_once():
     s = Subspace.span([[1, 2, 0]], 3, 3)
     assert s.complement() is s.complement()
+
+
+@pytest.mark.parametrize(
+    "mat, p, message",
+    [
+        (np.eye(3, dtype=np.int64), 4, "modulus must be prime, got 4"),
+        (np.eye(3, dtype=np.int64), P_LIMIT, f"modulus must be below {P_LIMIT}, got {P_LIMIT}"),
+        (np.eye(3, dtype=np.int64), 65537, f"modulus must be below {P_LIMIT}, got 65537"),
+        (np.array(1), 3, "expected a 2-D matrix"),
+        (np.array([1, 2]), 3, "expected a 2-D matrix"),
+        (np.array([1, 2]), 4, "expected a 2-D matrix"),
+    ],
+)
+def test_kernel_rejects_bad_input(mat, p, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        kernel(mat, p)
+
+
+def test_complement_runs_one_echelon(monkeypatch, rng):
+    """A fresh theta-complement echelons its space's basis once, and never its
+    own kernel basis again."""
+    spaces = [random_subspace(rng, p, ambient) for p in (2, 3, 7) for ambient in (0, 1, 6, 11)]
+    spaces += [Subspace.zero(5, 4), Subspace.full(5, 4)]
+    calls = []
+
+    def counting(mat, p):
+        calls.append(np.shape(mat))
+        return rref(mat, p)
+
+    monkeypatch.setattr(gf_module, "rref", counting)
+    for space in spaces:
+        calls.clear()
+        comp = space.complement()
+        assert calls == [space.basis.shape]
+        assert comp.dim == space.ambient - space.dim and comp.complement() == space
 
 
 def _elements(space):

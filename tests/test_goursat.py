@@ -21,7 +21,13 @@ from subcss import (
 from subcss import goursat as goursat_module
 from subcss.pauli import parse_pauli
 
-from conftest import gauge_codes, kernel_sum_is_css, random_gauge_code, subspaces
+from conftest import (
+    gauge_codes,
+    kernel_sum_is_css,
+    random_gauge_code,
+    reference_classify_stabilizer,
+    subspaces,
+)
 
 FIVE_QUBIT_E_X = ("IXXII", "IIXXI", "IIIXX", "XIIIX")
 FIVE_QUBIT_E_Z = ("ZIIZI", "IZIIZ", "ZIZII", "IZIZI")
@@ -215,3 +221,23 @@ def test_maximal_matches_the_goursat_data(code):
         mp.setattr(goursat_module, "goursat_of", refuse)
         fresh = SubsystemCode(code.p, code.n, code.gauge)
         assert classify_stabilizer(fresh).maximal == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=4))
+def test_classify_from_ranks_matches_the_intersections(code):
+    """The maximal test compares dimensions from two ranks; the reference
+    builds E_X cap N_Z^theta and E_Z cap N_X^theta and compares the spaces."""
+    cls = classify_stabilizer(code)
+    fresh = SubsystemCode(code.p, code.n, code.gauge)
+    assert (cls.minimal, cls.maximal) == reference_classify_stabilizer(fresh)
+
+
+def test_classify_from_ranks_covers_every_region(rng):
+    regions = set()
+    for _ in range(300):
+        code = random_gauge_code(rng, int(rng.choice([2, 3])), int(rng.integers(1, 4)))
+        cls = classify_stabilizer(code)
+        assert (cls.minimal, cls.maximal) == reference_classify_stabilizer(code)
+        regions.add(cls.region())
+    assert len(regions) == 4

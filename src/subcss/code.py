@@ -16,8 +16,10 @@ Hamming weight on F_p^n uses the letters F_p \\ {0}; symplectic weight on
 F_p^{2n} is Hamming weight over the alphabet F_p^2, whose letters are the
 nonzero (x, z) values of one site.
 
-A minimum weight min wt(big \\ small) is read off the syndromes of small:
-one recursion gives the least weight of every syndrome and every coset leader
+A minimum weight min wt(big \\ small) is read off the syndromes of a check of
+small, which the caller holds, as it holds big's: a CSS side's are its split's
+(L_X^theta = S_Z), any other code's psi-rows, as (X^w)^theta = psi(X). One
+recursion gives the least weight of every syndrome and every coset leader
 (`_syndrome_weights`), and, with a syndrome basis as its sites, the syndromes
 big reaches (`_image_grid`). An enumerator of the vectors of weight exactly w
 searches the low weights first, while that is cheaper than the recursion
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import gf
 from .gf import Subspace, _block_spaces, _grid_digits, _grid_index, rref, validate_prime
-from .pauli import PauliVector, flatten, psi_subspace, unflatten
+from .pauli import PauliVector, _psi_rows, flatten, psi_subspace, unflatten
 
 
 class NoLogicalOperators(Exception):
@@ -120,7 +122,7 @@ class SubsystemCode:
             if g.p != p or g.n != n:
                 raise ValueError("generator has mismatched modulus or length")
             rows.append(flatten(g))
-        mat = np.array(rows, dtype=np.int64).reshape(-1, 2 * n)
+        mat = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n)
         return cls(p, n, Subspace.span(mat, p, 2 * n))
 
     @classmethod
@@ -238,7 +240,7 @@ class SubsystemCode:
         """
         if self.is_css():
             return css_distances(self.css_split(), budget)[2]
-        return _coset_distance(self.centralizer, self.gauge, _site_values(self.p), budget)
+        return _coset_distance(self.centralizer, *self._checks, _site_values(self.p), budget)
 
     def min_weight_logical(self, budget: int | None = None) -> PauliVector | None:
         """A minimum-symplectic-weight element of (H + H^w) \\ H, if found.
@@ -246,8 +248,13 @@ class SubsystemCode:
         Always the symplectic search, CSS codes included, so the witness is
         the first one in `_weight_batches` order over the p^2 - 1 site values.
         """
-        found = _coset_search(self.centralizer, self.gauge, _site_values(self.p), budget)
+        found = _coset_search(*self._checks, _site_values(self.p), self.p, budget)
         return unflatten(found[1], self.p) if found else None
+
+    @property
+    def _checks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Checks of H + H^w and H, no echelon: psi(H cap H^w) and psi(H^w)."""
+        return _psi_rows(self.stabilizer.basis), _psi_rows(self._omega_comp.basis)
 
 
 def _block_product(a: Subspace, b: Subspace) -> Subspace:
@@ -261,37 +268,38 @@ def _block_product(a: Subspace, b: Subspace) -> Subspace:
 def css_distances(split: CssSplit, budget: int | None = None) -> tuple[
     DistanceResult, DistanceResult, DistanceResult
 ]:
-    """(d_X, d_Z, d) of a CSS split, each side a Hamming-weight `_coset_distance`.
+    """(d_X, d_Z, d) of a CSS split, each side a Hamming-weight `_coset_distance`
+    with the checks the split holds: L_X^theta = S_Z and L_Z^theta = S_X.
 
     d is exact when either side is: an exact side value v <= budget lies
     below the other side's bound budget + 1.
     """
     letters = _field_letters(split.p)
-    d_x = _coset_distance(split.logical_x, split.h_x, letters, budget)
-    d_z = _coset_distance(split.logical_z, split.h_z, letters, budget)
+    x_checks = split.stab_z.basis, split.h_x.complement().basis
+    d_x = _coset_distance(split.logical_x, *x_checks, letters, budget)
+    z_checks = split.stab_x.basis, split.h_z.complement().basis
+    d_z = _coset_distance(split.logical_z, *z_checks, letters, budget)
     return d_x, d_z, DistanceResult(min(d_x.value, d_z.value), d_x.exact or d_z.exact)
 
 
-def _coset_distance(
-    big: Subspace, small: Subspace, letters: np.ndarray, budget: int | None = None
-) -> DistanceResult:
+def _coset_distance(big: Subspace, big_check: np.ndarray, small_check: np.ndarray,
+                    letters: np.ndarray, budget: int | None = None) -> DistanceResult:
     """min wt(big \\ small) over `letters`: `_coset_search` up to the
     `_enumeration_reach`, then the syndrome weights; the bound budget + 1 if it
     exceeds `budget` (default n, the sites of `letters`' layout).
 
-    No distance exceeds m, the rows of small's check matrix (see
-    `_enumeration_reach`): nothing up to m - 1 means d = m, with no recursion.
+    No distance exceeds m, the rows of `small_check`, a full-rank check of small
+    (see `_enumeration_reach`): nothing up to m - 1 means d = m, with no recursion.
 
     Raises NoLogicalOperators if big == small, ValueError for a negative budget.
     """
-    if big == small:
+    p, (m, ambient) = big.p, small_check.shape
+    if big.dim + m == ambient:
         raise NoLogicalOperators("no logical operators: the coset space is empty")
-    n = big.ambient // letters.shape[1]
+    n = ambient // letters.shape[1]
     budget = _budget(budget, n)
-    p, check = small.p, small.complement().basis
-    m = check.shape[0]
     reach = _enumeration_reach(p, m, n, len(letters), budget)
-    found = _coset_search(big, small, letters, reach)
+    found = _coset_search(big_check, small_check, letters, p, reach)
     if found:
         d = found[0]
     elif reach >= min(budget, m - 1):
@@ -299,9 +307,9 @@ def _coset_distance(
         d = min(m, budget + 1)
     else:
         # big \ small has the syndromes F(big) \ {0}.
-        image = _image_grid(Subspace.span(big.basis @ check.T, p, m).basis, p)
+        image = _image_grid(Subspace.span(big.basis @ small_check.T, p, m).basis, p)
         image[(0,) * m] = False
-        d = int(_syndrome_weights(_letter_syndromes(check, letters, p), p)[0][image].min())
+        d = int(_syndrome_weights(_letter_syndromes(small_check, letters, p), p)[0][image].min())
     return DistanceResult(d, True) if d <= budget else DistanceResult(budget + 1, False)
 
 
@@ -313,22 +321,19 @@ def _budget(budget: int | None, n: int) -> int:
     return budget
 
 
-def _coset_search(
-    big: Subspace, small: Subspace, letters: np.ndarray, budget: int | None = None
-) -> tuple[int, np.ndarray] | None:
-    """(w, v): v is the first vector of big \\ small in `_weight_batches` order
-    whose weight w is the least one up to `budget` (default n, the sites of
-    `letters`' layout; no vector is heavier); None if there is none.
+def _coset_search(big_check: np.ndarray, small_check: np.ndarray, letters: np.ndarray, p: int,
+                  budget: int | None = None) -> tuple[int, np.ndarray] | None:
+    """(w, v): v is the first vector of big \\ small, each given by a check, in
+    `_weight_batches` order whose weight w is the least one up to `budget`
+    (default n, the sites of `letters`' layout; no vector is heavier); None if none.
 
     Raises ValueError for a negative budget.
     """
-    n = big.ambient // letters.shape[1]
+    n = big_check.shape[1] // letters.shape[1]
     budget = _budget(budget, n)
-    in_big = _membership_checker(big)
-    in_small = _membership_checker(small)
     for w in range(1, min(budget, n) + 1):
         for batch in _weight_batches(letters, n, w):
-            hits = batch[in_big(batch) & ~in_small(batch)]
+            hits = batch[_in_kernel(batch, big_check, p) & ~_in_kernel(batch, small_check, p)]
             if len(hits):
                 return w, hits[0]
     return None
@@ -505,10 +510,9 @@ def _enumerated_leaders(
 _BATCH_ROWS = 1 << 14
 
 
-def _membership_checker(space: Subspace):
-    """Vectorized membership test: v in space iff C v = 0 for C = basis of space^theta."""
-    comp, p = space.complement().basis, space.p
-    return lambda batch: ~np.any((batch @ comp.T) % p, axis=1)
+def _in_kernel(batch: np.ndarray, check: np.ndarray, p: int) -> np.ndarray:
+    """Whether check @ v = 0 for each row v: v is in the space the check checks."""
+    return ~np.any(batch @ check.T % p, axis=1)
 
 
 def _field_letters(p: int) -> np.ndarray:

@@ -41,8 +41,8 @@ def parse_code_file(text: str) -> tuple[SubsystemCode, str]:
                 fmt = fields["format"]
             except (ValueError, KeyError) as exc:
                 raise CodeFileError(i, f"bad header: {exc}") from exc
-            if n < 1:
-                raise CodeFileError(i, "qudit count must be positive")
+            if n < 0:
+                raise CodeFileError(i, f"qudit count must be >= 0, got {n}")
             if fmt not in FORMATS:
                 raise CodeFileError(i, f"unknown format {fmt!r}")
             continue
@@ -52,7 +52,7 @@ def parse_code_file(text: str) -> tuple[SubsystemCode, str]:
             raise CodeFileError(i, str(exc)) from exc
     if fmt is None:
         raise CodeFileError(1, "missing header line")
-    gauge = np.array(rows, dtype=np.int64).reshape(-1, 2 * n)
+    gauge = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n)
     return SubsystemCode(p, n, Subspace.span(gauge, p, 2 * n)), fmt
 
 

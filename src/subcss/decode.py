@@ -24,7 +24,7 @@ from .code import (
     _enumerated_leaders,
     _field_letters,
     _grid_index,
-    _membership_checker,
+    _in_kernel,
     _site_values,
     _weight_batches,
 )
@@ -48,7 +48,8 @@ class ClassicalCode:
     below half the distance min wt(K \\ R).
 
     It only looks leaders up: in `code._coset_leaders`' table of F, or in a
-    batch's own one where F has too many syndromes for a table.
+    batch's own one where F has too many syndromes for a table. Its tests read
+    the checks it holds: F for K, R^theta for R, F's left kernel for syndromes.
     """
 
     def __init__(self, f: np.ndarray, r: Subspace):
@@ -68,8 +69,9 @@ class ClassicalCode:
     def d_r(self) -> int:
         """min wt(K \\ R), exact (`_coset_distance` to full length): a search
         over the low weights, and the syndrome space of R past them where
-        that is cheaper."""
-        return _coset_distance(self.k, self.r, _field_letters(self.p)).value
+        that is cheaper. K = ker F, so F is K's check, dependent rows and all."""
+        checks = self.f, self.r.complement().basis
+        return _coset_distance(self.k, *checks, _field_letters(self.p)).value
 
     @cached_property
     def _leader_table(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -78,9 +80,9 @@ class ClassicalCode:
         return _coset_leaders(self.f, _field_letters(self.p), self.p, (self.d_r - 1) // 2)
 
     @cached_property
-    def _in_image(self):
-        """Membership test of the column space of F: the achievable syndromes."""
-        return _membership_checker(Subspace.span(self.f.T, self.p, self.f.shape[0]))
+    def _in_image(self) -> np.ndarray:
+        """Left kernel of F from one echelon: the check of the achievable syndromes."""
+        return kernel(self.f.T, self.p).basis
 
     def syndrome(self, v) -> np.ndarray:
         """F v for a vector v, or one syndrome row per row of a matrix v."""
@@ -88,7 +90,7 @@ class ClassicalCode:
 
     def _leaders(self, syns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, found): row i is syndrome i's coset leader if found[i], else zero."""
-        if not np.all(self._in_image(syns)):
+        if not np.all(_in_kernel(syns, self._in_image, self.p)):
             raise InconsistentSyndrome("syndrome not in the image of the parity check")
         table = self._leader_table
         if table is not None:
@@ -179,9 +181,9 @@ def _recover(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarra
     # The errors are already in [0, p), so their syndromes need no `fp_array`.
     cx, found_x = x_side._leaders(ex @ x_side.f.T % split.p)
     cz, found_z = z_side._leaders(ez @ z_side.f.T % split.p)
-    # The redundant subcodes are H_X and H_Z, their complements built once per decoder.
-    in_h_x, in_h_z = _membership_checker(x_side.r), _membership_checker(z_side.r)
-    in_gauge = in_h_x((ex - cx) % split.p) & in_h_z((ez - cz) % split.p)
+    # The checks H_X^theta and H_Z^theta, built once per decoder, take ex - cx unreduced.
+    p, h_x_check, h_z_check = split.p, x_side.r.complement().basis, z_side.r.complement().basis
+    in_gauge = _in_kernel(ex - cx, h_x_check, p) & _in_kernel(ez - cz, h_z_check, p)
     return np.where(found_x & found_z, np.where(in_gauge, 0, 1), 2), cx, cz
 
 
@@ -244,11 +246,10 @@ class ParDecoder:
 
 def respects_weight(h: Subspace) -> bool:
     """Whether h is spanned by its weight-at-most-2 members."""
-    p, n = h.p, h.ambient
-    in_h = _membership_checker(h)
+    p, n, check, letters = h.p, h.ambient, h.complement().basis, _field_letters(h.p)
     rows = [np.zeros((0, n), dtype=np.int64)]
     for w in (1, 2):
-        rows.extend(batch[in_h(batch)] for batch in _weight_batches(_field_letters(p), n, w))
+        rows.extend(batch[_in_kernel(batch, check, p)] for batch in _weight_batches(letters, n, w))
     return Subspace.span(np.vstack(rows), p, n) == h
 
 

@@ -151,12 +151,17 @@ def psi(pv: PauliVector) -> PauliVector:
     return PauliVector(pv.p, pv.z.copy(), (-pv.x) % pv.p)
 
 
+def _psi_rows(rows: np.ndarray) -> np.ndarray:
+    """psi of each row, unreduced; as psi(X^w) = X^theta, those of a basis of X^w check X."""
+    n = rows.shape[1] // 2
+    return np.hstack([rows[:, n:], -rows[:, :n]])
+
+
 def psi_subspace(h: Subspace) -> Subspace:
     """Image of a subspace of F_p^{2n} under psi; psi(H) is the H_Z of H's double."""
     if h.ambient % 2 != 0:
         raise ValueError("ambient dimension must be even")
-    n = h.ambient // 2
-    return Subspace.span(np.hstack([h.basis[:, n:], -h.basis[:, :n]]), h.p, h.ambient)
+    return Subspace.span(_psi_rows(h.basis), h.p, h.ambient)
 
 
 def omega_complement(h: Subspace) -> Subspace:

@@ -3,8 +3,8 @@
 Times the code tower (`parameters()` of a fresh CSS and a fresh non-CSS
 code), the core of `double` on a fresh non-CSS code, the CSS distance route
 (the syndrome engine on Bacon-Shor 6, 7 and 10), the symplectic search it
-replaces on CSS codes, the weight-layer enumerator, and the batched
-membership test.
+replaces on CSS codes, the weight-layer enumerator, and the search's
+batched membership test.
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
     PYTHONPATH=src python -m pytest tests/bench_code.py --benchmark-only
@@ -15,7 +15,7 @@ from math import comb
 import pytest
 
 from subcss import DistanceResult, bacon_shor, css_distances, delta, random_code
-from subcss.code import _BATCH_ROWS, _membership_checker, _site_values, _weight_batches
+from subcss.code import _BATCH_ROWS, _in_kernel, _site_values, _weight_batches
 
 from conftest import record_rate, symplectic_distance
 
@@ -78,9 +78,16 @@ def test_weight_batches_symplectic_p2_n25_w4(benchmark):
 
 
 def test_membership_one_batch_bacon_shor5(benchmark):
-    in_centralizer = _membership_checker(bacon_shor(5).centralizer)
+    # The symplectic search's test of one batch: in H + H^w and not in H, by
+    # the products with the psi-rows of H cap H^w and of H^w.
+    code = bacon_shor(5)
+    big_check, small_check = code._checks
     # At weight 9 one site set has 3^9 > _BATCH_ROWS letter tuples: a full batch.
     batch = next(_weight_batches(_site_values(2), 25, 9))
     assert batch.shape[0] == _BATCH_ROWS
-    hits = benchmark(in_centralizer, batch)
+
+    def in_big_not_small(batch):
+        return _in_kernel(batch, big_check, 2) & ~_in_kernel(batch, small_check, 2)
+
+    hits = benchmark(in_big_not_small, batch)
     assert hits.shape == (_BATCH_ROWS,)

@@ -17,7 +17,7 @@ from subcss import (
     kernel,
 )
 from subcss import code as code_module
-from subcss.code import _coset_search, _site_values
+from subcss.code import _budget, _site_values, _weight_batches
 from subcss.gf import fp_array
 
 
@@ -43,8 +43,33 @@ def symplectic_distance(code, budget=None):
     if code.centralizer == code.gauge:
         raise NoLogicalOperators("no logical operators")
     budget = code.n if budget is None else budget
-    found = _coset_search(code.centralizer, code.gauge, _site_values(code.p), budget)
+    found = reference_coset_search(code.centralizer, code.gauge, _site_values(code.p), budget)
     return DistanceResult(found[0], True) if found else DistanceResult(budget + 1, False)
+
+
+def reference_membership_checker(space):
+    """Reference membership test: v in space iff C v = 0 for C the canonical
+    basis of space^theta, built from the space itself."""
+    comp, p = space.complement().basis, space.p
+    return lambda batch: ~np.any((batch @ comp.T) % p, axis=1)
+
+
+def reference_coset_search(big, small, letters, budget=None):
+    """Reference search: (w, v), v the first vector of big \\ small in
+    `_weight_batches` order, of the least weight w up to `budget` (default n);
+    None if there is none. Each space's check is its own theta-complement,
+    `reference_membership_checker`. `code._coset_search`, which reads the
+    checks its callers hold, must give the same witness bit for bit."""
+    n = big.ambient // letters.shape[1]
+    budget = _budget(budget, n)
+    in_big = reference_membership_checker(big)
+    in_small = reference_membership_checker(small)
+    for w in range(1, min(budget, n) + 1):
+        for batch in _weight_batches(letters, n, w):
+            hits = batch[in_big(batch) & ~in_small(batch)]
+            if len(hits):
+                return w, hits[0]
+    return None
 
 
 def reference_bacon_shor(l):

@@ -220,7 +220,9 @@ def test_acceptance_9_quotient_weight_inequalities():
     # On weight-respecting instances the two distances coincide.
     from subcss.code import _coset_distance, _field_letters
 
-    d_hx = _coset_distance(bs4.h_x + bs4.h_z.complement(), bs4.h_x, _field_letters(2)).value
+    l_x = bs4.h_x + bs4.h_z.complement()
+    checks = l_x.complement().basis, bs4.h_x.complement().basis
+    d_hx = _coset_distance(l_x, *checks, _field_letters(2)).value
     assert d_hx == dec.d_par == 4
     print("ACCEPTANCE 9 PASS: 10^4 coset-weight inequalities; d^{H_X} = d^{Par_X} = 4")
 

@@ -92,6 +92,28 @@ def test_double_writes_css_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("gen", "random", "--n", "0", "--dim", "0"),
+    ("double", "builtin:random", "--n", "0", "--dim", "0"),
+])
+def test_empty_register_files_read_back(tmp_path, capsys, argv):
+    # The n = 0 file a command writes reads back as the n = 0 builtin.
+    path = tmp_path / "empty.code"
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    assert path.read_text() == "p=2 n=0 format=symplectic\n"
+    expected = run(capsys, "info", "builtin:random", "--n", "0", "--dim", "0")
+    assert expected[0] == 0
+    assert run(capsys, "info", str(path)) == expected
+
+
+def test_negative_qudit_count_is_rejected_input(tmp_path, capsys):
+    path = tmp_path / "negative.code"
+    path.write_text("p=2 n=-1 format=symplectic\n")
+    code, out, err = run(capsys, "info", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: qudit count must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
     ("double", "builtin:five_qubit"),
     ("gen", "five_qubit"),
 ])

@@ -34,7 +34,8 @@ from subcss.code import (
     _site_values,
     _weight_batches,
 )
-from subcss.pauli import flatten, omega_complement, swt
+from subcss.decode import ClassicalCode
+from subcss.pauli import _psi_rows, flatten, omega_complement, swt
 
 from conftest import (
     css_splits,
@@ -42,6 +43,7 @@ from conftest import (
     kernel_sum_is_css,
     qudit_bacon_shor,
     random_gauge_code,
+    reference_coset_search,
     reference_goursat_spaces,
     reference_omega_complement,
     reference_span_grid,
@@ -535,7 +537,8 @@ def _engine_and_search(big, small, letters, budget):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(code_module, "_enumeration_reach", reach)
             try:
-                results.append(_coset_distance(big, small, letters, budget))
+                checks = big.complement().basis, small.complement().basis
+                results.append(_coset_distance(big, *checks, letters, budget))
             except NoLogicalOperators:
                 results.append(None)
     return results
@@ -639,7 +642,8 @@ def test_syndrome_spaces_beyond_int64_take_the_search(monkeypatch):
 
 def _search_distance(big, small, letters, budget):
     """Reference: the weight-increasing search alone, or the bound budget + 1."""
-    found = _coset_search(big, small, letters, budget)
+    found = _coset_search(big.complement().basis, small.complement().basis, letters, big.p,
+                          budget)
     return DistanceResult(found[0], True) if found else DistanceResult(budget + 1, False)
 
 
@@ -661,7 +665,8 @@ def test_distance_m_needs_no_recursion(monkeypatch, p):
     letters = _field_letters(p)
     for big, small in ((split.logical_x, split.h_x), (split.logical_z, split.h_z)):
         for budget in range(split.n + 1):
-            assert _coset_distance(big, small, letters, budget) == _search_distance(
+            checks = big.complement().basis, small.complement().basis
+            assert _coset_distance(big, *checks, letters, budget) == _search_distance(
                 big, small, letters, budget
             )
 
@@ -684,5 +689,129 @@ def test_distance_past_reach_m_minus_1_is_m(code, split):
             if big == small:
                 continue
             for budget in range(big.ambient // letters.shape[1] + 1):
-                got = _coset_distance(big, small, letters, budget)
+                checks = big.complement().basis, small.complement().basis
+                got = _coset_distance(big, *checks, letters, budget)
                 assert got == _search_distance(big, small, letters, budget)
+
+
+# Checks in hand ---------------------------------------------------------------
+
+
+def _css_side_checks(split):
+    """Each side's (big, small, big_check, small_check) as `css_distances`
+    passes them: L_X^theta = S_Z and L_Z^theta = S_X."""
+    return (
+        (split.logical_x, split.h_x, split.stab_z.basis, split.h_x.complement().basis),
+        (split.logical_z, split.h_z, split.stab_x.basis, split.h_z.complement().basis),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=3))
+@example(five_qubit())
+@example(SubsystemCode(3, 2, Subspace.zero(3, 4)))
+def test_symplectic_witnesses_match_the_reference(code):
+    # The psi-rows checks find the witness the complements found, bit for bit.
+    letters = _site_values(code.p)
+    for budget in range(code.n + 1):
+        ref = reference_coset_search(code.centralizer, code.gauge, letters, budget)
+        got = code.min_weight_logical(budget)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert swt(got) == ref[0] and np.array_equal(flatten(got), ref[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=4))
+@example(bacon_shor(3).css_split())
+def test_css_side_witnesses_match_the_reference(split):
+    letters = _field_letters(split.p)
+    for budget in range(split.n + 1):
+        sides = []
+        for big, small, big_check, small_check in _css_side_checks(split):
+            ref = reference_coset_search(big, small, letters, budget)
+            got = _coset_search(big_check, small_check, letters, split.p, budget)
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert got[0] == ref[0] and np.array_equal(got[1], ref[1])
+            sides.append(DistanceResult(ref[0], True) if ref else DistanceResult(budget + 1, False))
+        if split.logical_x == split.h_x:
+            with pytest.raises(NoLogicalOperators):
+                css_distances(split, budget)
+        else:
+            assert css_distances(split, budget)[:2] == tuple(sides)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=4))
+@example(SubsystemCode(3, 2, Subspace.zero(3, 4)))
+@example(SubsystemCode(3, 2, Subspace.full(3, 4)))
+@example(five_qubit())
+def test_psi_rows_are_the_checks_of_the_tower(code):
+    """(X^w)^theta = psi(X): the psi-rows of H cap H^w span (H + H^w)^theta,
+    and those of H^w, as many as its dimension, span H^theta."""
+    p, ambient = code.p, 2 * code.n
+    big_check, small_check = code._checks
+    assert np.array_equal(big_check, _psi_rows(code.stabilizer.basis))
+    assert np.array_equal(small_check, _psi_rows(code._omega_comp.basis))
+    assert Subspace.span(big_check, p, ambient) == code.centralizer.complement()
+    assert Subspace.span(small_check, p, ambient) == code.gauge.complement()
+    assert len(small_check) + code.gauge.dim == ambient
+
+
+@pytest.mark.parametrize("reach", _REACHES)
+def test_the_engine_builds_no_complement(monkeypatch, reach):
+    """Given explicit checks, the search and the distance take no complement and
+    no kernel, on the search path and on the recursion path alike."""
+    split, code = qudit_bacon_shor(3, 3).css_split(), five_qubit()
+    cases = [(big, big_check, small_check, _field_letters(3))
+             for big, _, big_check, small_check in _css_side_checks(split)]
+    cases.append((code.centralizer, *code._checks, _site_values(2)))
+    expected = [*css_distances(split)[:2], DistanceResult(3, True)]
+    witnesses = [_coset_search(*case[1:], case[0].p) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complement was built")
+
+    monkeypatch.setattr(Subspace, "complement", refuse)
+    monkeypatch.setattr(gf_module, "kernel", refuse)
+    monkeypatch.setattr(code_module, "_enumeration_reach", reach)
+    for case, d, witness in zip(cases, expected, witnesses):
+        big, big_check, small_check, letters = case
+        assert _coset_distance(big, big_check, small_check, letters) == d
+        found = _coset_search(big_check, small_check, letters, big.p)
+        assert found[0] == witness[0] and np.array_equal(found[1], witness[1])
+
+
+def test_distances_read_the_checks_in_hand(monkeypatch):
+    calls = {"kernel": 0, "rref": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(gf_module, "kernel", counting("kernel", gf_module.kernel))
+    monkeypatch.setattr(gf_module, "rref", counting("rref", gf_module.rref))
+    # A CSS code: the X side's L_X^theta is the split's S_Z and the Z side's
+    # L_Z^theta its S_X; H_Z^theta is the X tower's, so only H_X^theta is new.
+    code = bacon_shor(5)
+    code.parameters()
+    calls.update(kernel=0)
+    assert css_distances(code.css_split()) == (DistanceResult(5, True),) * 3
+    assert calls["kernel"] == 1
+    # A non-CSS code: both checks are psi-rows of the tower it holds.
+    code = five_qubit()
+    code.parameters()
+    calls.update(kernel=0)
+    assert code.distance() == DistanceResult(3, True)
+    assert code.min_weight_logical() is not None
+    assert calls["kernel"] == 0
+    # A decoder's achievable syndromes: the left kernel of F, one echelon. The
+    # rows of F are dependent, so its image is the plane checked by 111.
+    side = ClassicalCode(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), Subspace.zero(2, 3))
+    calls.update(rref=0)
+    assert side._in_image.tolist() == [[1, 1, 1]]
+    assert side._in_image is side._in_image
+    assert calls["rref"] == 1

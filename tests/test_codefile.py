@@ -126,6 +126,16 @@ def test_parse_error_messages(text, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("fmt", ["symplectic", "pauli"])
+def test_empty_register_round_trips(fmt):
+    code, _ = parse_code_file(f"p=3 n=0 format={fmt}\n")
+    assert (code.p, code.parameters()) == (3, (0, 0, 0))
+    assert parse_code_file(emit_code_file(code, fmt)) == (code, fmt)
+    assert SubsystemCode.from_generators(2, 0, []).parameters() == (0, 0, 0)
+    with pytest.raises(CodeFileError, match=r"^line 1: qudit count must be >= 0, got -1$"):
+        parse_code_file(f"p=3 n=-1 format={fmt}\n")
+
+
 def test_symplectic_entries_are_read_mod_p():
     # Entries are reduced as they are read, so no entry overflows the int64 matrix.
     code, _ = parse_code_file("p=3 n=2 format=symplectic\n100000000000000000000001 -1 | 0 4\n")

@@ -20,8 +20,8 @@ A minimum weight min wt(big \\ small) is read off the syndromes of a check of
 small, which the caller holds, as it holds big's: a CSS side's are its split's
 (L_X^theta = S_Z), any other code's psi-rows, as (X^w)^theta = psi(X). One
 recursion gives the least weight of every syndrome and every coset leader
-(`_syndrome_weights`), and, with a syndrome basis as its sites, the syndromes
-big reaches (`_image_grid`). An enumerator of the vectors of weight exactly w
+(`_syndrome_weights`); the syndromes big reaches are the `_combinations` of a
+basis of its image. An enumerator of the vectors of weight exactly w
 searches the low weights first, while that is cheaper than the recursion
 (`_enumeration_reach`), and all of them where the recursion is too costly.
 `_coset_leaders` alone sizes, lays out and builds a coset-leader table.
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import gf
-from .gf import Subspace, _block_spaces, _grid_digits, _grid_index, rref, validate_prime
+from .gf import Subspace, _block_spaces, _combinations, _grid_digits, _grid_index, rref
 from .pauli import PauliVector, _psi_rows, flatten, psi_subspace, unflatten
 
 
@@ -107,7 +107,7 @@ class SubsystemCode:
     """Immutable code object with lazily memoized tower and parameters."""
 
     def __init__(self, p: int, n: int, gauge: Subspace):
-        validate_prime(p)
+        gf.validate_prime(p)
         if gauge.p != p or gauge.ambient != 2 * n:
             raise ValueError("gauge subspace must live in F_p^{2n}")
         self.p = p
@@ -306,10 +306,10 @@ def _coset_distance(big: Subspace, big_check: np.ndarray, small_check: np.ndarra
         # Nothing up to the reach: d = m past m - 1, else d is past the budget.
         d = min(m, budget + 1)
     else:
-        # big \ small has the syndromes F(big) \ {0}.
-        image = _image_grid(Subspace.span(big.basis @ small_check.T, p, m).basis, p)
-        image[(0,) * m] = False
-        d = int(_syndrome_weights(_letter_syndromes(small_check, letters, p), p)[0][image].min())
+        # big \ small has the syndromes F(big) \ {0}: its basis' combinations but the first.
+        image = _combinations(Subspace.span(big.basis @ small_check.T, p, m).basis, p)[1:]
+        weights = _syndrome_weights(_letter_syndromes(small_check, letters, p), p)[0]
+        d = int(weights.ravel()[_grid_index(image, p)].min())
     return DistanceResult(d, True) if d <= budget else DistanceResult(budget + 1, False)
 
 
@@ -425,14 +425,6 @@ def _syndrome_weights(
                 np.minimum(best, step, out=best)
         weights = best
     return weights, won
-
-
-def _image_grid(rows: np.ndarray, p: int) -> np.ndarray:
-    """The F_p span of the syndrome rows, as a boolean (p,)*m grid: the
-    syndromes `_syndrome_weights` reaches with the rows as its sites and their
-    nonzero multiples as its letters, each at a weight of at most len(rows)."""
-    shifts = _letter_syndromes(rows.T, _field_letters(p), p)
-    return _syndrome_weights(shifts, p)[0] <= len(rows)
 
 
 def _coset_leaders(

@@ -49,21 +49,26 @@ class ClassicalCode:
 
     It only looks leaders up: in `code._coset_leaders`' table of F, or in a
     batch's own one where F has too many syndromes for a table. Its tests read
-    the checks it holds: F for K, R^theta for R, F's left kernel for syndromes.
+    the checks it holds: F for K and R <= K, R^theta for R, F's left kernel for
+    syndromes. K is echeloned only if read; a CSS side's is its split's L_X or L_Z.
     """
 
     def __init__(self, f: np.ndarray, r: Subspace):
         f = fp_array(f, r.p)
         if f.ndim != 2 or f.shape[1] != r.ambient:
             raise ValueError(f"parity check must be a matrix with {r.ambient} columns")
-        self.k = kernel(f, r.p)
-        if not self.k.contains_space(r):
+        if np.any(r.basis @ f.T % r.p):
             raise ValueError("redundant subcode must lie inside the kernel of the parity check")
         f.setflags(write=False)
         self.r = r
         self.f = f
         self.p = r.p
         self.n = r.ambient
+
+    @cached_property
+    def k(self) -> Subspace:
+        """K = ker F."""
+        return kernel(self.f, self.p)
 
     @cached_property
     def d_r(self) -> int:
@@ -132,11 +137,12 @@ def make_css_decoder(split: CssSplit) -> tuple[ClassicalCode, ClassicalCode]:
 
     X side: parity check the basis matrix of the Z-type stabilizer space
     S_Z = H_Z cap H_X^theta, redundant subcode H_X. Its code is
-    ker S_Z = H_Z^theta + H_X = L_X, the canonical basis of `split.logical_x`.
-    Z side is the X<->Z mirror.
+    ker S_Z = H_Z^theta + H_X = L_X, as S_Z = L_X^theta: the split's
+    `logical_x`, handed over with no echelon. Z side is the X<->Z mirror.
     """
     x_side = ClassicalCode(split.stab_z.basis, split.h_x)
     z_side = ClassicalCode(split.stab_x.basis, split.h_z)
+    x_side.k, z_side.k = split.logical_x, split.logical_z
     return x_side, z_side
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .code import CssSplit
+from .code import _BATCH_ROWS, CssSplit
 from .gf import Subspace, _combinations, _grid_index, fp_array
 from .pauli import PauliVector
 
@@ -158,14 +158,11 @@ def dense_vector(state: CosetState) -> np.ndarray:
     if p**n > _DENSE_LIMIT:
         raise ValueError(f"dense vector of dimension {p}^{n} exceeds the size limit")
     amps = np.zeros(p**n, dtype=np.complex128)
-    elements = state.support.all_elements()
-    norm = 1.0 / np.sqrt(elements.shape[0])
-    powers = np.arange(n - 1, -1, -1)
-    radix = p ** powers
-    for s in elements:
-        x = (state.offset + s) % p
-        exponent = int((state.global_phase + state.phase @ x) % p)
-        amps[int(x @ radix)] = norm * np.exp(2j * np.pi * exponent / p)
+    x = (state.offset + state.support.all_elements()) % p
+    exponent = (state.global_phase + x @ state.phase) % p
+    norm = 1.0 / np.sqrt(len(x))
+    # A real angle: numpy's complex division by p rounds unlike a scalar one.
+    amps[_grid_index(x, p)] = norm * np.exp(1j * (2 * np.pi * exponent / p))
     return amps
 
 
@@ -197,7 +194,8 @@ def _dense_fixing_table(support: Subspace, offsets, phases, global_phases, a, b)
     p^n array serves every state: a state writes its |S| entries, reads the
     |S| x s shifted ones, and resets what it wrote. The reads total
     len(offsets) x |S| x s cells; for the codewords of a split that is
-    p^(dim L_X) x s <= p^n x s, never len(offsets) x p^n.
+    p^(dim L_X) x s <= p^n x s, never len(offsets) x p^n. The operators go in
+    chunks of max(1, `_BATCH_ROWS` // |S|), so x + a has at most max(|S|, `_BATCH_ROWS`) rows.
     """
     p, n = support.p, support.ambient
     if p**n > _DENSE_LIMIT:
@@ -206,12 +204,15 @@ def _dense_fixing_table(support: Subspace, offsets, phases, global_phases, a, b)
     place = _grid_index(np.eye(n, dtype=np.int64), p)
     exponents = np.full(p**n, -1, dtype=np.int32)
     table = np.empty((len(offsets), a.shape[0]), dtype=bool)
+    step = max(1, _BATCH_ROWS // len(elements))
+    chunks = [slice(lo, lo + step) for lo in range(0, len(a), step)]
     for i, (offset, phase, gamma) in enumerate(zip(offsets, phases, global_phases)):
         x = (offset + elements) % p
         at = x @ place
         here = (gamma + x @ phase) % p
         exponents[at] = here
-        moved = ((x + a[:, None, :]) % p) @ place
-        table[i] = np.all(exponents[moved] == (here + b @ x.T) % p, axis=1)
+        for ops in chunks:
+            moved = ((x + a[ops, None, :]) % p) @ place
+            table[i, ops] = np.all(exponents[moved] == (here + b[ops] @ x.T) % p, axis=1)
         exponents[at] = -1
     return table

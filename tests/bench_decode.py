@@ -40,15 +40,19 @@ def test_leader_table_bacon_shor5_x(benchmark):
 
 @pytest.mark.parametrize("l", [7, 10])
 def test_d_r_and_leader_table_bacon_shor_x(benchmark, l):
-    # A fresh code each round: a round runs d_R, then the table up to weight (d_R - 1) // 2.
+    # A fresh code each round, handed the split's K as `make_css_decoder` hands
+    # it: a round runs d_R, then the table up to weight (d_R - 1) // 2.
     x_side = make_css_decoder(bacon_shor(l).css_split())[0]
+
+    def fresh():
+        code = ClassicalCode(x_side.f, x_side.r)
+        code.k = x_side.k
+        return (code,), {}
 
     def build(code):
         return code.d_r, code._leader_table
 
-    d_r, (slots, leaders) = benchmark.pedantic(
-        build, setup=lambda: ((ClassicalCode(x_side.f, x_side.r),), {}), rounds=5
-    )
+    d_r, (slots, leaders) = benchmark.pedantic(build, setup=fresh, rounds=5)
     assert d_r == l and slots.size == 2 ** (l - 1)
 
 

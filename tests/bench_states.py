@@ -4,7 +4,10 @@ Times the whole CLI request (label grid, stabilizer fixing table, exact dense
 cross-check with `--dense`, report) through `cli.main` with stdout captured:
 `--dense` on the qudit Bacon-Shor code (p = 3, l = 3), the doubled
 five-qudit code at p = 3 and the 4 x 4 Bacon-Shor code (1024 labels on 2^16
-amplitudes), and the symbolic table alone on the qudit Bacon-Shor code.
+amplitudes), and the symbolic table alone on the qudit Bacon-Shor code. Also
+times two layers alone: `dense_vector` of a state on 2^12 support elements,
+and the exact dense fixing table of 15 stabilizer rows on 2^14 support
+elements, which runs in chunks of one row.
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -17,8 +20,9 @@ import io
 import numpy as np
 import pytest
 
-from subcss import Subspace, SubsystemCode, delta, emit_code_file
+from subcss import CosetState, Subspace, SubsystemCode, delta, dense_vector, emit_code_file
 from subcss.cli import main
+from subcss.states import _dense_fixing_table
 
 from conftest import qudit_bacon_shor
 
@@ -73,3 +77,25 @@ def test_codewords_dense_doubled_five_qudit_p3(benchmark, code_files):
 def test_codewords_dense_bacon_shor4(benchmark):
     out = _codewords(benchmark, "builtin:bacon_shor", "--l", "4", "--dense")
     assert out.startswith("codewords = 1024 (exact)")
+
+
+def test_dense_vector_support_2_12(benchmark):
+    # p = 2, n = 14: S = <e_0..e_11>, a drawn offset, phase functional and global phase.
+    rng = np.random.default_rng(5)
+    support = Subspace.span(np.eye(14, dtype=np.int64)[:12], 2, 14)
+    state = CosetState(rng.integers(0, 2, 14), support, rng.integers(0, 2, 14), 1)
+    amps = benchmark(dense_vector, state)
+    assert np.count_nonzero(amps) == 2**12
+
+
+def test_dense_fixing_table_one_row_chunks(benchmark):
+    # p = 2, n = 16: X rows e_0..e_13 and one Z row e_14 fix both codewords,
+    # the offsets 0 and e_15, on S = <e_0..e_13> of 2^14 elements.
+    eye = np.eye(16, dtype=np.int64)
+    support = Subspace.span(eye[:14], 2, 16)
+    xs = np.vstack([eye[:14], np.zeros((1, 16), dtype=np.int64)])
+    zs = np.vstack([np.zeros((14, 16), dtype=np.int64), eye[14]])
+    offsets = np.vstack([np.zeros(16, dtype=np.int64), eye[15]])
+    zeros = np.zeros_like(offsets)
+    table = benchmark(_dense_fixing_table, support, offsets, zeros, zeros[:, 0], xs, zs)
+    assert table.shape == (2, 15) and table.all()

@@ -148,18 +148,21 @@ def reference_combinations(rows, p):
     return (coeffs @ rows) % p
 
 
-def reference_span_grid(rows, p, m):
-    """Reference image grid: the F_p span of the rows as a boolean (p,)*m grid,
-    grown one row at a time by every nonzero multiple of it. A translation by c
-    is `np.roll` by c along every axis."""
-    span = np.zeros((p,) * m, dtype=bool)
-    span[(0,) * m] = True
-    for row in rows:
-        grown = span.copy()
-        for a in range(1, p):
-            grown |= np.roll(span, tuple(a * row % p), axis=tuple(range(m)))
-        span = grown
-    return span
+def reference_dense_vector(state):
+    """Reference amplitudes: one basis state at a time, its index read
+    big-endian base p and its phase norm * exp(2 pi i e / p) from a Python-int
+    exponent e. `states.dense_vector`, which writes every amplitude at once,
+    must give the same array bit for bit."""
+    p, n = state.p, state.n
+    amps = np.zeros(p**n, dtype=np.complex128)
+    elements = state.support.all_elements()
+    norm = 1.0 / np.sqrt(elements.shape[0])
+    radix = p ** np.arange(n - 1, -1, -1)
+    for s in elements:
+        x = (state.offset + s) % p
+        exponent = int((state.global_phase + state.phase @ x) % p)
+        amps[int(x @ radix)] = norm * np.exp(2j * np.pi * exponent / p)
+    return amps
 
 
 def kernel_sum_is_css(h, n):

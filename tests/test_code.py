@@ -30,7 +30,6 @@ from subcss.code import (
     _coset_search,
     _enumeration_reach,
     _field_letters,
-    _image_grid,
     _site_values,
     _weight_batches,
 )
@@ -46,7 +45,6 @@ from conftest import (
     reference_coset_search,
     reference_goursat_spaces,
     reference_omega_complement,
-    reference_span_grid,
     reference_tower,
     reference_z_tower,
     symplectic_distance,
@@ -571,24 +569,25 @@ def test_engine_matches_the_search_on_symplectic_weight(code):
                 assert code.distance(budget) == symplectic_distance(code, budget) == search
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from((2, 3, 5)), st.integers(1, 6), st.data())
-def test_image_grid_matches_the_span_grid(p, m, data):
-    """The recursion's image grid is the span of the rows, with zero rows and
-    F_p combinations of earlier rows shuffled in."""
+def test_one_distance_runs_the_recursion_once(monkeypatch):
+    """The recursion path lists F(big) from a basis of it and reads the
+    weights once: no second recursion builds the image."""
+    weights, calls = code_module._syndrome_weights, []
 
-    def matrix(max_rows, cols):
-        vec = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
-        rows = data.draw(st.lists(vec, max_size=max_rows))
-        return np.array(rows, dtype=np.int64).reshape(len(rows), cols)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return weights(*args, **kwargs)
 
-    rows = matrix(m, m)
-    zeros = np.zeros((data.draw(st.integers(0, 1)), m), dtype=np.int64)
-    mixed = np.vstack([rows, matrix(2, len(rows)) @ rows % p, zeros])
-    mixed = mixed[list(data.draw(st.permutations(range(len(mixed)))))]
-    got = _image_grid(mixed, p)
-    assert got.dtype == bool and got.shape == (p,) * m
-    assert np.array_equal(got, reference_span_grid(mixed, p, m))
+    monkeypatch.setattr(code_module, "_syndrome_weights", counting)
+    monkeypatch.setattr(code_module, "_enumeration_reach", _REACHES[0])
+    split, code = qudit_bacon_shor(3, 3).css_split(), five_qubit()
+    cases = [(big, big_check, small_check, _field_letters(3))
+             for big, _, big_check, small_check in _css_side_checks(split)]
+    cases.append((code.centralizer, *code._checks, _site_values(2)))
+    for case in cases:
+        calls.clear()
+        assert _coset_distance(*case) == DistanceResult(3, True)
+        assert len(calls) == 1
 
 
 def test_enumeration_reach_reads_only_sizes():

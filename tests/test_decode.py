@@ -9,6 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subcss import code as code_module
+from subcss import decode as decode_module
+from subcss import gf as gf_module
 from subcss import (
     ClassicalCode,
     CssSplit,
@@ -23,6 +25,7 @@ from subcss import (
     delta,
     exhaustive_sweep,
     five_qubit,
+    kernel,
     monte_carlo,
     par_decoder_build,
     respects_weight,
@@ -97,10 +100,36 @@ def test_out_of_range_syndrome(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(css_splits((2, 3, 5), 5))
 def test_css_decoder_sides_are_the_logical_spaces(split):
-    # Each side builds K = ker F itself; it is L_X (L_Z) as a canonical basis.
+    # Each side takes L_X (L_Z) from the split as its K, which is ker F.
     x_side, z_side = make_css_decoder(split)
-    assert x_side.k == split.logical_x and x_side.r == split.h_x
-    assert z_side.k == split.logical_z and z_side.r == split.h_z
+    assert x_side.k is split.logical_x and x_side.r == split.h_x
+    assert z_side.k is split.logical_z and z_side.r == split.h_z
+    for side in (x_side, z_side):
+        assert side.k == kernel(side.f, side.p)
+
+
+def test_css_decoders_build_no_kernel(monkeypatch):
+    split = bacon_shor(4).css_split()
+    for name in ("stab_x", "stab_z", "logical_x", "logical_z"):
+        getattr(split, name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(gf_module, "kernel", refuse)
+    monkeypatch.setattr(decode_module, "kernel", refuse)
+    x_side, z_side = make_css_decoder(split)
+    assert x_side.k is split.logical_x and z_side.k is split.logical_z
+
+
+def test_redundant_subcode_must_lie_in_the_kernel():
+    # R = <110> is not in ker [1 0 0]; R = <011> is, with no kernel built.
+    f = np.array([[1, 0, 0]])
+    with pytest.raises(ValueError, match="redundant subcode must lie inside the kernel"):
+        ClassicalCode(f, Subspace.span([[1, 1, 0]], 2, 3))
+    side = ClassicalCode(f, Subspace.span([[0, 1, 1]], 2, 3))
+    assert "k" not in vars(side)
+    assert side.k == Subspace.span([[0, 1, 0], [0, 0, 1]], 2, 3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -41,6 +41,27 @@ def test_every_imported_name_is_used():
     assert not unused
 
 
+def test_only_gf_builds_place_values():
+    # `gf._grid_index` holds the one big-endian layout of the base-p grid; a
+    # descending `np.arange(..., -1)` elsewhere builds place values of its own.
+    def step_is_minus_one(node):
+        return isinstance(node, ast.Constant) and node.value == -1 or (
+            isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant) and node.operand.value == 1)
+
+    sources = sorted(Path(subcss.__file__).parent.glob("*.py"))
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "arange"):
+                steps = node.args[2:3] + [kw.value for kw in node.keywords if kw.arg == "step"]
+                if any(map(step_is_minus_one, steps)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert [name for name in found if not name.startswith("gf.py:")] == []
+    assert found, "gf.py's place values are no longer found by this check"
+
+
 def test_micro_benchmarks_run_untimed():
     # Each benchmark runs once with timing off, so a bench that reads stats
     # that only a timed run has fails here rather than when someone times it.

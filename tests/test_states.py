@@ -1,6 +1,10 @@
 """Symbolic coset-state codewords and their stabilizer action."""
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +27,10 @@ from subcss import (
 )
 
 from subcss import gf
+from subcss import states as states_module
 from subcss.states import _dense_fixing_table, _fixing_table, _label_grid
 
-from conftest import css_splits, subspaces
+from conftest import css_splits, reference_dense_vector, subspaces
 
 BS3 = bacon_shor(3).css_split()
 
@@ -139,6 +144,25 @@ def test_dense_vector_size_guard():
     )
     with pytest.raises(ValueError):
         dense_vector(st)
+
+
+@st.composite
+def _phased_codewords(draw):
+    """A codeword of a drawn CSS split (n = 0 included), given a drawn phase
+    functional and global phase."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    n = draw(st.integers(0, 4))
+    split = CssSplit(draw(subspaces(p, n)), draw(subspaces(p, n)))
+    words = all_codewords(split)
+    _, _, word = words[draw(st.integers(0, len(words) - 1))]
+    phase = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    return CosetState(word.offset, word.support, phase, draw(st.integers(0, p - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_phased_codewords())
+def test_dense_vector_is_the_per_element_loop(state):
+    assert np.array_equal(dense_vector(state), reference_dense_vector(state))
 
 
 def test_symbolic_matches_dense_on_toy_code():
@@ -352,3 +376,51 @@ def test_dense_table_resets_between_states():
               CosetState(offset=[0], support=zero, phase=[0])]
     _, dense = _tables(states, [PauliVector(2, [1], [0])])
     assert dense.tolist() == [[False], [False]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_states_and_ops(), st.integers(1, 8))
+def test_dense_table_in_operator_chunks(case, batch_rows):
+    # Chunks of batch_rows // |S| operators, at least one, give the same table.
+    states, ops = case
+    _, whole = _tables(states, ops)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states_module, "_BATCH_ROWS", batch_rows)
+        _, chunked = _tables(states, ops)
+    assert np.array_equal(chunked, whole)
+
+
+_DENSE_REPRO = """\
+import resource, sys
+from subcss.cli import main
+rc = main(["codewords", sys.argv[1], "--dense"])
+print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_dense_codewords_hold_one_chunk_of_shifts(tmp_path):
+    # p = 2, n = 19: S_X = <e_0..e_16> and S_Z = <e_17>, so 18 stabilizer rows
+    # act on |S| = 2^17 support elements. Shifting by all 18 rows at once holds
+    # 18 |S| n int64 cells (about 830 MiB peak); one row per chunk holds |S| n.
+    n = 19
+    eye, zero = np.eye(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    rows = [(e, zero) for e in eye[: n - 2]] + [(zero, eye[n - 2])]
+    lines = [f"p=2 n={n} format=symplectic"]
+    lines += [" ".join(map(str, x)) + " | " + " ".join(map(str, z)) for x, z in rows]
+    path = tmp_path / "repro.code"
+    path.write_text("\n".join(lines) + "\n")
+    src = Path(__file__).parent.parent / "src"
+    run = subprocess.run([sys.executable, "-c", _DENSE_REPRO, str(path)], capture_output=True,
+                         text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr[-2000:]
+    rc, max_rss_kib = map(int, run.stderr.split())
+    row = " ".join("0" * n)
+    assert rc == 0
+    assert run.stdout == (
+        "codewords = 2 (exact)\n"
+        "support_size = 131072 (exact)\n"
+        f"l = ({row}) g = ({row}) fixed = True dense_agrees = True\n"
+        f"l = ({row[:-1]}1) g = ({row}) fixed = True dense_agrees = True\n"
+        "all_fixed = True (exact)\n"
+    )
+    assert max_rss_kib < 400 * 1024

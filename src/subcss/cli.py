@@ -212,7 +212,7 @@ def cmd_codewords(args) -> int:
     if not code.is_css():
         raise InfeasibleRequest("codewords are defined for CSS codes only")
     split = code.css_split()
-    if args.dense and code.p**code.n > states._DENSE_LIMIT:
+    if args.dense and code.p**code.n > gf.ROW_LIMIT:
         raise InfeasibleRequest("dense amplitudes infeasible at this size")
     labels = code.p ** (split.logical_x.dim - split.stab_x.dim)
     if labels > states._CODEWORD_LIMIT:
@@ -220,17 +220,12 @@ def cmd_codewords(args) -> int:
     ls, gs, offsets = states._label_grid(split)
     _report("codewords", len(offsets))
     _report("support_size", code.p**split.stab_x.dim)
-    # The stabilizer rows X^a Z^b: (S_X basis | 0) and (0 | S_Z basis).
-    x_rows, z_rows = split.stab_x.basis, split.stab_z.basis
-    xs = np.vstack([x_rows, np.zeros_like(z_rows)])
-    zs = np.vstack([np.zeros_like(x_rows), z_rows])
-    # Every codeword has phi = 0 and gamma = 0; the tables still read both.
-    phases = np.zeros_like(offsets)
-    fixes = states._fixing_table(split.stab_x, offsets, phases, xs, zs)
+    # The stabilizer rows: X^a for a in S_X's basis, Z^b for b in S_Z's.
+    rows = split.stab_x.basis, split.stab_z.basis
+    fixes = states._fixing_table(split.stab_x, offsets, *rows)
     fixed = np.all(fixes, axis=1)
     if args.dense:
-        gammas = np.zeros(len(offsets), dtype=np.int64)
-        dense = states._dense_fixing_table(split.stab_x, offsets, phases, gammas, xs, zs)
+        dense = states._dense_fixing_table(split.stab_x, offsets, *rows)
         agrees = np.all(dense == fixes, axis=1)
     lines = []
     for i, (l, g) in enumerate(zip(ls, gs)):

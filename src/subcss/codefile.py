@@ -145,6 +145,8 @@ def random_code(p: int, n: int, dim: int, seed: int) -> SubsystemCode:
     validate_prime(p)
     if not 0 <= dim <= 2 * n:
         raise ValueError("dim must be between 0 and 2n")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rows = np.random.default_rng(seed).integers(0, p, size=(dim, 2 * n))
     return SubsystemCode(p, n, Subspace.span(rows, p, 2 * n))
 

@@ -23,12 +23,11 @@ from .code import (
     _coset_leaders,
     _enumerated_leaders,
     _field_letters,
-    _grid_index,
     _in_kernel,
     _site_values,
     _weight_batches,
 )
-from .gf import Subspace, fp_array, kernel, pivot_columns
+from .gf import Subspace, _grid_index, fp_array, kernel, pivot_columns
 from .pauli import PauliVector
 
 

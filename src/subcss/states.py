@@ -17,7 +17,6 @@ from .code import _BATCH_ROWS, CssSplit
 from .gf import Subspace, _combinations, _grid_index, fp_array
 from .pauli import PauliVector
 
-_DENSE_LIMIT = 1 << 20
 # Most codeword labels, p^(k+r), that `codewords` lists.
 _CODEWORD_LIMIT = 1 << 16
 
@@ -155,7 +154,7 @@ def is_fixed_by(state: CosetState, stab: PauliVector) -> bool:
 def dense_vector(state: CosetState) -> np.ndarray:
     """Explicit normalized amplitude vector; cross-validation on tiny registers."""
     p, n = state.p, state.n
-    if p**n > _DENSE_LIMIT:
+    if p**n > gf.ROW_LIMIT:
         raise ValueError(f"dense vector of dimension {p}^{n} exceeds the size limit")
     amps = np.zeros(p**n, dtype=np.complex128)
     x = (state.offset + state.support.all_elements()) % p
@@ -166,53 +165,49 @@ def dense_vector(state: CosetState) -> np.ndarray:
     return amps
 
 
-def _fixing_table(support: Subspace, offsets, phases, a, b) -> np.ndarray:
-    """fixed[i, j] = is_fixed_by(state i, X^a[j] Z^b[j]), state i being
-    (offsets[i], support, phases[i]) with any global phase.
+def _fixing_table(support: Subspace, offsets, x_rows, z_rows) -> np.ndarray:
+    """fixed[i, j] = is_fixed_by(codeword i, row j): the codewords are
+    (offsets[i], support) with phi = 0 and gamma = 0, and the rows are the X^a
+    of `x_rows`, then the Z^b of `z_rows`.
 
-    X^a Z^b takes (o, S, phi, gamma) to (o + a, S, phi + b, gamma - (phi + b) . a).
-    That is the same state iff a is in S, b is in S^theta (phi + b agrees
-    with phi on S), and the exponents agree at o: gamma + phi . o equals
-    gamma - (phi + b) . a + (phi + b) . o, i.e. b . o - phi . a - b . a = 0
-    mod p. With a in S and b in S^theta, b . a = 0, so the last test is
-    b . o = phi . a. Each membership test runs once per operator.
+    X^a takes o + S to o + a + S, the same state iff a is in S. Z^b
+    multiplies the amplitude at x by omega^(b . x), the same state iff
+    b . x = 0 on o + S, i.e. b is in S^theta and b . o = 0 mod p. Each
+    membership test runs once per row.
     """
-    in_support = ~np.any(support.reduce(a), axis=1)
-    in_complement = ~np.any(support.complement().reduce(b), axis=1)
-    return in_support & in_complement & ((offsets @ b.T - phases @ a.T) % support.p == 0)
+    x_fixes = ~np.any(support.reduce(x_rows), axis=1)
+    z_fixes = ~np.any(support.complement().reduce(z_rows), axis=1)
+    z_fixes = z_fixes & (offsets @ z_rows.T % support.p == 0)
+    return np.hstack([np.broadcast_to(x_fixes, (len(offsets), len(x_rows))), z_fixes])
 
 
-def _dense_fixing_table(support: Subspace, offsets, phases, global_phases, a, b) -> np.ndarray:
-    """The same table as `_fixing_table`, read off exact dense amplitudes of
-    the states (offsets[i], support, phases[i], global_phases[i]).
+def _dense_fixing_table(support: Subspace, offsets, x_rows, z_rows) -> np.ndarray:
+    """The same table as `_fixing_table`, read off the basis states of the
+    codewords (offsets[i], support).
 
-    A state is an int32 exponent array E over the p^n basis states in
-    `_grid_index` order (as in `dense_vector`), -1 where the amplitude is
-    zero; the place values are computed once. X^a Z^b
-    maps psi(x) to omega^(b . x) psi(x) at x + a, a bijection, so it fixes
-    the state iff E[x + a] = E[x] + b . x mod p for every x in o + S. One
-    p^n array serves every state: a state writes its |S| entries, reads the
-    |S| x s shifted ones, and resets what it wrote. The reads total
-    len(offsets) x |S| x s cells; for the codewords of a split that is
-    p^(dim L_X) x s <= p^n x s, never len(offsets) x p^n. The operators go in
-    chunks of max(1, `_BATCH_ROWS` // |S|), so x + a has at most max(|S|, `_BATCH_ROWS`) rows.
+    The offsets lie in distinct cosets of S, as `_label_grid`'s do, so the
+    supports are disjoint and one int32 array over the p^n basis states
+    (`_grid_index` order) names the codeword that holds each, -1 for none.
+    X^a fixes codeword i iff owner[x + a] = i for every x in o_i + S, and
+    Z^b iff b . x = 0 mod p there. The codewords go in chunks of
+    max(1, `_BATCH_ROWS` // |S|); each chunk marks its supports over what
+    earlier chunks marked, which never equals an index of this chunk, so
+    nothing is reset. One X row of a chunk holds max(|S|, `_BATCH_ROWS`) x n
+    shifted cells at most.
     """
     p, n = support.p, support.ambient
-    if p**n > _DENSE_LIMIT:
+    if p**n > gf.ROW_LIMIT:
         raise ValueError(f"dense amplitudes of dimension {p}^{n} exceed the size limit")
     elements = support.all_elements()
     place = _grid_index(np.eye(n, dtype=np.int64), p)
-    exponents = np.full(p**n, -1, dtype=np.int32)
-    table = np.empty((len(offsets), a.shape[0]), dtype=bool)
+    owner = np.full(p**n, -1, dtype=np.int32)
+    table = np.empty((len(offsets), len(x_rows) + len(z_rows)), dtype=bool)
     step = max(1, _BATCH_ROWS // len(elements))
-    chunks = [slice(lo, lo + step) for lo in range(0, len(a), step)]
-    for i, (offset, phase, gamma) in enumerate(zip(offsets, phases, global_phases)):
-        x = (offset + elements) % p
-        at = x @ place
-        here = (gamma + x @ phase) % p
-        exponents[at] = here
-        for ops in chunks:
-            moved = ((x + a[ops, None, :]) % p) @ place
-            table[i, ops] = np.all(exponents[moved] == (here + b[ops] @ x.T) % p, axis=1)
-        exponents[at] = -1
+    for lo in range(0, len(offsets), step):
+        ids = np.arange(lo, min(lo + step, len(offsets)))
+        x = (offsets[ids, None, :] + elements) % p
+        owner[x @ place] = ids[:, None]
+        for j, a in enumerate(x_rows):
+            table[ids, j] = np.all(owner[(x + a) % p @ place] == ids[:, None], axis=1)
+        table[ids, len(x_rows):] = ~np.any(x @ z_rows.T % p, axis=1)
     return table

@@ -6,8 +6,8 @@ cross-check with `--dense`, report) through `cli.main` with stdout captured:
 five-qudit code at p = 3 and the 4 x 4 Bacon-Shor code (1024 labels on 2^16
 amplitudes), and the symbolic table alone on the qudit Bacon-Shor code. Also
 times two layers alone: `dense_vector` of a state on 2^12 support elements,
-and the exact dense fixing table of 15 stabilizer rows on 2^14 support
-elements, which runs in chunks of one row.
+and the exact dense fixing table of two codewords and 15 stabilizer rows on
+2^14 support elements, which runs in chunks of one codeword.
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -88,14 +88,11 @@ def test_dense_vector_support_2_12(benchmark):
     assert np.count_nonzero(amps) == 2**12
 
 
-def test_dense_fixing_table_one_row_chunks(benchmark):
+def test_dense_fixing_table_one_codeword_chunks(benchmark):
     # p = 2, n = 16: X rows e_0..e_13 and one Z row e_14 fix both codewords,
     # the offsets 0 and e_15, on S = <e_0..e_13> of 2^14 elements.
     eye = np.eye(16, dtype=np.int64)
     support = Subspace.span(eye[:14], 2, 16)
-    xs = np.vstack([eye[:14], np.zeros((1, 16), dtype=np.int64)])
-    zs = np.vstack([np.zeros((14, 16), dtype=np.int64), eye[14]])
     offsets = np.vstack([np.zeros(16, dtype=np.int64), eye[15]])
-    zeros = np.zeros_like(offsets)
-    table = benchmark(_dense_fixing_table, support, offsets, zeros, zeros[:, 0], xs, zs)
+    table = benchmark(_dense_fixing_table, support, offsets, eye[:14], eye[14:15])
     assert table.shape == (2, 15) and table.all()

@@ -354,6 +354,20 @@ def test_decode_rejects_bad_sampling_options_before_output(capsys, bad):
         assert " q must be in [0, 1]" in err and err.rstrip().endswith(f"got {bad[1]}")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "builtin:random", "--seed", "-1"],
+        ["gen", "random", "--seed", "-1"],
+        ["decode", "builtin:random", "--code-seed", "-1"],
+    ],
+)
+def test_negative_random_code_seed_is_named(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_modulus_bound_at_input(tmp_path, capsys):
     code, out, err = run(capsys, "info", "builtin:random", "--p", "4294967291",
                          "--n", "3", "--dim", "3", "--seed", "0")

@@ -179,6 +179,8 @@ def test_random_code_determinism():
         random_code(3, 4, 20, seed=0)
     with pytest.raises(ValueError):
         random_code(6, 4, 2, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        random_code(3, 4, 5, seed=-1)
 
 
 def test_random_code_matches_per_row_draws():

@@ -36,11 +36,11 @@ from subcss.code import (
     DistanceResult,
     _enumerated_leaders,
     _field_letters,
-    _grid_index,
     _syndrome_leaders,
     _weight_batches,
 )
 from subcss.decode import _decoder_pair, _recover, make_css_decoder
+from subcss.gf import _grid_index
 
 from conftest import brute_force_recover, css_splits, random_subspace, subspaces
 

@@ -62,6 +62,35 @@ def test_only_gf_builds_place_values():
     assert found, "gf.py's place values are no longer found by this check"
 
 
+def test_private_helpers_are_imported_from_their_home():
+    # `from .mod import _name` names a def, class or assignment at the top of
+    # mod, not a name that mod itself imported from elsewhere.
+    sources = {path.stem: ast.parse(path.read_text())
+               for path in sorted(Path(subcss.__file__).parent.glob("*.py"))}
+
+    def defined(tree):
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        return names
+
+    homes = {module: defined(tree) for module, tree in sources.items()}
+    strays = [
+        f"{module}.py: {alias.name} from .{node.module}"
+        for module, tree in sources.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in homes
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name not in homes[node.module]
+    ]
+    assert "_grid_index" in homes["gf"]
+    assert strays == []
+
+
 def test_micro_benchmarks_run_untimed():
     # Each benchmark runs once with timing off, so a bench that reads stats
     # that only a timed run has fails here rather than when someone times it.

@@ -279,115 +279,122 @@ def _element(draw, space):
 
 
 @st.composite
-def _states_and_ops(draw):
-    """Coset states on one drawn support S <= F_p^n, and Paulis X^a Z^b.
-
-    Each phase functional lies in S^theta or is arbitrary, and each global
-    phase is arbitrary. Each operator is arbitrary or has a in S and b in
-    S^theta, so the fixing table holds both verdicts.
-    """
+def _small_css_splits(draw):
+    """A CssSplit with p in (2, 3, 5) and n <= 4, n = 0 included."""
     p = draw(st.sampled_from((2, 3, 5)))
-    n = draw(st.integers(1, 4))
-    support = draw(subspaces(p, n))
-    anything = Subspace.full(p, n)
-    states = [
-        CosetState(
-            offset=_element(draw, anything),
-            support=support,
-            phase=_element(draw, draw(st.sampled_from((support.complement(), anything)))),
-            global_phase=draw(st.integers(0, p - 1)),
-        )
-        for _ in range(draw(st.integers(1, 3)))
-    ]
-    ops = []
-    for _ in range(draw(st.integers(1, 4))):
-        on_support = draw(st.booleans())
-        a = _element(draw, support if on_support else anything)
-        b = _element(draw, support.complement() if on_support else anything)
-        ops.append(PauliVector(p, a, b))
-    return states, ops
+    n = draw(st.integers(0, 4))
+    return CssSplit(draw(subspaces(p, n)), draw(subspaces(p, n)))
 
 
-def _tables(states, ops):
-    """Both fixing tables of coset states on one support, from their arrays."""
-    support = states[0].support
-    offsets = np.array([state.offset for state in states])
-    phases = np.array([state.phase for state in states])
-    gammas = np.array([state.global_phase for state in states])
-    xs = np.array([op.x for op in ops])
-    zs = np.array([op.z for op in ops])
-    return (_fixing_table(support, offsets, phases, xs, zs),
-            _dense_fixing_table(support, offsets, phases, gammas, xs, zs))
+@st.composite
+def _codewords_and_rows(draw):
+    """A drawn CSS split, some of its `_label_grid` offsets (distinct rows, in
+    drawn order), and X rows and Z rows.
+
+    Each row lies in S = S_X, in S^theta, or is arbitrary, so the fixing
+    tables hold both verdicts.
+    """
+    split = draw(_small_css_splits())
+    p, n = split.p, split.n
+    _, _, grid = _label_grid(split)
+    picks = draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=6, unique=True))
+    spaces = (split.stab_x, split.stab_x.complement(), Subspace.full(p, n))
+
+    def rows():
+        count = draw(st.integers(0, 3))
+        drawn = [_element(draw, draw(st.sampled_from(spaces))) for _ in range(count)]
+        return np.array(drawn, dtype=np.int64).reshape(count, n)
+
+    return split, grid[picks], rows(), rows()
 
 
-@settings(max_examples=100, deadline=None)
-@given(_states_and_ops())
+def _tables(split, offsets, x_rows, z_rows):
+    """Both fixing tables of the codewords (offsets[i], S_X) of a split."""
+    return (_fixing_table(split.stab_x, offsets, x_rows, z_rows),
+            _dense_fixing_table(split.stab_x, offsets, x_rows, z_rows))
+
+
+def _words_and_ops(split, offsets, x_rows, z_rows):
+    """The codewords as coset states, and the rows as X^a and Z^b, in table order."""
+    p, zeros = split.p, np.zeros(split.n, dtype=np.int64)
+    words = [CosetState(offset, split.stab_x, zeros) for offset in offsets]
+    ops = [PauliVector(p, a, zeros) for a in x_rows] + [PauliVector(p, zeros, b) for b in z_rows]
+    return words, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(_codewords_and_rows())
 def test_batched_fixing_table_is_is_fixed_by(case):
-    states, ops = case
-    fixed, _ = _tables(states, ops)
-    assert fixed.tolist() == [[is_fixed_by(state, op) for op in ops] for state in states]
+    fixed, dense = _tables(*case)
+    words, ops = _words_and_ops(*case)
+    expected = [[is_fixed_by(word, op) for op in ops] for word in words]
+    assert fixed.tolist() == dense.tolist() == expected
 
 
 @settings(max_examples=100, deadline=None)
-@given(_states_and_ops())
+@given(_codewords_and_rows())
 def test_exact_dense_table_matches_complex_amplitudes(case):
-    states, ops = case
-    _, dense = _tables(states, ops)
-    for state, row in zip(states, dense):
-        vec = dense_vector(state)
+    _, dense = _tables(*case)
+    words, ops = _words_and_ops(*case)
+    for word, row in zip(words, dense):
+        vec = dense_vector(word)
         for op, verdict in zip(ops, row):
-            assert verdict == np.allclose(dense_vector(apply_pauli(state, op)), vec)
-            assert verdict == np.allclose(_dense_apply(op, vec, state.p), vec)
+            assert verdict == np.allclose(dense_vector(apply_pauli(word, op)), vec)
+            assert verdict == np.allclose(_dense_apply(op, vec, word.p), vec)
 
 
 def test_fixing_tables_hold_false_cells():
-    # A Z logical that pairs with the offset, an X shift off the support, and
+    # An X shift off the support, a Z logical that pairs with the offset, and
     # a Z phase outside S^theta each leave the codeword unfixed.
     l = np.zeros(9, dtype=np.int64)
     l[[0, 3, 6]] = 1
-    word = codeword(BS3, l, np.zeros(9, dtype=np.int64))
-    zeros = np.zeros(9, dtype=np.int64)
-    e0 = np.eye(9, dtype=np.int64)[0]
-    ops = [*_stabilizer_paulis(BS3), PauliVector(2, zeros, np.repeat([1, 0], [3, 6])),
-           PauliVector(2, e0, zeros), PauliVector(2, zeros, e0)]
-    fixed, dense = _tables([word], ops)
-    expected = [True] * len(_stabilizer_paulis(BS3)) + [False, False, False]
+    e0 = np.eye(9, dtype=np.int64)[:1]
+    offsets = codeword(BS3, l, np.zeros(9, dtype=np.int64)).offset[None]
+    x_rows = np.vstack([BS3.stab_x.basis, e0])
+    z_rows = np.vstack([BS3.stab_z.basis, np.repeat([1, 0], [3, 6]), e0[0]])
+    fixed, dense = _tables(BS3, offsets, x_rows, z_rows)
+    stab_x, stab_z = len(BS3.stab_x.basis), len(BS3.stab_z.basis)
+    expected = [True] * stab_x + [False] + [True] * stab_z + [False, False]
     assert fixed.tolist() == dense.tolist() == [expected]
 
 
 def test_z_part_compensates_a_phase_functional_off_s_theta():
     # On o + S = {(t, 1)}, phi = (1, 0) gives amplitude omega^t. X^(1,0) adds
-    # phi . a = 1 to it, and Z^(0,1) takes b . x = 1 off again: fixed, in
-    # both tables, though phi is not in S^theta. Z^(0,1) alone is not.
+    # phi . a = 1 to it, and Z^(0,1) takes b . x = 1 off again: fixed, though
+    # phi is not in S^theta. Z^(0,1) alone is not.
     support = Subspace.span([[1, 0]], 3, 2)
     state = CosetState(offset=[0, 1], support=support, phase=[1, 0])
     ops = [PauliVector(3, [1, 0], [0, 1]), PauliVector(3, [1, 0], [0, 2]),
            PauliVector(3, [0, 0], [0, 1])]
-    fixed, dense = _tables([state], ops)
-    assert fixed.tolist() == dense.tolist() == [[True, False, False]]
     assert [is_fixed_by(state, op) for op in ops] == [True, False, False]
 
 
-def test_dense_table_resets_between_states():
-    # X moves state 1's basis state |0> onto |1>, where state 0 -- also at
-    # exponent 0 -- sat just before: only a reset array answers "not fixed".
-    zero = Subspace.zero(2, 1)
-    states = [CosetState(offset=[1], support=zero, phase=[0]),
-              CosetState(offset=[0], support=zero, phase=[0])]
-    _, dense = _tables(states, [PauliVector(2, [1], [0])])
+def test_one_owner_array_tells_codewords_apart():
+    # X moves codeword 0's basis state |1> onto |0>, which codeword 1 holds:
+    # the owner array names codeword 1 there, so X fixes neither.
+    split = CssSplit(Subspace.zero(2, 1), Subspace.full(2, 1))
+    offsets = np.array([[1], [0]])
+    _, dense = _tables(split, offsets, np.array([[1]]), np.zeros((0, 1), dtype=np.int64))
     assert dense.tolist() == [[False], [False]]
 
 
 @settings(max_examples=40, deadline=None)
-@given(_states_and_ops(), st.integers(1, 8))
-def test_dense_table_in_operator_chunks(case, batch_rows):
-    # Chunks of batch_rows // |S| operators, at least one, give the same table.
-    states, ops = case
-    _, whole = _tables(states, ops)
+@given(_codewords_and_rows(), st.integers(1, 8))
+def test_dense_table_in_codeword_chunks(case, batch_rows):
+    # Chunks of batch_rows // |S| codewords, at least one, give the same table.
+    _, whole = _tables(*case)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(states_module, "_BATCH_ROWS", batch_rows)
-        _, chunked = _tables(states, ops)
+        _, chunked = _tables(*case)
     assert np.array_equal(chunked, whole)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_css_splits())
+def test_label_grid_offsets_lie_in_distinct_cosets(split):
+    # The dense table's owner array needs disjoint codeword supports.
+    _, _, offsets = _label_grid(split)
+    assert len(np.unique(split.stab_x.reduce(offsets), axis=0)) == len(offsets)
 
 
 _DENSE_REPRO = """\

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import codefile, decode, gf, goursat, states
 from .code import DistanceResult, NoLogicalOperators, SubsystemCode, css_distances
-from .codefile import CodeFileError, _format_row
+from .codefile import CodeFileError, _format_rows
 from .double import delta
 
 EXIT_OK = 0
@@ -151,11 +151,14 @@ def cmd_goursat(args) -> int:
     for label, space in spaces:
         _report(f"dim_{label}", space.dim)
     _report("phi_pairs", data.pair_count())
-    for label, space in spaces:
-        for row in space.basis:
-            print(f"{label} basis: {_format_row(row)}")
-    for a, b in data.phi_pairs:
-        print(f"phi: {_format_row(a)} -> {_format_row(b)}")
+    lines = [f"{label} basis: {row}" for label, space in spaces
+             for row in _format_rows(space.basis)]
+    n = code.n
+    pairs = np.array(data.phi_pairs, dtype=np.int64).reshape(data.pair_count(), 2 * n)
+    phis = zip(_format_rows(pairs[:, :n]), _format_rows(pairs[:, n:]))
+    lines += [f"phi: {a} -> {b}" for a, b in phis]
+    if lines:
+        print("\n".join(lines))
     return EXIT_OK
 
 
@@ -228,8 +231,8 @@ def cmd_codewords(args) -> int:
         dense = states._dense_fixing_table(split.stab_x, offsets, *rows)
         agrees = np.all(dense == fixes, axis=1)
     lines = []
-    for i, (l, g) in enumerate(zip(ls, gs)):
-        line = f"l = ({_format_row(l)}) g = ({_format_row(g)}) fixed = {bool(fixed[i])}"
+    for i, (l, g) in enumerate(zip(_format_rows(ls), _format_rows(gs))):
+        line = f"l = ({l}) g = ({g}) fixed = {bool(fixed[i])}"
         if args.dense:
             line += f" dense_agrees = {bool(agrees[i])}"
         lines.append(line)

@@ -253,7 +253,15 @@ class SubsystemCode:
 
     @property
     def _checks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Checks of H + H^w and H, no echelon: psi(H cap H^w) and psi(H^w)."""
+        """Checks of H + H^w and H. A CSS code's are block products of its
+        split's spaces, (L_X x L_Z)^theta = S_Z x S_X and H^theta = H_X^theta x
+        H_Z^theta; any other code's are psi(H cap H^w) and psi(H^w), no echelon."""
+        if self.is_css():
+            split = self._goursat[2]
+            return (
+                _block_product(split.stab_z, split.stab_x).basis,
+                _block_product(split.h_x.complement(), split.h_z.complement()).basis,
+            )
         return _psi_rows(self.stabilizer.basis), _psi_rows(self._omega_comp.basis)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .code import SubsystemCode
-from .gf import Subspace, validate_prime
+from .gf import Subspace, _grid_digits, validate_prime
 from .pauli import flatten, format_pauli, parse_pauli, unflatten
 
 FORMATS = ("pauli", "symplectic")
@@ -95,13 +95,29 @@ def emit_code_file(code: SubsystemCode, fmt: str = "symplectic") -> str:
     if fmt == "pauli":
         rows = [format_pauli(unflatten(row, code.p)) for row in basis]
     else:
-        rows = [f"{_format_row(row[:n])} | {_format_row(row[n:])}" for row in basis]
+        halves = zip(_format_rows(basis[:, :n]), _format_rows(basis[:, n:]))
+        rows = [f"{x} | {z}" for x, z in halves]
     return "\n".join([f"p={code.p} n={code.n} format={fmt}", *rows]) + "\n"
 
 
-def _format_row(row: np.ndarray) -> str:
-    """Space-separated entries of an integer row."""
-    return " ".join(map(str, row.tolist()))
+def _format_rows(mat: np.ndarray) -> list[str]:
+    """The space-separated entries of each row of a matrix of non-negative
+    integers, the whole matrix in one pass: every entry is written with as
+    many decimal digits as the widest one (`_grid_digits`), its leading zeros
+    are dropped, and one byte string holds every row."""
+    rows, cols = mat.shape
+    if rows == 0 or cols == 0:
+        return [""] * rows
+    width = len(str(int(mat.max())))
+    digits = _grid_digits(np.asarray(mat, dtype=np.int64), 10, width)
+    text = np.empty((rows, cols, width + 1), dtype=np.uint8)
+    text[..., :width] = digits + ord("0")
+    text[..., width] = ord(" ")
+    text[:, -1, width] = ord("\n")
+    # An entry is written from its leading nonzero digit on; 0 keeps its last.
+    keep = np.ones(text.shape, dtype=bool)
+    keep[..., : width - 1] = np.logical_or.accumulate(digits[..., :-1] != 0, axis=-1)
+    return text[keep].tobytes().decode("ascii").split("\n")[:-1]
 
 
 # Built-in examples ----------------------------------------------------------

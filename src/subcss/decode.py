@@ -49,7 +49,8 @@ class ClassicalCode:
     It only looks leaders up: in `code._coset_leaders`' table of F, or in a
     batch's own one where F has too many syndromes for a table. Its tests read
     the checks it holds: F for K and R <= K, R^theta for R, F's left kernel for
-    syndromes. K is echeloned only if read; a CSS side's is its split's L_X or L_Z.
+    syndromes, and rows Z of R^theta for a vector's class modulo R. K is
+    echeloned only if read; a CSS side's is its split's L_X or L_Z.
     """
 
     def __init__(self, f: np.ndarray, r: Subspace):
@@ -84,6 +85,28 @@ class ClassicalCode:
         return _coset_leaders(self.f, _field_letters(self.p), self.p, (self.d_r - 1) // 2)
 
     @cached_property
+    def _class_rows(self) -> np.ndarray:
+        """Z: rows of R^theta independent modulo K^theta, one per dimension of K / R.
+
+        R^theta = K^theta + span Z, so a v in K lies in R iff v . Z = 0, and two
+        vectors with one syndrome differ by an element of R iff their classes
+        v . Z agree. K^theta is F's row space: a CSS side's S_Z or S_X.
+        """
+        reps = self.r.complement().quotient_reps(self.k.complement())
+        return np.array(reps, dtype=np.int64).reshape(len(reps), self.n)
+
+    @cached_property
+    def _trial_check(self) -> np.ndarray:
+        """[F; Z]: one product gives a vector's syndrome, then its class."""
+        return np.vstack([self.f, self._class_rows])
+
+    @cached_property
+    def _leader_classes(self) -> np.ndarray | None:
+        """The classes of `_leader_table`'s leaders; None where there is no table."""
+        table = self._leader_table
+        return None if table is None else table[1] @ self._class_rows.T % self.p
+
+    @cached_property
     def _in_image(self) -> np.ndarray:
         """Left kernel of F from one echelon: the check of the achievable syndromes."""
         return kernel(self.f.T, self.p).basis
@@ -92,8 +115,10 @@ class ClassicalCode:
         """F v for a vector v, or one syndrome row per row of a matrix v."""
         return (fp_array(v, self.p) @ self.f.T) % self.p
 
-    def _leaders(self, syns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, found): row i is syndrome i's coset leader if found[i], else zero."""
+    def _slots(self, syns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slot, leaders): syndrome i has the coset leader leaders[slot[i]] if
+        slot[i] >= 0, else none. The leaders are the table's, or one
+        enumeration's for these syndromes where there is no table."""
         if not np.all(_in_kernel(syns, self._in_image, self.p)):
             raise InconsistentSyndrome("syndrome not in the image of the parity check")
         table = self._leader_table
@@ -114,10 +139,31 @@ class ClassicalCode:
             letters, top = _field_letters(self.p), (self.d_r - 1) // 2
             slots, leaders = _enumerated_leaders(self.f, letters, self.p, top, slot_of, len(wanted))
             slot = slots[inverse]
+        return slot, leaders
+
+    def _leaders(self, syns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, found): row i is syndrome i's coset leader if found[i], else zero."""
+        slot, leaders = self._slots(syns)
+        return _corrections(slot, leaders, self.n), slot >= 0
+
+    def _lookup(self, errors: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """(codes, (slot, leaders)) for vectors in [0, p): vector i's syndrome
+        has the leader leaders[slot[i]] if slot[i] >= 0, and codes[i] indexes
+        DecodeStatus: 0 if the vector minus its leader lies in R, 1 if not, 2
+        if there is no leader. One product with [F; Z] gives each vector's
+        syndrome and class; a leader's class is the table's, or is taken from
+        the batch's own leaders where there is no table.
+        """
+        m, p = self.f.shape[0], self.p
+        out = errors @ self._trial_check.T % p
+        slot, leaders = self._slots(out[:, :m])
+        classes = self._leader_classes
+        if classes is None:
+            classes = leaders @ self._class_rows.T % p
         found = slot >= 0
-        rows = np.zeros((len(syns), self.n), dtype=np.int64)
-        rows[found] = leaders[slot[found]]
-        return rows, found
+        codes = np.full(len(slot), 2, dtype=np.int64)
+        codes[found] = np.any(out[found, m:] != classes[slot[found]], axis=1)
+        return codes, (slot, leaders)
 
     def decode_coset(self, syn) -> np.ndarray | None:
         """Minimum-weight vector v with F v = syn and wt(v) < d_R/2, else None.
@@ -176,24 +222,39 @@ class DecodeOutcome:
     residual: PauliVector
 
 
-def _recover(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Recover the errors (ex[i], ez[i]) together: (status codes, cx, cz).
+def _corrections(slot: np.ndarray, leaders: np.ndarray, n: int) -> np.ndarray:
+    """Row i is leaders[slot[i]] as int64 if slot[i] >= 0, else zero."""
+    found = slot >= 0
+    rows = np.zeros((len(slot), n), dtype=np.int64)
+    rows[found] = leaders[slot[found]]
+    return rows
 
-    A status code indexes DecodeStatus in declaration order. A side whose
-    syndrome has no leader corrects nothing, and the error is out of range.
+
+def _trials(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
+    """Decode the errors (ex[i], ez[i]) together: (status codes, the X side's
+    (slot, leaders), the Z side's), from one `_lookup` per side.
+
+    A status code indexes DecodeStatus in declaration order, the worse side's:
+    a side whose syndrome has no leader corrects nothing, and the error is
+    out of range; else it is a logical failure if a side's residual leaves
+    its gauge code.
     """
     x_side, z_side = _decoder_pair(split)
-    # The errors are already in [0, p), so their syndromes need no `fp_array`.
-    cx, found_x = x_side._leaders(ex @ x_side.f.T % split.p)
-    cz, found_z = z_side._leaders(ez @ z_side.f.T % split.p)
-    # The checks H_X^theta and H_Z^theta, built once per decoder, take ex - cx unreduced.
-    p, h_x_check, h_z_check = split.p, x_side.r.complement().basis, z_side.r.complement().basis
-    in_gauge = _in_kernel(ex - cx, h_x_check, p) & _in_kernel(ez - cz, h_z_check, p)
-    return np.where(found_x & found_z, np.where(in_gauge, 0, 1), 2), cx, cz
+    # The errors are already in [0, p), so their products need no `fp_array`.
+    (codes_x, x), (codes_z, z) = x_side._lookup(ex), z_side._lookup(ez)
+    return np.maximum(codes_x, codes_z), x, z
+
+
+def _recover(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Recover the errors (ex[i], ez[i]) together: (status codes, cx, cz), the
+    corrections read from the slots `_trials` took the codes from."""
+    codes, x, z = _trials(split, ex, ez)
+    return codes, _corrections(*x, split.n), _corrections(*z, split.n)
 
 
 def steane_recover(split: CssSplit, e: PauliVector) -> DecodeOutcome:
-    """Full recovery cycle: syndromes, independent X/Z decoding, residual check.
+    """Full recovery cycle: syndromes, independent X/Z decoding, and each
+    residual's logical class against its correction's.
 
     Guaranteed corrected-up-to-gauge whenever each error component has a
     coset representative of weight below half the respective distance;
@@ -296,11 +357,12 @@ class MonteCarloReport:
 
 
 def _tally(split: CssSplit, chunks) -> TrialCounts:
-    """Recover every error in a stream of chunks of flattened errors and count the statuses."""
+    """Decode every error in a stream of chunks of flattened errors and count
+    the statuses; no correction row is built."""
     n = split.n
     counts = np.zeros(len(DecodeStatus), dtype=np.int64)
     for e in chunks:
-        counts += np.bincount(_recover(split, e[:, :n], e[:, n:])[0], minlength=len(DecodeStatus))
+        counts += np.bincount(_trials(split, e[:, :n], e[:, n:])[0], minlength=len(DecodeStatus))
     # TrialCounts lists the statuses in DecodeStatus order.
     return TrialCounts(int(counts.sum()), *(int(c) for c in counts))
 

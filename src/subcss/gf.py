@@ -239,7 +239,11 @@ class Subspace:
 
     @cached_property
     def _complement(self) -> "Subspace":
-        return kernel(self.basis, self.p)
+        # The dot product is nondegenerate, so (A^theta)^theta = A: the
+        # complement's own complement is this space, with no echelon.
+        comp = kernel(self.basis, self.p)
+        comp.__dict__["_complement"] = self
+        return comp
 
     def quotient_reps(self, small: "Subspace") -> list[np.ndarray]:
         """Vectors whose cosets form a basis of self/small (deterministic).

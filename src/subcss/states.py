@@ -192,8 +192,8 @@ def _dense_fixing_table(support: Subspace, offsets, x_rows, z_rows) -> np.ndarra
     Z^b iff b . x = 0 mod p there. The codewords go in chunks of
     max(1, `_BATCH_ROWS` // |S|); each chunk marks its supports over what
     earlier chunks marked, which never equals an index of this chunk, so
-    nothing is reset. One X row of a chunk holds max(|S|, `_BATCH_ROWS`) x n
-    shifted cells at most.
+    nothing is reset. An X row a moves x only on its support, so a chunk
+    shifts max(|S|, `_BATCH_ROWS`) x wt(a) cells per row at most.
     """
     p, n = support.p, support.ambient
     if p**n > gf.ROW_LIMIT:
@@ -206,8 +206,12 @@ def _dense_fixing_table(support: Subspace, offsets, x_rows, z_rows) -> np.ndarra
     for lo in range(0, len(offsets), step):
         ids = np.arange(lo, min(lo + step, len(offsets)))
         x = (offsets[ids, None, :] + elements) % p
-        owner[x @ place] = ids[:, None]
+        at = x @ place
+        owner[at] = ids[:, None]
         for j, a in enumerate(x_rows):
-            table[ids, j] = np.all(owner[(x + a) % p @ place] == ids[:, None], axis=1)
+            # x + a moves x only on a's support s: its index moves by the digits there.
+            s = a.nonzero()[0]
+            shifted = at + ((x[..., s] + a[s]) % p - x[..., s]) @ place[s]
+            table[ids, j] = np.all(owner[shifted] == ids[:, None], axis=1)
         table[ids, len(x_rows):] = ~np.any(x @ z_rows.T % p, axis=1)
     return table

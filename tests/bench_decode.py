@@ -3,7 +3,8 @@
 Times the `Par` decoder build, coset-leader tables (alone on Bacon-Shor 5;
 with `d_r` on Bacon-Shor 7 and 10), the Monte-Carlo sampler alone, Monte-Carlo
 decode trials with warm decoders (table lookups on Bacon-Shor 4 and 10, and the
-batched leader fill with the table switched off), and `Subspace.intersect`.
+batched leader fill with the table switched off), an exhaustive sweep of every
+weight-2 error of Bacon-Shor 4 with warm decoders, and `Subspace.intersect`.
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -13,7 +14,14 @@ Not part of the test suite (the file name does not match `test_*.py`). Run:
 import numpy as np
 import pytest
 
-from subcss import ClassicalCode, Subspace, bacon_shor, monte_carlo, par_decoder_build
+from subcss import (
+    ClassicalCode,
+    Subspace,
+    bacon_shor,
+    exhaustive_sweep,
+    monte_carlo,
+    par_decoder_build,
+)
 from subcss.decode import _decoder_pair, _sampled_errors, make_css_decoder
 
 from conftest import record_rate
@@ -91,6 +99,16 @@ def test_monte_carlo_bacon_shor5_without_table(benchmark, monkeypatch):
     split = bacon_shor(5).css_split()
     _decode_trials(benchmark, split, 5000)
     assert all(side._leader_table is None for side in _decoder_pair(split))
+
+
+def test_exhaustive_sweep_bacon_shor4_weight2(benchmark):
+    # All C(16, 2) * 3^2 = 1080 errors of symplectic weight 2, in one batch.
+    split = bacon_shor(4).css_split()
+    for side in _decoder_pair(split):
+        side.d_r, side._leader_table
+    counts = benchmark(exhaustive_sweep, split, 2)
+    assert counts.trials == 1080
+    record_rate(benchmark, "errors_per_s", counts.trials)
 
 
 def test_intersect_dims_30_40_p3(benchmark):

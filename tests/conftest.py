@@ -148,6 +148,13 @@ def reference_combinations(rows, p):
     return (coeffs @ rows) % p
 
 
+def reference_format_row(row):
+    """Reference text of one integer row: its entries, space-separated.
+    `codefile._format_rows`, which formats a whole matrix at once, must give
+    this string for every row."""
+    return " ".join(map(str, row))
+
+
 def reference_dense_vector(state):
     """Reference amplitudes: one basis state at a time, its index read
     big-endian base p and its phase norm * exp(2 pi i e / p) from a Python-int

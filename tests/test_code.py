@@ -26,6 +26,7 @@ from subcss.cli import main
 from subcss.code import (
     _BATCH_ROWS,
     DistanceResult,
+    _block_product,
     _coset_distance,
     _coset_search,
     _enumeration_reach,
@@ -748,11 +749,18 @@ def test_css_side_witnesses_match_the_reference(split):
 @example(five_qubit())
 def test_psi_rows_are_the_checks_of_the_tower(code):
     """(X^w)^theta = psi(X): the psi-rows of H cap H^w span (H + H^w)^theta,
-    and those of H^w, as many as its dimension, span H^theta."""
+    and those of H^w, as many as its dimension, span H^theta. A CSS code
+    reads the same spaces off its split: S_Z x S_X and H_X^theta x H_Z^theta."""
     p, ambient = code.p, 2 * code.n
     big_check, small_check = code._checks
-    assert np.array_equal(big_check, _psi_rows(code.stabilizer.basis))
-    assert np.array_equal(small_check, _psi_rows(code._omega_comp.basis))
+    if code.is_css():
+        split = code.css_split()
+        h_comp = _block_product(split.h_x.complement(), split.h_z.complement())
+        assert np.array_equal(big_check, _block_product(split.stab_z, split.stab_x).basis)
+        assert np.array_equal(small_check, h_comp.basis)
+    else:
+        assert np.array_equal(big_check, _psi_rows(code.stabilizer.basis))
+        assert np.array_equal(small_check, _psi_rows(code._omega_comp.basis))
     assert Subspace.span(big_check, p, ambient) == code.centralizer.complement()
     assert Subspace.span(small_check, p, ambient) == code.gauge.complement()
     assert len(small_check) + code.gauge.dim == ambient
@@ -780,6 +788,51 @@ def test_the_engine_builds_no_complement(monkeypatch, reach):
         assert _coset_distance(big, big_check, small_check, letters) == d
         found = _coset_search(big_check, small_check, letters, big.p)
         assert found[0] == witness[0] and np.array_equal(found[1], witness[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=3))
+@example(bacon_shor(3).css_split())
+def test_css_witnesses_are_unchanged(split):
+    # The block-product checks of a CSS code, built from its split or found by
+    # `_goursat`, give the witness the complements give, bit for bit.
+    letters = _site_values(split.p)
+    built = SubsystemCode.from_css_split(split)
+    for code in (built, SubsystemCode(split.p, split.n, built.gauge)):
+        assert code.is_css()
+        for budget in range(code.n + 1):
+            ref = reference_coset_search(code.centralizer, code.gauge, letters, budget)
+            got = code.min_weight_logical(budget)
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert np.array_equal(flatten(got), ref[1])
+
+
+def test_css_checks_are_read_off_the_split(monkeypatch):
+    calls = {"kernel": 0, "rref": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(gf_module, "kernel", counting("kernel", gf_module.kernel))
+    monkeypatch.setattr(gf_module, "rref", counting("rref", gf_module.rref))
+    monkeypatch.setattr(code_module, "rref", gf_module.rref)
+    # After the tower, only H_X^theta is new: one kernel, its one echelon.
+    code = bacon_shor(3)
+    code.parameters()
+    calls.update(kernel=0, rref=0)
+    assert swt(code.min_weight_logical()) == 3
+    assert calls == {"kernel": 1, "rref": 1}
+    # Once the distances have built H_X^theta, the checks need no echelon.
+    code = bacon_shor(3)
+    code.parameters()
+    css_distances(code.css_split())
+    calls.update(kernel=0, rref=0)
+    assert swt(code.min_weight_logical()) == 3
+    assert calls == {"kernel": 0, "rref": 0}
 
 
 def test_distances_read_the_checks_in_hand(monkeypatch):

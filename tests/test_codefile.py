@@ -15,10 +15,10 @@ from subcss import (
     random_code,
     trivial,
 )
-from subcss.codefile import FIVE_QUBIT_GENERATORS
+from subcss.codefile import FIVE_QUBIT_GENERATORS, _format_rows
 from subcss.pauli import parse_pauli
 
-from conftest import random_gauge_code, reference_bacon_shor
+from conftest import random_gauge_code, reference_bacon_shor, reference_format_row
 
 
 def test_five_qubit_matches_display():
@@ -224,3 +224,15 @@ def test_roundtrip_random_codes(rng):
                 continue
             parsed, _ = parse_code_file(emit_code_file(code, fmt))
             assert parsed == code
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 65521])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0), (1, 1), (4, 7), (60, 33)])
+def test_matrix_text_matches_the_row_reference(p, shape, rng):
+    mat = rng.integers(0, p, size=shape)
+    # Zeros and p - 1 in every column, so every digit count shows up.
+    if mat.size:
+        mat[0], mat[-1] = 0, p - 1
+    assert _format_rows(mat) == [reference_format_row(row.tolist()) for row in mat]
+    narrow = mat.astype(np.min_scalar_type(p - 1))
+    assert _format_rows(narrow) == _format_rows(mat)

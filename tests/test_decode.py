@@ -39,7 +39,7 @@ from subcss.code import (
     _syndrome_leaders,
     _weight_batches,
 )
-from subcss.decode import _decoder_pair, _recover, make_css_decoder
+from subcss.decode import _decoder_pair, _recover, _trials, make_css_decoder
 from subcss.gf import _grid_index
 
 from conftest import brute_force_recover, css_splits, random_subspace, subspaces
@@ -336,6 +336,56 @@ def test_batch_recovery_matches_brute_force(split):
         out = steane_recover(split, PauliVector(p, ex[i], ez[i]))
         assert out.status is statuses[i]
         assert out.correction == PauliVector(p, cx[i], cz[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=4), st.booleans(), st.integers(0, 2**32 - 1))
+@example(BS3, True, 0)
+@example(BS3, False, 0)
+def test_class_lookup_statuses_match_brute_force(split, table, seed):
+    # One batch of errors; the leaders' classes come from the table, or, with
+    # the table switched off, from the batch's own enumerated leaders.
+    assume(split.logical_x != split.h_x and split.logical_z != split.h_z)
+    ex, ez = np.random.default_rng(seed).integers(0, split.p, size=(2, 150, split.n))
+    with pytest.MonkeyPatch.context() as patch:
+        if not table:
+            patch.setattr(ClassicalCode, "_leader_table", None)
+        _decoder_pair.cache_clear()
+        try:
+            assert all((side._leader_table is None) != table for side in _decoder_pair(split))
+            codes = _trials(split, ex, ez)[0]
+        finally:
+            _decoder_pair.cache_clear()
+    assert [list(DecodeStatus)[c] for c in codes] == brute_force_recover(split, ex, ez)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=5))
+@example(BS3)
+def test_class_rows_are_independent_modulo_the_stabilizers(split):
+    # X side: k rows of H_X^theta, independent modulo S_Z = F's row space;
+    # the Z side mirrors it.
+    x_side, z_side = make_css_decoder(split)
+    k = split.logical_x.dim - split.h_x.dim
+    for side, h, stab in ((x_side, split.h_x, split.stab_z), (z_side, split.h_z, split.stab_x)):
+        rows = side._class_rows
+        assert rows.shape == (k, split.n)
+        assert h.complement().contains(rows)
+        assert Subspace.span(np.vstack([stab.basis, rows]), split.p, split.n).dim == stab.dim + k
+
+
+def test_class_rows_build_no_kernel(monkeypatch):
+    # S_Z = L_X^theta and S_X = L_Z^theta are in hand, as are H_X^theta and
+    # H_Z^theta once the distances are: the class rows take one greedy scan.
+    split = bacon_shor(4).css_split()
+    x_side, z_side = make_css_decoder(split)
+    x_side.d_r, z_side.d_r
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(gf_module, "kernel", refuse)
+    assert len(x_side._class_rows) == len(z_side._class_rows) == 1
 
 
 def _qutrit_bacon_shor3():

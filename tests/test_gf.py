@@ -245,7 +245,7 @@ def test_kernel_rejects_bad_input(mat, p, message):
 
 def test_complement_runs_one_echelon(monkeypatch, rng):
     """A fresh theta-complement echelons its space's basis once, and never its
-    own kernel basis again."""
+    own kernel basis again; its own complement is the space, with no echelon."""
     spaces = [random_subspace(rng, p, ambient) for p in (2, 3, 7) for ambient in (0, 1, 6, 11)]
     spaces += [Subspace.zero(5, 4), Subspace.full(5, 4)]
     calls = []
@@ -258,8 +258,9 @@ def test_complement_runs_one_echelon(monkeypatch, rng):
     for space in spaces:
         calls.clear()
         comp = space.complement()
+        assert comp.dim == space.ambient - space.dim and comp.complement() is space
         assert calls == [space.basis.shape]
-        assert comp.dim == space.ambient - space.dim and comp.complement() == space
+        assert kernel(comp.basis, space.p) == space
 
 
 def _elements(space):

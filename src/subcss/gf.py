@@ -5,6 +5,12 @@ form (the canonical form for all subspace bases) and kernel computation.
 Subspaces are always stored canonically, so equality of subspaces is
 entry-for-entry equality of their basis matrices.
 
+At p = 2 the echelon runs on bit rows: each row packed into one Python int,
+reduced by XOR (`_rref_f2`), the standard packed-row elimination over GF(2)
+(as in M4RI, Albrecht, Bard & Hart, ACM TOMS 37, 2010). At odd p it is a
+sparse pivot loop on an int64 array. A row space has exactly one RREF, so the
+two paths return the same matrix.
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -53,10 +59,16 @@ def rref(mat, p: int) -> np.ndarray:
 
     Row space is preserved; pivots are 1 with zeros elsewhere in their
     columns; zero rows sink to the bottom. Deterministic.
+
+    At p = 2, `_rref_f2` eliminates by XOR on rows packed into ints; at odd
+    p each pivot step clears its column in the rows nonzero there. Both reach
+    the one RREF of the row space, so the output does not depend on the path.
     """
     m = fp_array(mat, p)
     if m.ndim != 2:
         raise ValueError("expected a 2-D matrix")
+    if p == 2:
+        return _rref_f2(m)
     n_rows, n_cols = m.shape
     r = 0
     for c in range(n_cols):
@@ -80,6 +92,48 @@ def rref(mat, p: int) -> np.ndarray:
             m[r, c:] = pivot
         r += 1
     return m
+
+
+def _rref_f2(m: np.ndarray) -> np.ndarray:
+    """`rref` of a 0/1 matrix over F_2 by XOR on bit rows.
+
+    Each row is one Python int, column 0 its top bit (the pad bits of the last
+    byte stay zero below column n - 1), so a row's lead column is read from its
+    bit length. Rows enter a basis keyed by that length, each XOR-ed with the
+    basis row of its lead until it finds a new lead or vanishes. Back
+    substitution then runs lowest pivot first: every row it finishes is fully
+    reduced, so XOR-ing it into a higher row clears that one pivot bit and sets
+    no other.
+    """
+    n_rows, n_cols = m.shape
+    if n_cols == 0:
+        return m
+    width = -(-n_cols // 8)
+    data = np.packbits(m.astype(np.uint8), axis=1).tobytes()
+    basis: dict[int, int] = {}
+    for start in range(0, n_rows * width, width):
+        row = int.from_bytes(data[start : start + width], "big")
+        while row:
+            lead = row.bit_length()
+            if lead not in basis:
+                basis[lead] = row
+                break
+            row ^= basis[lead]
+    done = 0
+    for lead in sorted(basis):
+        row = basis[lead]
+        hit = row & done
+        while hit:
+            low = hit.bit_length()
+            row ^= basis[low]
+            hit ^= 1 << (low - 1)
+        basis[lead] = row
+        done |= 1 << (lead - 1)
+    rows = b"".join(basis[lead].to_bytes(width, "big") for lead in sorted(basis, reverse=True))
+    bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(basis), width)
+    out = np.zeros(m.shape, dtype=np.int64)
+    out[: len(basis)] = np.unpackbits(bits, axis=1, count=n_cols)
+    return out
 
 
 def pivot_columns(rref_mat: np.ndarray) -> list[int]:

@@ -44,6 +44,15 @@ def test_rref_zassenhaus_echelon(benchmark, zassenhaus_echelon):
     assert np.count_nonzero(red.any(axis=1)) == 400
 
 
+def test_rref_dense_p2(benchmark):
+    """A dense random 200 x 400 matrix over F_2: each pivot clears about half
+    of the rows."""
+    mat = np.random.default_rng(24).integers(0, 2, size=(200, 400))
+    assert np.array_equal(rref(mat, 2), reference_rref(mat, 2))
+    red = benchmark(rref, mat, 2)
+    assert red.shape == (200, 400)
+
+
 def test_kernel_bacon_shor10_gauge(benchmark):
     gauge = bacon_shor(10).gauge
     ker = benchmark(kernel, gauge.basis, 2)

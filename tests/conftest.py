@@ -114,8 +114,9 @@ def qudit_bacon_shor(p, l):
 def reference_rref(mat, p: int) -> np.ndarray:
     """Reference echelon: each pivot step rewrites the whole matrix.
 
-    `gf.rref`, which updates only the rows and columns a pivot step can
-    change, must reproduce it bit for bit.
+    `gf.rref` must reproduce it bit for bit at every p: at odd p it updates
+    only the rows and columns a pivot step can change, at p = 2 it eliminates
+    by XOR on bit rows.
     """
     m = fp_array(mat, p).copy()
     if m.ndim != 2:

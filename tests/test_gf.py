@@ -314,7 +314,7 @@ def test_independent_rows_matches_greedy_loop(case):
     assert _independent_rows(small, rows) == _greedy_reference(small, rows)
 
 
-# The sparse pivot step against the dense reference echelon --------------------
+# Both echelons (odd-p pivot steps, F_2 bit rows) against the dense reference --
 
 # 65521 is the largest prime below P_LIMIT: residue products come near 2^32.
 _PRIMES = (2, 3, 5, 7, 65521)
@@ -325,11 +325,15 @@ def _matrices(draw):
     """(matrix, p): independent rows stacked with combinations of them, shuffled.
 
     Fills run from all zero through very sparse to fully dense; either part of
-    the stack may be empty, and so may the columns.
+    the stack may be empty, and so may the columns. At p = 2, half the draws
+    have up to 40 rows on widths past one byte and one 64-bit word, where the
+    bit rows of `rref` carry pad bits and span several machine words.
     """
     p = draw(st.sampled_from(_PRIMES))
-    n_cols = draw(st.integers(0, 16))
-    n_base, n_dep = draw(st.integers(0, 10)), draw(st.integers(0, 6))
+    wide = p == 2 and draw(st.booleans())
+    n_cols = draw(st.sampled_from((63, 64, 65, 130)) if wide else st.integers(0, 16))
+    n_base = draw(st.integers(0, 30 if wide else 10))
+    n_dep = draw(st.integers(0, 10 if wide else 6))
     fill = draw(st.sampled_from((0.0, 0.03, 0.2, 0.6, 1.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = rng.integers(1 if fill == 1.0 else 0, p, size=(n_base, n_cols))
@@ -377,15 +381,16 @@ def test_rref_edge_shapes_match_reference(p, shape, rng):
 
 
 def test_rref_accepts_read_only_input(rng):
-    space = random_subspace(rng, 5, 9)
-    mat = rng.integers(0, 5, size=(6, 9))
-    mat.setflags(write=False)
-    for ro in (space.basis, mat):
-        before = ro.copy()
-        out = rref(ro, 5)
-        assert out.flags.writeable and not np.shares_memory(out, ro)
-        assert np.array_equal(ro, before)
-        assert np.array_equal(out, reference_rref(ro, 5))
+    for p in (2, 5):
+        space = random_subspace(rng, p, 9)
+        mat = rng.integers(0, p, size=(6, 9))
+        mat.setflags(write=False)
+        for ro in (space.basis, mat):
+            before = ro.copy()
+            out = rref(ro, p)
+            assert out.flags.writeable and not np.shares_memory(out, ro)
+            assert np.array_equal(ro, before)
+            assert np.array_equal(out, reference_rref(ro, p))
 
 
 @settings(max_examples=150, deadline=None)

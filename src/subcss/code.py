@@ -9,7 +9,9 @@ Each pair (A + B, A cap B) of the tower comes from one Zassenhaus echelon
 H_Z^theta x H_X^theta, so its tower is built from its two classical codes
 alone: (L_X, S_X) from one echelon of H_X against H_Z^theta, its theta-dual
 (L_Z, S_Z) = (S_X^theta, L_X^theta), H + H^w = L_X x L_Z, H cap H^w = S_X x S_Z.
-Any other code's is the X tower of its double (H, psi(H)), as psi(H)^theta = H^w.
+Any other code's is one echelon of H against H^w, the kernel of H's psi-rows.
+Either is the X tower of the double (H, psi(H)), as psi(H)^theta = H^w, so
+`delta` hands it to the double's split.
 
 Weights are counted over an alphabet of nonzero single-site letters.
 Hamming weight on F_p^n uses the letters F_p \\ {0}; symplectic weight on
@@ -18,7 +20,7 @@ nonzero (x, z) values of one site.
 
 A minimum weight min wt(big \\ small) is read off the syndromes of a check of
 small, which the caller holds, as it holds big's: a CSS side's are its split's
-(L_X^theta = S_Z), any other code's psi-rows, as (X^w)^theta = psi(X). One
+(L_X^theta = S_Z), a code's its tower's psi-rows, as (X^w)^theta = psi(X). One
 recursion gives the least weight of every syndrome and every coset leader
 (`_syndrome_weights`); the syndromes big reaches are the `_combinations` of a
 basis of its image. An enumerator of the vectors of weight exactly w
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import gf
 from .gf import Subspace, _block_spaces, _combinations, _grid_digits, _grid_index, rref
-from .pauli import PauliVector, _psi_rows, flatten, psi_subspace, unflatten
+from .pauli import PauliVector, _psi_rows, flatten, omega_complement, unflatten
 
 
 class NoLogicalOperators(Exception):
@@ -148,14 +150,15 @@ class SubsystemCode:
     # Tower -----------------------------------------------------------------
 
     @cached_property
-    def _double_split(self) -> CssSplit:
-        """(H, psi(H)), the split of Delta(H), whose X tower is H's (see `_tower`)."""
-        return CssSplit(self.gauge, psi_subspace(self.gauge))
-
-    @property
     def _omega_comp(self) -> Subspace:
-        """H^w = psi(H)^theta, the complement in the double's X tower."""
-        return self._double_split.h_z.complement()
+        """H^w = psi(H)^theta: H_Z^theta x H_X^theta for a CSS code, from its
+        split's complements on n columns; else the kernel of H's psi-rows
+        (`omega_complement`). Neither echelons psi(H); `delta` hands it to the
+        double as psi(H)'s theta-complement."""
+        if self.is_css():
+            split = self._goursat[2]
+            return _block_product(split.h_z.complement(), split.h_x.complement())
+        return omega_complement(self.gauge)
 
     @cached_property
     def _tower(self) -> tuple[Subspace, Subspace]:
@@ -164,8 +167,8 @@ class SubsystemCode:
         A CSS code H = H_X x H_Z has H^w = H_Z^theta x H_X^theta, so its tower
         factors into the two classical towers of its split: (L_X x L_Z,
         S_X x S_Z), one echelon per side on n columns and none on 2n. Any
-        other code's is its double's X tower, one echelon of H against
-        psi(H)^theta = H^w, so `delta` reuses it.
+        other code's is one Zassenhaus echelon of H against H^w. Either is
+        the X tower of the double (H, psi(H)), which `delta` hands it to.
         """
         if self.is_css():
             split = self._goursat[2]
@@ -173,18 +176,18 @@ class SubsystemCode:
                 _block_product(split.logical_x, split.logical_z),
                 _block_product(split.stab_x, split.stab_z),
             )
-        return self._double_split._x_tower
+        return self.gauge.sum_and_intersection(self._omega_comp)
 
     @cached_property
     def centralizer(self) -> Subspace:
         """H + H^w: all logical (commuting-with-stabilizer) operators; L_X x L_Z
-        for a CSS code, else its double's L_X (see `_tower`)."""
+        for a CSS code, and for every code its double's L_X (see `_tower`)."""
         return self._tower[0]
 
     @cached_property
     def stabilizer(self) -> Subspace:
         """H cap H^w: the stabilizer group modulo phases; S_X x S_Z for a CSS
-        code, else its double's S_X (see `_tower`)."""
+        code, and for every code its double's S_X (see `_tower`)."""
         return self._tower[1]
 
     def parameters(self) -> tuple[int, int, int]:
@@ -253,15 +256,8 @@ class SubsystemCode:
 
     @property
     def _checks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Checks of H + H^w and H. A CSS code's are block products of its
-        split's spaces, (L_X x L_Z)^theta = S_Z x S_X and H^theta = H_X^theta x
-        H_Z^theta; any other code's are psi(H cap H^w) and psi(H^w), no echelon."""
-        if self.is_css():
-            split = self._goursat[2]
-            return (
-                _block_product(split.stab_z, split.stab_x).basis,
-                _block_product(split.h_x.complement(), split.h_z.complement()).basis,
-            )
+        """Checks of H + H^w and H: the psi-rows of H cap H^w and of H^w, as
+        (X^w)^theta = psi(X), with no echelon, CSS codes included."""
         return _psi_rows(self.stabilizer.basis), _psi_rows(self._omega_comp.basis)
 
 

@@ -118,9 +118,7 @@ class ClassicalCode:
     def _slots(self, syns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(slot, leaders): syndrome i has the coset leader leaders[slot[i]] if
         slot[i] >= 0, else none. The leaders are the table's, or one
-        enumeration's for these syndromes where there is no table."""
-        if not np.all(_in_kernel(syns, self._in_image, self.p)):
-            raise InconsistentSyndrome("syndrome not in the image of the parity check")
+        enumeration's for these syndromes, all achievable, where there is no table."""
         table = self._leader_table
         if table is not None:
             slots, leaders = table
@@ -143,6 +141,8 @@ class ClassicalCode:
 
     def _leaders(self, syns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, found): row i is syndrome i's coset leader if found[i], else zero."""
+        if not np.all(_in_kernel(syns, self._in_image, self.p)):
+            raise InconsistentSyndrome("syndrome not in the image of the parity check")
         slot, leaders = self._slots(syns)
         return _corrections(slot, leaders, self.n), slot >= 0
 
@@ -151,8 +151,8 @@ class ClassicalCode:
         has the leader leaders[slot[i]] if slot[i] >= 0, and codes[i] indexes
         DecodeStatus: 0 if the vector minus its leader lies in R, 1 if not, 2
         if there is no leader. One product with [F; Z] gives each vector's
-        syndrome and class; a leader's class is the table's, or is taken from
-        the batch's own leaders where there is no table.
+        syndrome, achievable by construction, and class; a leader's class is the
+        table's, or is taken from the batch's own leaders where there is no table.
         """
         m, p = self.f.shape[0], self.p
         out = errors @ self._trial_check.T % p

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import SubsystemCode, _block_product
+from .code import CssSplit, SubsystemCode, _block_product
 from .gf import Subspace
 from .pauli import PauliVector, flatten, psi, psi_subspace, unflatten
 
@@ -43,6 +43,9 @@ class DoubledCode:
 
 
 def delta(code: SubsystemCode) -> DoubledCode:
-    """Double a code into a subsystem CSS code, built from the code's own split
-    (H, psi(H)); its X tower, H's tower as psi(H)^theta = H^w, is then built once."""
-    return DoubledCode(source=code, result=SubsystemCode.from_css_split(code._double_split))
+    """Double a code into the CSS code of (H, psi(H)); as psi(H)^theta = H^w, the split
+    borrows H's tower as its X tower and H^w as psi(H)'s complement, echeloning neither."""
+    split = CssSplit(code.gauge, psi_subspace(code.gauge))
+    split.__dict__["_x_tower"] = code._tower
+    split.h_z.__dict__["_complement"] = code._omega_comp
+    return DoubledCode(source=code, result=SubsystemCode.from_css_split(split))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import Subspace, fp_array, validate_prime
+from .gf import Subspace, fp_array, kernel, validate_prime
 
 _QUBIT_LETTERS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _TOKEN_RE = re.compile(r"^X(\d+)Z(\d+)$")
@@ -153,18 +153,19 @@ def psi(pv: PauliVector) -> PauliVector:
 
 def _psi_rows(rows: np.ndarray) -> np.ndarray:
     """psi of each row, unreduced; as psi(X^w) = X^theta, those of a basis of X^w check X."""
+    if rows.shape[1] % 2 != 0:
+        raise ValueError("ambient dimension must be even")
     n = rows.shape[1] // 2
     return np.hstack([rows[:, n:], -rows[:, :n]])
 
 
 def psi_subspace(h: Subspace) -> Subspace:
     """Image of a subspace of F_p^{2n} under psi; psi(H) is the H_Z of H's double."""
-    if h.ambient % 2 != 0:
-        raise ValueError("ambient dimension must be even")
     return Subspace.span(_psi_rows(h.basis), h.p, h.ambient)
 
 
 def omega_complement(h: Subspace) -> Subspace:
-    """{u : omega(u, h) = 0} = psi(h)^theta, as u . psi(h) = -omega(u, h); a code's
-    double (H, psi(H)) has it as H_Z^theta, so its X tower is H's own."""
-    return psi_subspace(h).complement()
+    """{u : omega(u, h) = 0} = psi(h)^theta, as u . psi(h) = -omega(u, h): the kernel
+    of h's psi-rows, with no echelon of psi(h). A code's double (H, psi(H)) has it
+    as H_Z^theta, so its X tower is H's own."""
+    return kernel(_psi_rows(h.basis), h.p)

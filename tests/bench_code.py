@@ -21,8 +21,9 @@ from conftest import record_rate, symplectic_distance
 
 
 def test_parameters_delta_bacon_shor10(benchmark):
-    # A fresh CSS code each round (n = 200), built from its split, so a round
-    # times the tower from the split's two classical towers.
+    # A fresh CSS double each round (n = 200). Its setup builds the source's
+    # tower, which the double's split borrows as its X side, so a round times
+    # only the double's Z side, the two theta-complements of that tower.
     params = benchmark.pedantic(lambda code: code.parameters(),
                                 setup=lambda: ((delta(bacon_shor(10)).result,), {}), rounds=5)
     assert params == (200, 2, 162)

@@ -19,6 +19,7 @@ from subcss import (
 from subcss import code as code_module
 from subcss.code import _budget, _site_values, _weight_batches
 from subcss.gf import fp_array
+from subcss.pauli import psi_subspace
 
 
 def random_subspace(rng, p, ambient):
@@ -183,12 +184,11 @@ def kernel_sum_is_css(h, n):
 
 
 def reference_omega_complement(h):
-    """Reference H^w: the kernel of H's basis rows block-swapped and signed,
-    (a, b) -> (b, -a), with no echelon of psi(H) first. `pauli.omega_complement`
-    and `SubsystemCode._omega_comp`, which take the theta-complement of
-    `psi_subspace(h)`, must give the same canonical basis."""
-    n = h.ambient // 2
-    return kernel(np.hstack([h.basis[:, n:], -h.basis[:, :n]]), h.p)
+    """Reference H^w = psi(H)^theta: the theta-complement of `psi_subspace(h)`,
+    echeloned first. `pauli.omega_complement`, the kernel of H's psi-rows, and
+    `SubsystemCode._omega_comp`, which is that kernel or, for a CSS code, the
+    block product of its split's complements, must give the same canonical basis."""
+    return psi_subspace(h).complement()
 
 
 def reference_tower(code):

@@ -21,7 +21,9 @@ from subcss import (
     trivial,
 )
 from subcss import code as code_module
+from subcss import double as double_module
 from subcss import gf as gf_module
+from subcss import pauli as pauli_module
 from subcss.cli import main
 from subcss.code import (
     _BATCH_ROWS,
@@ -35,7 +37,7 @@ from subcss.code import (
     _weight_batches,
 )
 from subcss.decode import ClassicalCode
-from subcss.pauli import _psi_rows, flatten, omega_complement, swt
+from subcss.pauli import _psi_rows, flatten, omega_complement, psi_subspace, swt
 
 from conftest import (
     css_splits,
@@ -382,8 +384,11 @@ def test_derived_spaces_are_built_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(code_module, "psi_subspace", counting("psi", code_module.psi_subspace))
-    monkeypatch.setattr(gf_module, "kernel", counting("kernel", gf_module.kernel))
+    # psi(H) is echeloned only where `delta` builds the double's split.
+    monkeypatch.setattr(double_module, "psi_subspace", counting("psi", double_module.psi_subspace))
+    kernel = counting("kernel", gf_module.kernel)
+    monkeypatch.setattr(gf_module, "kernel", kernel)
+    monkeypatch.setattr(pauli_module, "kernel", kernel)
     monkeypatch.setattr(code_module, "rref", counting("rref", code_module.rref))
     monkeypatch.setattr(Subspace, "sum_and_intersection",
                         counting("tower", Subspace.sum_and_intersection))
@@ -399,16 +404,20 @@ def test_derived_spaces_are_built_once(monkeypatch):
     # side against H_Z^theta; the Z side is the theta-dual, L_Z = S_X^theta and
     # S_Z = L_X^theta, two more complements and no echelon of its own.
     assert calls == {"psi": 0, "kernel": 3, "rref": 1, "tower": 1}
-    # A non-CSS code: psi(H) once, its complement H^w, and one Zassenhaus
-    # echelon of H against it, the X tower of the double (H, psi(H)).
+    # Its double borrows that tower: psi(H) once, H^w = H_Z^theta x H_X^theta
+    # with H_X^theta the one new complement on n columns, and the double's Z
+    # side, the complements of the centralizer and the stabilizer.
+    assert delta(code).result.parameters() == (18, 2, 8)
+    assert calls == {"psi": 1, "kernel": 6, "rref": 1, "tower": 1}
+    # A non-CSS code: H^w as the kernel of H's psi-rows, with no psi(H), and
+    # one Zassenhaus echelon of H against it.
     calls.update(psi=0, kernel=0, rref=0, tower=0)
     code = five_qubit()
     assert code.parameters() == (5, 1, 0)
     assert code.centralizer is code.centralizer and code.stabilizer is code.stabilizer
     code.parameters()
-    assert calls == {"psi": 1, "kernel": 1, "rref": 1, "tower": 1}
-    # The double reuses that split and its X tower: only its Z side, the
-    # complements of the centralizer and the stabilizer, is new.
+    assert calls == {"psi": 0, "kernel": 1, "rref": 1, "tower": 1}
+    # The double borrows the tower and H^w: only psi(H) and its Z side are new.
     assert delta(code).result.parameters() == (10, 2, 0)
     assert calls == {"psi": 1, "kernel": 3, "rref": 1, "tower": 1}
 
@@ -479,20 +488,46 @@ def _same_bits(got, want):
 @example(SubsystemCode(3, 2, Subspace.zero(3, 4)))
 @example(SubsystemCode(2, 2, Subspace.full(2, 4)))
 def test_tower_and_double_share_one_omega_complement(code):
-    # H^w bit for bit against the kernel of the signed, block-swapped rows.
+    # H^w bit for bit against psi(H)^theta, built by an echelon of psi(H).
     comp = reference_omega_complement(code.gauge)
     assert _same_bits(omega_complement(code.gauge), comp)
     assert _same_bits(code._omega_comp, comp)
     assert _same_bits(code.centralizer, code.gauge + comp)
     assert _same_bits(code.stabilizer, code.gauge.intersect(comp))
-    # The double is built from the code's own split, whose X tower a non-CSS
-    # code's centralizer and stabilizer already are.
-    split = code._double_split
+    # The double's split (H, psi(H)) holds the code's tower as its X tower and
+    # the code's H^w as psi(H)'s theta-complement.
     doubled = delta(code).result
-    assert doubled.css_split() is split
-    if not code.is_css():
-        assert code.centralizer is split.logical_x and code.stabilizer is split.stab_x
+    split = doubled.css_split()
+    assert split.h_x is code.gauge and split.h_z.complement() is code._omega_comp
+    assert split.logical_x is code.centralizer and split.stab_x is code.stabilizer
     assert doubled.parameters() == tuple(2 * v for v in code.parameters())
+
+
+@settings(max_examples=120, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=4))
+@example(five_qubit())
+@example(bacon_shor(2))
+@example(SubsystemCode(3, 2, Subspace.zero(3, 4)))
+@example(SubsystemCode(2, 2, Subspace.full(2, 4)))
+def test_double_with_borrowed_spaces_matches_one_built_afresh(code):
+    # The same double from a copy of the code that shares no cache with it.
+    fresh = Subspace(code.p, 2 * code.n, code.gauge.basis.copy())
+    want = SubsystemCode.from_css_split(CssSplit(fresh, psi_subspace(fresh)))
+    got = delta(code).result
+    got_split, want_split = got.css_split(), want.css_split()
+    assert got_split.logical_x is code.centralizer
+    for name in ("centralizer", "stabilizer"):
+        assert _same_bits(getattr(got, name), getattr(want, name))
+    for name in ("logical_x", "stab_x", "logical_z", "stab_z"):
+        assert _same_bits(getattr(got_split, name), getattr(want_split, name))
+    assert _same_bits(got_split.h_z.complement(), want_split.h_z.complement())
+    assert got.parameters() == want.parameters()
+    if got.parameters()[1] == 0:
+        for split in (got_split, want_split):
+            with pytest.raises(NoLogicalOperators):
+                css_distances(split, 2)
+    else:
+        assert css_distances(got_split, 2) == css_distances(want_split, 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -749,21 +784,20 @@ def test_css_side_witnesses_match_the_reference(split):
 @example(five_qubit())
 def test_psi_rows_are_the_checks_of_the_tower(code):
     """(X^w)^theta = psi(X): the psi-rows of H cap H^w span (H + H^w)^theta,
-    and those of H^w, as many as its dimension, span H^theta. A CSS code
-    reads the same spaces off its split: S_Z x S_X and H_X^theta x H_Z^theta."""
+    and those of H^w, as many as its dimension, span H^theta. A CSS code's
+    spans are its split's: S_Z x S_X and H_X^theta x H_Z^theta."""
     p, ambient = code.p, 2 * code.n
     big_check, small_check = code._checks
+    assert np.array_equal(big_check, _psi_rows(code.stabilizer.basis))
+    assert np.array_equal(small_check, _psi_rows(code._omega_comp.basis))
+    big, small = (Subspace.span(check, p, ambient) for check in (big_check, small_check))
+    assert big == code.centralizer.complement()
+    assert small == code.gauge.complement()
+    assert len(small_check) + code.gauge.dim == ambient
     if code.is_css():
         split = code.css_split()
-        h_comp = _block_product(split.h_x.complement(), split.h_z.complement())
-        assert np.array_equal(big_check, _block_product(split.stab_z, split.stab_x).basis)
-        assert np.array_equal(small_check, h_comp.basis)
-    else:
-        assert np.array_equal(big_check, _psi_rows(code.stabilizer.basis))
-        assert np.array_equal(small_check, _psi_rows(code._omega_comp.basis))
-    assert Subspace.span(big_check, p, ambient) == code.centralizer.complement()
-    assert Subspace.span(small_check, p, ambient) == code.gauge.complement()
-    assert len(small_check) + code.gauge.dim == ambient
+        assert big == _block_product(split.stab_z, split.stab_x)
+        assert small == _block_product(split.h_x.complement(), split.h_z.complement())
 
 
 @pytest.mark.parametrize("reach", _REACHES)

@@ -85,6 +85,33 @@ def test_inconsistent_syndrome():
         code.decode_coset([1, 0])
 
 
+@pytest.mark.parametrize("table", [True, False])
+def test_only_syndromes_from_outside_are_checked(monkeypatch, table):
+    # Trials compute their syndromes from errors, so they are in F's image and
+    # no trial reads `_in_image`; `decode_coset` still checks what it is given.
+    if not table:
+        monkeypatch.setattr(ClassicalCode, "_leader_table", None)
+    e = _pauli(2, 9, x_sites=(0,), z_sites=(4,))
+
+    def results():
+        _decoder_pair.cache_clear()
+        counts = monte_carlo(BS3, 0.05, 300, seed=7).counts
+        return counts, exhaustive_sweep(BS3, 2), steane_recover(BS3, e)
+
+    def refuse(self):
+        raise AssertionError("a computed syndrome was checked")
+
+    expected = results()
+    with monkeypatch.context() as patch:
+        patch.setattr(ClassicalCode, "_in_image", property(refuse))
+        assert results() == expected
+    _decoder_pair.cache_clear()
+    assert all((side._leader_table is None) != table for side in _decoder_pair(BS3))
+    code = ClassicalCode([[1, 1, 1], [1, 1, 1]], Subspace.zero(2, 3))
+    with pytest.raises(InconsistentSyndrome):
+        code.decode_coset([1, 0])
+
+
 def test_out_of_range_syndrome(monkeypatch):
     # Even-weight code: d_R = 2 so no nonzero error is within range.
     code = ClassicalCode([[1, 1, 1, 1]], Subspace.zero(2, 4))

@@ -149,5 +149,8 @@ def test_delta_matches_double_subspace(code):
 
 
 def test_double_subspace_rejects_odd_ambient():
+    odd = random_subspace(np.random.default_rng(0), 2, 5)
     with pytest.raises(ValueError):
-        double_subspace(random_subspace(np.random.default_rng(0), 2, 5))
+        double_subspace(odd)
+    with pytest.raises(ValueError):
+        omega_complement(odd)

@@ -100,10 +100,12 @@ def _distances(code: SubsystemCode, budget: int | None) -> tuple:
 
 def cmd_info(args) -> int:
     code = _load_code(args.code, args)
-    for name, value in zip("nkr", code.parameters()):
-        _report(name, value)
-    css = code.is_css()
+    # Everything is computed before anything is printed, so a request that
+    # fails prints no partial report.
+    params, css = code.parameters(), code.is_css()
     d_x, d_z, d = _distances(code, args.budget)
+    for name, value in zip("nkr", params):
+        _report(name, value)
     _report("d", d)
     _report("is_css", css)
     if css:

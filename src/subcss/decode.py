@@ -79,10 +79,12 @@ class ClassicalCode:
         return _coset_distance(self.k, *checks, _field_letters(self.p)).value
 
     @cached_property
-    def _leader_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(slots, leaders): the `_coset_leaders` table of F's syndromes up to
-        weight (d_R - 1) // 2; None above `gf.ROW_LIMIT` syndromes."""
-        return _coset_leaders(self.f, _field_letters(self.p), self.p, (self.d_r - 1) // 2)
+    def _leader_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(slots, leaders, classes): the `_coset_leaders` table of F's syndromes
+        up to weight (d_R - 1) // 2, its leaders `_closed` with their classes;
+        None above `gf.ROW_LIMIT` syndromes."""
+        table = _coset_leaders(self.f, _field_letters(self.p), self.p, (self.d_r - 1) // 2)
+        return None if table is None else (table[0], *self._closed(table[1]))
 
     @cached_property
     def _class_rows(self) -> np.ndarray:
@@ -100,11 +102,10 @@ class ClassicalCode:
         """[F; Z]: one product gives a vector's syndrome, then its class."""
         return np.vstack([self.f, self._class_rows])
 
-    @cached_property
-    def _leader_classes(self) -> np.ndarray | None:
-        """The classes of `_leader_table`'s leaders; None where there is no table."""
-        table = self._leader_table
-        return None if table is None else table[1] @ self._class_rows.T % self.p
+    def _closed(self, leaders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The leaders closed by the zero row slot -1 reads, and their classes v . Z."""
+        leaders = np.vstack([leaders, np.zeros((1, self.n), dtype=leaders.dtype)])
+        return leaders, leaders @ self._class_rows.T % self.p
 
     @cached_property
     def _in_image(self) -> np.ndarray:
@@ -115,54 +116,45 @@ class ClassicalCode:
         """F v for a vector v, or one syndrome row per row of a matrix v."""
         return (fp_array(v, self.p) @ self.f.T) % self.p
 
-    def _slots(self, syns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(slot, leaders): syndrome i has the coset leader leaders[slot[i]] if
-        slot[i] >= 0, else none. The leaders are the table's, or one
-        enumeration's for these syndromes, all achievable, where there is no table."""
+    def _slots(self, syns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(slot, leaders, classes): achievable syndrome i has the coset leader
+        leaders[slot[i]], of class classes[slot[i]], if slot[i] >= 0; slot -1
+        reads the closing zero row. The leaders are the table's, or, where there
+        is none, one enumeration's for these syndromes: only here do they differ."""
         table = self._leader_table
         if table is not None:
-            slots, leaders = table
-            slot = slots[_grid_index(syns, self.p)]
-        else:
-            # One slot per distinct syndrome, all filled by one enumeration;
-            # rows are matched by value, so no base-p index can overflow.
-            wanted, inverse = np.unique(syns, axis=0, return_inverse=True)
+            slots, leaders, classes = table
+            return slots[_grid_index(syns, self.p)], leaders, classes
+        # One slot per distinct syndrome, all filled by one enumeration;
+        # rows are matched by value, so no base-p index can overflow.
+        wanted, inverse = np.unique(syns, axis=0, return_inverse=True)
 
-            def slot_of(batch_syns):
-                keys, key = np.unique(np.vstack([wanted, batch_syns]), axis=0, return_inverse=True)
-                slot_of_key = np.full(len(keys), -1, dtype=np.int64)
-                slot_of_key[key[: len(wanted)]] = np.arange(len(wanted))
-                return slot_of_key[key[len(wanted) :]]
+        def slot_of(batch_syns):
+            keys, key = np.unique(np.vstack([wanted, batch_syns]), axis=0, return_inverse=True)
+            slot_of_key = np.full(len(keys), -1, dtype=np.int64)
+            slot_of_key[key[: len(wanted)]] = np.arange(len(wanted))
+            return slot_of_key[key[len(wanted) :]]
 
-            letters, top = _field_letters(self.p), (self.d_r - 1) // 2
-            slots, leaders = _enumerated_leaders(self.f, letters, self.p, top, slot_of, len(wanted))
-            slot = slots[inverse]
-        return slot, leaders
+        letters, top = _field_letters(self.p), (self.d_r - 1) // 2
+        slots, leaders = _enumerated_leaders(self.f, letters, self.p, top, slot_of, len(wanted))
+        return slots[inverse], *self._closed(leaders)
 
     def _leaders(self, syns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, found): row i is syndrome i's coset leader if found[i], else zero."""
         if not np.all(_in_kernel(syns, self._in_image, self.p)):
             raise InconsistentSyndrome("syndrome not in the image of the parity check")
-        slot, leaders = self._slots(syns)
-        return _corrections(slot, leaders, self.n), slot >= 0
+        slot, leaders, _ = self._slots(syns)
+        return leaders[slot].astype(np.int64), slot >= 0
 
     def _lookup(self, errors: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """(codes, (slot, leaders)) for vectors in [0, p): vector i's syndrome
-        has the leader leaders[slot[i]] if slot[i] >= 0, and codes[i] indexes
-        DecodeStatus: 0 if the vector minus its leader lies in R, 1 if not, 2
-        if there is no leader. One product with [F; Z] gives each vector's
-        syndrome, achievable by construction, and class; a leader's class is the
-        table's, or is taken from the batch's own leaders where there is no table.
-        """
-        m, p = self.f.shape[0], self.p
-        out = errors @ self._trial_check.T % p
-        slot, leaders = self._slots(out[:, :m])
-        classes = self._leader_classes
-        if classes is None:
-            classes = leaders @ self._class_rows.T % p
-        found = slot >= 0
-        codes = np.full(len(slot), 2, dtype=np.int64)
-        codes[found] = np.any(out[found, m:] != classes[slot[found]], axis=1)
+        """(codes, (slot, leaders)) for vectors in [0, p), as `_slots` gives them
+        for their syndromes; codes[i] indexes DecodeStatus: 0 if vector i minus
+        its leader lies in R, 1 if not, 2 if it has none. One product with [F; Z]
+        gives each syndrome, achievable by construction, and class."""
+        m = self.f.shape[0]
+        out = errors @ self._trial_check.T % self.p
+        slot, leaders, classes = self._slots(out[:, :m])
+        codes = np.where(slot >= 0, np.any(out[:, m:] != classes[slot], axis=1), 2)
         return codes, (slot, leaders)
 
     def decode_coset(self, syn) -> np.ndarray | None:
@@ -197,8 +189,16 @@ class Syndrome:
     z_syn: np.ndarray
 
 
+def _check_error(split: CssSplit, e: PauliVector) -> None:
+    """Reject an error whose modulus or length is not the split's."""
+    for name, got, want in (("modulus", e.p, split.p), ("length", e.n, split.n)):
+        if got != want:
+            raise ValueError(f"error {name} {got} differs from the code's {want}")
+
+
 def syndrome_of(split: CssSplit, e: PauliVector) -> Syndrome:
     """Inner products of the error against the fixed stabilizer bases."""
+    _check_error(split, e)
     x_side, z_side = _decoder_pair(split)
     return Syndrome(x_syn=x_side.syndrome(e.x), z_syn=z_side.syndrome(e.z))
 
@@ -222,22 +222,14 @@ class DecodeOutcome:
     residual: PauliVector
 
 
-def _corrections(slot: np.ndarray, leaders: np.ndarray, n: int) -> np.ndarray:
-    """Row i is leaders[slot[i]] as int64 if slot[i] >= 0, else zero."""
-    found = slot >= 0
-    rows = np.zeros((len(slot), n), dtype=np.int64)
-    rows[found] = leaders[slot[found]]
-    return rows
-
-
 def _trials(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
     """Decode the errors (ex[i], ez[i]) together: (status codes, the X side's
     (slot, leaders), the Z side's), from one `_lookup` per side.
 
     A status code indexes DecodeStatus in declaration order, the worse side's:
-    a side whose syndrome has no leader corrects nothing, and the error is
-    out of range; else it is a logical failure if a side's residual leaves
-    its gauge code.
+    a side whose syndrome has no leader corrects nothing (slot -1, the zero
+    row), and the error is out of range; else it is a logical failure if a
+    side's residual leaves its gauge code.
     """
     x_side, z_side = _decoder_pair(split)
     # The errors are already in [0, p), so their products need no `fp_array`.
@@ -246,10 +238,10 @@ def _trials(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray
 
 
 def _recover(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Recover the errors (ex[i], ez[i]) together: (status codes, cx, cz), the
-    corrections read from the slots `_trials` took the codes from."""
-    codes, x, z = _trials(split, ex, ez)
-    return codes, _corrections(*x, split.n), _corrections(*z, split.n)
+    """Recover the errors (ex[i], ez[i]) together: (status codes, cx, cz), each
+    correction the leader in the slot `_trials` read, zero where there is none."""
+    codes, (slot_x, leaders_x), (slot_z, leaders_z) = _trials(split, ex, ez)
+    return codes, leaders_x[slot_x].astype(np.int64), leaders_z[slot_z].astype(np.int64)
 
 
 def steane_recover(split: CssSplit, e: PauliVector) -> DecodeOutcome:
@@ -260,6 +252,7 @@ def steane_recover(split: CssSplit, e: PauliVector) -> DecodeOutcome:
     coset representative of weight below half the respective distance;
     in particular whenever swt(e) < d/2.
     """
+    _check_error(split, e)
     codes, cx, cz = _recover(split, e.x[None], e.z[None])
     correction = PauliVector(split.p, cx[0], cz[0])
     return DecodeOutcome(list(DecodeStatus)[codes[0]], correction, e - correction)
@@ -387,25 +380,26 @@ def monte_carlo(split: CssSplit, q: float, trials: int, seed: int) -> MonteCarlo
 def _sampled_errors(split: CssSplit, q: float, trials: int, seed: int):
     """Flattened sampled errors in chunks of <= _BATCH_ROWS rows.
 
-    A chunk draws one uniform u per site at once. The site is hit iff
-    u < q; then u / q is uniform on [0, 1), so its letter is the
-    floor(u / q * m)-th of the m = p^2 - 1 nontrivial values, clamped to
-    m - 1 where the product rounds up to m. `Generator.random` fills the
-    rows in order, so the samples do not depend on the chunk size.
+    A chunk draws one uniform u per site at once. The site is hit iff u < q;
+    then u / q is uniform on [0, 1), so its letter is row
+    t = min(floor(u / q * m), m - 1) of the m = p^2 - 1 in `_site_values(p)`,
+    computed, not listed, as (x, z) = divmod(t + 1, p). `Generator.random`
+    fills the rows in order, so the samples do not depend on the chunk size.
     """
-    n, vals = split.n, _site_values(split.p)
-    m = len(vals)
+    n, p, m = split.n, split.p, split.p**2 - 1
     rng = np.random.default_rng(seed)
     for lo in range(0, trials, _code._BATCH_ROWS):
         u = rng.random((min(_code._BATCH_ROWS, trials - lo), n))
         # Letters only at the hit sites, so q = 0 divides nothing.
         rows, sites = np.nonzero(u < q)
-        letters = vals[np.minimum((u[rows, sites] / q * m).astype(np.int64), m - 1)]
+        t = np.minimum((u[rows, sites] / q * m).astype(np.int64), m - 1)
         chunk = np.zeros((len(u), 2 * n), dtype=np.int64)
-        chunk[rows, sites], chunk[rows, n + sites] = letters.T
+        chunk[rows, sites], chunk[rows, n + sites] = divmod(t + 1, p)
         yield chunk
 
 
 def exhaustive_sweep(split: CssSplit, weight: int) -> TrialCounts:
     """Recover every Pauli error of symplectic weight exactly `weight`."""
+    if weight < 0:
+        raise ValueError(f"sweep weight must be >= 0, got {weight}")
     return _tally(split, _weight_batches(_site_values(split.p), split.n, weight))

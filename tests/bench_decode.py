@@ -42,8 +42,9 @@ def test_leader_table_bacon_shor5_x(benchmark):
         code.d_r = x_side.d_r
         return (code,), {}
 
-    slots, leaders = benchmark.pedantic(lambda code: code._leader_table, setup=fresh, rounds=20)
-    assert slots.size == 2**4 and len(leaders) == 16
+    slots, leaders, _ = benchmark.pedantic(lambda code: code._leader_table, setup=fresh, rounds=20)
+    # 16 leaders, one per syndrome, and the zero row that slot -1 reads.
+    assert slots.size == 2**4 and len(leaders) == 17
 
 
 @pytest.mark.parametrize("l", [7, 10])
@@ -60,7 +61,7 @@ def test_d_r_and_leader_table_bacon_shor_x(benchmark, l):
     def build(code):
         return code.d_r, code._leader_table
 
-    d_r, (slots, leaders) = benchmark.pedantic(build, setup=fresh, rounds=5)
+    d_r, (slots, leaders, _) = benchmark.pedantic(build, setup=fresh, rounds=5)
     assert d_r == l and slots.size == 2 ** (l - 1)
 
 

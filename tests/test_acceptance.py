@@ -211,12 +211,23 @@ def test_acceptance_8_decoder_correctness():
 def test_acceptance_9_quotient_weight_inequalities():
     bs4 = bacon_shor(4).css_split()
     dec = par_decoder_build(bs4, "X")
-    elems = bs4.h_x.all_elements()
     rng = np.random.default_rng(9)
+    vectors, weights = [], []
     for _ in range(10_000):
         a = rng.integers(0, 2, size=16)
-        min_wt = int(np.count_nonzero((elems + a) % 2, axis=1).min())
-        assert min_wt <= dec.coset_weight(a)
+        vectors.append(a)
+        weights.append(dec.coset_weight(a))
+    # The least weight of a + h over all 4096 h in H_X, brute force in blocks
+    # of 1000 vectors: rows packed into 16-bit words, a + h as their XOR, and
+    # weights read from a popcount table of every word.
+    bits = (1 << np.arange(16)).astype(np.uint16)
+    elems = bs4.h_x.all_elements().astype(np.uint16) @ bits
+    popcount = np.array([bin(w).count("1") for w in range(1 << 16)], dtype=np.uint8)
+    packed = np.array(vectors, dtype=np.uint16) @ bits
+    min_wt = np.concatenate(
+        [popcount[block[:, None] ^ elems].min(axis=1) for block in np.split(packed, 10)]
+    )
+    assert np.all(min_wt <= np.array(weights))
     # On weight-respecting instances the two distances coincide.
     from subcss.code import _coset_distance, _field_letters
 

@@ -16,7 +16,7 @@ from subcss import (
     is_fixed_by,
     parse_code_file,
 )
-from subcss import decode, states
+from subcss import cli, decode, states
 from subcss.cli import build_parser, main
 
 from conftest import qudit_bacon_shor
@@ -313,6 +313,29 @@ def test_decode_without_logical_operators_is_infeasible(capsys, options):
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "no logical operators" in err
+
+
+def test_info_computes_before_it_prints(capsys, monkeypatch):
+    # A request that fails while its distances are computed prints no n, k, r.
+    def exhausted(*args):
+        raise MemoryError("distance search")
+
+    monkeypatch.setattr(cli, "_distances", exhausted)
+    code, out, err = run(capsys, "info", "builtin:five_qubit")
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory: distance search\n"
+
+
+def test_decode_samples_a_large_prime_without_listing_its_letters(capsys):
+    # p = 65521 has p^2 - 1 (about 4.3e9) single-site values; each hit letter
+    # is computed from its draw, so no list of them is allocated.
+    args = ["decode", "builtin:trivial", "--n", "2", "--p", "65521", "--trials", "5"]
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == "weight_or_q,trials,corrected,logical_failures,out_of_range"
+    assert len(rows) == 1 and rows[0].startswith("0.01,5,")
+    assert run(capsys, *args, "--q", "0.5")[:2] == (0, header + "\n0.5,5,3,2,0\n")
 
 
 def test_decode_sweep_without_the_leader_table(capsys, monkeypatch):

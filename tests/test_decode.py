@@ -48,6 +48,10 @@ from conftest import brute_force_recover, css_splits, random_subspace, subspaces
 BS3 = bacon_shor(3).css_split()
 BS4 = bacon_shor(4).css_split()
 DOUBLED = delta(five_qubit()).result.css_split()
+# d_X = 3 while H_X holds a weight-1 vector, whose syndrome is the zero one.
+WEIGHT_ONE_GAUGE = CssSplit(
+    Subspace.span([[1, 0, 0, 0]], 2, 4), Subspace.span([[0, 1, 1, 0], [0, 0, 1, 1]], 2, 4)
+)
 
 
 def _pauli(p, n, x_sites=(), z_sites=()):
@@ -112,6 +116,22 @@ def test_only_syndromes_from_outside_are_checked(monkeypatch, table):
         code.decode_coset([1, 0])
 
 
+def test_entry_points_reject_mismatched_errors():
+    # X^2 on a qutrit would reduce mod 2 to the identity, with the zero syndrome.
+    qutrit = PauliVector(3, [2] + [0] * 8, [0] * 9)
+    short = _pauli(2, 4, x_sites=(0,))
+    for entry in (syndrome_of, steane_recover):
+        with pytest.raises(ValueError, match="error modulus 3 differs from the code's 2"):
+            entry(BS3, qutrit)
+        with pytest.raises(ValueError, match="error length 4 differs from the code's 9"):
+            entry(BS3, short)
+    with pytest.raises(ValueError, match="sweep weight must be >= 0, got -1"):
+        exhaustive_sweep(BS3, -1)
+    # Weight 0 is the identity alone, which needs no correction.
+    counts = exhaustive_sweep(BS3, 0)
+    assert (counts.trials, counts.corrected) == (1, 1)
+
+
 def test_out_of_range_syndrome(monkeypatch):
     # Even-weight code: d_R = 2 so no nonzero error is within range.
     code = ClassicalCode([[1, 1, 1, 1]], Subspace.zero(2, 4))
@@ -162,8 +182,7 @@ def test_redundant_subcode_must_lie_in_the_kernel():
 @settings(max_examples=60, deadline=None)
 @given(css_splits((2, 3), 4))
 @example(BS3)
-# d_X = 3 while H_X holds a weight-1 vector, whose syndrome is the zero one.
-@example(CssSplit(Subspace.span([[1, 0, 0, 0]], 2, 4), Subspace.span([[0, 1, 1, 0], [0, 0, 1, 1]], 2, 4)))
+@example(WEIGHT_ONE_GAUGE)
 def test_leaders_follow_the_one_rule(split):
     # Brute force over F_p^n: the leader of a syndrome is its least-weight,
     # then lexicographically least, vector, kept if its weight is below d_R/2.
@@ -245,9 +264,12 @@ def test_bacon_shor10_table_comes_from_the_recursion(monkeypatch):
 
     monkeypatch.setattr(code_module, "_enumerated_leaders", refuse)
     x_side = make_css_decoder(bacon_shor(10).css_split())[0]
-    slots, leaders = x_side._leader_table
+    slots, leaders, classes = x_side._leader_table
     assert slots.size == 2**9 and np.count_nonzero(leaders, axis=1).max() == 4
     assert leaders.dtype == np.uint8
+    # The zero row that slot -1 reads closes the leaders, and its class is zero.
+    assert not np.any(leaders[-1]) and not np.any(classes[-1])
+    assert np.array_equal(classes, leaders @ x_side._class_rows.T % 2)
 
 
 def test_leader_table_wherever_the_syndromes_fit():
@@ -256,8 +278,9 @@ def test_leader_table_wherever_the_syndromes_fit():
     f = np.hstack([np.eye(6, dtype=np.int64), np.ones((6, 1), dtype=np.int64)])
     code = ClassicalCode(f, Subspace.zero(7, 7))
     assert code.d_r == 7
-    slots, leaders = code._leader_table
+    slots, leaders, classes = code._leader_table
     assert slots.size == 7**6 and leaders.dtype == np.uint8
+    assert not np.any(leaders[-1]) and classes.shape == (len(leaders), 1)
     error = np.array([0, 3, 0, 0, 5, 0, 0])
     assert np.array_equal(code.decode_coset(code.syndrome(error)), error)
     # Weight 4 is beyond d_R / 2, but its coset holds one vector of weight 3.
@@ -347,20 +370,35 @@ def test_recover_reports_residual_in_gauge():
 
 
 @settings(max_examples=60, deadline=None)
-@given(css_splits(primes=(2, 3), max_n=4))
-def test_batch_recovery_matches_brute_force(split):
-    # Every error (a, b) in F_p^n x F_p^n, recovered in one batch.
+@given(css_splits(primes=(2, 3), max_n=4), st.booleans())
+@example(WEIGHT_ONE_GAUGE, False)
+def test_batch_recovery_matches_brute_force(split, table):
+    # Every error (a, b) in F_p^n x F_p^n, recovered in one batch; with the
+    # table switched off, the corrections come from the batch's own leaders.
     assume(split.logical_x != split.h_x and split.logical_z != split.h_z)
     p, n = split.p, split.n
     vecs = np.array(list(product(range(p), repeat=n)), dtype=np.int64).reshape(-1, n)
     ex, ez = np.repeat(vecs, len(vecs), axis=0), np.tile(vecs, (len(vecs), 1))
-    codes, cx, cz = _recover(split, ex, ez)
+    with pytest.MonkeyPatch.context() as patch:
+        if not table:
+            patch.setattr(ClassicalCode, "_leader_table", None)
+        _decoder_pair.cache_clear()
+        try:
+            for side, e in zip(_decoder_pair(split), (ex, ez)):
+                assert (side._leader_table is None) != table
+                # Slot -1 reads the zero row, whose class is zero, on both branches.
+                _, leaders, classes = side._slots(side.syndrome(e))
+                assert not np.any(leaders[-1]) and not np.any(classes[-1])
+            codes, cx, cz = _recover(split, ex, ez)
+            picks = range(0, len(ex), 97)
+            outs = [steane_recover(split, PauliVector(p, ex[i], ez[i])) for i in picks]
+        finally:
+            _decoder_pair.cache_clear()
     statuses, ref_x, ref_z = brute_force_recover(split, ex, ez)
     assert [list(DecodeStatus)[c] for c in codes] == statuses
     assert np.array_equal(cx, ref_x) and np.array_equal(cz, ref_z)
     # steane_recover is the one-error case of the batch.
-    for i in range(0, len(ex), 97):
-        out = steane_recover(split, PauliVector(p, ex[i], ez[i]))
+    for i, out in zip(picks, outs):
         assert out.status is statuses[i]
         assert out.correction == PauliVector(p, cx[i], cz[i])
 

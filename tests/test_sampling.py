@@ -17,6 +17,7 @@ import pytest
 
 from subcss import CssSplit, Subspace, bacon_shor, monte_carlo
 from subcss import decode
+from subcss.code import _site_values
 from subcss.decode import _tally
 
 from conftest import qudit_bacon_shor, reference_sampled_errors
@@ -38,6 +39,21 @@ def _sample(sampler, p, n, q, trials, seed):
 
 def _hits(e, n):
     return (e[:, :n] != 0) | (e[:, n:] != 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_letters_are_rows_of_the_site_values(p):
+    # From the same draws, the package's hit letter t = min(floor(u / q * m),
+    # m - 1) is row t of `_site_values(p)`, which it computes without listing.
+    n, q, trials, seed, m = 6, 0.7, 400, 9, p * p - 1
+    e = _sample(decode._sampled_errors, p, n, q, trials, seed)
+    u = np.random.default_rng(seed).random((trials, n))
+    rows, sites = np.nonzero(u < q)
+    t = np.minimum((u[rows, sites] / q * m).astype(np.int64), m - 1)
+    expected = np.zeros_like(e)
+    expected[rows, sites], expected[rows, n + sites] = _site_values(p)[t].T
+    assert np.array_equal(e, expected)
+    assert set(t.tolist()) == set(range(m))
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS)

@@ -26,7 +26,10 @@ recursion gives the least weight of every syndrome and every coset leader
 basis of its image. An enumerator of the vectors of weight exactly w
 searches the low weights first, while that is cheaper than the recursion
 (`_enumeration_reach`), and all of them where the recursion is too costly.
-`_coset_leaders` alone sizes, lays out and builds a coset-leader table.
+It lists syndromes, not vectors: each is the sum of its letters' rows of the
+letter-syndrome table (`_syndrome_batches`), and only a witness, or a row that
+may fill a leader slot, is spelled as a vector. `_coset_leaders` alone sizes,
+lays out and builds a coset-leader table.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
-from math import comb
+from math import comb, prod
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -331,15 +334,24 @@ def _coset_search(big_check: np.ndarray, small_check: np.ndarray, letters: np.nd
     `_weight_batches` order whose weight w is the least one up to `budget`
     (default n, the sites of `letters`' layout; no vector is heavier); None if none.
 
+    It lists syndromes, not vectors: a row of `_syndrome_batches` over the
+    stacked checks [big_check; small_check] is a hit when its big part is zero
+    and its small part is not, and only the first hit is spelled as a vector.
+
     Raises ValueError for a negative budget.
     """
     n = big_check.shape[1] // letters.shape[1]
-    budget = _budget(budget, n)
-    for w in range(1, min(budget, n) + 1):
-        for batch in _weight_batches(letters, n, w):
-            hits = batch[_in_kernel(batch, big_check, p) & ~_in_kernel(batch, small_check, p)]
+    top = min(_budget(budget, n), n)
+    if top == 0:
+        return None
+    m = big_check.shape[0]
+    table = _letter_syndromes(np.vstack([big_check, small_check]), letters, p)
+    for w in range(1, top + 1):
+        for sites, tuples, syns in _syndrome_batches(table, w, p):
+            hits = np.flatnonzero(~syns[:, :m].any(axis=1) & syns[:, m:].any(axis=1))
             if len(hits):
-                return w, hits[0]
+                site_set, t = divmod(int(hits[0]), len(tuples))
+                return w, _spelled(letters, n, sites[site_set], tuples[t])
     return None
 
 
@@ -396,8 +408,11 @@ def _translator(p: int, m: int):
 
 def _letter_syndromes(check: np.ndarray, letters: np.ndarray, p: int) -> np.ndarray:
     """(n, L, m): entry [j, x] is the syndrome of letter x placed on site j, its
-    column i going to coordinate i*n + j (the `_weight_batches` layout)."""
+    column i going to coordinate i*n + j (the `_weight_batches` layout).
+
+    Raises MemoryError, before building it, if it exceeds `_TABLE_BYTES`."""
     (m, cols), b = check.shape, letters.shape[1]
+    _check_table_bytes((cols // b, len(letters), m), "the letter-syndrome table")
     return np.einsum("xb,mbj->jxm", letters, check.reshape(m, b, cols // b)) % p
 
 
@@ -478,18 +493,23 @@ def _enumerated_leaders(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The `_coset_leaders` table of `n_slots` slots by enumerating weights 0 to
     `top`: `slot_of` maps a batch of syndromes to one slot per row, -1 where no
-    slot wants the row; the least weight, then least row, fills a slot."""
+    slot wants the row; the least weight, then least row, fills a slot.
+
+    It lists `_syndrome_batches` of the check; only the rows that land in a
+    still-empty slot are spelled as vectors, for the lexicographic tie-break."""
     n = check.shape[1] // letters.shape[1]
+    table = _letter_syndromes(check, letters, p)
     slots = np.full(n_slots, -1, dtype=np.int64)
     leaders = np.zeros((0, check.shape[1]), dtype=np.min_scalar_type(p - 1))
     for w in range(top + 1):
         # The layer's best so far per slot empty below it, merged by one sort.
         best, best_slot = leaders[:0], slots[:0]
-        for batch in _weight_batches(letters, n, w):
-            slot = slot_of(batch @ check.T % p)
+        for sites, tuples, syns in _syndrome_batches(table, w, p):
+            slot = slot_of(syns)
             empty = slot >= 0
             empty[empty] = slots[slot[empty]] < 0
-            rows = np.vstack([best, batch[empty]])
+            site_set, t = np.divmod(np.flatnonzero(empty), len(tuples))
+            rows = np.vstack([best, _spelled(letters, n, sites[site_set], tuples[t])])
             slot = np.concatenate([best_slot, slot[empty]])
             order = np.lexsort(np.vstack([rows.T[::-1], slot]))
             best_slot, first = np.unique(slot[order], return_index=True)
@@ -504,11 +524,17 @@ def _enumerated_leaders(
 # Search engine -------------------------------------------------------------
 
 _BATCH_ROWS = 1 << 14
+# Most bytes a letter list or a letter-syndrome table may take.
+_TABLE_BYTES = 1 << 30
 
 
-def _in_kernel(batch: np.ndarray, check: np.ndarray, p: int) -> np.ndarray:
-    """Whether check @ v = 0 for each row v: v is in the space the check checks."""
-    return ~np.any(batch @ check.T % p, axis=1)
+def _check_table_bytes(shape: tuple[int, ...], what: str) -> None:
+    """Raise MemoryError if an int64 array of this shape exceeds `_TABLE_BYTES`;
+    Python ints, so nothing wraps."""
+    size = 8 * prod(shape)
+    if size > _TABLE_BYTES:
+        raise MemoryError(f"{what} of shape {shape} would take {size:,} bytes "
+                          f"({size / 2**30:.1f} GiB), above the limit of {_TABLE_BYTES:,}")
 
 
 def _field_letters(p: int) -> np.ndarray:
@@ -517,33 +543,87 @@ def _field_letters(p: int) -> np.ndarray:
 
 
 def _site_values(p: int) -> np.ndarray:
-    """The p^2 - 1 nontrivial (x, z) single-site values, lexicographic."""
+    """The p^2 - 1 nontrivial (x, z) single-site values, lexicographic.
+
+    Raises MemoryError, before listing them, if they exceed `_TABLE_BYTES`."""
+    _check_table_bytes((2, p, p), f"the single-site value grid of p = {p}")
     return np.indices((p, p), dtype=np.int64).reshape(2, -1).T[1:]
 
 
-def _weight_batches(letters: np.ndarray, n: int, w: int) -> Iterator[np.ndarray]:
-    """All vectors with exactly w nonzero sites, in batches of <= _BATCH_ROWS rows.
-
-    `letters` is an (m, b) array of the nonzero single-site values; column
-    j of a letter placed on a site goes to coordinate j*n + site, so a row
-    has length b*n (the `flatten` layout when b = 2). Order: sites
-    lexicographic, then letters lexicographic.
-    """
-    m, b = letters.shape
-    per_sites = m**w
+def _weight_layout(n_letters: int, n: int, w: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The batches of the vectors with exactly w nonzero sites, as (sites,
+    tuples): each of the site sets (rows of `sites`, lexicographic) carries each
+    letter tuple (`tuples`, indices in the (n_letters,)*w grid of
+    `_grid_digits`, first site most significant), site set major. A batch has
+    at most `_BATCH_ROWS` rows; where one site set has more tuples, its tuples
+    are split over several batches."""
+    per_sites = n_letters**w
     sites_per_batch = max(1, _BATCH_ROWS // per_sites)
-    letters_per_batch = min(per_sites, _BATCH_ROWS)
-    block_cols = n * np.arange(b, dtype=np.int64)
+    tuples_per_batch = min(per_sites, _BATCH_ROWS)
     site_sets = combinations(range(n), w)
     while chunk := list(islice(site_sets, sites_per_batch)):
         sites = np.array(chunk, dtype=np.int64).reshape(len(chunk), w)
-        cols = sites[:, None, :, None] + block_cols
-        for lo in range(0, per_sites, letters_per_batch):
-            t = np.arange(lo, min(lo + letters_per_batch, per_sites), dtype=np.int64)
-            # Letter-tuple t lists its letters as the digits of t in base m.
-            vals = letters[_grid_digits(t, m, w)]
-            row_ids = np.arange(len(chunk) * len(t)).reshape(len(chunk), len(t), 1, 1)
-            batch = np.zeros((row_ids.size, b * n), dtype=np.int64)
-            batch[row_ids, cols] = vals[None]
-            yield batch
+        for lo in range(0, per_sites, tuples_per_batch):
+            yield sites, np.arange(lo, min(lo + tuples_per_batch, per_sites), dtype=np.int64)
 
+
+def _spelled(letters: np.ndarray, n: int, sites: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """The vectors, as rows of b*n entries, of the site sets `sites` (..., w)
+    carrying the letter tuples `tuples`, the two broadcast against each other:
+    column j of a letter placed on a site goes to coordinate j*n + site."""
+    n_letters, b = letters.shape
+    vals = letters[_grid_digits(tuples, n_letters, sites.shape[-1])]
+    cols = sites[..., None] + n * np.arange(b, dtype=np.int64)
+    shape = np.broadcast_shapes(vals.shape, cols.shape)[:-2]
+    out = np.zeros((prod(shape), b * n), dtype=np.int64)
+    out[np.arange(len(out)).reshape(*shape, 1, 1), cols] = vals
+    return out.reshape(*shape, b * n)
+
+
+def _weight_batches(letters: np.ndarray, n: int, w: int) -> Iterator[np.ndarray]:
+    """All vectors with exactly w nonzero sites, in batches of <= _BATCH_ROWS rows:
+    the `_weight_layout` batches, spelled.
+
+    `letters` is an (L, b) array of the nonzero single-site values; column
+    j of a letter placed on a site goes to coordinate j*n + site, so a row
+    has length b*n (the `flatten` layout when b = 2). Order: sites
+    lexicographic, then letters lexicographic. The searches list the same
+    batches as syndromes (`_syndrome_batches`); the sweep, the weight-2 basis
+    test and the references spell them.
+    """
+    for sites, tuples in _weight_layout(len(letters), n, w):
+        yield _spelled(letters, n, sites[:, None], tuples).reshape(-1, letters.shape[1] * n)
+
+
+def _syndrome_batches(
+    table: np.ndarray, w: int, p: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(sites, tuples, syndromes) per `_weight_layout` batch of weight w, for a
+    letter-syndrome table (n, L, M) of `_letter_syndromes`: row i of the
+    (rows, M) syndromes is that of the vector `_weight_batches` lists at row i.
+
+    A vector's syndrome is the sum of its w letters' rows of the table, mod p.
+    A batch sums by broadcasting over its site sets, S[s1][:, None] + S[s2] ...,
+    whose C order is the letter tuples' base-L order: after k sites it holds
+    the sums of the tuples' first k digits, the run of k-digit prefixes that
+    its tuples span (all L^k of them unless one site set's tuples are split).
+    The sums run coordinate-major, each coordinate of a batch one contiguous
+    row, and the result is its transposed view. Each partial sum is reduced as
+    it goes: two residues sum below 2p, in the least unsigned dtype that holds
+    2 (p - 1), where x - p wraps above x exactly when x < p, so min(x, x - p)
+    is x mod p and nothing else wraps.
+    """
+    (n, n_letters, m), acc = table.shape, np.min_scalar_type(2 * (p - 1))
+    coords, modulus = np.ascontiguousarray(table.transpose(2, 0, 1), dtype=acc), acc.type(p)
+    for sites, tuples in _weight_layout(n_letters, n, w):
+        # The run [lo, hi) of k-digit prefixes that the batch's tuples span, k = 0 .. w.
+        first, last = int(tuples[0]), int(tuples[-1])
+        spans = [(first // n_letters ** (w - k), last // n_letters ** (w - k) + 1)
+                 for k in range(w + 1)]
+        syns = np.zeros((m, len(sites), 1), dtype=acc)
+        for site, (below, _), (lo, hi) in zip(sites.T, spans, spans[1:]):
+            start = lo - below * n_letters
+            syns = (syns[:, :, :, None] + coords[:, site, None]).reshape(
+                m, len(sites), syns.shape[2] * n_letters)[:, :, start:start + hi - lo]
+            np.minimum(syns, syns - modulus, out=syns)
+        yield sites, tuples, syns.reshape(m, len(sites) * len(tuples)).T

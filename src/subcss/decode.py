@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 
 import numpy as np
 
@@ -23,11 +24,10 @@ from .code import (
     _coset_leaders,
     _enumerated_leaders,
     _field_letters,
-    _in_kernel,
     _site_values,
     _weight_batches,
 )
-from .gf import Subspace, _grid_index, fp_array, kernel, pivot_columns
+from .gf import ROW_LIMIT, Subspace, _grid_index, fp_array, kernel, pivot_columns
 from .pauli import PauliVector
 
 
@@ -37,6 +37,11 @@ class InconsistentSyndrome(Exception):
 
 class NotWeightRespecting(Exception):
     """H_X admits no basis of weight-at-most-2 vectors."""
+
+
+def _in_kernel(batch: np.ndarray, check: np.ndarray, p: int) -> np.ndarray:
+    """Whether check @ v = 0 for each row v: v is in the space the check checks."""
+    return ~np.any(batch @ check.T % p, axis=1)
 
 
 class ClassicalCode:
@@ -399,7 +404,14 @@ def _sampled_errors(split: CssSplit, q: float, trials: int, seed: int):
 
 
 def exhaustive_sweep(split: CssSplit, weight: int) -> TrialCounts:
-    """Recover every Pauli error of symplectic weight exactly `weight`."""
+    """Recover every Pauli error of symplectic weight exactly `weight`: the zero
+    error at weight 0, which lists no letters; ValueError, before anything is
+    listed, above `gf.ROW_LIMIT` errors."""
     if weight < 0:
         raise ValueError(f"sweep weight must be >= 0, got {weight}")
+    if weight == 0:
+        return _tally(split, [np.zeros((1, 2 * split.n), dtype=np.int64)])
+    errors = comb(split.n, weight) * (split.p**2 - 1) ** weight
+    if errors > ROW_LIMIT:
+        raise ValueError(f"sweep of {errors} errors exceeds {ROW_LIMIT}")
     return _tally(split, _weight_batches(_site_values(split.p), split.n, weight))

@@ -3,8 +3,9 @@
 Times the code tower (`parameters()` of a fresh CSS and a fresh non-CSS
 code), the core of `double` on a fresh non-CSS code, the CSS distance route
 (the syndrome engine on Bacon-Shor 6, 7 and 10), the symplectic search it
-replaces on CSS codes, the weight-layer enumerator, and the search's
-batched membership test.
+replaces on CSS codes, the weight-layer enumerator, the search's test of
+one batch by its summed letter syndromes, and the symplectic distance of the
+five-qudit code at p = 5.
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
     PYTHONPATH=src python -m pytest tests/bench_code.py --benchmark-only
@@ -12,12 +13,19 @@ Not part of the test suite (the file name does not match `test_*.py`). Run:
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from subcss import DistanceResult, bacon_shor, css_distances, delta, random_code
-from subcss.code import _BATCH_ROWS, _in_kernel, _site_values, _weight_batches
+from subcss.code import (
+    _BATCH_ROWS,
+    _letter_syndromes,
+    _site_values,
+    _syndrome_batches,
+    _weight_batches,
+)
 
-from conftest import record_rate, symplectic_distance
+from conftest import five_qudit, record_rate, symplectic_distance
 
 
 def test_parameters_delta_bacon_shor10(benchmark):
@@ -79,16 +87,26 @@ def test_weight_batches_symplectic_p2_n25_w4(benchmark):
 
 
 def test_membership_one_batch_bacon_shor5(benchmark):
-    # The symplectic search's test of one batch: in H + H^w and not in H, by
-    # the products with the psi-rows of H cap H^w and of H^w.
+    # The symplectic search's test of one batch: the summed letter syndromes
+    # of the stacked psi-rows of H cap H^w and of H^w, the checks of H + H^w
+    # and of H, then in H + H^w (big part zero) and not in H (small part not).
     code = bacon_shor(5)
     big_check, small_check = code._checks
-    # At weight 9 one site set has 3^9 > _BATCH_ROWS letter tuples: a full batch.
-    batch = next(_weight_batches(_site_values(2), 25, 9))
-    assert batch.shape[0] == _BATCH_ROWS
+    table = _letter_syndromes(np.vstack(code._checks), _site_values(2), 2)
+    m = len(big_check)
 
-    def in_big_not_small(batch):
-        return _in_kernel(batch, big_check, 2) & ~_in_kernel(batch, small_check, 2)
+    def in_big_not_small():
+        # At weight 9 one site set has 3^9 > _BATCH_ROWS letter tuples: a full batch.
+        syns = next(_syndrome_batches(table, 9, 2))[2]
+        return ~syns[:, :m].any(axis=1) & syns[:, m:].any(axis=1)
 
-    hits = benchmark(in_big_not_small, batch)
+    hits = benchmark(in_big_not_small)
     assert hits.shape == (_BATCH_ROWS,)
+
+
+def test_distance_five_qudit_p5(benchmark):
+    # The slowest request of the `search` workload: the symplectic distance of
+    # the five-qudit code at p = 5, 24 letters per site, on a fresh code each round.
+    d = benchmark.pedantic(lambda code: code.distance(),
+                           setup=lambda: ((five_qudit(5),), {}), rounds=5)
+    assert d == DistanceResult(3, True)

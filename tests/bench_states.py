@@ -20,21 +20,11 @@ import io
 import numpy as np
 import pytest
 
-from subcss import CosetState, Subspace, SubsystemCode, delta, dense_vector, emit_code_file
+from subcss import CosetState, Subspace, delta, dense_vector, emit_code_file
 from subcss.cli import main
 from subcss.states import _dense_fixing_table
 
-from conftest import qudit_bacon_shor
-
-
-def _five_qudit(p):
-    """The [[5,1,0]]_p code: cyclic shifts of X Z Z^-1 X^-1 I."""
-    site = [(1, 0), (0, 1), (0, p - 1), (p - 1, 0), (0, 0)]
-    rows = np.zeros((4, 10), dtype=np.int64)
-    for shift in range(4):
-        for j, (a, b) in enumerate(site):
-            rows[shift, [(j + shift) % 5, 5 + (j + shift) % 5]] = a, b
-    return SubsystemCode(p, 5, Subspace.span(rows, p, 10))
+from conftest import five_qudit, qudit_bacon_shor
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +32,7 @@ def code_files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("codes")
     files = {}
     for name, code in (("bs3_p3", qudit_bacon_shor(3, 3)),
-                       ("five2_p3", delta(_five_qudit(3)).result)):
+                       ("five2_p3", delta(five_qudit(3)).result)):
         files[name] = directory / f"{name}.code"
         files[name].write_text(emit_code_file(code))
     return files

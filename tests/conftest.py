@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import types
 from itertools import product
 
 import numpy as np
@@ -48,6 +49,26 @@ def symplectic_distance(code, budget=None):
     return DistanceResult(found[0], True) if found else DistanceResult(budget + 1, False)
 
 
+def numpy_without(*names):
+    """numpy as a module sees it when patched in as its `np`, but for the named
+    functions, which raise AssertionError: a guard that must act before they
+    run is tested without allocating anything."""
+
+    def refusing(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"np.{name} was called")
+        return refuse
+
+    class NumpyWithout(types.ModuleType):
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    module = NumpyWithout("numpy")
+    for name in names:
+        setattr(module, name, refusing(name))
+    return module
+
+
 def reference_membership_checker(space):
     """Reference membership test: v in space iff C v = 0 for C the canonical
     basis of space^theta, built from the space itself."""
@@ -71,6 +92,33 @@ def reference_coset_search(big, small, letters, budget=None):
             if len(hits):
                 return w, hits[0]
     return None
+
+
+def reference_enumerated_leaders(check, letters, p, top, slot_of, n_slots):
+    """Reference leader fill: every `_weight_batches` vector of weights 0 to
+    `top`, its syndrome by one product with the check, and the least weight,
+    then least row, per slot by one `lexsort` per batch.
+    `code._enumerated_leaders`, which sums letter syndromes and spells only the
+    rows it may keep, must give the same (slots, leaders) bit for bit."""
+    n = check.shape[1] // letters.shape[1]
+    slots = np.full(n_slots, -1, dtype=np.int64)
+    leaders = np.zeros((0, check.shape[1]), dtype=np.min_scalar_type(p - 1))
+    for w in range(top + 1):
+        best, best_slot = leaders[:0], slots[:0]
+        for batch in _weight_batches(letters, n, w):
+            slot = slot_of(batch @ check.T % p)
+            empty = slot >= 0
+            empty[empty] = slots[slot[empty]] < 0
+            rows = np.vstack([best, batch[empty]])
+            slot = np.concatenate([best_slot, slot[empty]])
+            order = np.lexsort(np.vstack([rows.T[::-1], slot]))
+            best_slot, first = np.unique(slot[order], return_index=True)
+            best = rows[order[first]]
+        slots[best_slot] = len(leaders) + np.arange(len(best))
+        leaders = np.vstack([leaders, best.astype(leaders.dtype)])
+        if len(leaders) == n_slots:
+            break
+    return slots, leaders
 
 
 def reference_bacon_shor(l):
@@ -110,6 +158,16 @@ def qudit_bacon_shor(p, l):
             rows.append(np.zeros(2 * n, dtype=np.int64))
             rows[-1][[n + i * l + j, n + (i + 1) * l + j]] = 1, p - 1
     return SubsystemCode(p, n, Subspace.span(rows, p, 2 * n))
+
+
+def five_qudit(p):
+    """The [[5,1,0]]_p code: cyclic shifts of X Z Z^-1 X^-1 I."""
+    site = [(1, 0), (0, 1), (0, p - 1), (p - 1, 0), (0, 0)]
+    rows = np.zeros((4, 10), dtype=np.int64)
+    for shift in range(4):
+        for j, (a, b) in enumerate(site):
+            rows[shift, [(j + shift) % 5, 5 + (j + shift) % 5]] = a, b
+    return SubsystemCode(p, 5, Subspace.span(rows, p, 10))
 
 
 def reference_rref(mat, p: int) -> np.ndarray:

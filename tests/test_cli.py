@@ -17,9 +17,10 @@ from subcss import (
     parse_code_file,
 )
 from subcss import cli, decode, states
+from subcss import code as code_module
 from subcss.cli import build_parser, main
 
-from conftest import qudit_bacon_shor
+from conftest import numpy_without, qudit_bacon_shor
 
 
 def run(capsys, *argv):
@@ -324,6 +325,18 @@ def test_info_computes_before_it_prints(capsys, monkeypatch):
     code, out, err = run(capsys, "info", "builtin:five_qubit")
     assert (code, out) == (3, "")
     assert err == "error: out of memory: distance search\n"
+
+
+def test_large_prime_letters_are_sized_before_they_are_listed(capsys, monkeypatch):
+    # The symplectic distance of a non-CSS code at p = 65521 would list its
+    # p^2 - 1 single-site values from a 64 GiB grid: infeasible before the
+    # code that lists letters allocates anything.
+    monkeypatch.setattr(code_module, "np", numpy_without("indices", "zeros"))
+    args = ["info", "builtin:random", "--p", "65521", "--n", "3", "--dim", "4", "--seed", "1"]
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: out of memory: the single-site value grid of p = 65521")
+    assert "68,688,023,056 bytes (64.0 GiB)" in err and err.count("\n") == 1
 
 
 def test_decode_samples_a_large_prime_without_listing_its_letters(capsys):

@@ -33,7 +33,9 @@ from subcss.code import (
     _coset_search,
     _enumeration_reach,
     _field_letters,
+    _letter_syndromes,
     _site_values,
+    _syndrome_batches,
     _weight_batches,
 )
 from subcss.decode import ClassicalCode
@@ -43,6 +45,7 @@ from conftest import (
     css_splits,
     gauge_codes,
     kernel_sum_is_css,
+    numpy_without,
     qudit_bacon_shor,
     random_gauge_code,
     reference_coset_search,
@@ -50,6 +53,7 @@ from conftest import (
     reference_omega_complement,
     reference_tower,
     reference_z_tower,
+    subspaces,
     symplectic_distance,
 )
 
@@ -134,12 +138,12 @@ def test_coset_search_stops_at_weight_n(monkeypatch):
     gives the witness of the default budget."""
     weights = []
 
-    def recording(letters, n, w):
-        assert w <= n, f"searched weight {w} on {n} sites"
+    def recording(table, w, p):
+        assert w <= len(table), f"searched weight {w} on {len(table)} sites"
         weights.append(w)
-        return _weight_batches(letters, n, w)
+        return _syndrome_batches(table, w, p)
 
-    monkeypatch.setattr(code_module, "_weight_batches", recording)
+    monkeypatch.setattr(code_module, "_syndrome_batches", recording)
     code = random_code(2, 3, 6, 0)
     assert code.parameters() == (3, 0, 2)
     assert code.min_weight_logical(budget=10**9) is None
@@ -311,6 +315,123 @@ def test_weight_batches_contract(letters, n, w):
     assert np.all(site_weight == w)
     assert len(np.unique(rows, axis=0)) == len(rows)
     assert np.array_equal(rows, _reference_layer(letters, n, w))
+
+
+def test_letter_tables_are_sized_before_they_are_built():
+    # 65520 letters on 64 sites against 40 check rows: 1.25 GiB of int64
+    # letter syndromes; 8209 is the least prime whose value grid passes 1 GiB.
+    check, letters = np.zeros((40, 64), dtype=np.int64), _field_letters(65521)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_module, "np", numpy_without("einsum", "indices"))
+        with pytest.raises(MemoryError, match=r"\(64, 65520, 40\) would take 1,341,849,600 bytes"):
+            _letter_syndromes(check, letters, 65521)
+        with pytest.raises(MemoryError, match=r"grid of p = 8209 .* \(1\.0 GiB\)"):
+            _site_values(8209)
+    # Below the limit both are built: 8191 is the largest prime whose grid fits.
+    assert 16 * 8191**2 <= code_module._TABLE_BYTES
+    assert _letter_syndromes(check[:, :4], letters, 65521).shape == (4, 65520, 40)
+
+
+@pytest.mark.parametrize("batch_rows", [_BATCH_ROWS, 7])
+@pytest.mark.parametrize("m", [0, 4])
+@pytest.mark.parametrize(
+    ("letters", "n", "w"),
+    [
+        (_field_letters(2), 7, 3),
+        (_field_letters(5), 4, 3),
+        (_field_letters(5), 4, 0),
+        (_site_values(2), 5, 3),
+        (_site_values(3), 3, 2),
+        (_site_values(7), 2, 2),
+    ],
+)
+def test_syndrome_batches_are_the_weight_batches_checked(rng, batch_rows, m, letters, n, w):
+    # Row i of each summed batch is the syndrome of row i of the same
+    # `_weight_batches` batch, one site set's letter tuples split or not.
+    p = int(letters.max()) + 1
+    check = rng.integers(0, p, size=(m, letters.shape[1] * n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_module, "_BATCH_ROWS", batch_rows)
+        table = _letter_syndromes(check, letters, p)
+        pairs = list(zip(_syndrome_batches(table, w, p), _weight_batches(letters, n, w),
+                         strict=True))
+    assert len(pairs) >= 1
+    for (sites, tuples, syns), batch in pairs:
+        assert syns.shape == (len(batch), m) == (len(sites) * len(tuples), m)
+        assert np.array_equal(syns, batch @ check.T % p)
+
+
+def _assert_same_search(big, small, letters, budget):
+    """`_coset_search` with the spaces' complements as checks against the
+    reference, bit for bit."""
+    ref = reference_coset_search(big, small, letters, budget)
+    got = _coset_search(big.complement().basis, small.complement().basis, letters, big.p, budget)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert got[0] == ref[0] and got[1].dtype == ref[1].dtype
+        assert np.array_equal(got[1], ref[1])
+
+
+_WIDE_P = 65521
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(subspaces(_WIDE_P, n), subspaces(_WIDE_P, n))),
+    st.lists(st.integers(1, _WIDE_P - 1), min_size=1, max_size=3, unique=True),
+)
+@example((Subspace.span([[1, _WIDE_P - 1, 0], [2, 0, 1]], _WIDE_P, 3), Subspace.zero(_WIDE_P, 3)),
+         [40000])
+@example((Subspace.full(_WIDE_P, 3), Subspace.span([[1, 2, 3]], _WIDE_P, 3)), [_WIDE_P - 1, 2])
+def test_wide_syndrome_sums_find_the_reference_witness(spaces, values):
+    # Hamming letters at p = 65521: two residues sum past 2^16, and three
+    # letters' syndromes sum to as much as 196,560, so each sum needs a wide type.
+    # First example: big is checked by (1, 1, -2), so the letter 40000 has the
+    # syndromes 40000, 40000 and 51042 = 2p - 80000. The weight-3 witness sums
+    # 80000 > 2^16 on its first two sites, and no lighter vector lies in big.
+    big, small = spaces
+    letters = np.array(values, dtype=np.int64)[:, None]
+    for budget in range(big.ambient + 2):
+        _assert_same_search(big, small, letters, budget)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_zero_row_checks_find_the_reference_witness(p):
+    # A full space has a check of no rows; with both, the syndromes have none.
+    full, zero = Subspace.full(p, 6), Subspace.zero(p, 6)
+    for big, small in product((full, zero), repeat=2):
+        for letters in (_field_letters(p), _site_values(p)):
+            for budget in range(big.ambient // letters.shape[1] + 2):
+                _assert_same_search(big, small, letters, budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gauge_codes(primes=(2, 3), max_n=3))
+@example(five_qubit())
+def test_split_letter_tuples_find_the_reference_witness(code):
+    # Seven rows a batch: every site set of weight >= 2 has its tuples split.
+    letters = _site_values(code.p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_module, "_BATCH_ROWS", 7)
+        for budget in range(code.n + 1):
+            ref = reference_coset_search(code.centralizer, code.gauge, letters, budget)
+            got = _coset_search(*code._checks, letters, code.p, budget)
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert got[0] == ref[0] and np.array_equal(got[1], ref[1])
+
+
+def test_the_search_lists_syndromes_not_vectors(monkeypatch):
+    # Neither the dense batches nor a product with a check: the summed letter
+    # syndromes alone, and the witness spelled from its sites and letters.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense batch was built")
+
+    code = bacon_shor(3)
+    expected = code.min_weight_logical()
+    monkeypatch.setattr(code_module, "_weight_batches", refuse)
+    assert code.min_weight_logical() == expected
+    assert swt(expected) == 3
 
 
 def _brute_min_weight(big, small, weight):

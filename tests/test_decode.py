@@ -20,6 +20,7 @@ from subcss import (
     NotWeightRespecting,
     PauliVector,
     Subspace,
+    TrialCounts,
     bacon_shor,
     css_distances,
     delta,
@@ -36,13 +37,20 @@ from subcss.code import (
     DistanceResult,
     _enumerated_leaders,
     _field_letters,
+    _site_values,
+    _syndrome_batches,
     _syndrome_leaders,
-    _weight_batches,
 )
 from subcss.decode import _decoder_pair, _recover, _trials, make_css_decoder
 from subcss.gf import _grid_index
 
-from conftest import brute_force_recover, css_splits, random_subspace, subspaces
+from conftest import (
+    brute_force_recover,
+    css_splits,
+    random_subspace,
+    reference_enumerated_leaders,
+    subspaces,
+)
 
 
 BS3 = bacon_shor(3).css_split()
@@ -132,6 +140,20 @@ def test_entry_points_reject_mismatched_errors():
     assert (counts.trials, counts.corrected) == (1, 1)
 
 
+def test_sweeps_list_no_letters_they_do_not_need(monkeypatch):
+    # p = 65521 has about 4.3e9 single-site values. Weight 0 is the zero error
+    # alone, and a weight past gf.ROW_LIMIT errors is refused before any is listed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("letters listed")
+
+    monkeypatch.setattr(decode_module, "_site_values", refuse)
+    monkeypatch.setattr(decode_module, "_weight_batches", refuse)
+    split = CssSplit(Subspace.zero(65521, 2), Subspace.zero(65521, 2))
+    assert exhaustive_sweep(split, 0) == TrialCounts(1, 1, 0, 0)
+    with pytest.raises(ValueError, match="sweep of 8586002880 errors exceeds 1048576"):
+        exhaustive_sweep(split, 1)
+
+
 def test_out_of_range_syndrome(monkeypatch):
     # Even-weight code: d_R = 2 so no nonzero error is within range.
     code = ClassicalCode([[1, 1, 1, 1]], Subspace.zero(2, 4))
@@ -210,12 +232,12 @@ def test_batched_leaders_enumerate_each_weight_once(monkeypatch):
     t = (side.d_r - 1) // 2
     weights = []
 
-    def counting(letters, n, w):
+    def counting(table, w, p):
         weights.append(w)
-        return _weight_batches(letters, n, w)
+        return _syndrome_batches(table, w, p)
 
     monkeypatch.setattr(ClassicalCode, "_leader_table", None)
-    monkeypatch.setattr(code_module, "_weight_batches", counting)
+    monkeypatch.setattr(code_module, "_syndrome_batches", counting)
     # Errors of weight 1 and 2, each with a leader of its own weight.
     errors = np.vstack([np.eye(5, dtype=np.int64), 2 * np.eye(5, dtype=np.int64), [[1, 0, 2, 0, 0]]])
     syns = side.syndrome(errors)
@@ -256,6 +278,26 @@ def test_leader_table_matches_the_fill(split):
     for side in make_css_decoder(split):
         if side.k != side.r:
             _assert_table_matches_fill(side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 3), st.booleans(), st.data())
+def test_enumerated_leaders_match_the_reference(p, n, m, symplectic, data):
+    # Random checks, dependent and zero rows included, over both alphabets.
+    letters = _site_values(p) if symplectic else _field_letters(p)
+    cols = letters.shape[1] * n
+    row = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+    check = np.array(data.draw(st.lists(row, min_size=m, max_size=m)), dtype=np.int64)
+    check = check.reshape(m, cols)
+    top = data.draw(st.integers(0, min(n, 3)))
+
+    def slot_of(syns):
+        return _grid_index(syns, p)
+
+    got = _enumerated_leaders(check, letters, p, top, slot_of, p**m)
+    ref = reference_enumerated_leaders(check, letters, p, top, slot_of, p**m)
+    for mine, theirs in zip(got, ref, strict=True):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
 
 
 def test_bacon_shor10_table_comes_from_the_recursion(monkeypatch):

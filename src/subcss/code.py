@@ -4,14 +4,14 @@ A code is a subspace H of F_p^{2n} (the gauge group modulo phases). Its
 parameters come from the tower 0 <= H cap H^w <= H <= H + H^w <= F_p^{2n},
 and the distance is the minimum symplectic weight over (H + H^w) \\ H.
 
-Each pair (A + B, A cap B) of the tower comes from one Zassenhaus echelon
-(`Subspace.sum_and_intersection`). A CSS code H_X x H_Z has H^w =
-H_Z^theta x H_X^theta, so its tower is built from its two classical codes
-alone: (L_X, S_X) from one echelon of H_X against H_Z^theta, its theta-dual
+A CSS code H_X x H_Z has H^w = H_Z^theta x H_X^theta, so its tower is built
+from its two classical codes alone: (L_X, S_X) from one Zassenhaus echelon
+(`Subspace.sum_and_intersection`) of H_X against H_Z^theta, its theta-dual
 (L_Z, S_Z) = (S_X^theta, L_X^theta), H + H^w = L_X x L_Z, H cap H^w = S_X x S_Z.
-Any other code's is one echelon of H against H^w, the kernel of H's psi-rows.
-Either is the X tower of the double (H, psi(H)), as psi(H)^theta = H^w, so
-`delta` hands it to the double's split.
+Any other code's stabilizer is the radical of the symplectic form on H: S is
+spanned by the kernel of the Gram matrix of H's basis (`_radical`), and
+H + H^w = S^w. Either is the X tower of the double (H, psi(H)), as
+psi(H)^theta = H^w, so `delta` hands it to the double's split.
 
 Weights are counted over an alphabet of nonzero single-site letters.
 Hamming weight on F_p^n uses the letters F_p \\ {0}; symplectic weight on
@@ -136,6 +136,7 @@ class SubsystemCode:
         stored with the split itself, so no echelon has to find them again."""
         code = cls(split.p, split.n, _block_product(split.h_x, split.h_z))
         code._goursat = (split.h_x, split.h_z, split)
+        code._zx_echelon = _block_product(split.h_z, split.h_x).basis
         return code
 
     def __eq__(self, other) -> bool:
@@ -170,7 +171,9 @@ class SubsystemCode:
         A CSS code H = H_X x H_Z has H^w = H_Z^theta x H_X^theta, so its tower
         factors into the two classical towers of its split: (L_X x L_Z,
         S_X x S_Z), one echelon per side on n columns and none on 2n. Any
-        other code's is one Zassenhaus echelon of H against H^w. Either is
+        other code's stabilizer S is the radical of the Gram matrix of H's
+        basis (`_radical`), and H + H^w = S^w: the kernel of S's psi-rows, or
+        H^w itself when S = H. Neither echelons 4n columns. Either tower is
         the X tower of the double (H, psi(H)), which `delta` hands it to.
         """
         if self.is_css():
@@ -179,7 +182,8 @@ class SubsystemCode:
                 _block_product(split.logical_x, split.logical_z),
                 _block_product(split.stab_x, split.stab_z),
             )
-        return self.gauge.sum_and_intersection(self._omega_comp)
+        stab = _radical(self.gauge)
+        return self._omega_comp if stab is self.gauge else omega_complement(stab), stab
 
     @cached_property
     def centralizer(self) -> Subspace:
@@ -204,13 +208,19 @@ class SubsystemCode:
     # CSS structure ---------------------------------------------------------
 
     @cached_property
+    def _zx_echelon(self) -> np.ndarray:
+        """The RREF of H in (z, x) order, the canonical basis of its block swap,
+        built once: `_goursat` reads E_Z and N_X off it, and `delta` psi(H)."""
+        n, basis = self.n, self.gauge.basis
+        return rref(np.hstack([basis[:, n:], basis[:, :n]]), self.p)
+
+    @cached_property
     def _goursat(self) -> tuple[Subspace, Subspace, CssSplit]:
         """(E_X, E_Z, CssSplit(N_X, N_Z)): the projections of H, N_X = {a : (a, 0)
         in H} and N_Z = {b : (0, b) in H}. `_block_spaces` reads E_X and N_Z off
-        H's basis in (x, z) order, and E_Z and N_X off one echelon in (z, x) order."""
-        n, p, basis = self.n, self.p, self.gauge.basis
-        e_x, n_z = _block_spaces(basis, n, p)
-        e_z, n_x = _block_spaces(rref(np.hstack([basis[:, n:], basis[:, :n]]), p), n, p)
+        H's basis in (x, z) order, and E_Z and N_X off `_zx_echelon`."""
+        e_x, n_z = _block_spaces(self.gauge.basis, self.n, self.p)
+        e_z, n_x = _block_spaces(self._zx_echelon, self.n, self.p)
         return e_x, e_z, CssSplit(n_x, n_z)
 
     def is_css(self) -> bool:
@@ -262,6 +272,19 @@ class SubsystemCode:
         """Checks of H + H^w and H: the psi-rows of H cap H^w and of H^w, as
         (X^w)^theta = psi(X), with no echelon, CSS codes included."""
         return _psi_rows(self.stabilizer.basis), _psi_rows(self._omega_comp.basis)
+
+
+def _radical(h: Subspace) -> Subspace:
+    """H cap H^w, the radical of omega on H, from the Gram matrix G = B psi(B)^T
+    of H's canonical basis B, dim H square and antisymmetric: c B lies in H^w
+    iff c G = 0, so it is spanned by ker(G) B; H itself, with no echelon, when
+    G = 0. One kernel of G and one echelon of dim S rows, where a Zassenhaus
+    echelon of H against H^w has 2n rows and 4n columns."""
+    basis, p = h.basis, h.p
+    gram = basis @ _psi_rows(basis).T % p
+    if not gram.any():
+        return h
+    return Subspace.span(gf.kernel(gram, p).basis @ basis, p, h.ambient)
 
 
 def _block_product(a: Subspace, b: Subspace) -> Subspace:

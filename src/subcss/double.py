@@ -32,6 +32,8 @@ def double_subspace(h: Subspace) -> Subspace:
     A doubled qudit register carries the source a-blocks on the first n
     qudits and the source b-blocks on the last n. As psi(H)^theta = H^w,
     the X tower of this split is H's tower, which is why n, k and r double.
+    A bare subspace has no cached echelon, so psi(H) is echeloned here;
+    `delta` reads it off its code's (z, x) echelon instead.
     """
     return _block_product(h, psi_subspace(h))
 
@@ -43,9 +45,29 @@ class DoubledCode:
 
 
 def delta(code: SubsystemCode) -> DoubledCode:
-    """Double a code into the CSS code of (H, psi(H)); as psi(H)^theta = H^w, the split
-    borrows H's tower as its X tower and H^w as psi(H)'s complement, echeloning neither."""
-    split = CssSplit(code.gauge, psi_subspace(code.gauge))
+    """Double a code into the CSS code of (H, psi(H)), with psi(H) read off the code's
+    (z, x) echelon (`_psi_image`). As psi(H)^theta = H^w, the split borrows H's tower
+    as its X tower and H^w as psi(H)'s complement, echeloning neither. A CSS source
+    also lends H^theta = H_X^theta x H_Z^theta, from the complements of its split
+    that its H^w = H_Z^theta x H_X^theta is built from, with no kernel on 2n columns."""
+    split = CssSplit(code.gauge, _psi_image(code))
     split.__dict__["_x_tower"] = code._tower
     split.h_z.__dict__["_complement"] = code._omega_comp
+    if code.is_css() and "_complement" not in code.gauge.__dict__:
+        source = code.css_split()
+        comp = _block_product(source.h_x.complement(), source.h_z.complement())
+        comp.__dict__["_complement"] = code.gauge
+        code.gauge.__dict__["_complement"] = comp
     return DoubledCode(source=code, result=SubsystemCode.from_css_split(split))
+
+
+def _psi_image(code: SubsystemCode) -> Subspace:
+    """psi(H) from the RREF R of H in (z, x) order, with no echelon. psi maps a
+    vector (x, z) of H to (z, -x), so psi(H) is spanned by the rows (z, -x) of
+    R; negating the x block of the rows whose z block is nonzero keeps their
+    pivots, and the zeros above and below the other rows' pivots, while the
+    rows (0, x) keep their own sign: that result is already the RREF."""
+    red, n = code._zx_echelon.copy(), code.n
+    flip = red[:, :n].any(axis=1)
+    red[flip, n:] = -red[flip, n:] % code.p
+    return Subspace(code.p, 2 * n, red)

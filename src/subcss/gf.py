@@ -154,13 +154,19 @@ def kernel(mat, p: int) -> "Subspace":
     if (mat := np.asarray(mat)).ndim != 2:
         raise ValueError("expected a 2-D matrix")
     red = rref(mat[:, ::-1], validate_prime(p))
+    return Subspace(p, red.shape[1], _kernel_rows(red, p)[::-1, ::-1])
+
+
+def _kernel_rows(red: np.ndarray, p: int) -> np.ndarray:
+    """b_f = e_f - sum_i red[i, f] e_{P_i}, one row per free column f of an RREF
+    `red` with pivot columns P: a basis of its kernel, in order of f."""
     n_cols = red.shape[1]
     pivots = pivot_columns(red)
     free = np.delete(np.arange(n_cols), pivots)
-    basis = np.zeros((free.size, n_cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = -red[: len(pivots), free].T % p
-    return Subspace(p, n_cols, basis[::-1, ::-1])
+    rows = np.zeros((free.size, n_cols), dtype=np.int64)
+    rows[np.arange(free.size), free] = 1
+    rows[:, pivots] = -red[: len(pivots), free].T % p
+    return rows
 
 
 def solve(mat, rhs, p: int) -> np.ndarray | None:
@@ -293,9 +299,14 @@ class Subspace:
 
     @cached_property
     def _complement(self) -> "Subspace":
+        # The kernel rows of the canonical basis span it, one per free column;
+        # below dim of them, echelon those, else `kernel`'s reversed echelon.
         # The dot product is nondegenerate, so (A^theta)^theta = A: the
         # complement's own complement is this space, with no echelon.
-        comp = kernel(self.basis, self.p)
+        if self.ambient - self.dim < self.dim:
+            comp = Subspace.span(_kernel_rows(self.basis, self.p), self.p, self.ambient)
+        else:
+            comp = kernel(self.basis, self.p)
         comp.__dict__["_complement"] = self
         return comp
 

@@ -38,7 +38,7 @@ def test_parameters_delta_bacon_shor10(benchmark):
 
 
 def test_parameters_random_p5_n40(benchmark):
-    # A fresh non-CSS code each round: a round builds H^w and the 2n-wide tower.
+    # A fresh non-CSS code each round: a round builds the Gram-matrix tower.
     params = benchmark.pedantic(lambda code: code.parameters(),
                                 setup=lambda: ((random_code(5, 40, 40, 1),), {}), rounds=20)
     assert params == (40, 20, 20)

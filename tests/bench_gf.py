@@ -67,6 +67,16 @@ def test_kernel_random_p3_n400_gauge(benchmark):
     assert ker.dim == 800 - gauge.dim == 790
 
 
+def test_complement_random_p3_n100_gauge(benchmark):
+    """A tall canonical input at odd p: the theta-complement of the 180 x 200
+    gauge basis of a random code, 20 rows; a fresh Subspace each round, as the
+    complement is built once per space."""
+    gauge = random_code(3, 100, 180, 1).gauge
+    comp = benchmark(lambda: Subspace(3, 200, gauge.basis).complement())
+    assert comp == Subspace(3, 200, kernel(gauge.basis, 3).basis)
+    assert comp.dim == 200 - gauge.dim == 20
+
+
 def test_rref_small_dense_p3(benchmark):
     mat = np.random.default_rng(12).integers(0, 3, size=(12, 16))
     red = benchmark(rref, mat, 3)

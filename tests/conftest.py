@@ -258,6 +258,13 @@ def reference_tower(code):
     return code.gauge + comp, code.gauge.intersect(comp)
 
 
+def same_bits(got, want):
+    """Two subspaces with the same modulus, ambient and basis bytes, dtype and shape."""
+    return (got.p, got.ambient) == (want.p, want.ambient) and (
+        got.basis.dtype == want.basis.dtype and got.basis.shape == want.basis.shape
+        and got.basis.tobytes() == want.basis.tobytes())
+
+
 def reference_z_tower(split):
     """Reference Z side (L_Z, S_Z) of a split: one Zassenhaus echelon of H_Z
     against H_X^theta. `CssSplit`, which takes them as the theta-complements

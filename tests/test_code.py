@@ -33,6 +33,7 @@ from subcss.code import (
     _coset_search,
     _enumeration_reach,
     _field_letters,
+    _radical,
     _letter_syndromes,
     _site_values,
     _syndrome_batches,
@@ -43,6 +44,7 @@ from subcss.pauli import _psi_rows, flatten, omega_complement, psi_subspace, swt
 
 from conftest import (
     css_splits,
+    five_qudit,
     gauge_codes,
     kernel_sum_is_css,
     numpy_without,
@@ -53,6 +55,7 @@ from conftest import (
     reference_omega_complement,
     reference_tower,
     reference_z_tower,
+    same_bits,
     subspaces,
     symplectic_distance,
 )
@@ -498,6 +501,7 @@ def test_is_css_and_split_match_kernel_sum_reference(code):
 
 def test_derived_spaces_are_built_once(monkeypatch):
     calls = {"psi": 0, "kernel": 0, "rref": 0, "tower": 0}
+    kernels = []
 
     def counting(name, fn):
         def wrapper(*args):
@@ -505,11 +509,17 @@ def test_derived_spaces_are_built_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    # psi(H) is echeloned only where `delta` builds the double's split.
-    monkeypatch.setattr(double_module, "psi_subspace", counting("psi", double_module.psi_subspace))
-    kernel = counting("kernel", gf_module.kernel)
-    monkeypatch.setattr(gf_module, "kernel", kernel)
-    monkeypatch.setattr(pauli_module, "kernel", kernel)
+    count_rows = counting("kernel", gf_module._kernel_rows)
+
+    def kernel_rows(red, p):
+        kernels.append(red.shape)
+        return count_rows(red, p)
+
+    # Every kernel, `kernel`'s or a tall complement's, is spelled by `_kernel_rows`.
+    psi = counting("psi", pauli_module.psi_subspace)
+    monkeypatch.setattr(double_module, "psi_subspace", psi)
+    monkeypatch.setattr(pauli_module, "psi_subspace", psi)
+    monkeypatch.setattr(gf_module, "_kernel_rows", kernel_rows)
     monkeypatch.setattr(code_module, "rref", counting("rref", code_module.rref))
     monkeypatch.setattr(Subspace, "sum_and_intersection",
                         counting("tower", Subspace.sum_and_intersection))
@@ -525,22 +535,38 @@ def test_derived_spaces_are_built_once(monkeypatch):
     # side against H_Z^theta; the Z side is the theta-dual, L_Z = S_X^theta and
     # S_Z = L_X^theta, two more complements and no echelon of its own.
     assert calls == {"psi": 0, "kernel": 3, "rref": 1, "tower": 1}
-    # Its double borrows that tower: psi(H) once, H^w = H_Z^theta x H_X^theta
-    # with H_X^theta the one new complement on n columns, and the double's Z
-    # side, the complements of the centralizer and the stabilizer.
+    # Its double borrows that tower and reads psi(H) off the (z, x) echelon:
+    # H^w = H_Z^theta x H_X^theta with H_X^theta the one new complement on n
+    # columns, and the double's Z side, the complements of the centralizer and
+    # the stabilizer.
     assert delta(code).result.parameters() == (18, 2, 8)
-    assert calls == {"psi": 1, "kernel": 6, "rref": 1, "tower": 1}
-    # A non-CSS code: H^w as the kernel of H's psi-rows, with no psi(H), and
-    # one Zassenhaus echelon of H against it.
+    assert calls == {"psi": 0, "kernel": 6, "rref": 1, "tower": 1}
+    # A non-CSS code: no Zassenhaus echelon and no psi(H). The five-qubit
+    # code is isotropic, its Gram matrix 0: S = H, and H + H^w = H^w, the
+    # kernel of H's 4 psi-rows.
     calls.update(psi=0, kernel=0, rref=0, tower=0)
+    kernels.clear()
     code = five_qubit()
     assert code.parameters() == (5, 1, 0)
     assert code.centralizer is code.centralizer and code.stabilizer is code.stabilizer
     code.parameters()
-    assert calls == {"psi": 0, "kernel": 1, "rref": 1, "tower": 1}
-    # The double borrows the tower and H^w: only psi(H) and its Z side are new.
+    assert calls == {"psi": 0, "kernel": 1, "rref": 1, "tower": 0}
+    assert kernels == [(4, 10)]
+    # The double borrows the tower and H^w, and reads psi(H) off the (z, x)
+    # echelon: only its Z side, two complements, is new.
     assert delta(code).result.parameters() == (10, 2, 0)
-    assert calls == {"psi": 1, "kernel": 3, "rref": 1, "tower": 1}
+    assert calls == {"psi": 0, "kernel": 3, "rref": 1, "tower": 0}
+    # A code with 0 < dim S < dim H: the kernel of its 5 x 5 Gram matrix, then
+    # S^w from the one psi-row of S; H^w waits for the double, which takes it
+    # as psi(H)'s complement.
+    calls.update(psi=0, kernel=0, rref=0, tower=0)
+    kernels.clear()
+    code = random_code(3, 4, 5, 0)
+    assert code.parameters() == (4, 1, 2) and code.stabilizer.dim == 1
+    assert calls == {"psi": 0, "kernel": 2, "rref": 1, "tower": 0}
+    assert kernels == [(5, 5), (1, 8)]
+    assert delta(code).result.parameters() == (8, 2, 4)
+    assert calls == {"psi": 0, "kernel": 5, "rref": 1, "tower": 0}
 
 
 @st.composite
@@ -596,10 +622,68 @@ def test_css_tower_matches_the_2n_reference(split):
         assert code.centralizer.basis.dtype == np.int64
 
 
-def _same_bits(got, want):
-    return (got.p, got.ambient) == (want.p, want.ambient) and (
-        got.basis.dtype == want.basis.dtype and got.basis.shape == want.basis.shape
-        and got.basis.tobytes() == want.basis.tobytes())
+def _symplectic_pair(p):
+    """span{X_1 Z_2, Z_1}: omega is nondegenerate on it, so S = 0, and it is
+    not CSS (N_X = 0 while N_Z = span{e_1})."""
+    return SubsystemCode(p, 2, Subspace.span([[1, 0, 0, 1], [0, 0, 1, 0]], p, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5, 7), max_n=5))
+def test_gram_tower_matches_reference(code):
+    # Bit for bit against H + H^w and H cap H^w built on 2n columns: the
+    # radical of the Gram matrix and its omega-complement, CSS codes included,
+    # and a non-CSS code's own tower.
+    centralizer, stab = reference_tower(code)
+    assert same_bits(_radical(code.gauge), stab)
+    assert same_bits(omega_complement(_radical(code.gauge)), centralizer)
+    assert same_bits(code.centralizer, centralizer) and same_bits(code.stabilizer, stab)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_gram_tower_edge_cases(p):
+    zero, full = Subspace.zero(p, 6), Subspace.full(p, 6)
+    isotropic, pair = five_qudit(p), _symplectic_pair(p)
+    assert not isotropic.is_css() and not pair.is_css()
+    # H = 0 and an isotropic H are their own radicals, with no echelon;
+    # H = F_p^{2n} and a symplectic H have the radical 0.
+    assert _radical(zero) is zero and _radical(isotropic.gauge) is isotropic.gauge
+    assert _radical(full) == Subspace.zero(p, 6) and _radical(pair.gauge) == Subspace.zero(p, 4)
+    for h in (zero, full, isotropic.gauge, pair.gauge):
+        code = SubsystemCode(p, h.ambient // 2, h)
+        assert (code.centralizer, code.stabilizer) == reference_tower(code)
+    # An isotropic code's centralizer is its H^w, built once.
+    assert isotropic.stabilizer is isotropic.gauge
+    assert isotropic.centralizer is isotropic._omega_comp
+    assert pair.parameters() == (2, 1, 1) and pair.centralizer == Subspace.full(p, 4)
+
+
+def test_css_double_lends_h_theta_without_a_kernel(monkeypatch):
+    # A CSS source's H^theta = H_X^theta x H_Z^theta, from the complements its
+    # H^w is built from: after both parameters(), the double's distances
+    # run no kernel, on 2n columns or any other.
+    code = bacon_shor(10)
+    doubled = delta(code).result
+    assert code.parameters() == (100, 1, 81)
+    assert doubled.parameters() == (200, 2, 162)
+    kernels = []
+    kernel_rows = gf_module._kernel_rows
+    monkeypatch.setattr(gf_module, "_kernel_rows",
+                        lambda red, p: kernels.append(red.shape) or kernel_rows(red, p))
+    assert css_distances(doubled.css_split(), 1)[2] == DistanceResult(2, False)
+    assert kernels == []
+    fresh = Subspace(2, 200, code.gauge.basis.copy())
+    assert same_bits(doubled.css_split().h_x.complement(), fresh.complement())
+
+
+@settings(max_examples=100, deadline=None)
+@given(css_splits(primes=(2, 3, 5, 7), max_n=5))
+def test_css_double_lends_the_complement_built_afresh(split):
+    for code in (SubsystemCode.from_css_split(split),
+                 SubsystemCode(split.p, split.n, _block_product(split.h_x, split.h_z))):
+        fresh = Subspace(code.p, 2 * code.n, code.gauge.basis.copy())
+        got = delta(code).result.css_split().h_x.complement()
+        assert same_bits(got, fresh.complement()) and got.complement() is code.gauge
 
 
 @settings(max_examples=120, deadline=None)
@@ -611,10 +695,10 @@ def _same_bits(got, want):
 def test_tower_and_double_share_one_omega_complement(code):
     # H^w bit for bit against psi(H)^theta, built by an echelon of psi(H).
     comp = reference_omega_complement(code.gauge)
-    assert _same_bits(omega_complement(code.gauge), comp)
-    assert _same_bits(code._omega_comp, comp)
-    assert _same_bits(code.centralizer, code.gauge + comp)
-    assert _same_bits(code.stabilizer, code.gauge.intersect(comp))
+    assert same_bits(omega_complement(code.gauge), comp)
+    assert same_bits(code._omega_comp, comp)
+    assert same_bits(code.centralizer, code.gauge + comp)
+    assert same_bits(code.stabilizer, code.gauge.intersect(comp))
     # The double's split (H, psi(H)) holds the code's tower as its X tower and
     # the code's H^w as psi(H)'s theta-complement.
     doubled = delta(code).result
@@ -638,10 +722,10 @@ def test_double_with_borrowed_spaces_matches_one_built_afresh(code):
     got_split, want_split = got.css_split(), want.css_split()
     assert got_split.logical_x is code.centralizer
     for name in ("centralizer", "stabilizer"):
-        assert _same_bits(getattr(got, name), getattr(want, name))
+        assert same_bits(getattr(got, name), getattr(want, name))
     for name in ("logical_x", "stab_x", "logical_z", "stab_z"):
-        assert _same_bits(getattr(got_split, name), getattr(want_split, name))
-    assert _same_bits(got_split.h_z.complement(), want_split.h_z.complement())
+        assert same_bits(getattr(got_split, name), getattr(want_split, name))
+    assert same_bits(got_split.h_z.complement(), want_split.h_z.complement())
     assert got.parameters() == want.parameters()
     if got.parameters()[1] == 0:
         for split in (got_split, want_split):
@@ -972,7 +1056,8 @@ def test_css_checks_are_read_off_the_split(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(gf_module, "kernel", counting("kernel", gf_module.kernel))
+    # Every kernel, `kernel`'s or a tall complement's, is spelled by `_kernel_rows`.
+    monkeypatch.setattr(gf_module, "_kernel_rows", counting("kernel", gf_module._kernel_rows))
     monkeypatch.setattr(gf_module, "rref", counting("rref", gf_module.rref))
     monkeypatch.setattr(code_module, "rref", gf_module.rref)
     # After the tower, only H_X^theta is new: one kernel, its one echelon.
@@ -999,7 +1084,8 @@ def test_distances_read_the_checks_in_hand(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(gf_module, "kernel", counting("kernel", gf_module.kernel))
+    # Every kernel, `kernel`'s or a tall complement's, is spelled by `_kernel_rows`.
+    monkeypatch.setattr(gf_module, "_kernel_rows", counting("kernel", gf_module._kernel_rows))
     monkeypatch.setattr(gf_module, "rref", counting("rref", gf_module.rref))
     # A CSS code: the X side's L_X^theta is the split's S_Z and the Z side's
     # L_Z^theta its S_X; H_Z^theta is the X tower's, so only H_X^theta is new.

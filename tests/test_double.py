@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subcss import (
     NoLogicalOperators,
+    Subspace,
     SubsystemCode,
     delta,
     double_generator,
@@ -14,9 +15,20 @@ from subcss import (
     five_qubit,
     trivial,
 )
-from subcss.pauli import omega_complement, parse_pauli, unflatten
+from subcss.code import _block_product
+from subcss.double import _psi_image
+from subcss.gf import rref
+from subcss.pauli import omega_complement, parse_pauli, psi_subspace, unflatten
 
-from conftest import gauge_codes, random_gauge_code, random_subspace, symplectic_distance
+from conftest import (
+    css_splits,
+    five_qudit,
+    gauge_codes,
+    random_gauge_code,
+    random_subspace,
+    same_bits,
+    symplectic_distance,
+)
 
 # Doubled five-qubit stabilizer generators as displayed (first register block
 # then second register block per generator).
@@ -146,6 +158,33 @@ def test_delta_matches_double_subspace(code):
     reference = SubsystemCode.from_generators(code.p, 2 * code.n, gens)
     assert delta(code).result == reference
     assert double_subspace(code.gauge) == reference.gauge
+
+
+@settings(max_examples=200, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5, 7), max_n=5))
+@example(SubsystemCode(3, 3, Subspace.zero(3, 6)))
+@example(SubsystemCode(5, 3, Subspace.full(5, 6)))
+@example(five_qudit(7))  # isotropic: S = H
+@example(SubsystemCode(7, 2, Subspace.span([[1, 0, 0, 1], [0, 0, 1, 0]], 7, 4)))  # S = 0
+def test_psi_image_matches_psi_subspace(code):
+    # psi(H) read off the (z, x) echelon, bit for bit against its own echelon;
+    # delta's split holds it as H_Z.
+    assert same_bits(_psi_image(code), psi_subspace(code.gauge))
+    assert same_bits(delta(code).result.css_split().h_z, psi_subspace(code.gauge))
+
+
+@settings(max_examples=100, deadline=None)
+@given(css_splits(primes=(2, 3, 5, 7), max_n=5))
+def test_from_split_zx_echelon_is_its_block_product(split):
+    # A code built from its split holds H_Z x H_X as its (z, x) echelon, the
+    # echelon that the same gauge subspace, with no split, computes.
+    code = SubsystemCode.from_css_split(split)
+    n, basis = code.n, code.gauge.basis
+    swapped = rref(np.hstack([basis[:, n:], basis[:, :n]]), code.p)
+    assert np.array_equal(code._zx_echelon, _block_product(split.h_z, split.h_x).basis)
+    assert code._zx_echelon.tobytes() == swapped.tobytes()
+    assert code._zx_echelon.shape == swapped.shape and code._zx_echelon.dtype == swapped.dtype
+    assert same_bits(_psi_image(code), psi_subspace(code.gauge))
 
 
 def test_double_subspace_rejects_odd_ambient():

@@ -244,8 +244,9 @@ def test_kernel_rejects_bad_input(mat, p, message):
 
 
 def test_complement_runs_one_echelon(monkeypatch, rng):
-    """A fresh theta-complement echelons its space's basis once, and never its
-    own kernel basis again; its own complement is the space, with no echelon."""
+    """A fresh theta-complement runs one echelon of min(dim, ambient - dim)
+    rows: its space's basis, or its kernel rows where there are fewer of them;
+    its own complement is the space, with no echelon."""
     spaces = [random_subspace(rng, p, ambient) for p in (2, 3, 7) for ambient in (0, 1, 6, 11)]
     spaces += [Subspace.zero(5, 4), Subspace.full(5, 4)]
     calls = []
@@ -259,7 +260,7 @@ def test_complement_runs_one_echelon(monkeypatch, rng):
         calls.clear()
         comp = space.complement()
         assert comp.dim == space.ambient - space.dim and comp.complement() is space
-        assert calls == [space.basis.shape]
+        assert calls == [(min(space.dim, comp.dim), space.ambient)]
         assert kernel(comp.basis, space.p) == space
 
 
@@ -400,6 +401,34 @@ def test_kernel_matches_reference(case):
     ker = kernel(mat, p)
     assert ker == _reference_kernel(mat, p)
     assert not np.any(mat @ ker.basis.T % p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.sampled_from(("tall", "wide")), st.data())
+def test_complement_of_a_canonical_basis_matches_reference(p, shape, data):
+    """complement() of a canonical basis with more rows than kernel rows (tall)
+    echelons its kernel rows and calls no `kernel`; else (wide) one `kernel`.
+    Either matches the reference kernel, and a fresh copy of the complement,
+    holding no cached complement, has the space as its complement."""
+    ambient = data.draw(st.integers(1, 16))
+    half = ambient // 2
+    dim = data.draw(st.integers(half + 1, ambient) if shape == "tall" else st.integers(0, half))
+    fill = data.draw(st.sampled_from((0.0, 0.2, 0.6, 1.0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # An RREF with random pivot columns and random entries right of each pivot.
+    pivots = np.sort(rng.choice(ambient, size=dim, replace=False))
+    basis = rng.integers(0, p, size=(dim, ambient)) * (rng.random((dim, ambient)) < fill)
+    basis[np.arange(ambient) <= pivots[:, None]] = 0
+    basis[:, pivots] = np.eye(dim, dtype=np.int64)
+    assert np.array_equal(Subspace.span(basis, p, ambient).basis, basis)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf_module, "kernel", lambda mat, p: calls.append(1) or kernel(mat, p))
+        comp = Subspace(p, ambient, basis).complement()
+    assert len(calls) == (shape == "wide")
+    assert comp == _reference_kernel(basis, p)
+    assert not np.any(basis @ comp.basis.T % p)
+    assert Subspace(p, ambient, comp.basis.copy()).complement() == Subspace(p, ambient, basis)
 
 
 @settings(max_examples=150, deadline=None)

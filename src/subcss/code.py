@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb, prod
 from typing import Iterable, Iterator
 
@@ -133,10 +133,9 @@ class SubsystemCode:
     @classmethod
     def from_css_split(cls, split: CssSplit) -> "SubsystemCode":
         """H_X x H_Z (`_block_product`). Its Goursat spaces are E = N = (H_X, H_Z),
-        stored with the split itself, so no echelon has to find them again."""
+        stored with the split itself, so the split's towers come with it."""
         code = cls(split.p, split.n, _block_product(split.h_x, split.h_z))
         code._goursat = (split.h_x, split.h_z, split)
-        code._zx_echelon = _block_product(split.h_z, split.h_x).basis
         return code
 
     def __eq__(self, other) -> bool:
@@ -210,7 +209,12 @@ class SubsystemCode:
     @cached_property
     def _zx_echelon(self) -> np.ndarray:
         """The RREF of H in (z, x) order, the canonical basis of its block swap,
-        built once: `_goursat` reads E_Z and N_X off it, and `delta` psi(H)."""
+        built once: `_goursat` of a non-CSS code reads E_Z and N_X off it, and
+        `delta` psi(H). A CSS code's is the block product H_Z x H_X of its
+        split, with no echelon."""
+        if self.is_css():
+            split = self._goursat[2]
+            return _block_product(split.h_z, split.h_x).basis
         n, basis = self.n, self.gauge.basis
         return rref(np.hstack([basis[:, n:], basis[:, :n]]), self.p)
 
@@ -218,15 +222,27 @@ class SubsystemCode:
     def _goursat(self) -> tuple[Subspace, Subspace, CssSplit]:
         """(E_X, E_Z, CssSplit(N_X, N_Z)): the projections of H, N_X = {a : (a, 0)
         in H} and N_Z = {b : (0, b) in H}. `_block_spaces` reads E_X and N_Z off
-        H's basis in (x, z) order, and E_Z and N_X off `_zx_echelon`."""
+        H's basis in (x, z) order. A CSS code has E = N, both read there with no
+        echelon (see `is_css`); any other code's E_Z and N_X are read off
+        `_zx_echelon`."""
         e_x, n_z = _block_spaces(self.gauge.basis, self.n, self.p)
+        if self.is_css():
+            return e_x, n_z, CssSplit(e_x, n_z)
         e_z, n_x = _block_spaces(self._zx_echelon, self.n, self.p)
         return e_x, e_z, CssSplit(n_x, n_z)
 
     def is_css(self) -> bool:
-        """H = H_X x H_Z iff N_X x N_Z already fills H: dim N_X + dim N_Z = dim H."""
-        split = self._goursat[2]
-        return split.h_x.dim + split.h_z.dim == self.gauge.dim
+        """H = H_X x H_Z iff the rows of H's canonical basis B with a nonzero x
+        block have a zero z block, read off B once with no echelon: the
+        block-diagonal [[RREF(H_X), 0], [0, RREF(H_Z)]] is the one RREF of
+        H_X x H_Z, so B has that form iff H splits, and then its blocks give
+        H_X = E_X = N_X and H_Z = E_Z = N_Z."""
+        return self._is_css
+
+    @cached_property
+    def _is_css(self) -> bool:
+        basis, n = self.gauge.basis, self.n
+        return not basis[basis[:, :n].any(axis=1), n:].any()
 
     def css_split(self) -> CssSplit:
         """Split H = N_X x N_Z (the same object on every call); raises
@@ -583,9 +599,12 @@ def _weight_layout(n_letters: int, n: int, w: int) -> Iterator[tuple[np.ndarray,
     per_sites = n_letters**w
     sites_per_batch = max(1, _BATCH_ROWS // per_sites)
     tuples_per_batch = min(per_sites, _BATCH_ROWS)
-    site_sets = combinations(range(n), w)
-    while chunk := list(islice(site_sets, sites_per_batch)):
-        sites = np.array(chunk, dtype=np.int64).reshape(len(chunk), w)
+    # The site sets' entries as one flat stream, read a batch's rows at a time;
+    # w = 0 reads its one empty site set as zero entries.
+    entries, total = chain.from_iterable(combinations(range(n), w)), comb(n, w)
+    for start in range(0, total, sites_per_batch):
+        rows = min(sites_per_batch, total - start)
+        sites = np.fromiter(islice(entries, rows * w), np.int64, rows * w).reshape(rows, w)
         for lo in range(0, per_sites, tuples_per_batch):
             yield sites, np.arange(lo, min(lo + tuples_per_batch, per_sites), dtype=np.int64)
 

@@ -8,8 +8,10 @@ entry-for-entry equality of their basis matrices.
 At p = 2 the echelon runs on bit rows: each row packed into one Python int,
 reduced by XOR (`_rref_f2`), the standard packed-row elimination over GF(2)
 (as in M4RI, Albrecht, Bard & Hart, ACM TOMS 37, 2010). At odd p it is a
-sparse pivot loop on an int64 array. A row space has exactly one RREF, so the
-two paths return the same matrix.
+pivot loop of rank-1 updates on an int64 array, reduced mod p only where a
+value is read and once at the end: delayed modular reduction, as in
+FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008). A row space has
+exactly one RREF, so the two paths return the same matrix.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -22,7 +24,9 @@ import numpy as np
 
 # Moduli must lie below this bound. Then every residue product is below
 # 2^32, and a dot product or matrix product over an ambient dimension
-# below 2^31 -- a sum of at most (p - 1)^2 * ambient -- fits in int64.
+# below 2^31 -- a sum of at most (p - 1)^2 * ambient -- fits in int64; so
+# does an entry of `rref`'s unreduced block, a residue less at most
+# min(rows, cols) < 2^31 such products.
 P_LIMIT = 1 << 16
 # Most rows that an enumeration of all the elements of a span may build.
 ROW_LIMIT = 1 << 20
@@ -60,9 +64,16 @@ def rref(mat, p: int) -> np.ndarray:
     Row space is preserved; pivots are 1 with zeros elsewhere in their
     columns; zero rows sink to the bottom. Deterministic.
 
-    At p = 2, `_rref_f2` eliminates by XOR on rows packed into ints; at odd
-    p each pivot step clears its column in the rows nonzero there. Both reach
-    the one RREF of the row space, so the output does not depend on the path.
+    At p = 2, `_rref_f2` eliminates by XOR on rows packed into ints. At odd
+    p the entries stay unreduced between pivot steps: a step reduces column c
+    mod p to find its pivot, swaps it up, reduces and scales the pivot row, and
+    clears column c by one rank-1 update of the block right of c, if any other
+    row is nonzero there; the block is reduced once at the end. An entry takes
+    at most one update per pivot, each a product of two residues below 2^32
+    (p < `P_LIMIT`), so it stays within (p - 1) + min(rows, cols) * (p - 1)^2
+    of zero, which fits in int64 below 2^31 pivots: the arithmetic is exact.
+    Both paths reach the one RREF of the row space, so the output does not
+    depend on the path.
     """
     m = fp_array(mat, p)
     if m.ndim != 2:
@@ -74,23 +85,24 @@ def rref(mat, p: int) -> np.ndarray:
     for c in range(n_cols):
         if r == n_rows:
             break
-        nz = m[:, c].nonzero()[0]
-        k = nz.searchsorted(r)
-        if k == nz.size:
-            continue
-        i = nz[k]
-        if i != r:
+        f = m[:, c] % p
+        if not f[r]:
+            nz = f[r:].nonzero()[0]
+            if nz.size == 0:
+                continue
+            i = r + nz[0]
             m[[r, i]] = m[[i, r]]
-        if m[r, c] != 1:
-            m[r, c:] = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
-        if nz.size > 1:
-            # Clear column c in the rows nonzero there, from c on (rows at or
-            # below r vanish left of c); this zeroes the pivot row, so restore it.
-            nz[k] = r
-            pivot = m[r, c:].copy()
-            m[nz, c:] = (m[nz, c:] - m[nz, c, None] * pivot) % p
-            m[r, c:] = pivot
+            f[[r, i]] = f[[i, r]]
+        row = m[r, c:]
+        row %= p
+        if f[r] != 1:
+            row *= pow(int(f[r]), p - 2, p)
+            row %= p
+        f[r] = 0
+        if f.any():
+            m[:, c:] -= np.multiply.outer(f, row)
         r += 1
+    m %= p
     return m
 
 

@@ -55,9 +55,10 @@ class GoursatData:
 def goursat_of(code: SubsystemCode) -> GoursatData:
     """Goursat data of the gauge group, from the code's cached spaces.
 
-    E_X, E_Z, N_X and N_Z are read off two echelons of H (see
-    `SubsystemCode._goursat`); pairs are picked by a greedy scan of the
-    canonical generators in order, so the result is deterministic.
+    E_X, E_Z, N_X and N_Z are read off H's canonical basis and, unless the
+    code is CSS, its (z, x) echelon (see `SubsystemCode._goursat`); pairs are
+    picked by a greedy scan of the canonical generators in order, so the
+    result is deterministic.
     """
     n = code.n
     x, z = code.gauge.basis[:, :n], code.gauge.basis[:, n:]

@@ -1,6 +1,6 @@
 """Per-layer micro-benchmarks of the F_p core: `rref`, `kernel` and `all_elements`
-on fixed inputs, and the Goursat spaces built on it (`goursat_of`,
-`classify_stabilizer`).
+on fixed inputs, the echelons of a random code at the `algebra` workload's
+size, and the Goursat spaces built on it (`goursat_of`, `classify_stabilizer`).
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -12,6 +12,7 @@ import pytest
 
 from subcss import (
     Subspace,
+    SubsystemCode,
     bacon_shor,
     classify_stabilizer,
     delta,
@@ -21,6 +22,7 @@ from subcss import (
     random_code,
     rref,
 )
+from subcss.pauli import _psi_rows
 
 from conftest import reference_rref
 
@@ -81,6 +83,39 @@ def test_rref_small_dense_p3(benchmark):
     mat = np.random.default_rng(12).integers(0, 3, size=(12, 16))
     red = benchmark(rref, mat, 3)
     assert np.array_equal(red, reference_rref(mat, 3))
+
+
+# The random codes of the `algebra` workload at n = 40: 40 random generators
+# in F_p^80, at p = 3 and 5.
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rref_dense_40x80(benchmark, p):
+    """The parse span of a random n = 40 code: its 40 x 80 generator matrix."""
+    mat = np.random.default_rng(40).integers(0, p, size=(40, 80))
+    red = benchmark(rref, mat, p)
+    assert np.array_equal(red, reference_rref(mat, p))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_zx_echelon_random_n40(benchmark, p):
+    """The (z, x) echelon of `random_code(p, 40, 40, 1)`, a fresh code each round."""
+    gauge = random_code(p, 40, 40, 1).gauge
+    assert not SubsystemCode(p, 40, gauge).is_css()
+    red = benchmark.pedantic(lambda code: code._zx_echelon,
+                             setup=lambda: ((SubsystemCode(p, 40, gauge),), {}), rounds=50)
+    assert np.array_equal(red, reference_rref(np.hstack([gauge.basis[:, 40:],
+                                                         gauge.basis[:, :40]]), p))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_gram_kernel_random_n40(benchmark, p):
+    """The kernel of the 40 x 40 Gram matrix B psi(B)^T that `code._radical`
+    takes for `random_code(p, 40, 40, 1)`."""
+    basis = random_code(p, 40, 40, 1).gauge.basis
+    gram = basis @ _psi_rows(basis).T % p
+    ker = benchmark(kernel, gram, p)
+    assert not np.any(gram @ ker.basis.T % p)
 
 
 def test_all_elements_dim16_in_f2_40(benchmark):

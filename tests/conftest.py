@@ -19,7 +19,7 @@ from subcss import (
 )
 from subcss import code as code_module
 from subcss.code import _budget, _site_values, _weight_batches
-from subcss.gf import fp_array
+from subcss.gf import _block_spaces, fp_array, rref
 from subcss.pauli import psi_subspace
 
 
@@ -256,6 +256,19 @@ def reference_tower(code):
     other code's from the split of its double, must give the same spaces."""
     comp = reference_omega_complement(code.gauge)
     return code.gauge + comp, code.gauge.intersect(comp)
+
+
+def reference_css_structure(code):
+    """Reference CSS structure from the (z, x) echelon of H, `rref` of its
+    basis with the blocks swapped: (echelon, (E_X, E_Z, N_X, N_Z), is CSS).
+    E_X and N_Z are read off H's basis, E_Z and N_X off the echelon, and H is
+    CSS iff dim N_X + dim N_Z = dim H. `SubsystemCode`, which reads a CSS
+    code's structure off H's basis alone, must give the same bits."""
+    p, n, basis = code.p, code.n, code.gauge.basis
+    zx = rref(np.hstack([basis[:, n:], basis[:, :n]]), p)
+    e_x, n_z = _block_spaces(basis, n, p)
+    e_z, n_x = _block_spaces(zx, n, p)
+    return zx, (e_x, e_z, n_x, n_z), n_x.dim + n_z.dim == code.gauge.dim
 
 
 def same_bits(got, want):

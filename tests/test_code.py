@@ -51,6 +51,7 @@ from conftest import (
     qudit_bacon_shor,
     random_gauge_code,
     reference_coset_search,
+    reference_css_structure,
     reference_goursat_spaces,
     reference_omega_complement,
     reference_tower,
@@ -287,7 +288,7 @@ def test_code_equality_and_repr():
 def _reference_layer(letters, n, w):
     """Loop reference: sites lexicographic, then letter tuples lexicographic."""
     m, b = letters.shape
-    tuples = np.array(list(product(range(m), repeat=w)), dtype=np.int64).reshape(-1, w)
+    tuples = np.array(list(product(range(m), repeat=w)), dtype=np.int64).reshape(m**w, w)
     blocks = []
     for sites in combinations(range(n), w):
         block = np.zeros((len(tuples), b * n), dtype=np.int64)
@@ -306,9 +307,11 @@ def _reference_layer(letters, n, w):
         (_site_values(2), 5, 3),
         (_site_values(3), 4, 2),
         (_site_values(7), 3, 3),
+        (_field_letters(3), 4, 0),
     ],
 )
 def test_weight_batches_contract(letters, n, w):
+    # w = 0 is one batch: the empty site set carrying the empty tuple.
     m, b = letters.shape
     batches = list(_weight_batches(letters, n, w))
     assert all(0 < batch.shape[0] <= _BATCH_ROWS for batch in batches)
@@ -318,6 +321,21 @@ def test_weight_batches_contract(letters, n, w):
     assert np.all(site_weight == w)
     assert len(np.unique(rows, axis=0)) == len(rows)
     assert np.array_equal(rows, _reference_layer(letters, n, w))
+
+
+@pytest.mark.parametrize(
+    "letters, n, w",
+    [(_field_letters(2), 7, 3), (_field_letters(3), 6, 2), (_site_values(3), 4, 2),
+     (_field_letters(5), 3, 0)],
+)
+def test_weight_batches_split_in_order(letters, n, w):
+    # Batches of at most 7 rows: site sets spread over several batches, the
+    # last one short, or one site set's letter tuples over several.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_module, "_BATCH_ROWS", 7)
+        batches = list(_weight_batches(letters, n, w))
+    assert all(0 < batch.shape[0] <= 7 for batch in batches)
+    assert np.array_equal(np.vstack(batches), _reference_layer(letters, n, w))
 
 
 def test_letter_tables_are_sized_before_they_are_built():
@@ -531,16 +549,17 @@ def test_derived_spaces_are_built_once(monkeypatch):
     for name in ("stab_x", "stab_z", "logical_x", "logical_z"):
         assert getattr(split, name) is getattr(split, name)
     code.parameters()
-    # No psi(H), the (z, x) echelon of H once, and one echelon of the split's X
-    # side against H_Z^theta; the Z side is the theta-dual, L_Z = S_X^theta and
-    # S_Z = L_X^theta, two more complements and no echelon of its own.
-    assert calls == {"psi": 0, "kernel": 3, "rref": 1, "tower": 1}
-    # Its double borrows that tower and reads psi(H) off the (z, x) echelon:
-    # H^w = H_Z^theta x H_X^theta with H_X^theta the one new complement on n
-    # columns, and the double's Z side, the complements of the centralizer and
-    # the stabilizer.
+    # No psi(H), no (z, x) echelon of H (its split is read off H's basis), and
+    # one echelon of the split's X side against H_Z^theta; the Z side is the
+    # theta-dual, L_Z = S_X^theta and S_Z = L_X^theta, two more complements and
+    # no echelon of its own.
+    assert calls == {"psi": 0, "kernel": 3, "rref": 0, "tower": 1}
+    # Its double borrows that tower and reads psi(H) off the (z, x) echelon,
+    # the block product H_Z x H_X: H^w = H_Z^theta x H_X^theta with H_X^theta
+    # the one new complement on n columns, and the double's Z side, the
+    # complements of the centralizer and the stabilizer.
     assert delta(code).result.parameters() == (18, 2, 8)
-    assert calls == {"psi": 0, "kernel": 6, "rref": 1, "tower": 1}
+    assert calls == {"psi": 0, "kernel": 6, "rref": 0, "tower": 1}
     # A non-CSS code: no Zassenhaus echelon and no psi(H). The five-qubit
     # code is isotropic, its Gram matrix 0: S = H, and H + H^w = H^w, the
     # kernel of H's 4 psi-rows.
@@ -550,10 +569,10 @@ def test_derived_spaces_are_built_once(monkeypatch):
     assert code.parameters() == (5, 1, 0)
     assert code.centralizer is code.centralizer and code.stabilizer is code.stabilizer
     code.parameters()
-    assert calls == {"psi": 0, "kernel": 1, "rref": 1, "tower": 0}
+    assert calls == {"psi": 0, "kernel": 1, "rref": 0, "tower": 0}
     assert kernels == [(4, 10)]
     # The double borrows the tower and H^w, and reads psi(H) off the (z, x)
-    # echelon: only its Z side, two complements, is new.
+    # echelon, its one echelon: only its Z side, two complements, is new.
     assert delta(code).result.parameters() == (10, 2, 0)
     assert calls == {"psi": 0, "kernel": 3, "rref": 1, "tower": 0}
     # A code with 0 < dim S < dim H: the kernel of its 5 x 5 Gram matrix, then
@@ -563,7 +582,7 @@ def test_derived_spaces_are_built_once(monkeypatch):
     kernels.clear()
     code = random_code(3, 4, 5, 0)
     assert code.parameters() == (4, 1, 2) and code.stabilizer.dim == 1
-    assert calls == {"psi": 0, "kernel": 2, "rref": 1, "tower": 0}
+    assert calls == {"psi": 0, "kernel": 2, "rref": 0, "tower": 0}
     assert kernels == [(5, 5), (1, 8)]
     assert delta(code).result.parameters() == (8, 2, 4)
     assert calls == {"psi": 0, "kernel": 5, "rref": 1, "tower": 0}
@@ -744,8 +763,57 @@ def test_from_css_split_stores_its_goursat_spaces(split):
     assert (e_x, e_z, internal.h_x, internal.h_z) == reference_goursat_spaces(code)
 
 
-def test_is_css_runs_one_echelon(monkeypatch):
-    code = bacon_shor(4)
+@st.composite
+def _codes_css_or_not(draw):
+    """A code at p in {2, 3, 5, 7} and n <= 5 of one of three kinds: a split's
+    `from_css_split`, the same code rebuilt from mixed generator rows (an
+    invertible L U times its basis, dependent combinations and a shuffle), or
+    a random gauge code, rarely CSS."""
+    kind = draw(st.sampled_from(("split", "mixed", "random")))
+    if kind == "random":
+        return draw(gauge_codes(primes=(2, 3, 5, 7), max_n=5))
+    split = draw(css_splits(primes=(2, 3, 5, 7), max_n=5))
+    code = SubsystemCode.from_css_split(split)
+    if kind == "split":
+        return code
+    p, basis = split.p, code.gauge.basis
+    k = len(basis)
+
+    def matrix(n_rows):
+        entries = draw(st.lists(st.integers(0, p - 1), min_size=n_rows * k, max_size=n_rows * k))
+        return np.array(entries, dtype=np.int64).reshape(n_rows, k)
+
+    eye = np.eye(k, dtype=np.int64)
+    mixing = (np.tril(matrix(k), -1) + eye) @ (np.triu(matrix(k), 1) + eye)
+    rows = np.vstack([mixing, matrix(2)]) @ basis % p
+    rows = rows[list(draw(st.permutations(range(len(rows)))))]
+    return SubsystemCode(p, split.n, Subspace.span(rows, p, 2 * split.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_codes_css_or_not())
+@example(five_qubit())
+@example(bacon_shor(3))
+@example(SubsystemCode(3, 2, Subspace.zero(3, 4)))
+def test_css_structure_matches_the_zx_echelon(code):
+    # `is_css`, `css_split`, `_goursat` and `_zx_echelon`, read off H's basis
+    # for a CSS code, against the (z, x)-echelon definition, bit for bit.
+    zx, spaces, css = reference_css_structure(code)
+    assert code.is_css() == css
+    e_x, e_z, split = code._goursat
+    for got, want in zip((e_x, e_z, split.h_x, split.h_z), spaces):
+        assert same_bits(got, want)
+    if css:
+        assert code.css_split() is split
+    else:
+        with pytest.raises(ValueError, match="not CSS"):
+            code.css_split()
+    got = code._zx_echelon
+    assert got.dtype == zx.dtype and got.shape == zx.shape and got.tobytes() == zx.tobytes()
+
+
+def test_is_css_runs_no_echelon(monkeypatch):
+    css, other = bacon_shor(4), five_qubit()
     calls = []
     rref = gf_module.rref
 
@@ -756,8 +824,8 @@ def test_is_css_runs_one_echelon(monkeypatch):
     # Every binding of `rref` that `is_css` can reach, in gf and in code.
     monkeypatch.setattr(gf_module, "rref", counting)
     monkeypatch.setattr(code_module, "rref", counting, raising=False)
-    assert code.is_css()
-    assert len(calls) == 1
+    assert css.is_css() and not other.is_css()
+    assert calls == []
 
 
 # Syndrome engine ---------------------------------------------------------------

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subcss import Subspace, kernel, rank, rref, solve
@@ -21,7 +21,13 @@ from subcss.gf import (
     validate_prime,
 )
 
-from conftest import random_subspace, reference_combinations, reference_rref, subspaces
+from conftest import (
+    numpy_without,
+    random_subspace,
+    reference_combinations,
+    reference_rref,
+    subspaces,
+)
 
 
 def test_is_prime():
@@ -329,18 +335,49 @@ def _matrices(draw):
     the stack may be empty, and so may the columns. At p = 2, half the draws
     have up to 40 rows on widths past one byte and one 64-bit word, where the
     bit rows of `rref` carry pad bits and span several machine words.
+
+    One draw in four is instead shaped for the unreduced updates of `rref` at
+    odd p (`_edge_matrix`).
     """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 3)) == 0:
+        return _edge_matrix(draw(st.sampled_from(_EDGE_KINDS)), draw(st.integers(1, 40)), rng)
     p = draw(st.sampled_from(_PRIMES))
     wide = p == 2 and draw(st.booleans())
     n_cols = draw(st.sampled_from((63, 64, 65, 130)) if wide else st.integers(0, 16))
     n_base = draw(st.integers(0, 30 if wide else 10))
     n_dep = draw(st.integers(0, 10 if wide else 6))
     fill = draw(st.sampled_from((0.0, 0.03, 0.2, 0.6, 1.0)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = rng.integers(1 if fill == 1.0 else 0, p, size=(n_base, n_cols))
     base *= rng.random((n_base, n_cols)) < fill
     stack = np.vstack([base, rng.integers(0, p, size=(n_dep, n_base)) @ base % p])
     return stack[rng.permutation(len(stack))], p
+
+
+_EDGE_KINDS = ("near_top", "tall", "product", "clear")
+
+
+def _edge_matrix(kind, n, rng, p=None):
+    """(matrix, p) of one kind, for a size 1 <= n <= 40 and p drawn unless given:
+    - near_top: n x n, dense at p = 65521, every entry within 3 of p - 1;
+    - tall: n + 20 rows on at most 4 columns, at any of `_PRIMES`;
+    - product: n x (up to 30), a product of random factors of rank <= 5;
+    - clear: n x 2n, [row-shuffled I | two nonzeros per column] (one when
+      n = 1), whose pivot columns are already clear, so no update runs.
+    """
+    p = p or (65521 if kind == "near_top" else int(rng.choice(_PRIMES)))
+    if kind == "near_top":
+        return rng.integers(p - 3, p, size=(n, n)), p
+    if kind == "tall":
+        return rng.integers(0, p, size=(n + 20, rng.integers(1, 5))), p
+    if kind == "product":
+        k, cols = rng.integers(0, 6), rng.integers(0, 31)
+        return rng.integers(0, p, size=(n, k)) @ rng.integers(0, p, size=(k, cols)) % p, p
+    extra = np.zeros((n, n), dtype=np.int64)
+    for col in range(n):
+        hit = rng.choice(n, size=min(n, 2), replace=False)
+        extra[hit, col] = rng.integers(1, p, size=len(hit))
+    return np.hstack([np.eye(n, dtype=np.int64), extra])[rng.permutation(n)], p
 
 
 def _pivot_loop(mat):
@@ -361,6 +398,8 @@ def _reference_kernel(mat, p):
 
 @settings(max_examples=300, deadline=None)
 @given(_matrices())
+@example(_edge_matrix("near_top", 40, np.random.default_rng(40)))
+@example(_edge_matrix("clear", 40, np.random.default_rng(41)))
 def test_rref_matches_reference(case):
     mat, p = case
     before = mat.copy()
@@ -370,6 +409,17 @@ def test_rref_matches_reference(case):
     assert np.array_equal(mat, before)
     assert pivot_columns(out) == _pivot_loop(out)
     assert pivot_columns(mat) == _pivot_loop(mat)
+
+
+@pytest.mark.parametrize("p", (3, 65521))
+def test_rref_runs_no_update_where_pivot_columns_are_clear(p):
+    # Every pivot column of [row-shuffled I | two nonzeros per column] is
+    # already clear, so the echelon only swaps rows: no rank-1 update runs.
+    mat, _ = _edge_matrix("clear", 40, np.random.default_rng(p), p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf_module, "np", numpy_without("multiply"))
+        out = rref(mat, p)
+    assert np.array_equal(out, reference_rref(mat, p))
 
 
 @pytest.mark.parametrize("p", _PRIMES)

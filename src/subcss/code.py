@@ -278,7 +278,7 @@ class SubsystemCode:
         """A minimum-symplectic-weight element of (H + H^w) \\ H, if found.
 
         Always the symplectic search, CSS codes included, so the witness is
-        the first one in `_weight_batches` order over the p^2 - 1 site values.
+        the first one in `_weight_layout` order over the p^2 - 1 site values.
         """
         found = _coset_search(*self._checks, _site_values(self.p), self.p, budget)
         return unflatten(found[1], self.p) if found else None
@@ -370,7 +370,7 @@ def _budget(budget: int | None, n: int) -> int:
 def _coset_search(big_check: np.ndarray, small_check: np.ndarray, letters: np.ndarray, p: int,
                   budget: int | None = None) -> tuple[int, np.ndarray] | None:
     """(w, v): v is the first vector of big \\ small, each given by a check, in
-    `_weight_batches` order whose weight w is the least one up to `budget`
+    `_weight_layout` order whose weight w is the least one up to `budget`
     (default n, the sites of `letters`' layout; no vector is heavier); None if none.
 
     It lists syndromes, not vectors: a row of `_syndrome_batches` over the
@@ -389,8 +389,7 @@ def _coset_search(big_check: np.ndarray, small_check: np.ndarray, letters: np.nd
         for sites, tuples, syns in _syndrome_batches(table, w, p):
             hits = np.flatnonzero(~syns[:, :m].any(axis=1) & syns[:, m:].any(axis=1))
             if len(hits):
-                site_set, t = divmod(int(hits[0]), len(tuples))
-                return w, _spelled(letters, n, sites[site_set], tuples[t])
+                return w, _spelled(letters, n, sites, tuples, hits[:1])[0]
     return None
 
 
@@ -447,7 +446,7 @@ def _translator(p: int, m: int):
 
 def _letter_syndromes(check: np.ndarray, letters: np.ndarray, p: int) -> np.ndarray:
     """(n, L, m): entry [j, x] is the syndrome of letter x placed on site j, its
-    column i going to coordinate i*n + j (the `_weight_batches` layout).
+    column i going to coordinate i*n + j (the `_spelled` layout).
 
     Raises MemoryError, before building it, if it exceeds `_TABLE_BYTES`."""
     (m, cols), b = check.shape, letters.shape[1]
@@ -547,8 +546,7 @@ def _enumerated_leaders(
             slot = slot_of(syns)
             empty = slot >= 0
             empty[empty] = slots[slot[empty]] < 0
-            site_set, t = np.divmod(np.flatnonzero(empty), len(tuples))
-            rows = np.vstack([best, _spelled(letters, n, sites[site_set], tuples[t])])
+            rows = np.vstack([best, _spelled(letters, n, sites, tuples, np.flatnonzero(empty))])
             slot = np.concatenate([best_slot, slot[empty]])
             order = np.lexsort(np.vstack([rows.T[::-1], slot]))
             best_slot, first = np.unique(slot[order], return_index=True)
@@ -586,7 +584,12 @@ def _site_values(p: int) -> np.ndarray:
 
     Raises MemoryError, before listing them, if they exceed `_TABLE_BYTES`."""
     _check_table_bytes((2, p, p), f"the single-site value grid of p = {p}")
-    return np.indices((p, p), dtype=np.int64).reshape(2, -1).T[1:]
+    return _site_letters(np.arange(p * p - 1, dtype=np.int64), p)
+
+
+def _site_letters(index: np.ndarray, p: int) -> np.ndarray:
+    """Row t of `_site_values(p)`, (x, z) = divmod(t + 1, p), for each index t."""
+    return np.stack(divmod(index + 1, p), axis=-1)
 
 
 def _weight_layout(n_letters: int, n: int, w: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -609,32 +612,18 @@ def _weight_layout(n_letters: int, n: int, w: int) -> Iterator[tuple[np.ndarray,
             yield sites, np.arange(lo, min(lo + tuples_per_batch, per_sites), dtype=np.int64)
 
 
-def _spelled(letters: np.ndarray, n: int, sites: np.ndarray, tuples: np.ndarray) -> np.ndarray:
-    """The vectors, as rows of b*n entries, of the site sets `sites` (..., w)
-    carrying the letter tuples `tuples`, the two broadcast against each other:
-    column j of a letter placed on a site goes to coordinate j*n + site."""
+def _spelled(letters: np.ndarray, n: int, sites: np.ndarray, tuples: np.ndarray,
+             rows: np.ndarray) -> np.ndarray:
+    """The vectors at `rows` of the `_weight_layout` batch (sites, tuples), as
+    rows of b*n entries: row i is site set i // len(tuples) carrying tuple
+    i % len(tuples), column j of a letter on a site going to coordinate j*n + site."""
     n_letters, b = letters.shape
-    vals = letters[_grid_digits(tuples, n_letters, sites.shape[-1])]
-    cols = sites[..., None] + n * np.arange(b, dtype=np.int64)
-    shape = np.broadcast_shapes(vals.shape, cols.shape)[:-2]
-    out = np.zeros((prod(shape), b * n), dtype=np.int64)
-    out[np.arange(len(out)).reshape(*shape, 1, 1), cols] = vals
-    return out.reshape(*shape, b * n)
-
-
-def _weight_batches(letters: np.ndarray, n: int, w: int) -> Iterator[np.ndarray]:
-    """All vectors with exactly w nonzero sites, in batches of <= _BATCH_ROWS rows:
-    the `_weight_layout` batches, spelled.
-
-    `letters` is an (L, b) array of the nonzero single-site values; column
-    j of a letter placed on a site goes to coordinate j*n + site, so a row
-    has length b*n (the `flatten` layout when b = 2). Order: sites
-    lexicographic, then letters lexicographic. The searches list the same
-    batches as syndromes (`_syndrome_batches`); the sweep, the weight-2 basis
-    test and the references spell them.
-    """
-    for sites, tuples in _weight_layout(len(letters), n, w):
-        yield _spelled(letters, n, sites[:, None], tuples).reshape(-1, letters.shape[1] * n)
+    site_set, t = np.divmod(rows, len(tuples))
+    vals = letters[_grid_digits(tuples[t], n_letters, sites.shape[1])]
+    cols = sites[site_set, :, None] + n * np.arange(b, dtype=np.int64)
+    out = np.zeros((len(rows), b * n), dtype=np.int64)
+    out[np.arange(len(rows))[:, None, None], cols] = vals
+    return out
 
 
 def _syndrome_batches(
@@ -642,7 +631,8 @@ def _syndrome_batches(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(sites, tuples, syndromes) per `_weight_layout` batch of weight w, for a
     letter-syndrome table (n, L, M) of `_letter_syndromes`: row i of the
-    (rows, M) syndromes is that of the vector `_weight_batches` lists at row i.
+    (rows, M) syndromes is that of the vector `_spelled` at row i. No other code
+    lists a weight layer; the tests' reference `_weight_batches` spells them all.
 
     A vector's syndrome is the sum of its w letters' rows of the table, mod p.
     A batch sums by broadcasting over its site sets, S[s1][:, None] + S[s2] ...,

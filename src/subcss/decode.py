@@ -4,8 +4,10 @@ The quantum measurement step is abstracted to exact inner products: the
 X-side syndrome of an error (a, b) is the vector of dot products of a
 against a fixed basis of the Z-type stabilizer space, and symmetrically
 for the Z side. Classical decoding then identifies each error component
-up to the corresponding gauge code, via coset-leader lookup or
-weight-increasing search.
+up to the corresponding gauge code by coset-leader lookup, reading an error v
+only as [F; Z] v, syndrome then class: one product per side (`_products`) for a
+given or sampled error, summed letter syndromes (`code._syndrome_batches`) for
+a swept one, as in the distance searches.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from .code import (
     _coset_leaders,
     _enumerated_leaders,
     _field_letters,
+    _letter_syndromes,
+    _site_letters,
     _site_values,
-    _weight_batches,
+    _syndrome_batches,
 )
 from .gf import ROW_LIMIT, Subspace, _grid_index, fp_array, kernel, pivot_columns
 from .pauli import PauliVector
@@ -37,11 +41,6 @@ class InconsistentSyndrome(Exception):
 
 class NotWeightRespecting(Exception):
     """H_X admits no basis of weight-at-most-2 vectors."""
-
-
-def _in_kernel(batch: np.ndarray, check: np.ndarray, p: int) -> np.ndarray:
-    """Whether check @ v = 0 for each row v: v is in the space the check checks."""
-    return ~np.any(batch @ check.T % p, axis=1)
 
 
 class ClassicalCode:
@@ -146,18 +145,16 @@ class ClassicalCode:
 
     def _leaders(self, syns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, found): row i is syndrome i's coset leader if found[i], else zero."""
-        if not np.all(_in_kernel(syns, self._in_image, self.p)):
+        if np.any(syns @ self._in_image.T % self.p):
             raise InconsistentSyndrome("syndrome not in the image of the parity check")
         slot, leaders, _ = self._slots(syns)
         return leaders[slot].astype(np.int64), slot >= 0
 
-    def _lookup(self, errors: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """(codes, (slot, leaders)) for vectors in [0, p), as `_slots` gives them
-        for their syndromes; codes[i] indexes DecodeStatus: 0 if vector i minus
-        its leader lies in R, 1 if not, 2 if it has none. One product with [F; Z]
-        gives each syndrome, achievable by construction, and class."""
+    def _lookup(self, out: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """(codes, (slot, leaders)) for vectors v given as rows [F; Z] v in [0, p), as
+        `_slots` gives them for their syndromes, achievable by construction; codes[i]
+        indexes DecodeStatus: 0 if vector i minus its leader is in R, 1 if not, 2 if none."""
         m = self.f.shape[0]
-        out = errors @ self._trial_check.T % self.p
         slot, leaders, classes = self._slots(out[:, :m])
         codes = np.where(slot >= 0, np.any(out[:, m:] != classes[slot], axis=1), 2)
         return codes, (slot, leaders)
@@ -227,9 +224,19 @@ class DecodeOutcome:
     residual: PauliVector
 
 
-def _trials(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
-    """Decode the errors (ex[i], ez[i]) together: (status codes, the X side's
-    (slot, leaders), the Z side's), from one `_lookup` per side.
+def _products(split: CssSplit, e: np.ndarray) -> np.ndarray:
+    """Rows ([F; Z]_X a, [F; Z]_Z b) of errors (a, b) in [0, p): the one dense product."""
+    (x, z), n = (side._trial_check for side in _decoder_pair(split)), split.n
+    out = np.empty((len(e), len(x) + len(z)), dtype=np.int64)
+    np.matmul(e[:, :n], x.T, out=out[:, :len(x)])
+    np.matmul(e[:, n:], z.T, out=out[:, len(x):])
+    out %= split.p
+    return out
+
+
+def _trials(split: CssSplit, out: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
+    """Decode together the errors whose `_products` are the rows of out: (status
+    codes, the X side's (slot, leaders), the Z side's), one `_lookup` per side.
 
     A status code indexes DecodeStatus in declaration order, the worse side's:
     a side whose syndrome has no leader corrects nothing (slot -1, the zero
@@ -237,16 +244,16 @@ def _trials(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray
     side's residual leaves its gauge code.
     """
     x_side, z_side = _decoder_pair(split)
-    # The errors are already in [0, p), so their products need no `fp_array`.
-    (codes_x, x), (codes_z, z) = x_side._lookup(ex), z_side._lookup(ez)
+    m = len(x_side._trial_check)
+    (codes_x, x), (codes_z, z) = x_side._lookup(out[:, :m]), z_side._lookup(out[:, m:])
     return np.maximum(codes_x, codes_z), x, z
 
 
 def _recover(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, ...]:
     """Recover the errors (ex[i], ez[i]) together: (status codes, cx, cz), each
     correction the leader in the slot `_trials` read, zero where there is none."""
-    codes, (slot_x, leaders_x), (slot_z, leaders_z) = _trials(split, ex, ez)
-    return codes, leaders_x[slot_x].astype(np.int64), leaders_z[slot_z].astype(np.int64)
+    codes, (sx, lx), (sz, lz) = _trials(split, _products(split, np.hstack([ex, ez])))
+    return codes, lx[sx].astype(np.int64), lz[sz].astype(np.int64)
 
 
 def steane_recover(split: CssSplit, e: PauliVector) -> DecodeOutcome:
@@ -309,12 +316,15 @@ class ParDecoder:
 
 
 def respects_weight(h: Subspace) -> bool:
-    """Whether h is spanned by its weight-at-most-2 members."""
-    p, n, check, letters = h.p, h.ambient, h.complement().basis, _field_letters(h.p)
-    rows = [np.zeros((0, n), dtype=np.int64)]
-    for w in (1, 2):
-        rows.extend(batch[_in_kernel(batch, check, p)] for batch in _weight_batches(letters, n, w))
-    return Subspace.span(np.vstack(rows), p, n) == h
+    """Whether h is spanned by its weight-at-most-2 members: iff no column of
+    its check C, the canonical basis of h^theta, has two nonzero entries.
+
+    e_j is in h iff column c_j = 0, and a e_i + b e_j (a, b != 0) iff c_i, c_j
+    are nonzero and parallel, so those members span n - D dimensions, D the
+    directions of the nonzero columns: h respects weight iff D = rank C. C's
+    pivot columns are rank C distinct unit vectors, so that holds iff every
+    column is zero or a multiple of one of them. No vector is listed."""
+    return bool(np.all(np.count_nonzero(h.complement().basis, axis=0) <= 1))
 
 
 def par_decoder_build(split: CssSplit, side: str = "X") -> ParDecoder:
@@ -355,12 +365,11 @@ class MonteCarloReport:
 
 
 def _tally(split: CssSplit, chunks) -> TrialCounts:
-    """Decode every error in a stream of chunks of flattened errors and count
-    the statuses; no correction row is built."""
-    n = split.n
+    """Decode every error in a stream of chunks of their `_products` rows and
+    count the statuses; no correction row is built."""
     counts = np.zeros(len(DecodeStatus), dtype=np.int64)
-    for e in chunks:
-        counts += np.bincount(_trials(split, e[:, :n], e[:, n:])[0], minlength=len(DecodeStatus))
+    for out in chunks:
+        counts += np.bincount(_trials(split, out)[0], minlength=len(DecodeStatus))
     # TrialCounts lists the statuses in DecodeStatus order.
     return TrialCounts(int(counts.sum()), *(int(c) for c in counts))
 
@@ -378,8 +387,8 @@ def monte_carlo(split: CssSplit, q: float, trials: int, seed: int) -> MonteCarlo
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    counts = _tally(split, _sampled_errors(split, q, trials, seed))
-    return MonteCarloReport(q=q, seed=seed, counts=counts)
+    chunks = _sampled_errors(split, q, trials, seed)
+    return MonteCarloReport(q, seed, _tally(split, (_products(split, e) for e in chunks)))
 
 
 def _sampled_errors(split: CssSplit, q: float, trials: int, seed: int):
@@ -388,7 +397,7 @@ def _sampled_errors(split: CssSplit, q: float, trials: int, seed: int):
     A chunk draws one uniform u per site at once. The site is hit iff u < q;
     then u / q is uniform on [0, 1), so its letter is row
     t = min(floor(u / q * m), m - 1) of the m = p^2 - 1 in `_site_values(p)`,
-    computed, not listed, as (x, z) = divmod(t + 1, p). `Generator.random`
+    computed, not listed, by `_site_letters`. `Generator.random`
     fills the rows in order, so the samples do not depend on the chunk size.
     """
     n, p, m = split.n, split.p, split.p**2 - 1
@@ -399,19 +408,24 @@ def _sampled_errors(split: CssSplit, q: float, trials: int, seed: int):
         rows, sites = np.nonzero(u < q)
         t = np.minimum((u[rows, sites] / q * m).astype(np.int64), m - 1)
         chunk = np.zeros((len(u), 2 * n), dtype=np.int64)
-        chunk[rows, sites], chunk[rows, n + sites] = divmod(t + 1, p)
+        chunk[rows, sites], chunk[rows, n + sites] = _site_letters(t, p).T
         yield chunk
 
 
 def exhaustive_sweep(split: CssSplit, weight: int) -> TrialCounts:
     """Recover every Pauli error of symplectic weight exactly `weight`: the zero
     error at weight 0, which lists no letters; ValueError, before anything is
-    listed, above `gf.ROW_LIMIT` errors."""
+    listed, above `gf.ROW_LIMIT` errors. An error's `_products` are the sum of
+    its letters' syndromes under diag([F; Z]_X, [F; Z]_Z); none is spelled."""
     if weight < 0:
         raise ValueError(f"sweep weight must be >= 0, got {weight}")
     if weight == 0:
-        return _tally(split, [np.zeros((1, 2 * split.n), dtype=np.int64)])
+        return _tally(split, [_products(split, np.zeros((1, 2 * split.n), dtype=np.int64))])
     errors = comb(split.n, weight) * (split.p**2 - 1) ** weight
     if errors > ROW_LIMIT:
         raise ValueError(f"sweep of {errors} errors exceeds {ROW_LIMIT}")
-    return _tally(split, _weight_batches(_site_values(split.p), split.n, weight))
+    (x, z), n, p = (side._trial_check for side in _decoder_pair(split)), split.n, split.p
+    check = np.zeros((len(x) + len(z), 2 * n), dtype=np.int64)
+    check[: len(x), :n], check[len(x) :, n:] = x, z
+    table = _letter_syndromes(check, _site_values(p), p)
+    return _tally(split, (syns for _, _, syns in _syndrome_batches(table, weight, p)))

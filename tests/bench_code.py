@@ -3,9 +3,9 @@
 Times the code tower (`parameters()` of a fresh CSS and a fresh non-CSS
 code), the core of `double` on a fresh non-CSS code, the CSS distance route
 (the syndrome engine on Bacon-Shor 6, 7 and 10), the symplectic search it
-replaces on CSS codes, the weight-layer enumerator, the search's test of
-one batch by its summed letter syndromes, and the symplectic distance of the
-five-qudit code at p = 5.
+replaces on CSS codes, the weight-layer enumerator (`_syndrome_batches`), the
+search's test of one batch by its summed letter syndromes, and the symplectic
+distance of the five-qudit code at p = 5.
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
     PYTHONPATH=src python -m pytest tests/bench_code.py --benchmark-only
@@ -22,7 +22,6 @@ from subcss.code import (
     _letter_syndromes,
     _site_values,
     _syndrome_batches,
-    _weight_batches,
 )
 
 from conftest import five_qudit, record_rate, symplectic_distance
@@ -75,11 +74,13 @@ def test_symplectic_reference_bacon_shor4(benchmark):
     assert benchmark(symplectic_distance, code) == DistanceResult(4, True)
 
 
-def test_weight_batches_symplectic_p2_n25_w4(benchmark):
-    letters = _site_values(2)
+def test_syndrome_batches_symplectic_p2_n25_w4(benchmark):
+    # Every weight-4 vector on 25 sites over the 3 site values, listed as the
+    # summed letter syndromes of Bacon-Shor 5's two stacked checks.
+    table = _letter_syndromes(np.vstack(bacon_shor(5)._checks), _site_values(2), 2)
 
     def enumerate_layer():
-        return sum(batch.shape[0] for batch in _weight_batches(letters, 25, 4))
+        return sum(len(syns) for _, _, syns in _syndrome_batches(table, 4, 2))
 
     vectors = benchmark(enumerate_layer)
     assert vectors == comb(25, 4) * 3**4

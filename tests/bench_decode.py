@@ -1,10 +1,11 @@
 """Per-layer micro-benchmarks of decoding and subspace intersection on fixed inputs.
 
-Times the `Par` decoder build, coset-leader tables (alone on Bacon-Shor 5;
-with `d_r` on Bacon-Shor 7 and 10), the Monte-Carlo sampler alone, Monte-Carlo
-decode trials with warm decoders (table lookups on Bacon-Shor 4 and 10, and the
-batched leader fill with the table switched off), an exhaustive sweep of every
-weight-2 error of Bacon-Shor 4 with warm decoders, and `Subspace.intersect`.
+Times the `Par` decoder build and its weight-respect test, coset-leader tables
+(alone on Bacon-Shor 5; with `d_r` on Bacon-Shor 7 and 10), the Monte-Carlo
+sampler alone, Monte-Carlo decode trials with warm decoders (table lookups on
+Bacon-Shor 4 and 10, and the batched leader fill with the table switched off),
+an exhaustive sweep of every weight-2 error of Bacon-Shor 4 with warm decoders,
+and `Subspace.intersect`.
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -21,6 +22,7 @@ from subcss import (
     exhaustive_sweep,
     monte_carlo,
     par_decoder_build,
+    respects_weight,
 )
 from subcss.decode import _decoder_pair, _sampled_errors, make_css_decoder
 
@@ -31,6 +33,14 @@ def test_par_decoder_build_bacon_shor6(benchmark):
     split = bacon_shor(6).css_split()
     dec = benchmark(par_decoder_build, split, "X")
     assert dec.d_par == 6
+
+
+def test_respects_weight_bacon_shor10(benchmark):
+    # A fresh copy of H_X each round, so a round also builds its check, the
+    # complement that `par_decoder_build` would build.
+    h_x = bacon_shor(10).css_split().h_x
+    assert benchmark.pedantic(respects_weight, rounds=20,
+                              setup=lambda: ((Subspace(h_x.p, h_x.ambient, h_x.basis),), {}))
 
 
 def test_leader_table_bacon_shor5_x(benchmark):

@@ -18,7 +18,7 @@ from subcss import (
     kernel,
 )
 from subcss import code as code_module
-from subcss.code import _budget, _site_values, _weight_batches
+from subcss.code import _budget, _field_letters, _site_values, _spelled, _weight_layout
 from subcss.gf import _block_spaces, fp_array, rref
 from subcss.pauli import psi_subspace
 
@@ -67,6 +67,33 @@ def numpy_without(*names):
     for name in names:
         setattr(module, name, refusing(name))
     return module
+
+
+def _weight_batches(letters, n, w):
+    """All vectors with exactly w nonzero sites, in batches of <= `code._BATCH_ROWS`
+    rows: the `_weight_layout` batches, each row spelled (`_spelled`).
+
+    `letters` is an (L, b) array of the nonzero single-site values; column
+    j of a letter placed on a site goes to coordinate j*n + site, so a row
+    has length b*n (the `flatten` layout when b = 2). Order: sites
+    lexicographic, then letters lexicographic. The package lists the same
+    batches as syndromes (`code._syndrome_batches`); the references here
+    spell them.
+    """
+    for sites, tuples in _weight_layout(len(letters), n, w):
+        yield _spelled(letters, n, sites, tuples, np.arange(len(sites) * len(tuples)))
+
+
+def reference_respects_weight(h):
+    """Reference weight-respect test: every vector of weight 1 and 2 listed,
+    those in h kept, and h compared with their span. `decode.respects_weight`,
+    which reads the columns of h's check, must agree."""
+    p, n, check, letters = h.p, h.ambient, h.complement().basis, _field_letters(h.p)
+    rows = [np.zeros((0, n), dtype=np.int64)]
+    for w in (1, 2):
+        rows.extend(batch[~np.any(batch @ check.T % p, axis=1)]
+                    for batch in _weight_batches(letters, n, w))
+    return Subspace.span(np.vstack(rows), p, n) == h
 
 
 def reference_membership_checker(space):

@@ -35,14 +35,15 @@ from subcss.code import (
     _field_letters,
     _radical,
     _letter_syndromes,
+    _site_letters,
     _site_values,
     _syndrome_batches,
-    _weight_batches,
 )
 from subcss.decode import ClassicalCode
 from subcss.pauli import _psi_rows, flatten, omega_complement, psi_subspace, swt
 
 from conftest import (
+    _weight_batches,
     css_splits,
     five_qudit,
     gauge_codes,
@@ -338,6 +339,17 @@ def test_weight_batches_split_in_order(letters, n, w):
     assert np.array_equal(np.vstack(batches), _reference_layer(letters, n, w))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_site_letters_are_the_rows_of_the_site_values(p):
+    # One statement of the letter order: letter t is row t of `_site_values`,
+    # whatever the shape of the indices asked for.
+    values = _site_values(p)
+    assert values.shape == (p * p - 1, 2) and values.dtype == np.int64
+    assert np.array_equal(_site_letters(np.arange(p * p - 1), p), values)
+    picks = np.array([[p * p - 2, 0], [1, p]])
+    assert np.array_equal(_site_letters(picks, p), values[picks])
+
+
 def test_letter_tables_are_sized_before_they_are_built():
     # 65520 letters on 64 sites against 40 check rows: 1.25 GiB of int64
     # letter syndromes; 8209 is the least prime whose value grid passes 1 GiB.
@@ -444,14 +456,19 @@ def test_split_letter_tuples_find_the_reference_witness(code):
 
 def test_the_search_lists_syndromes_not_vectors(monkeypatch):
     # Neither the dense batches nor a product with a check: the summed letter
-    # syndromes alone, and the witness spelled from its sites and letters.
-    def refuse(*args, **kwargs):
-        raise AssertionError("a dense batch was built")
+    # syndromes alone, and only the witness spelled from its sites and letters.
+    spell, spelled = code_module._spelled, []
+
+    def counting(*args):
+        rows = spell(*args)
+        spelled.append(rows.size // rows.shape[-1])
+        return rows
 
     code = bacon_shor(3)
     expected = code.min_weight_logical()
-    monkeypatch.setattr(code_module, "_weight_batches", refuse)
+    monkeypatch.setattr(code_module, "_spelled", counting)
     assert code.min_weight_logical() == expected
+    assert spelled == [1]
     assert swt(expected) == 3
 
 

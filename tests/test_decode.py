@@ -41,14 +41,16 @@ from subcss.code import (
     _syndrome_batches,
     _syndrome_leaders,
 )
-from subcss.decode import _decoder_pair, _recover, _trials, make_css_decoder
+from subcss.decode import _decoder_pair, _products, _recover, _trials, make_css_decoder
 from subcss.gf import _grid_index
 
 from conftest import (
+    _weight_batches,
     brute_force_recover,
     css_splits,
     random_subspace,
     reference_enumerated_leaders,
+    reference_respects_weight,
     subspaces,
 )
 
@@ -146,8 +148,8 @@ def test_sweeps_list_no_letters_they_do_not_need(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("letters listed")
 
-    monkeypatch.setattr(decode_module, "_site_values", refuse)
-    monkeypatch.setattr(decode_module, "_weight_batches", refuse)
+    for name in ("_site_values", "_letter_syndromes", "_syndrome_batches"):
+        monkeypatch.setattr(decode_module, name, refuse)
     split = CssSplit(Subspace.zero(65521, 2), Subspace.zero(65521, 2))
     assert exhaustive_sweep(split, 0) == TrialCounts(1, 1, 0, 0)
     with pytest.raises(ValueError, match="sweep of 8586002880 errors exceeds 1048576"):
@@ -385,6 +387,33 @@ def test_syndrome_linearity_and_gauge_invariance(rng):
     assert np.array_equal(s.z_syn, sg.z_syn)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(css_splits(primes=(2, 3), max_n=4), css_splits(primes=(5,), max_n=3)),
+       st.booleans())
+@example(WEIGHT_ONE_GAUGE, False)
+def test_sweep_counts_match_brute_force(split, table):
+    # Every weight layer, swept from summed letter syndromes, against the
+    # statuses of brute-force recovery of each dense `_weight_batches` error;
+    # with the table switched off, each batch fills its own leaders. p = 5
+    # stops at n = 3: its 25^4 errors at n = 4 take brute force minutes.
+    assume(split.logical_x != split.h_x and split.logical_z != split.h_z)
+    p, n = split.p, split.n
+    with pytest.MonkeyPatch.context() as patch:
+        if not table:
+            patch.setattr(ClassicalCode, "_leader_table", None)
+        _decoder_pair.cache_clear()
+        try:
+            got = [exhaustive_sweep(split, w) for w in range(n + 1)]
+            assert all((side._leader_table is None) != table for side in _decoder_pair(split))
+        finally:
+            _decoder_pair.cache_clear()
+    for w, counts in enumerate(got):
+        errors = np.vstack(list(_weight_batches(_site_values(p), n, w)))
+        statuses = brute_force_recover(split, errors[:, :n], errors[:, n:])[0]
+        tally = [statuses.count(status) for status in DecodeStatus]
+        assert counts == TrialCounts(len(errors), *tally)
+
+
 @pytest.mark.parametrize("split", [BS3, BS4, DOUBLED], ids=["bs3", "bs4", "doubled"])
 def test_all_weight_one_errors_corrected(split):
     counts = exhaustive_sweep(split, 1)
@@ -460,7 +489,7 @@ def test_class_lookup_statuses_match_brute_force(split, table, seed):
         _decoder_pair.cache_clear()
         try:
             assert all((side._leader_table is None) != table for side in _decoder_pair(split))
-            codes = _trials(split, ex, ez)[0]
+            codes = _trials(split, _products(split, np.hstack([ex, ez])))[0]
         finally:
             _decoder_pair.cache_clear()
     assert [list(DecodeStatus)[c] for c in codes] == brute_force_recover(split, ex, ez)[0]
@@ -593,6 +622,46 @@ def test_respects_weight():
     assert respects_weight(BS4.h_z)
     assert respects_weight(Subspace.zero(2, 4))
     assert not respects_weight(Subspace.span([[1, 1, 1, 0]], 2, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)).flatmap(
+    lambda p: st.integers(1, 6).flatmap(lambda n: subspaces(p, n))))
+# Zero columns of the check: e_0 and e_2 lie in h.
+@example(Subspace.span([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 4]], 5, 4))
+# Parallel columns with different scalars: 3 e_0 - e_1 and 2 e_2 - e_3 in h.
+@example(Subspace.span([[1, 4, 0, 0], [0, 0, 1, 3]], 7, 4))
+@example(Subspace.span([[1, 2, 0], [0, 0, 1]], 3, 3))
+# The zero space and the full space.
+@example(Subspace.zero(7, 5))
+@example(Subspace.full(5, 6))
+@example(Subspace.zero(2, 1))
+@example(Subspace.full(3, 1))
+# A weight-3 generator, alone and beside weight-2 ones.
+@example(Subspace.span([[1, 2, 1, 0, 0]], 3, 5))
+@example(Subspace.span([[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]], 2, 5))
+@example(Subspace.span([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [1, 0, 0, 2, 3]], 5, 5))
+def test_respects_weight_matches_the_enumeration(h):
+    assert respects_weight(h) == reference_respects_weight(h)
+
+
+def test_respects_weight_lists_no_vector(monkeypatch):
+    # The check's columns alone: no weight layer, no spelled vector and no
+    # echelon, once h's complement is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vector was listed or echeloned")
+
+    spaces = [BS3.h_x, bacon_shor(10).css_split().h_x, Subspace.span([[1, 1, 1, 0]], 2, 4),
+              Subspace.full(3, 4), Subspace.zero(5, 3)]
+    expected = [reference_respects_weight(h) for h in spaces]
+    assert expected == [True, True, False, True, True]
+    for h in spaces:
+        h.complement()
+    for module, name in ((code_module, "_syndrome_batches"), (code_module, "_spelled"),
+                         (decode_module, "_syndrome_batches")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(Subspace, "span", classmethod(refuse))
+    assert [respects_weight(h) for h in spaces] == expected
 
 
 def test_par_decoder_bacon_shor4():

@@ -18,7 +18,7 @@ import pytest
 from subcss import CssSplit, Subspace, bacon_shor, monte_carlo
 from subcss import decode
 from subcss.code import _site_values
-from subcss.decode import _tally
+from subcss.decode import _products, _tally
 
 from conftest import qudit_bacon_shor, reference_sampled_errors
 
@@ -109,7 +109,8 @@ def test_failure_counts_match_the_reference_sampler(monkeypatch, sampler, split,
     trials = 10_000
     monkeypatch.setattr(decode, "_sampled_errors", sampler)
     got = monte_carlo(split, q, trials, seed=21).counts
-    ref = _tally(split, reference_sampled_errors(split, q, trials, 22))
+    chunks = reference_sampled_errors(split, q, trials, 22)
+    ref = _tally(split, (_products(split, e) for e in chunks))
     assert got.trials == ref.trials == trials
     for pick in (
         lambda c: c.logical_failures,

@@ -91,6 +91,25 @@ def test_private_helpers_are_imported_from_their_home():
     assert strays == []
 
 
+def test_private_helpers_are_used_by_the_package():
+    # A `_`-prefixed top-level function that no package module reads outside
+    # its own definition serves only the tests, so it belongs in conftest.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(subcss.__file__).parent.glob("*.py"))}
+
+    def read_names(node):
+        return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute))}
+
+    tops = [(module, node) for module, tree in trees.items() for node in tree.body]
+    helpers = [(module, node) for module, node in tops
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+    unused = [f"{module}: {node.name}" for module, node in helpers
+              if not any(node.name in read_names(other) for _, other in tops if other is not node)]
+    assert len(helpers) > 10
+    assert unused == []
+
+
 def test_micro_benchmarks_run_untimed():
     # Each benchmark runs once with timing off, so a bench that reads stats
     # that only a timed run has fails here rather than when someone times it.

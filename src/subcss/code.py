@@ -451,7 +451,8 @@ def _letter_syndromes(check: np.ndarray, letters: np.ndarray, p: int) -> np.ndar
     Raises MemoryError, before building it, if it exceeds `_TABLE_BYTES`."""
     (m, cols), b = check.shape, letters.shape[1]
     _check_table_bytes((cols // b, len(letters), m), "the letter-syndrome table")
-    return np.einsum("xb,mbj->jxm", letters, check.reshape(m, b, cols // b)) % p
+    # One (L, b) x (b, m) product per site, batched: fewer Python steps than an einsum.
+    return np.matmul(letters, check.reshape(m, b, cols // b).transpose(2, 1, 0)) % p
 
 
 def _syndrome_weights(
@@ -584,12 +585,12 @@ def _site_values(p: int) -> np.ndarray:
 
     Raises MemoryError, before listing them, if they exceed `_TABLE_BYTES`."""
     _check_table_bytes((2, p, p), f"the single-site value grid of p = {p}")
-    return _site_letters(np.arange(p * p - 1, dtype=np.int64), p)
+    return np.stack(_site_letters(np.arange(p * p - 1, dtype=np.int64), p), axis=1)
 
 
-def _site_letters(index: np.ndarray, p: int) -> np.ndarray:
-    """Row t of `_site_values(p)`, (x, z) = divmod(t + 1, p), for each index t."""
-    return np.stack(divmod(index + 1, p), axis=-1)
+def _site_letters(index: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) of row t of `_site_values(p)` for each index t: divmod(t + 1, p)."""
+    return divmod(index + 1, p)
 
 
 def _weight_layout(n_letters: int, n: int, w: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -408,7 +408,7 @@ def _sampled_errors(split: CssSplit, q: float, trials: int, seed: int):
         rows, sites = np.nonzero(u < q)
         t = np.minimum((u[rows, sites] / q * m).astype(np.int64), m - 1)
         chunk = np.zeros((len(u), 2 * n), dtype=np.int64)
-        chunk[rows, sites], chunk[rows, n + sites] = _site_letters(t, p).T
+        chunk[rows, sites], chunk[rows, n + sites] = _site_letters(t, p)
         yield chunk
 
 

@@ -451,7 +451,7 @@ def _letter_syndromes(check: np.ndarray, letters: np.ndarray, p: int) -> np.ndar
     Raises MemoryError, before building it, if it exceeds `_TABLE_BYTES`."""
     (m, cols), b = check.shape, letters.shape[1]
     _check_table_bytes((cols // b, len(letters), m), "the letter-syndrome table")
-    # One (L, b) x (b, m) product per site, batched: fewer Python steps than an einsum.
+    # One batched (L, b) x (b, m) product per site: an einsum costs more per call on small tables.
     return np.matmul(letters, check.reshape(m, b, cols // b).transpose(2, 1, 0)) % p
 
 

@@ -4,10 +4,9 @@ The quantum measurement step is abstracted to exact inner products: the
 X-side syndrome of an error (a, b) is the vector of dot products of a
 against a fixed basis of the Z-type stabilizer space, and symmetrically
 for the Z side. Classical decoding then identifies each error component
-up to the corresponding gauge code by coset-leader lookup, reading an error v
-only as [F; Z] v, syndrome then class: one product per side (`_products`) for a
-given or sampled error, summed letter syndromes (`code._syndrome_batches`) for
-a swept one, as in the distance searches.
+up to the corresponding gauge code by coset-leader lookup. It reads an error v
+only as [F; Z] v: one product (`_products`), or for a swept error the sum of
+its letters' rows, as the distance searches list them (`code._syndrome_batches`).
 """
 
 from __future__ import annotations
@@ -230,8 +229,7 @@ def _products(split: CssSplit, e: np.ndarray) -> np.ndarray:
     out = np.empty((len(e), len(x) + len(z)), dtype=np.int64)
     np.matmul(e[:, :n], x.T, out=out[:, :len(x)])
     np.matmul(e[:, n:], z.T, out=out[:, len(x):])
-    out %= split.p
-    return out
+    return np.remainder(out, split.p, out=out)
 
 
 def _trials(split: CssSplit, out: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
@@ -316,14 +314,9 @@ class ParDecoder:
 
 
 def respects_weight(h: Subspace) -> bool:
-    """Whether h is spanned by its weight-at-most-2 members: iff no column of
-    its check C, the canonical basis of h^theta, has two nonzero entries.
-
-    e_j is in h iff column c_j = 0, and a e_i + b e_j (a, b != 0) iff c_i, c_j
-    are nonzero and parallel, so those members span n - D dimensions, D the
-    directions of the nonzero columns: h respects weight iff D = rank C. C's
-    pivot columns are rank C distinct unit vectors, so that holds iff every
-    column is zero or a multiple of one of them. No vector is listed."""
+    """Whether h is spanned by its weight-at-most-2 members: iff no column of its
+    canonical check, the RREF basis of h^theta, has two nonzero entries (the
+    README's recovery notes prove it). No vector is listed."""
     return bool(np.all(np.count_nonzero(h.complement().basis, axis=0) <= 1))
 
 

@@ -395,7 +395,7 @@ def test_sweep_counts_match_brute_force(split, table):
     # Every weight layer, swept from summed letter syndromes, against the
     # statuses of brute-force recovery of each dense `_weight_batches` error;
     # with the table switched off, each batch fills its own leaders. p = 5
-    # stops at n = 3: its 25^4 errors at n = 4 take brute force minutes.
+    # stops at n = 3: its 25^4 errors at n = 4 take the brute force seconds.
     assume(split.logical_x != split.h_x and split.logical_z != split.h_z)
     p, n = split.p, split.n
     with pytest.MonkeyPatch.context() as patch:
@@ -629,7 +629,8 @@ def test_respects_weight():
     lambda p: st.integers(1, 6).flatmap(lambda n: subspaces(p, n))))
 # Zero columns of the check: e_0 and e_2 lie in h.
 @example(Subspace.span([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 4]], 5, 4))
-# Parallel columns with different scalars: 3 e_0 - e_1 and 2 e_2 - e_3 in h.
+# Parallel columns with different scalars: the check's columns 1 and 3 are 5
+# and 2 times its columns 0 and 2.
 @example(Subspace.span([[1, 4, 0, 0], [0, 0, 1, 3]], 7, 4))
 @example(Subspace.span([[1, 2, 0], [0, 0, 1]], 3, 3))
 # The zero space and the full space.

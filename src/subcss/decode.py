@@ -5,8 +5,9 @@ X-side syndrome of an error (a, b) is the vector of dot products of a
 against a fixed basis of the Z-type stabilizer space, and symmetrically
 for the Z side. Classical decoding then identifies each error component
 up to the corresponding gauge code by coset-leader lookup. It reads an error v
-only as [F; Z] v: one product (`_products`), or for a swept error the sum of
-its letters' rows, as the distance searches list them (`code._syndrome_batches`).
+only as [F; Z] v: for a sampled or given error the sum of its hit sites'
+columns (`_hit_products`), for a swept error the sum of its letters' rows, as
+the distance searches list them (`code._syndrome_batches`).
 """
 
 from __future__ import annotations
@@ -63,10 +64,7 @@ class ClassicalCode:
         if np.any(r.basis @ f.T % r.p):
             raise ValueError("redundant subcode must lie inside the kernel of the parity check")
         f.setflags(write=False)
-        self.r = r
-        self.f = f
-        self.p = r.p
-        self.n = r.ambient
+        self.r, self.f, self.p, self.n = r, f, r.p, r.ambient
 
     @cached_property
     def k(self) -> Subspace:
@@ -102,7 +100,7 @@ class ClassicalCode:
 
     @cached_property
     def _trial_check(self) -> np.ndarray:
-        """[F; Z]: one product gives a vector's syndrome, then its class."""
+        """[F; Z]: its column j gives a hit on site j's syndrome, then its class."""
         return np.vstack([self.f, self._class_rows])
 
     def _closed(self, leaders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,9 +158,7 @@ class ClassicalCode:
 
     def decode_coset(self, syn) -> np.ndarray | None:
         """Minimum-weight vector v with F v = syn and wt(v) < d_R/2, else None.
-
-        Raises InconsistentSyndrome if the syndrome is not achievable.
-        """
+        Raises InconsistentSyndrome if the syndrome is not achievable."""
         syn = fp_array(syn, self.p)
         if syn.shape != (self.f.shape[0],):
             raise ValueError("syndrome has the wrong length")
@@ -204,10 +200,22 @@ def syndrome_of(split: CssSplit, e: PauliVector) -> Syndrome:
     return Syndrome(x_syn=x_side.syndrome(e.x), z_syn=z_side.syndrome(e.z))
 
 
+class _DecoderPair(tuple):
+    """A split's (X side, Z side) decoders and what its errors read of both."""
+
+    @cached_property
+    def letter_table(self) -> np.ndarray:
+        """The sweeps' `_letter_syndromes` of diag([F; Z]_X, [F; Z]_Z), built on first use."""
+        (x, z), n, p = (side._trial_check for side in self), self[0].n, self[0].p
+        check = np.zeros((len(x) + len(z), 2 * n), dtype=np.int64)
+        check[: len(x), :n], check[len(x) :, n:] = x, z
+        return _letter_syndromes(check, _site_values(p), p)
+
+
 @lru_cache(maxsize=32)
-def _decoder_pair(split: CssSplit) -> tuple[ClassicalCode, ClassicalCode]:
+def _decoder_pair(split: CssSplit) -> _DecoderPair:
     """The decoders of a split, shared by every split equal to it in value."""
-    return make_css_decoder(split)
+    return _DecoderPair(make_css_decoder(split))
 
 
 class DecodeStatus(enum.Enum):
@@ -223,24 +231,29 @@ class DecodeOutcome:
     residual: PauliVector
 
 
-def _products(split: CssSplit, e: np.ndarray) -> np.ndarray:
-    """Rows ([F; Z]_X a, [F; Z]_Z b) of errors (a, b) in [0, p): the one dense product."""
-    (x, z), n = (side._trial_check for side in _decoder_pair(split)), split.n
-    out = np.empty((len(e), len(x) + len(z)), dtype=np.int64)
-    np.matmul(e[:, :n], x.T, out=out[:, :len(x)])
-    np.matmul(e[:, n:], z.T, out=out[:, len(x):])
-    return np.remainder(out, split.p, out=out)
+def _hit_products(split: CssSplit, rows, sites, x, z) -> tuple[np.ndarray, np.ndarray]:
+    """(hit rows, their `_trials` rows) of errors given by hits: letter (x[i], z[i])
+    on site sites[i] of row rows[i], rows sorted. A row's products sum x C_X[site] and
+    z C_Z[site] over its hits, C_X[j] column j of [F; Z]_X, by one `reduceat`: a term
+    is below (p - 1)^2 < 2^32 and a row has at most n < 2^31, so no int64 sum wraps."""
+    c_x, c_z = (side._trial_check for side in _decoder_pair(split))
+    # One term per hit and check row: numpy's loops then run along the hits.
+    terms = np.empty((len(c_x) + len(c_z), len(rows)), dtype=np.int64)
+    np.multiply(c_x.take(sites, axis=1), x, out=terms[: len(c_x)])
+    np.multiply(c_z.take(sites, axis=1), z, out=terms[len(c_x) :])
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    out = np.add.reduceat(terms, starts, axis=1)
+    # out mod p for out >= 0: numpy divides by a scalar faster than it takes %.
+    out -= out // split.p * split.p
+    return rows[starts], out.T
 
 
 def _trials(split: CssSplit, out: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
-    """Decode together the errors whose `_products` are the rows of out: (status
-    codes, the X side's (slot, leaders), the Z side's), one `_lookup` per side.
-
-    A status code indexes DecodeStatus in declaration order, the worse side's:
-    a side whose syndrome has no leader corrects nothing (slot -1, the zero
-    row), and the error is out of range; else it is a logical failure if a
-    side's residual leaves its gauge code.
-    """
+    """Decode together the errors whose [F; Z] products are the rows of out: (status
+    codes, the X side's (slot, leaders), the Z side's), one `_lookup` per side. A
+    status code indexes DecodeStatus in declaration order, the worse side's: a side
+    whose syndrome has no leader corrects nothing (slot -1, the zero row), and the
+    error is out of range; else it fails if a side's residual leaves its gauge code."""
     x_side, z_side = _decoder_pair(split)
     m = len(x_side._trial_check)
     (codes_x, x), (codes_z, z) = x_side._lookup(out[:, :m]), z_side._lookup(out[:, m:])
@@ -248,20 +261,23 @@ def _trials(split: CssSplit, out: np.ndarray) -> tuple[np.ndarray, tuple, tuple]
 
 
 def _recover(split: CssSplit, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Recover the errors (ex[i], ez[i]) together: (status codes, cx, cz), each
-    correction the leader in the slot `_trials` read, zero where there is none."""
-    codes, (sx, lx), (sz, lz) = _trials(split, _products(split, np.hstack([ex, ez])))
-    return codes, lx[sx].astype(np.int64), lz[sz].astype(np.int64)
+    """Recover the errors (ex[i], ez[i]) together: (status codes, cx, cz). Only the
+    errors with a hit, a nonzero site, are looked up, each corrected by the leader in
+    the slot `_trials` read, zero where there is none; the rest are corrected by zero."""
+    rows, sites = divmod(np.flatnonzero((ex != 0) | (ez != 0)), ex.shape[1])
+    rows, out = _hit_products(split, rows, sites, ex[rows, sites], ez[rows, sites])
+    codes, cx, cz = np.zeros(len(ex), dtype=np.int64), np.zeros_like(ex), np.zeros_like(ez)
+    codes[rows], (sx, lx), (sz, lz) = _trials(split, out)
+    cx[rows], cz[rows] = lx[sx], lz[sz]
+    return codes, cx, cz
 
 
 def steane_recover(split: CssSplit, e: PauliVector) -> DecodeOutcome:
     """Full recovery cycle: syndromes, independent X/Z decoding, and each
-    residual's logical class against its correction's.
-
-    Guaranteed corrected-up-to-gauge whenever each error component has a
-    coset representative of weight below half the respective distance;
-    in particular whenever swt(e) < d/2.
-    """
+    residual's logical class against its correction's. Guaranteed
+    corrected-up-to-gauge whenever each error component has a coset
+    representative of weight below half the respective distance; in
+    particular whenever swt(e) < d/2."""
     _check_error(split, e)
     codes, cx, cz = _recover(split, e.x[None], e.z[None])
     correction = PauliVector(split.p, cx[0], cz[0])
@@ -283,10 +299,7 @@ class ParDecoder:
     def __init__(self, h: Subspace, syn_matrix: np.ndarray):
         p, n = h.p, h.ambient
         self.sigma0 = tuple(np.delete(np.arange(n), pivot_columns(h.basis)).tolist())
-        self.h = h
-        self.p = p
-        self.n = n
-        self.f = syn_matrix
+        self.h, self.p, self.n, self.f = h, p, n, syn_matrix
         self.par_matrix = syn_matrix[:, self.sigma0]
         # The quotient code ker(par_matrix), decoded up to its zero subcode.
         self._quotient = ClassicalCode(self.par_matrix, Subspace.zero(p, len(self.sigma0)))
@@ -295,16 +308,13 @@ class ParDecoder:
 
     def coset_weight(self, a) -> int:
         """Weight of a + H in the standard-basis quotient."""
-        residue = self.h.reduce(a)
-        return int(np.count_nonzero(residue))
+        return int(np.count_nonzero(self.h.reduce(a)))
 
     def decode(self, syn) -> np.ndarray | None:
-        """Coset representative of a + H (supported on sigma0) from the syndrome.
-
-        The quotient vector of least weight, then lexicographically least,
-        with this syndrome, if its weight is below d_par / 2; else None.
-        Raises InconsistentSyndrome on unachievable input.
-        """
+        """Coset representative of a + H (supported on sigma0) from the syndrome:
+        the quotient vector of least weight, then lexicographically least, with
+        this syndrome, if its weight is below d_par / 2; else None. Raises
+        InconsistentSyndrome on unachievable input."""
         u = self._quotient.decode_coset(syn)
         if u is None:
             return None
@@ -321,11 +331,8 @@ def respects_weight(h: Subspace) -> bool:
 
 
 def par_decoder_build(split: CssSplit, side: str = "X") -> ParDecoder:
-    """Build the quotient decoder for one side of a CSS split.
-
-    Raises NotWeightRespecting when the gauge code on that side has no
-    weight-at-most-2 basis.
-    """
+    """Build the quotient decoder for one side of a CSS split. Raises
+    NotWeightRespecting when the gauge code on that side has no weight-<=2 basis."""
     if side not in ("X", "Z"):
         raise ValueError("side must be 'X' or 'Z'")
     h, checks = (split.h_x, split.stab_z) if side == "X" else (split.h_z, split.stab_x)
@@ -353,72 +360,65 @@ class MonteCarloReport:
 
     @property
     def failure_rate(self) -> float:
-        bad = self.counts.logical_failures + self.counts.out_of_range
-        return bad / self.counts.trials
+        return (self.counts.logical_failures + self.counts.out_of_range) / self.counts.trials
 
 
-def _tally(split: CssSplit, chunks) -> TrialCounts:
-    """Decode every error in a stream of chunks of their `_products` rows and
-    count the statuses; no correction row is built."""
+def _tally(split: CssSplit, chunks, trials: int) -> TrialCounts:
+    """Count the statuses of `trials` errors, decoding those whose `_trials` rows
+    come in chunks; no correction row is built. The rest are hitless: syndrome 0,
+    whose leader is the zero row of class 0, so corrected with no lookup."""
+    for side in _decoder_pair(split):
+        side.d_r  # raises NoLogicalOperators, as any lookup would, if nothing is to decode
     counts = np.zeros(len(DecodeStatus), dtype=np.int64)
     for out in chunks:
-        counts += np.bincount(_trials(split, out)[0], minlength=len(DecodeStatus))
+        if len(out):
+            counts += np.bincount(_trials(split, out)[0], minlength=len(DecodeStatus))
+    counts[0] += trials - counts.sum()
     # TrialCounts lists the statuses in DecodeStatus order.
-    return TrialCounts(int(counts.sum()), *(int(c) for c in counts))
+    return TrialCounts(trials, *(int(c) for c in counts))
 
 
 def monte_carlo(split: CssSplit, q: float, trials: int, seed: int) -> MonteCarloReport:
-    """Sample i.i.d. site-wise errors and tally recovery statuses.
-
-    Each site is independently nontrivial with probability q, uniform
-    over the p^2 - 1 nontrivial single-site values; one uniform draw per
-    site decides both (`_sampled_errors`), so a seed fixes the counts.
-    """
+    """Sample i.i.d. site-wise errors and tally recovery statuses. Each site is
+    independently nontrivial with probability q, uniform over the p^2 - 1 nontrivial
+    single-site values; one uniform draw per site decides both (`_sampled_errors`),
+    so a seed fixes the counts. Only trials with a hit are summed and looked up."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"error probability q must be in [0, 1], got {q}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    chunks = _sampled_errors(split, q, trials, seed)
-    return MonteCarloReport(q, seed, _tally(split, (_products(split, e) for e in chunks)))
+    chunks = (_hit_products(split, *hits)[1] for hits in _sampled_errors(split, q, trials, seed))
+    return MonteCarloReport(q, seed, _tally(split, chunks, trials))
 
 
 def _sampled_errors(split: CssSplit, q: float, trials: int, seed: int):
-    """Flattened sampled errors in chunks of <= _BATCH_ROWS rows.
-
-    A chunk draws one uniform u per site at once. The site is hit iff u < q;
-    then u / q is uniform on [0, 1), so its letter is row
-    t = min(floor(u / q * m), m - 1) of the m = p^2 - 1 in `_site_values(p)`,
-    computed, not listed, by `_site_letters`. `Generator.random`
-    fills the rows in order, so the samples do not depend on the chunk size.
-    """
+    """The hits (rows, sites, x, z) of sampled errors in chunks of <= _BATCH_ROWS
+    trials: letter (x[i], z[i]) on site sites[i] of trial rows[i], rows sorted. A
+    chunk draws one uniform u per site at once. The site is hit iff u < q; then
+    u / q is uniform on [0, 1), so its letter is row t = min(floor(u / q * m), m - 1)
+    of the m = p^2 - 1 in `_site_values(p)`, computed, not listed, by `_site_letters`.
+    `Generator.random` fills the rows in order: no sample depends on the chunk size."""
     n, p, m = split.n, split.p, split.p**2 - 1
     rng = np.random.default_rng(seed)
     for lo in range(0, trials, _code._BATCH_ROWS):
-        u = rng.random((min(_code._BATCH_ROWS, trials - lo), n))
+        u = rng.random((min(_code._BATCH_ROWS, trials - lo), n)).ravel()
         # Letters only at the hit sites, so q = 0 divides nothing.
-        rows, sites = np.nonzero(u < q)
-        t = np.minimum((u[rows, sites] / q * m).astype(np.int64), m - 1)
-        chunk = np.zeros((len(u), 2 * n), dtype=np.int64)
-        chunk[rows, sites], chunk[rows, n + sites] = _site_letters(t, p)
-        yield chunk
+        hit = np.flatnonzero(u < q)
+        (rows, sites), t = divmod(hit, n), np.minimum((u[hit] / q * m).astype(np.int64), m - 1)
+        yield rows + lo, sites, *_site_letters(t, p)
 
 
 def exhaustive_sweep(split: CssSplit, weight: int) -> TrialCounts:
     """Recover every Pauli error of symplectic weight exactly `weight`: the zero
-    error at weight 0, which lists no letters; ValueError, before anything is
-    listed, above `gf.ROW_LIMIT` errors. An error's `_products` are the sum of
-    its letters' syndromes under diag([F; Z]_X, [F; Z]_Z); none is spelled."""
+    error at weight 0, hitless, so no letter is listed; ValueError, before anything
+    is listed, above `gf.ROW_LIMIT` errors. An error's [F; Z] products are the
+    sum of its letters' rows of the pair's `letter_table`; none is spelled."""
     if weight < 0:
         raise ValueError(f"sweep weight must be >= 0, got {weight}")
-    if weight == 0:
-        return _tally(split, [_products(split, np.zeros((1, 2 * split.n), dtype=np.int64))])
     errors = comb(split.n, weight) * (split.p**2 - 1) ** weight
     if errors > ROW_LIMIT:
         raise ValueError(f"sweep of {errors} errors exceeds {ROW_LIMIT}")
-    (x, z), n, p = (side._trial_check for side in _decoder_pair(split)), split.n, split.p
-    check = np.zeros((len(x) + len(z), 2 * n), dtype=np.int64)
-    check[: len(x), :n], check[len(x) :, n:] = x, z
-    table = _letter_syndromes(check, _site_values(p), p)
-    return _tally(split, (syns for _, _, syns in _syndrome_batches(table, weight, p)))
+    layer = _syndrome_batches(_decoder_pair(split).letter_table, weight, split.p) if weight else ()
+    return _tally(split, (syns for *_, syns in layer), errors)

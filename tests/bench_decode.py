@@ -2,8 +2,9 @@
 
 Times the `Par` decoder build and its weight-respect test, coset-leader tables
 (alone on Bacon-Shor 5; with `d_r` on Bacon-Shor 7 and 10), the Monte-Carlo
-sampler alone, Monte-Carlo decode trials with warm decoders (table lookups on
-Bacon-Shor 4 and 10, and the batched leader fill with the table switched off),
+sampler alone (its hits), Monte-Carlo decode trials with warm decoders (table
+lookups on Bacon-Shor 4 and 10, the batched leader fill with the table switched
+off, and mostly hitless trials at q = 0.01 on the 4 x 4 qutrit Bacon-Shor code),
 an exhaustive sweep of every weight-2 error of Bacon-Shor 4 with warm decoders,
 and `Subspace.intersect`.
 
@@ -11,6 +12,8 @@ Not part of the test suite (the file name does not match `test_*.py`). Run:
 
     PYTHONPATH=src python -m pytest tests/bench_decode.py --benchmark-only
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from subcss import (
 )
 from subcss.decode import _decoder_pair, _sampled_errors, make_css_decoder
 
-from conftest import record_rate
+from conftest import qudit_bacon_shor, record_rate
 
 
 def test_par_decoder_build_bacon_shor6(benchmark):
@@ -75,11 +78,11 @@ def test_d_r_and_leader_table_bacon_shor_x(benchmark, l):
     assert d_r == l and slots.size == 2 ** (l - 1)
 
 
-def _decode_trials(benchmark, split, trials):
+def _decode_trials(benchmark, split, trials, q=0.05):
     # Warm decoders: the leader table (if any) and both d_R are built before timing.
     for side in _decoder_pair(split):
         side.d_r, side._leader_table
-    report = benchmark(monte_carlo, split, 0.05, trials, 3)
+    report = benchmark(monte_carlo, split, q, trials, 3)
     assert report.counts.trials == trials
     record_rate(benchmark, "trials_per_s", trials)
 
@@ -92,14 +95,21 @@ def test_monte_carlo_bacon_shor10(benchmark):
     _decode_trials(benchmark, bacon_shor(10).css_split(), 20_000)
 
 
+def test_monte_carlo_low_q_qutrit_bacon_shor4(benchmark):
+    # q = 0.01 on 16 qutrits: 85% of the trials are hitless, tallied with no lookup.
+    _decode_trials(benchmark, qudit_bacon_shor(3, 4).css_split(), 5000, q=0.01)
+
+
 def test_sampler_bacon_shor10(benchmark):
-    # The errors of 20,000 trials on 100 sites, drawn but not decoded.
-    split, trials = bacon_shor(10).css_split(), 20_000
+    # The hits of 20,000 trials on 100 sites, drawn but not decoded.
+    split, trials, q = bacon_shor(10).css_split(), 20_000, 0.05
 
     def draw():
-        return sum(len(chunk) for chunk in _sampled_errors(split, 0.05, trials, 3))
+        return sum(len(rows) for rows, *_ in _sampled_errors(split, q, trials, 3))
 
-    assert benchmark(draw) == trials
+    # Each of the trials * n sites is hit with probability q: within 5 standard deviations.
+    mean = trials * split.n * q
+    assert abs(benchmark(draw) - mean) <= 5 * math.sqrt(mean * (1 - q))
     record_rate(benchmark, "trials_per_s", trials)
 
 

@@ -19,6 +19,7 @@ from subcss import (
 )
 from subcss import code as code_module
 from subcss.code import _budget, _field_letters, _site_values, _spelled, _weight_layout
+from subcss.decode import make_css_decoder
 from subcss.gf import _block_spaces, fp_array, rref
 from subcss.pauli import psi_subspace
 
@@ -399,6 +400,28 @@ def reference_sampled_errors(split, q, trials, seed):
             if hit.size:
                 row[hit], row[n + hit] = vals[rng.integers(0, len(vals), size=hit.size)].T
         yield chunk
+
+
+def reference_products(split, e):
+    """The rows ([F; Z]_X a, [F; Z]_Z b) of dense errors e = (a, b), one product
+    per side mod p; the package sums them from the errors' hits instead."""
+    sides, n = make_css_decoder(split), split.n
+    x, z = (np.vstack([side.f, side._class_rows]) for side in sides)
+    return np.hstack([e[:, :n] @ x.T % split.p, e[:, n:] @ z.T % split.p])
+
+
+def error_hits(e, n):
+    """The hits (rows, sites, x, z) of dense errors e = (a, b): their nonzero sites."""
+    rows, sites = divmod(np.flatnonzero((e[:, :n] != 0) | (e[:, n:] != 0)), n)
+    return rows, sites, e[rows, sites], e[rows, n + sites]
+
+
+def dense_errors(chunks, trials, n):
+    """The (trials, 2n) errors (a, b) whose hits (rows, sites, x, z) come in chunks."""
+    e = np.zeros((trials, 2 * n), dtype=np.int64)
+    for rows, sites, x, z in chunks:
+        e[rows, sites], e[rows, n + sites] = x, z
+    return e
 
 
 def record_rate(benchmark, key, count):

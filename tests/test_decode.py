@@ -37,19 +37,30 @@ from subcss.code import (
     DistanceResult,
     _enumerated_leaders,
     _field_letters,
+    _letter_syndromes,
     _site_values,
     _syndrome_batches,
     _syndrome_leaders,
 )
-from subcss.decode import _decoder_pair, _products, _recover, _trials, make_css_decoder
+from subcss.decode import (
+    _decoder_pair,
+    _hit_products,
+    _recover,
+    _tally,
+    _trials,
+    make_css_decoder,
+)
 from subcss.gf import _grid_index
 
 from conftest import (
     _weight_batches,
     brute_force_recover,
     css_splits,
+    dense_errors,
+    error_hits,
     random_subspace,
     reference_enumerated_leaders,
+    reference_products,
     reference_respects_weight,
     subspaces,
 )
@@ -479,8 +490,8 @@ def test_batch_recovery_matches_brute_force(split, table):
 @example(BS3, True, 0)
 @example(BS3, False, 0)
 def test_class_lookup_statuses_match_brute_force(split, table, seed):
-    # One batch of errors; the leaders' classes come from the table, or, with
-    # the table switched off, from the batch's own enumerated leaders.
+    # One batch of errors, summed from their hits; the leaders' classes come from
+    # the table, or, with the table switched off, from the batch's own leaders.
     assume(split.logical_x != split.h_x and split.logical_z != split.h_z)
     ex, ez = np.random.default_rng(seed).integers(0, split.p, size=(2, 150, split.n))
     with pytest.MonkeyPatch.context() as patch:
@@ -489,10 +500,15 @@ def test_class_lookup_statuses_match_brute_force(split, table, seed):
         _decoder_pair.cache_clear()
         try:
             assert all((side._leader_table is None) != table for side in _decoder_pair(split))
-            codes = _trials(split, _products(split, np.hstack([ex, ez])))[0]
+            rows, out = _hit_products(split, *error_hits(np.hstack([ex, ez]), split.n))
+            codes = _trials(split, out)[0]
         finally:
             _decoder_pair.cache_clear()
-    assert [list(DecodeStatus)[c] for c in codes] == brute_force_recover(split, ex, ez)[0]
+    statuses = brute_force_recover(split, ex, ez)[0]
+    assert [list(DecodeStatus)[c] for c in codes] == [statuses[i] for i in rows]
+    # A hitless error is never looked up: brute force corrects it too.
+    hitless = np.setdiff1d(np.arange(len(ex)), rows)
+    assert all(statuses[i] is DecodeStatus.CORRECTED for i in hitless)
 
 
 @settings(max_examples=80, deadline=None)
@@ -552,6 +568,76 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(code_module, "_BATCH_ROWS", 7)
     assert counts() == expected
     _decoder_pair.cache_clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=5), st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+       st.integers(0, 2**32 - 1))
+@example(BS3, 0.3, 0)
+def test_monte_carlo_matches_the_dense_product(split, q, seed):
+    # The sampler's draws, densified: one dense product per side and a lookup of
+    # every trial, hitless or not, give the counts that the hits give. Chunks of
+    # 7 trials split the hit rows across chunks; a code with nothing to decode
+    # raises on both paths, whatever the draws.
+    trials = 40
+
+    def outcome(counts):
+        try:
+            return counts()
+        except NoLogicalOperators:
+            return None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(code_module, "_BATCH_ROWS", 7)
+        got = outcome(lambda: monte_carlo(split, q, trials, seed).counts)
+        hits = decode_module._sampled_errors(split, q, trials, seed)
+        errors = dense_errors(hits, trials, split.n)
+    want = outcome(lambda: _tally(split, [reference_products(split, errors)], trials))
+    assert got == want
+    assert (got is None) == (split.logical_x == split.h_x)
+
+
+def test_hitless_trials_are_not_looked_up(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a hitless trial was looked up")
+
+    monkeypatch.setattr(decode_module, "_trials", refuse)
+    assert monte_carlo(BS3, 0.0, 500, seed=1).counts == TrialCounts(500, 500, 0, 0)
+    assert exhaustive_sweep(BS3, 0) == TrialCounts(1, 1, 0, 0)
+    # No logical operators: nothing to decode, hits or none.
+    full = Subspace.span(np.eye(3, dtype=np.int64), 2, 3)
+    with pytest.raises(NoLogicalOperators):
+        monte_carlo(CssSplit(full, full), 0.0, 5, seed=0)
+
+
+def test_zero_error_is_corrected_by_zero():
+    for split in (BS3, _qutrit_bacon_shor3(), DOUBLED):
+        zero = PauliVector(split.p, [0] * split.n, [0] * split.n)
+        out = steane_recover(split, zero)
+        assert out.status is DecodeStatus.CORRECTED
+        assert out.correction == zero and out.residual == zero
+
+
+def test_sweeps_build_one_letter_table_per_decoder_pair(monkeypatch):
+    # The table is the pair's, built by the first sweep of weight >= 1 and no sooner.
+    expected = [exhaustive_sweep(BS4, w) for w in (1, 2, 3)]
+    builds = []
+
+    def counting(*args):
+        builds.append(args[0].shape)
+        return _letter_syndromes(*args)
+
+    monkeypatch.setattr(decode_module, "_letter_syndromes", counting)
+    _decoder_pair.cache_clear()
+    try:
+        monte_carlo(BS4, 0.05, 300, seed=7)
+        exhaustive_sweep(BS4, 0)
+        assert builds == []
+        assert [exhaustive_sweep(BS4, w) for w in (1, 2, 3)] == expected
+    finally:
+        _decoder_pair.cache_clear()
+    # diag([F; Z]_X, [F; Z]_Z): 3 checks and 1 class row per side, 16 sites per side.
+    assert builds == [(8, 32)]
 
 
 def test_monte_carlo_deterministic():

@@ -1,8 +1,9 @@
 """The Monte-Carlo sampler, checked in distribution against fixed bounds.
 
-Every test runs on the package's sampler (`decode._sampled_errors`) and on
-`reference_sampled_errors`, the one-trial-at-a-time sampler of earlier
-versions. The two draw different streams from one seed, so they are held
+Every test runs on the package's sampler (`decode._sampled_errors`), which
+yields each chunk's hits, and on `reference_sampled_errors`, the
+one-trial-at-a-time sampler of earlier versions, its dense chunks read as
+hits. The two draw different streams from one seed, so they are held
 to the same laws, not to the same samples: per-site hit rate q, letters
 uniform over the p^2 - 1 nontrivial single-site values, and Monte-Carlo
 failure counts within binomial bounds of each other. Seeds are fixed, and
@@ -18,13 +19,23 @@ import pytest
 from subcss import CssSplit, Subspace, bacon_shor, monte_carlo
 from subcss import decode
 from subcss.code import _site_values
-from subcss.decode import _products, _tally
+from subcss.decode import _hit_products, _tally
 
-from conftest import qudit_bacon_shor, reference_sampled_errors
+from conftest import dense_errors, error_hits, qudit_bacon_shor, reference_sampled_errors
+
+
+def reference_hits(split, q, trials, seed):
+    """The hits of `reference_sampled_errors`' chunks, rows counted from the first trial."""
+    lo = 0
+    for chunk in reference_sampled_errors(split, q, trials, seed):
+        rows, *letters = error_hits(chunk, split.n)
+        yield rows + lo, *letters
+        lo += len(chunk)
+
 
 SAMPLERS = [
     pytest.param(decode._sampled_errors, id="package"),
-    pytest.param(reference_sampled_errors, id="reference"),
+    pytest.param(reference_hits, id="reference"),
 ]
 
 # Binomial counts pass within Z standard deviations of their mean.
@@ -32,9 +43,9 @@ Z = 5.0
 
 
 def _sample(sampler, p, n, q, trials, seed):
-    """The sampler's errors on n sites at prime p, as one (trials, 2n) array."""
+    """The sampler's errors on n sites at prime p, its hits densified to one (trials, 2n) array."""
     split = CssSplit(Subspace.zero(p, n), Subspace.zero(p, n))
-    return np.vstack(list(sampler(split, q, trials, seed)))
+    return dense_errors(sampler(split, q, trials, seed), trials, n)
 
 
 def _hits(e, n):
@@ -109,8 +120,8 @@ def test_failure_counts_match_the_reference_sampler(monkeypatch, sampler, split,
     trials = 10_000
     monkeypatch.setattr(decode, "_sampled_errors", sampler)
     got = monte_carlo(split, q, trials, seed=21).counts
-    chunks = reference_sampled_errors(split, q, trials, 22)
-    ref = _tally(split, (_products(split, e) for e in chunks))
+    chunks = reference_hits(split, q, trials, 22)
+    ref = _tally(split, (_hit_products(split, *hits)[1] for hits in chunks), trials)
     assert got.trials == ref.trials == trials
     for pick in (
         lambda c: c.logical_failures,

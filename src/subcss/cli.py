@@ -3,7 +3,8 @@
 Reports are line-oriented ``key = value`` text; numeric results carry
 their computation mode (exact, search-bounded, or sampled). Exit codes:
 0 success, 2 rejected input (parse error or invalid value), 3 infeasible
-request, including one that runs out of memory.
+request, including one that runs out of memory. Calls of `main` in one
+process share the codes they load (`_load_code`).
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ import argparse
 import functools
 import math
 import sys
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 
 from . import codefile, decode, gf, goursat, states
-from .code import DistanceResult, NoLogicalOperators, SubsystemCode, css_distances
+from .code import CssSplit, DistanceResult, NoLogicalOperators, SubsystemCode, css_distances
 from .codefile import CodeFileError, _format_rows
 from .double import delta
+from .gf import Subspace
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -29,12 +32,98 @@ class InfeasibleRequest(Exception):
     pass
 
 
+# The bytes of loaded codes that `main` keeps between calls (`_Session`).
+_SESSION_BYTES = 64 * 2**20
+
+_SessionInfo = namedtuple("_SessionInfo", "hits misses codes bytes")
+
+
+def _code_bytes(code: SubsystemCode) -> int:
+    """The nbytes of the arrays a code holds: its gauge basis and those of the
+    Subspace, CssSplit and tuple values cached in its `__dict__`, and in
+    theirs, each counted once (`delta` links a space and its complement)."""
+    holders = {np.ndarray, tuple, SubsystemCode, Subspace, CssSplit}
+    seen, total, stack = set(), 0, [code]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if type(obj) is np.ndarray:
+            total += obj.nbytes
+            continue
+        items = obj if type(obj) is tuple else vars(obj).values()
+        stack += [item for item in items if type(item) in holders]
+        if type(obj) is Subspace:
+            stack.append(obj.basis)
+    return total
+
+
+class _Session:
+    """The codes `main` has loaded, least recently used first, each with its
+    weight: `_code_bytes`, plus the text of a code file, which keys it. A code
+    is weighed after each request that used it (`settle`), with every space
+    that request cached on it. One heavier than `_SESSION_BYTES` is served
+    but not held, and the least recently used go until the rest fit."""
+
+    def __init__(self):
+        self._codes = OrderedDict()  # key -> (code, bytes)
+        self._used = {}  # key -> code, for the codes loaded since the last settle
+        self.hits = self.misses = 0
+
+    def load(self, key, build) -> SubsystemCode:
+        """The code held under `key`, or else `build()`'s."""
+        entry = self._codes.get(key)
+        if entry is None:
+            self.misses += 1
+            code = build()
+        else:
+            self.hits += 1
+            code = entry[0]
+        self._used[key] = code
+        return code
+
+    def settle(self) -> None:
+        """Hold the codes loaded since the last settle, as most recently used,
+        at their weights now."""
+        used, self._used = self._used, {}
+        for key, code in used.items():
+            self._codes.pop(key, None)
+            weight = _code_bytes(code) + (sys.getsizeof(key) if isinstance(key, str) else 0)
+            if weight <= _SESSION_BYTES:
+                self._codes[key] = code, weight
+        while self.cache_info().bytes > _SESSION_BYTES:
+            self._codes.popitem(last=False)
+
+    def cache_info(self) -> _SessionInfo:
+        held = sum(weight for _, weight in self._codes.values())
+        return _SessionInfo(self.hits, self.misses, len(self._codes), held)
+
+    def cache_clear(self) -> None:
+        self._codes.clear()
+        self._used.clear()
+        self.hits = self.misses = 0
+
+
+_session = _Session()
+
+
 def _load_code(spec: str, args) -> SubsystemCode:
-    """A builtin with its options, or a code file, which takes none."""
+    """A builtin with its options, or a code file, which takes none.
+
+    Each is loaded once per process (`_session`): a builtin is keyed by its
+    name and all its options, given or defaulted, and a code file by its
+    text, so a rewritten file is parsed again. Every answer is read off the
+    gauge group alone, and a code caches its spaces as it computes them, so
+    a held code gives the same reports as a fresh one, only sooner. Loads
+    that fail are not held."""
     params = {key: getattr(args, key, None) for key in ("l", "n", "p", "dim", "seed")}
     params = {key: val for key, val in params.items() if val is not None}
     if spec.startswith("builtin:"):
-        return codefile.builtin_code(spec.split(":", 1)[1], **params)
+        name = spec.split(":", 1)[1]
+        options = codefile._builtin_options(name, params)
+        key = (name, tuple(options.items()))
+        return _session.load(key, lambda: codefile.builtin_code(name, **options))
     if params:
         raise ValueError(f"code files take no builtin options (got {', '.join(params)})")
     try:
@@ -42,8 +131,7 @@ def _load_code(spec: str, args) -> SubsystemCode:
             text = fh.read()
     except OSError as exc:
         raise CodeFileError(0, f"cannot read {spec}: {exc}") from exc
-    code, _ = codefile.parse_code_file(text)
-    return code
+    return _session.load(text, lambda: codefile.parse_code_file(text)[0])
 
 
 def _write_out(path: str, text: str) -> None:
@@ -341,6 +429,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        _session.settle()
 
 
 if __name__ == "__main__":

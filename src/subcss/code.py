@@ -306,9 +306,10 @@ def _radical(h: Subspace) -> Subspace:
 def _block_product(a: Subspace, b: Subspace) -> Subspace:
     """A x B <= F_p^{2n}, spanned by the block-diagonal [[A, 0], [0, B]]; two
     canonical bases on disjoint blocks already form its canonical basis."""
-    x, z = a.basis, b.basis
-    mat = np.block([[x, np.zeros_like(x)], [np.zeros_like(z), z]])
-    return Subspace(a.p, 2 * a.ambient, mat)
+    x, z, n = a.basis, b.basis, a.ambient
+    mat = np.zeros((len(x) + len(z), 2 * n), dtype=np.int64)
+    mat[: len(x), :n], mat[len(x) :, n:] = x, z
+    return Subspace(a.p, 2 * n, mat)
 
 
 def css_distances(split: CssSplit, budget: int | None = None) -> tuple[

@@ -176,15 +176,22 @@ _BUILTINS = {
 }
 
 
-def builtin_code(name: str, **params) -> SubsystemCode:
-    """Dispatch for ``builtin:<name>`` code specs; an option the builtin does
-    not take is a ValueError, not silently dropped."""
+def _builtin_options(name: str, params: dict) -> dict[str, int]:
+    """Every option of builtin `name`, given or defaulted; an unknown builtin,
+    or an option the builtin does not take, is a ValueError."""
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin code {name!r}")
-    build, defaults = _BUILTINS[name]
+    defaults = _BUILTINS[name][1]
     unknown = [key for key in params if key not in defaults]
     if unknown:
         takes = ", ".join(defaults) or "no options"
         raise ValueError(f"builtin code {name!r} does not take {', '.join(unknown)} "
                          f"(it takes {takes})")
-    return build(**{key: int(params.get(key, default)) for key, default in defaults.items()})
+    return {key: int(params.get(key, default)) for key, default in defaults.items()}
+
+
+def builtin_code(name: str, **params) -> SubsystemCode:
+    """Dispatch for ``builtin:<name>`` code specs; an option the builtin does
+    not take is a ValueError, not silently dropped."""
+    options = _builtin_options(name, params)
+    return _BUILTINS[name][0](**options)

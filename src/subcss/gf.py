@@ -297,9 +297,12 @@ class Subspace:
         (`_block_spaces`).
         """
         self._check_compatible(other)
-        a, b = self.basis, other.basis
-        red = rref(np.block([[a, a], [b, np.zeros_like(b)]]), self.p)
-        return _block_spaces(red, self.ambient, self.p)
+        a, b, m = self.basis, other.basis, self.ambient
+        stacked = np.zeros((len(a) + len(b), 2 * m), dtype=np.int64)
+        stacked[: len(a), :m] = stacked[: len(a), m:] = a
+        stacked[len(a) :, :m] = b
+        red = rref(stacked, self.p)
+        return _block_spaces(red, m, self.p)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """A cap B: the second half of `sum_and_intersection`."""

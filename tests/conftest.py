@@ -17,6 +17,7 @@ from subcss import (
     SubsystemCode,
     kernel,
 )
+from subcss import cli, decode
 from subcss import code as code_module
 from subcss.code import _budget, _field_letters, _site_values, _spelled, _weight_layout
 from subcss.decode import make_css_decoder
@@ -454,6 +455,15 @@ def css_splits(draw, primes, max_n):
     p = draw(st.sampled_from(primes))
     n = draw(st.integers(1, max_n))
     return CssSplit(draw(subspaces(p, n)), draw(subspaces(p, n)))
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    """Each test starts with no code held by `cli.main`'s session and no
+    decoder pair held by `decode`, so a test that patches a layer (`np`,
+    `_TABLE_BYTES`, `_leader_table`) runs it whichever test loaded a code first."""
+    cli._session.cache_clear()
+    decode._decoder_pair.cache_clear()
 
 
 @pytest.fixture

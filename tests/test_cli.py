@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, formats, and the exit-code contract."""
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -522,3 +523,179 @@ def test_one_parser_serves_every_call(capsys):
     assert shared == fresh
     assert shared[0][0] == 2 and "usage:" in shared[0][2]
     assert all(rc == 0 for rc, _, _ in shared[1:])
+
+
+def _outcome(capsys, argv, out=None):
+    """(rc, stdout, stderr, the `--out` file's text or None) of one request;
+    the file is removed, so the next request writes it afresh."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    written = None
+    if out is not None and out.exists():
+        written = out.read_text()
+        out.unlink()
+    return rc, captured.out, captured.err, written
+
+
+def _held():
+    """The session's keys, least recently used first, with their weights."""
+    return {key: weight for key, (_, weight) in cli._session._codes.items()}
+
+
+def _bacon_shor_key(l):
+    return "bacon_shor", (("l", l),)
+
+
+def test_held_codes_answer_as_fresh_ones(tmp_path, capsys):
+    # The same mixed requests give the same rc, stdout, stderr and `--out`
+    # file whether each loads its code afresh or the session holds it.
+    path = tmp_path / "bs3_p3.code"
+    path.write_text(emit_code_file(qudit_bacon_shor(3, 3)))
+    out = tmp_path / "out.code"
+    bs3, five, rnd = (["builtin:bacon_shor", "--l", "3"], ["builtin:five_qubit"],
+                      ["builtin:random", "--p", "3", "--n", "6", "--dim", "5", "--seed", "2"])
+    requests = [
+        ["info", *bs3], ["distance", *bs3, "--budget", "1"],
+        ["double", *bs3, "--out", str(out)], ["goursat", *bs3], ["classify", *bs3],
+        ["decode", *bs3, "--q", "0.05", "--trials", "50"],
+        ["decode", *bs3, "--exhaustive-weight", "2"], ["codewords", *bs3, "--dense"],
+        ["gen", "bacon_shor", "--l", "3"], ["info", *five], ["distance", *five],
+        ["double", *five, "--format", "pauli"], ["goursat", *five], ["classify", *five],
+        ["decode", *five], ["codewords", *five],
+        ["info", str(path)], ["distance", str(path), "--budget", "2"],
+        ["double", str(path), "--budget", "1", "--out", str(out)], ["goursat", str(path)],
+        ["classify", str(path)], ["codewords", str(path)],
+        ["decode", str(path), "--trials", "20", "--seed", "3"],
+        ["info", str(path), "--l", "3"], ["info", "builtin:bacon_shor", "--l", "1"],
+        ["info", "--budget", "x", *bs3], ["codewords", "builtin:bacon_shor", "--l", "6"],
+        ["decode", "builtin:random", "--p", "2", "--n", "2", "--dim", "3", "--code-seed", "1",
+         "--trials", "5"],
+        ["info", *rnd], ["double", *rnd, "--out", str(out)], ["goursat", *rnd],
+        ["classify", *rnd], ["gen", "random", "--p", "3", "--n", "6", "--dim", "5", "--seed", "2"],
+    ]
+    requests += requests[::-1]
+    shared = [_outcome(capsys, argv, out) for argv in requests]
+    info = cli._session.cache_info()
+    fresh = []
+    for argv in requests:
+        cli._session.cache_clear()
+        decode._decoder_pair.cache_clear()
+        fresh.append(_outcome(capsys, argv, out))
+    assert shared == fresh
+    assert {rc for rc, *_ in shared} == {0, 2, 3}
+    assert info.hits > info.misses > 0
+    assert all(written is not None for argv, (_, _, _, written) in zip(requests, shared)
+               if "--out" in argv)
+
+
+def test_builtins_are_held_by_their_resolved_options(capsys):
+    reports = [_outcome(capsys, ["info", "builtin:bacon_shor", "--l", str(l)]) for l in (3, 4)]
+    assert reports[0] != reports[1]
+    assert list(_held()) == [_bacon_shor_key(3), _bacon_shor_key(4)]
+    # No --l is the default l = 3: the same code, held once.
+    assert _outcome(capsys, ["info", "builtin:bacon_shor"]) == reports[0]
+    assert cli._session.cache_info()[:3] == (1, 2, 2)
+    for seed in (1, 2):
+        _outcome(capsys, ["info", "builtin:random", "--p", "3", "--n", "4", "--seed", str(seed)])
+    held = cli._session._codes
+    assert cli._session.cache_info()[:3] == (1, 4, 4)
+    first, second = (held["random", (("p", 3), ("n", 4), ("dim", 4), ("seed", seed))][0]
+                     for seed in (1, 2))
+    assert first != second
+
+
+def test_a_rewritten_file_is_loaded_again(tmp_path, capsys):
+    path = tmp_path / "code.code"
+    path.write_text(emit_code_file(bacon_shor(3)))
+    assert "n = 9 (exact)" in _outcome(capsys, ["info", str(path)])[1]
+    path.write_text(emit_code_file(bacon_shor(4)))
+    rc, out, _, _ = _outcome(capsys, ["info", str(path)])
+    assert rc == 0 and "n = 16 (exact)" in out
+    assert cli._session.cache_info()[:3] == (0, 2, 2)
+
+
+def test_failed_loads_are_not_held(tmp_path, capsys):
+    bad = tmp_path / "bad.code"
+    bad.write_text("p=2 n=2 format=pauli\nXQ\n")
+    for argv in (["info", str(bad)], ["info", str(bad)], ["info", "builtin:bacon_shor", "--l", "1"],
+                 ["info", "builtin:steane"], ["info", "builtin:five_qubit", "--l", "3"]):
+        assert _outcome(capsys, argv)[0] == 2
+    assert cli._session.cache_info() == (0, 3, 0, 0)
+    bad.write_text("p=2 n=2 format=pauli\nXX\n")
+    assert _outcome(capsys, ["info", str(bad)])[0] == 0
+    assert cli._session.cache_info()[1:3] == (4, 1)
+
+
+def test_least_recently_used_codes_are_evicted_first(capsys, monkeypatch):
+    def request(l):
+        outcome = _outcome(capsys, ["info", "builtin:bacon_shor", "--l", str(l), "--budget", "1"])
+        assert outcome == expected[l]
+        assert sum(_held().values()) == cli._session.cache_info().bytes <= cli._SESSION_BYTES
+        return [key[1][0][1] for key in _held()]
+
+    expected = {l: _outcome(capsys, ["info", "builtin:bacon_shor", "--l", str(l), "--budget", "1"])
+                for l in (3, 4, 5)}
+    w = {l: _held()[_bacon_shor_key(l)] for l in (3, 4, 5)}
+    assert 0 < w[3] < w[4] < w[5]
+
+    # Any two fit, three do not.
+    cli._session.cache_clear()
+    monkeypatch.setattr(cli, "_SESSION_BYTES", w[4] + w[5])
+    assert [request(l) for l in (3, 4, 3, 5, 4)] == [[3], [3, 4], [4, 3], [3, 5], [5, 4]]
+
+    # A code heavier than the bound is served but not held, and evicts nothing.
+    cli._session.cache_clear()
+    monkeypatch.setattr(cli, "_SESSION_BYTES", w[4])
+    assert [request(l) for l in (3, 5, 3, 4, 5)] == [[3], [3], [3], [4], [4]]
+    assert cli._session.cache_info()[:2] == (1, 4)
+
+
+def _reference_bytes(code):
+    """The nbytes of every distinct array reachable from the code through
+    `__dict__` values, tuples and Subspace bases, each array counted once."""
+    arrays, seen = {}, set()
+
+    def visit(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays[id(obj)] = obj.nbytes
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                visit(item)
+        elif hasattr(obj, "__dict__"):
+            if isinstance(obj, Subspace):
+                visit(obj.basis)
+            for value in vars(obj).values():
+                visit(value)
+
+    visit(code)
+    return sum(arrays.values())
+
+
+def test_held_weights_are_measured_after_each_request(tmp_path, capsys):
+    path = tmp_path / "five2.code"
+    path.write_text(emit_code_file(cli.delta(cli.codefile.five_qubit()).result))
+    out = tmp_path / "out.code"
+    commands = [["info"], ["distance"], ["goursat"], ["classify"], ["double", "--out", str(out)],
+                ["decode", "--trials", "20"], ["codewords"]]
+    specs = [["builtin:bacon_shor", "--l", "3"], ["builtin:five_qubit"], [str(path)]]
+    weights = {}
+    for command in commands:
+        for spec in specs:
+            _outcome(capsys, [command[0], *spec, *command[1:]], out)
+            for key, (code, weight) in cli._session._codes.items():
+                text = sys.getsizeof(key) if isinstance(key, str) else 0
+                assert weight == _reference_bytes(code) + text
+                assert weight >= weights.get(key, 0)
+                weights[key] = weight
+    _outcome(capsys, ["gen", "bacon_shor", "--l", "3"])
+    assert _held()[_bacon_shor_key(3)] == weights[_bacon_shor_key(3)]
+    # `double` on a CSS code links its gauge and the gauge's complement.
+    bs3 = cli._session._codes[_bacon_shor_key(3)][0]
+    assert bs3.gauge.__dict__["_complement"].__dict__["_complement"] is bs3.gauge
+    assert weights[_bacon_shor_key(3)] > 4 * bs3.gauge.basis.nbytes

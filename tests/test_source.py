@@ -115,7 +115,7 @@ def test_micro_benchmarks_run_untimed():
     # that only a timed run has fails here rather than when someone times it.
     tests = Path(__file__).parent
     benches = sorted(str(path) for path in tests.glob("bench_*.py"))
-    assert len(benches) == 4
+    assert len(benches) == 5
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable",
          *benches],

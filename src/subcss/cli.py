@@ -40,9 +40,10 @@ _SessionInfo = namedtuple("_SessionInfo", "hits misses codes bytes")
 
 def _code_bytes(code: SubsystemCode) -> int:
     """The nbytes of the arrays a code holds: its gauge basis and those of the
-    Subspace, CssSplit and tuple values cached in its `__dict__`, and in
-    theirs, each counted once (`delta` links a space and its complement)."""
-    holders = {np.ndarray, tuple, SubsystemCode, Subspace, CssSplit}
+    Subspace, CssSplit, GoursatData and tuple values cached in its `__dict__`,
+    and in theirs, each counted once (`delta` links a space and its
+    complement). Its distance records and stabilizer class hold no array."""
+    holders = {np.ndarray, tuple, SubsystemCode, Subspace, CssSplit, goursat.GoursatData}
     seen, total, stack = set(), 0, [code]
     while stack:
         obj = stack.pop()
@@ -115,8 +116,10 @@ def _load_code(spec: str, args) -> SubsystemCode:
     name and all its options, given or defaulted, and a code file by its
     text, so a rewritten file is parsed again. Every answer is read off the
     gauge group alone, and a code caches its spaces as it computes them, so
-    a held code gives the same reports as a fresh one, only sooner. Loads
-    that fail are not held."""
+    a held code gives the same reports as a fresh one, only sooner. It also
+    keeps what its requests learnt: its distance records (`code._recorded`),
+    which answer a later budget with no second search, its Goursat data and
+    its stabilizer class. Loads that fail are not held."""
     params = {key: getattr(args, key, None) for key in ("l", "n", "p", "dim", "seed")}
     params = {key: val for key, val in params.items() if val is not None}
     if spec.startswith("builtin:"):

@@ -107,6 +107,19 @@ class CssSplit:
         """L_Z = H_Z + H_X^theta = S_X^theta: the Z-type logical space."""
         return self.stab_x.complement()
 
+    def _side_distance(self, side: str, budget: int | None = None) -> DistanceResult:
+        """d_X = min wt(L_X \\ H_X) (side "x") or d_Z (side "z") under `budget`: a
+        Hamming-weight `_coset_distance` with the checks the split holds,
+        L_X^theta = S_Z and L_Z^theta = S_X, answered by the side's record
+        where that decides the budget (`_recorded`)."""
+        def search(budget):
+            big, check, small = ((self.logical_x, self.stab_z, self.h_x) if side == "x"
+                                 else (self.logical_z, self.stab_x, self.h_z))
+            return _coset_distance(big, check.basis, small.complement().basis,
+                                   _field_letters(self.p), budget)
+
+        return _recorded(self, f"_{side}_distance", self.n, budget, search)
+
 
 class SubsystemCode:
     """Immutable code object with lazily memoized tower and parameters."""
@@ -269,10 +282,19 @@ class SubsystemCode:
         its exactness are the symplectic search's for every budget, 0
         included. Both sides raise NoLogicalOperators together, since
         dim L_X - dim H_X = dim L_Z - dim H_Z = k.
+
+        Each distance is searched for once per object that owns it: a CSS
+        code's two sides on its split, any other code's on the code itself
+        (`_recorded`). A later budget the record decides is answered from it,
+        exactly as a fresh search would answer it.
         """
         if self.is_css():
             return css_distances(self.css_split(), budget)[2]
-        return _coset_distance(self.centralizer, *self._checks, _site_values(self.p), budget)
+
+        def search(budget):
+            return _coset_distance(self.centralizer, *self._checks, _site_values(self.p), budget)
+
+        return _recorded(self, "_symplectic_distance", self.n, budget, search)
 
     def min_weight_logical(self, budget: int | None = None) -> PauliVector | None:
         """A minimum-symplectic-weight element of (H + H^w) \\ H, if found.
@@ -320,13 +342,34 @@ def css_distances(split: CssSplit, budget: int | None = None) -> tuple[
 
     d is exact when either side is: an exact side value v <= budget lies
     below the other side's bound budget + 1.
+
+    Each side is searched for once per split (`CssSplit._side_distance`):
+    the split records what its searches found, and a later budget that the
+    record decides, on this call or a decoder's d_R, is answered from it.
     """
-    letters = _field_letters(split.p)
-    x_checks = split.stab_z.basis, split.h_x.complement().basis
-    d_x = _coset_distance(split.logical_x, *x_checks, letters, budget)
-    z_checks = split.stab_x.basis, split.h_z.complement().basis
-    d_z = _coset_distance(split.logical_z, *z_checks, letters, budget)
+    d_x, d_z = split._side_distance("x", budget), split._side_distance("z", budget)
     return d_x, d_z, DistanceResult(min(d_x.value, d_z.value), d_x.exact or d_z.exact)
+
+
+def _recorded(owner, name: str, n: int, budget: int | None, search) -> DistanceResult:
+    """`search(budget)`, a fresh `_coset_distance` of n sites, answered by the
+    record `owner.__dict__[name]` of that problem where the record decides the
+    budget. A fresh search answers (d, exact) if d <= budget, else the bound
+    (budget + 1, bounded): it reads only the true d and the budget. So the
+    record is the last such answer, exact or a bound; an exact d decides every
+    budget, a bound b + 1 every budget below it. Any other budget searches, and
+    its answer, an exact d or a greater bound, replaces the record.
+
+    Only an answer is recorded: a k = 0 problem (NoLogicalOperators), a
+    MemoryError or a negative budget (ValueError; with a record k > 0, so a
+    fresh search would raise it as well) raises on every call."""
+    known = owner.__dict__.get(name)
+    if known is not None:
+        budget = _budget(budget, n)
+        if known.exact or budget < known.value:
+            return known if known.value <= budget else DistanceResult(budget + 1, False)
+    found = owner.__dict__[name] = search(budget)
+    return found
 
 
 def _coset_distance(big: Subspace, big_check: np.ndarray, small_check: np.ndarray,

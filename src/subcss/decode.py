@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import comb
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from . import code as _code
 from .code import (
     CssSplit,
+    DistanceResult,
     _coset_distance,
     _coset_leaders,
     _enumerated_leaders,
@@ -73,11 +74,17 @@ class ClassicalCode:
 
     @cached_property
     def d_r(self) -> int:
-        """min wt(K \\ R), exact (`_coset_distance` to full length): a search
-        over the low weights, and the syndrome space of R past them where
-        that is cheaper. K = ker F, so F is K's check, dependent rows and all."""
+        """min wt(K \\ R), exact (`_distance` to full length), read on first use."""
+        return self._distance().value
+
+    def _distance(self) -> DistanceResult:
+        """min wt(K \\ R) by `_coset_distance`: a search over the low weights,
+        and the syndrome space of R past them where that is cheaper. K = ker F,
+        so F is K's check, dependent rows and all. A CSS side's is the same
+        problem as its split's side distance, d_X or d_Z, so `make_css_decoder`
+        replaces it by the split's recorded one (`CssSplit._side_distance`)."""
         checks = self.f, self.r.complement().basis
-        return _coset_distance(self.k, *checks, _field_letters(self.p)).value
+        return _coset_distance(self.k, *checks, _field_letters(self.p))
 
     @cached_property
     def _leader_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -177,6 +184,9 @@ def make_css_decoder(split: CssSplit) -> tuple[ClassicalCode, ClassicalCode]:
     x_side = ClassicalCode(split.stab_z.basis, split.h_x)
     z_side = ClassicalCode(split.stab_x.basis, split.h_z)
     x_side.k, z_side.k = split.logical_x, split.logical_z
+    # d_R of a side is d_X or d_Z: searched once, by whichever asks first.
+    x_side._distance = partial(split._side_distance, "x")
+    z_side._distance = partial(split._side_distance, "z")
     return x_side, z_side
 
 

@@ -58,13 +58,27 @@ def goursat_of(code: SubsystemCode) -> GoursatData:
     E_X, E_Z, N_X and N_Z are read off H's canonical basis and, unless the
     code is CSS, its (z, x) echelon (see `SubsystemCode._goursat`); pairs are
     picked by a greedy scan of the canonical generators in order, so the
-    result is deterministic.
+    result is deterministic. The pairs are rows of H's canonical basis, which
+    is read-only, and so are they.
+
+    Built and validated once per code, which holds it (`_held`).
     """
+    return _held(code, "_goursat_data", _goursat_data)
+
+
+def _goursat_data(code: SubsystemCode) -> GoursatData:
     n = code.n
     x, z = code.gauge.basis[:, :n], code.gauge.basis[:, n:]
     e_x, e_z, split = code._goursat
-    pairs = tuple((x[j].copy(), z[j].copy()) for j in _independent_rows(split.h_x, x))
+    pairs = tuple((x[j], z[j]) for j in _independent_rows(split.h_x, x))
     return GoursatData(e_x=e_x, e_z=e_z, n_x=split.h_x, n_z=split.h_z, phi_pairs=pairs)
+
+
+def _held(code: SubsystemCode, name: str, build):
+    """`build(code)`, computed once per code and held in its `__dict__` under `name`."""
+    if name not in code.__dict__:
+        code.__dict__[name] = build(code)
+    return code.__dict__[name]
 
 
 def reconstruct_from(data: GoursatData) -> SubsystemCode:
@@ -162,7 +176,13 @@ def classify_stabilizer(code: SubsystemCode) -> StabilizerClass:
     (E_X cap N_Z^theta) x (E_Z cap N_X^theta). It always lies inside, so it
     attains it iff the dimensions agree: dim (E_X cap N_Z^theta) is dim E_X
     less the rank of the products of E_X's basis with N_Z's, and Z mirrors X.
+
+    Decided once per code, which holds the result (`_held`).
     """
+    return _held(code, "_stabilizer_class", _stabilizer_class)
+
+
+def _stabilizer_class(code: SubsystemCode) -> StabilizerClass:
     e_x, e_z, internal = code._goursat
     stab = SubsystemCode(code.p, code.n, code.stabilizer)
     stab_e_x, stab_e_z, _ = stab._goursat

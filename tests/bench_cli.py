@@ -1,11 +1,14 @@
 """End-to-end micro-benchmarks of whole CLI requests, cold and warm.
 
 Times `classify`, `goursat` and `double --budget 1` on the 10x10 Bacon-Shor
-code, and `info --budget 1` on a random gauge code at p = 3, n = 40 with 40
-generators, each through `cli.main` with stdout captured. A cold round first
-empties the session of loaded codes, so it builds the code and every space
-the request reads; a warm round finds the code held from an earlier request,
-with those spaces cached.
+code, `info --budget 1` on a random gauge code at p = 3, n = 40 with 40
+generators, and `distance` on the qudit Bacon-Shor code at (p, l) = (3, 4),
+read from a code file, each through `cli.main` with stdout captured. A cold
+round first empties the session of loaded codes, so it builds the code and
+every space the request reads, and searches its distances; a warm round finds
+the code held from an earlier request, with those spaces cached and its
+distances recorded. A last case times `info --budget 3` of Bacon-Shor 5 on a
+code held after a full `distance`, which its split's records answer.
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -17,16 +20,32 @@ import io
 
 import pytest
 
-from subcss import cli
+from subcss import cli, emit_code_file
+
+from conftest import qudit_bacon_shor
 
 BACON_SHOR10 = ["builtin:bacon_shor", "--l", "10"]
+# Stands for the path of the qudit Bacon-Shor (3, 4) code file.
+QUDIT_BACON_SHOR34 = "<qudit_bacon_shor_3_4.code>"
 REQUESTS = {
     "classify_bacon_shor10": ["classify", *BACON_SHOR10],
     "goursat_bacon_shor10": ["goursat", *BACON_SHOR10],
     "double_bacon_shor10": ["double", *BACON_SHOR10, "--budget", "1"],
     "info_random_p3_n40": ["info", "builtin:random", "--p", "3", "--n", "40", "--dim", "40",
                            "--seed", "1", "--budget", "1"],
+    "distance_qudit_bacon_shor_p3_l4": ["distance", QUDIT_BACON_SHOR34],
 }
+BACON_SHOR5_DISTANCE = ["distance", "builtin:bacon_shor", "--l", "5"]
+BACON_SHOR5_INFO_BUDGET3 = ["info", "builtin:bacon_shor", "--l", "5", "--budget", "3"]
+
+
+@pytest.fixture(scope="module")
+def argv_of(tmp_path_factory):
+    """A request's argv, with the qudit Bacon-Shor (3, 4) file written once."""
+    path = tmp_path_factory.mktemp("codes") / "qudit_bacon_shor_3_4.code"
+    path.write_text(emit_code_file(qudit_bacon_shor(3, 4)))
+    return lambda name: [str(path) if arg == QUDIT_BACON_SHOR34 else arg
+                         for arg in REQUESTS[name]]
 
 
 def _request(argv):
@@ -38,14 +57,29 @@ def _request(argv):
 
 
 @pytest.mark.parametrize("name", REQUESTS)
-def test_cold(benchmark, name):
-    out = benchmark.pedantic(_request, args=(REQUESTS[name],), setup=cli._session.cache_clear,
-                             rounds=50)
-    assert _request(REQUESTS[name]) == out
+def test_cold(benchmark, argv_of, name):
+    argv = argv_of(name)
+    out = benchmark.pedantic(_request, args=(argv,), setup=cli._session.cache_clear, rounds=50)
+    assert _request(argv) == out
 
 
 @pytest.mark.parametrize("name", REQUESTS)
-def test_warm(benchmark, name):
-    cold = _request(REQUESTS[name])
-    assert benchmark(_request, REQUESTS[name]) == cold
+def test_warm(benchmark, argv_of, name):
+    argv = argv_of(name)
+    cold = _request(argv)
+    assert benchmark(_request, argv) == cold
     assert cli._session.cache_info()[1:3] == (1, 1)
+
+
+def test_info_budget3_after_distance_bacon_shor5(benchmark):
+    # Each round loads the code afresh and runs the full `distance`, untimed;
+    # the timed `info --budget 3` then reads both sides off the split's records.
+    def after_distance():
+        cli._session.cache_clear()
+        _request(BACON_SHOR5_DISTANCE)
+        return (BACON_SHOR5_INFO_BUDGET3,), {}
+
+    out = benchmark.pedantic(_request, setup=after_distance, rounds=50)
+    assert "d_X = >=4 (search-bounded)\n" in out
+    cli._session.cache_clear()
+    assert _request(BACON_SHOR5_INFO_BUDGET3) == out

@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: commands, formats, and the exit-code contract."""
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcss import (
     CssSplit,
@@ -589,6 +593,65 @@ def test_held_codes_answer_as_fresh_ones(tmp_path, capsys):
     assert info.hits > info.misses > 0
     assert all(written is not None for argv, (_, _, _, written) in zip(requests, shared)
                if "--out" in argv)
+
+
+def _captured(argv):
+    """(rc, stdout, stderr) of one request, captured without a fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _shared_and_fresh(requests):
+    """The outcomes of the requests in one session, and each after emptying it."""
+    cli._session.cache_clear()
+    shared = [_captured(argv) for argv in requests]
+    fresh = []
+    for argv in requests:
+        cli._session.cache_clear()
+        decode._decoder_pair.cache_clear()
+        fresh.append(_captured(argv))
+    return shared, fresh
+
+
+BS5_DISTANCE = ["distance", "builtin:bacon_shor", "--l", "5"]
+BS5_INFO_BUDGET3 = ["info", "builtin:bacon_shor", "--l", "5", "--budget", "3"]
+
+
+@pytest.mark.parametrize("requests", [[BS5_DISTANCE, BS5_INFO_BUDGET3],
+                                      [BS5_INFO_BUDGET3, BS5_DISTANCE]],
+                         ids=["distance_first", "budget_first"])
+def test_recorded_distances_report_as_fresh_ones(requests):
+    # The held code's split answers the second request from what the first
+    # one found: the budget-3 bound after the exact d, or a search past it.
+    shared, fresh = _shared_and_fresh(requests)
+    assert shared == fresh
+    assert "d = 5 (exact)\n" in shared[requests.index(BS5_DISTANCE)][1]
+    assert "d_X = >=4 (search-bounded)\n" in shared[requests.index(BS5_INFO_BUDGET3)][1]
+
+
+_RECORD_CODES = [["builtin:bacon_shor", "--l", "3"], ["builtin:bacon_shor", "--l", "4"],
+                 ["builtin:five_qubit"],
+                 ["builtin:random", "--p", "3", "--n", "4", "--dim", "3", "--seed", "1"]]
+
+
+@st.composite
+def _distance_requests(draw):
+    """A request that reads a distance: `info` or `distance`, each with or
+    without a budget, or `double` with one."""
+    code = draw(st.sampled_from(_RECORD_CODES))
+    command = draw(st.sampled_from(["info", "distance", "double"]))
+    budget = draw(st.one_of(st.integers(0, 5), st.none()) if command != "double"
+                  else st.integers(0, 5))
+    return [command, *code, *([] if budget is None else ["--budget", str(budget)])]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_distance_requests(), min_size=2, max_size=8))
+def test_any_order_of_distance_requests_reports_as_fresh(requests):
+    shared, fresh = _shared_and_fresh(requests)
+    assert shared == fresh
 
 
 def test_builtins_are_held_by_their_resolved_options(capsys):

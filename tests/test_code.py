@@ -260,6 +260,134 @@ def test_css_distance_never_runs_the_symplectic_search(monkeypatch, capsys):
     assert "d = 4 (exact)\n" in capsys.readouterr().out
 
 
+def _answer(search, budget):
+    """`search(budget)`, or the type of the exception it raised."""
+    try:
+        return search(budget)
+    except (NoLogicalOperators, ValueError) as exc:
+        return type(exc)
+
+
+def _fresh_side_searches(split):
+    """The X and Z `_coset_distance` of a fresh split of (H_X, H_Z), by budget."""
+    fresh, letters = CssSplit(split.h_x, split.h_z), _field_letters(split.p)
+    sides = ((fresh.logical_x, fresh.stab_z, fresh.h_x), (fresh.logical_z, fresh.stab_x, fresh.h_z))
+    return [lambda b, big=big, check=check, small=small: _coset_distance(
+                big, check.basis, small.complement().basis, letters, b)
+            for big, check, small in sides]
+
+
+def _searches_counted(mp):
+    """Count `code._coset_distance` calls from now on."""
+    calls, search = [], code_module._coset_distance
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    mp.setattr(code_module, "_coset_distance", counting)
+    return calls
+
+
+def _decided(answers, budget, n):
+    """Whether earlier answers of one problem decide `budget`: an exact one
+    decides every budget, a bound b + 1 every budget up to b."""
+    budget = n if budget is None else budget
+    return budget >= 0 and any(a.exact or budget < a.value for a in answers)
+
+
+def _budget_lists(n):
+    return st.lists(st.one_of(st.none(), st.integers(-1, n + 1)), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=5), st.data())
+def test_split_records_answer_as_fresh_searches(split, data):
+    # One held split asked a random sequence of budgets answers each exactly as
+    # a fresh `_coset_distance` per side, and searches only budgets its earlier
+    # answers leave open. Errors raise on every call and record nothing.
+    held, fresh = CssSplit(split.h_x, split.h_z), _fresh_side_searches(split)
+    answers = {"x": [], "z": []}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _searches_counted(mp)
+        for budget in data.draw(_budget_lists(split.n)):
+            want = [_answer(search, budget) for search in fresh]
+            open_sides = [side for side in "xz" if not _decided(answers[side], budget, split.n)]
+            calls.clear()
+            got = _answer(lambda b: css_distances(held, b), budget)
+            if isinstance(want[0], type):
+                assert got is want[0]
+                continue
+            d_x, d_z = want
+            assert got == (d_x, d_z, DistanceResult(min(d_x.value, d_z.value),
+                                                    d_x.exact or d_z.exact))
+            assert len(calls) == len(open_sides)
+            answers["x"].append(d_x)
+            answers["z"].append(d_z)
+    recorded = {name for name in ("_x_distance", "_z_distance") if name in vars(held)}
+    assert recorded == ({"_x_distance", "_z_distance"} if answers["x"] else set())
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=5),
+       st.data())
+def test_code_records_answer_as_fresh_searches(code, data):
+    # The same for `SubsystemCode.distance`, against a fresh code's symplectic
+    # `_coset_distance`, CSS codes included: a CSS code records on its split.
+    fresh = SubsystemCode(code.p, code.n, code.gauge)
+
+    def search(budget):
+        return _coset_distance(fresh.centralizer, *fresh._checks, _site_values(code.p), budget)
+
+    held, answers = SubsystemCode(code.p, code.n, code.gauge), []
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _searches_counted(mp)
+        for budget in data.draw(_budget_lists(code.n)):
+            want = _answer(search, budget)
+            # A CSS code's d decides less than its sides' answers; the split test counts those.
+            decided = not code.is_css() and _decided(answers, budget, code.n)
+            calls.clear()
+            assert _answer(held.distance, budget) == want
+            if not isinstance(want, type):
+                assert not decided or calls == []
+                answers.append(want)
+    owner, names = ((held.css_split(), {"_x_distance", "_z_distance"}) if held.is_css()
+                    else (held, {"_symplectic_distance"}))
+    assert names & set(vars(owner)) == (names if answers else set())
+
+
+def test_k0_and_negative_budgets_raise_on_every_call():
+    # Nothing is recorded for a problem with no logical operators, nor for a
+    # negative budget, so each call raises as a fresh search does.
+    full = SubsystemCode(2, 2, Subspace.full(2, 4))
+    split = CssSplit(Subspace.full(3, 3), Subspace.zero(3, 3))
+    for _ in range(2):
+        with pytest.raises(NoLogicalOperators):
+            full.distance()
+        with pytest.raises(NoLogicalOperators):
+            full.distance(-1)
+        with pytest.raises(NoLogicalOperators):
+            css_distances(split, 2)
+    assert "_symplectic_distance" not in vars(full)
+    assert not {"_x_distance", "_z_distance"} & set(vars(split))
+    code, bs3 = five_qubit(), bacon_shor(3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="budget"):
+            code.distance(-1)
+        with pytest.raises(ValueError, match="budget"):
+            bs3.distance(-2)
+    assert "_symplectic_distance" not in vars(code)
+    assert not {"_x_distance", "_z_distance"} & set(vars(bs3.css_split()))
+    # With a record the negative budget still raises; the record stays as it was.
+    assert code.distance(1) == DistanceResult(2, False)
+    with pytest.raises(ValueError, match="budget"):
+        code.distance(-1)
+    assert vars(code)["_symplectic_distance"] == DistanceResult(2, False)
+    assert code.distance() == DistanceResult(3, True)
+    assert code.distance(2) == DistanceResult(3, False)
+    assert code.distance(0) == DistanceResult(1, False)
+
+
 @settings(max_examples=60, deadline=None)
 @given(css_splits(primes=(2, 3), max_n=4))
 def test_css_min_weight_logical_is_a_distance_witness(split):

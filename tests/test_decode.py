@@ -58,6 +58,7 @@ from conftest import (
     css_splits,
     dense_errors,
     error_hits,
+    qudit_bacon_shor,
     random_subspace,
     reference_enumerated_leaders,
     reference_products,
@@ -361,6 +362,52 @@ def test_bacon_shor_distances_and_d_r(l):
     d = DistanceResult(l, True)
     assert css_distances(split) == (d, d, d)
     assert [side.d_r for side in make_css_decoder(split)] == [l, l]
+
+
+def _counting_searches(mp):
+    """Count the `_coset_distance` calls of `code` and `decode` from now on."""
+    calls, search = [], code_module._coset_distance
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    for module in (code_module, decode_module):
+        mp.setattr(module, "_coset_distance", counting)
+    return calls
+
+
+@pytest.mark.parametrize("split", [BS3, BS4, DOUBLED, qudit_bacon_shor(3, 3).css_split()],
+                         ids=["bs3", "bs4", "doubled", "bs3_p3"])
+def test_css_d_r_reads_the_split_record(monkeypatch, split):
+    # After css_distances, both sides' d_R are d_X and d_Z with no second search.
+    split = CssSplit(split.h_x, split.h_z)
+    calls = _counting_searches(monkeypatch)
+    d_x, d_z, _ = css_distances(split)
+    assert len(calls) == 2
+    calls.clear()
+    assert [side.d_r for side in make_css_decoder(split)] == [d_x.value, d_z.value]
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=5), st.integers(0, 5))
+def test_css_d_r_agrees_with_a_bare_search(split, budget):
+    # A side's d_R, read first or after a budgeted css_distances, is the bare
+    # classical code's own search of K \ R; k = 0 raises on every read.
+    sides = make_css_decoder(split)
+    bare = [ClassicalCode(side.f, side.r) for side in sides]
+    try:
+        want = [code.d_r for code in bare]
+    except NoLogicalOperators:
+        for _ in range(2):
+            with pytest.raises(NoLogicalOperators):
+                sides[0].d_r
+        assert "_x_distance" not in vars(split) and "_z_distance" not in vars(split)
+        return
+    css_distances(split, budget)
+    assert [side.d_r for side in sides] == want
+    assert [d.value for d in css_distances(split)[:2]] == want
 
 
 def test_classical_code_beyond_int64_takes_the_search(monkeypatch):

@@ -18,6 +18,7 @@ from subcss import (
     reconstruct_from,
     trivial,
 )
+from subcss import cli
 from subcss import goursat as goursat_module
 from subcss.pauli import parse_pauli
 
@@ -241,3 +242,40 @@ def test_classify_from_ranks_covers_every_region(rng):
         assert (cls.minimal, cls.maximal) == reference_classify_stabilizer(code)
         regions.add(cls.region())
     assert len(regions) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauge_codes(primes=(2, 3, 5), max_n=4))
+def test_goursat_data_and_class_are_built_once_per_code(code):
+    # A code holds its Goursat data and stabilizer class: every call returns
+    # the same objects, equal to a fresh code's, with read-only pair arrays.
+    data, cls = goursat_of(code), classify_stabilizer(code)
+    assert goursat_of(code) is data and classify_stabilizer(code) is cls
+    fresh = SubsystemCode(code.p, code.n, code.gauge)
+    want = goursat_of(fresh)
+    assert (data.e_x, data.e_z, data.n_x, data.n_z) == (want.e_x, want.e_z, want.n_x, want.n_z)
+    assert len(data.phi_pairs) == len(want.phi_pairs)
+    for pair, fresh_pair in zip(data.phi_pairs, want.phi_pairs):
+        for row, fresh_row in zip(pair, fresh_pair):
+            assert np.array_equal(row, fresh_row) and not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[...] = 0
+    assert classify_stabilizer(fresh) == cls
+    assert reconstruct_from(data) == code
+
+
+def test_held_goursat_and_classify_report_as_fresh(capsys):
+    # The CLI's reports of a held code's data and class are the fresh ones.
+    requests = [[cmd, *spec] for spec in (["builtin:five_qubit"], ["builtin:bacon_shor"],
+                                          ["builtin:random", "--p", "3", "--n", "5", "--seed", "2"])
+                for cmd in ("goursat", "classify")]
+    fresh = []
+    for argv in requests:
+        cli._session.cache_clear()
+        assert cli.main(argv) == 0
+        fresh.append(capsys.readouterr().out)
+    for _ in range(2):
+        for argv, want in zip(requests, fresh):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == want
+    assert cli._session.cache_info().codes == 3

@@ -14,6 +14,7 @@ import functools
 import math
 import sys
 from collections import OrderedDict, namedtuple
+from itertools import product
 
 import numpy as np
 
@@ -40,10 +41,13 @@ _SessionInfo = namedtuple("_SessionInfo", "hits misses codes bytes")
 
 def _code_bytes(code: SubsystemCode) -> int:
     """The nbytes of the arrays a code holds: its gauge basis and those of the
-    Subspace, CssSplit, GoursatData and tuple values cached in its `__dict__`,
-    and in theirs, each counted once (`delta` links a space and its
-    complement). Its distance records and stabilizer class hold no array."""
-    holders = {np.ndarray, tuple, SubsystemCode, Subspace, CssSplit, goursat.GoursatData}
+    Subspace, CssSplit, GoursatData, decoder and tuple values cached in its
+    `__dict__`, and in theirs, each counted once (`delta` links a space and its
+    complement). A split holds its codeword label bases, a tuple, and its
+    decoder pair, a tuple of two ClassicalCodes with the sweeps' letter table
+    in its `__dict__`. Its distance records and stabilizer class hold no array."""
+    holders = {np.ndarray, tuple, SubsystemCode, Subspace, CssSplit, goursat.GoursatData,
+               decode.ClassicalCode, decode._DecoderPair}
     seen, total, stack = set(), 0, [code]
     while stack:
         obj = stack.pop()
@@ -57,6 +61,8 @@ def _code_bytes(code: SubsystemCode) -> int:
         stack += [item for item in items if type(item) in holders]
         if type(obj) is Subspace:
             stack.append(obj.basis)
+        elif type(obj) is decode._DecoderPair:
+            stack += obj
     return total
 
 
@@ -118,8 +124,9 @@ def _load_code(spec: str, args) -> SubsystemCode:
     gauge group alone, and a code caches its spaces as it computes them, so
     a held code gives the same reports as a fresh one, only sooner. It also
     keeps what its requests learnt: its distance records (`code._recorded`),
-    which answer a later budget with no second search, its Goursat data and
-    its stabilizer class. Loads that fail are not held."""
+    which answer a later budget with no second search, its Goursat data, its
+    stabilizer class and its split's codeword label bases and decoders. Loads
+    that fail are not held."""
     params = {key: getattr(args, key, None) for key in ("l", "n", "p", "dim", "seed")}
     params = {key: val for key, val in params.items() if val is not None}
     if spec.startswith("builtin:"):
@@ -304,6 +311,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_codewords(args) -> int:
+    """One line per codeword label (l, g), l-major: whether every stabilizer row
+    fixes it (`states._fixing_table`) and, with --dense, whether the table read
+    off its basis states agrees (`states._dense_fixing_table`). The label bases
+    are the split's, held from its first request; the grid, both tables and
+    the report are computed on every request."""
     code = _load_code(args.code, args)
     if not code.is_css():
         raise InfeasibleRequest("codewords are defined for CSS codes only")
@@ -319,18 +331,18 @@ def cmd_codewords(args) -> int:
     # The stabilizer rows: X^a for a in S_X's basis, Z^b for b in S_Z's.
     rows = split.stab_x.basis, split.stab_z.basis
     fixes = states._fixing_table(split.stab_x, offsets, *rows)
-    fixed = np.all(fixes, axis=1)
+    fixed = np.all(fixes, axis=1).tolist()
+    # Each distinct label formatted once, paired l-major as the offsets are.
+    pairs = product(_format_rows(ls), _format_rows(gs))
     if args.dense:
         dense = states._dense_fixing_table(split.stab_x, offsets, *rows)
-        agrees = np.all(dense == fixes, axis=1)
-    lines = []
-    for i, (l, g) in enumerate(zip(_format_rows(ls), _format_rows(gs))):
-        line = f"l = ({l}) g = ({g}) fixed = {bool(fixed[i])}"
-        if args.dense:
-            line += f" dense_agrees = {bool(agrees[i])}"
-        lines.append(line)
+        agrees = np.all(dense == fixes, axis=1).tolist()
+        lines = [f"l = ({l}) g = ({g}) fixed = {f} dense_agrees = {a}"
+                 for (l, g), f, a in zip(pairs, fixed, agrees)]
+    else:
+        lines = [f"l = ({l}) g = ({g}) fixed = {f}" for (l, g), f in zip(pairs, fixed)]
     print("\n".join(lines))
-    _report("all_fixed", bool(np.all(fixed)))
+    _report("all_fixed", all(fixed))
     return EXIT_OK
 
 

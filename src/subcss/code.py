@@ -372,6 +372,16 @@ def _recorded(owner, name: str, n: int, budget: int | None, search) -> DistanceR
     return found
 
 
+def _held(owner, name: str, build):
+    """`build(owner)`, computed once per owner and held in its `__dict__` under
+    `name`: a code's Goursat data and stabilizer class, a split's codeword label
+    bases and decoders. The owner is the one holder, so what it holds goes with
+    it, and `cli._code_bytes` weighs what it holds with it."""
+    if name not in owner.__dict__:
+        owner.__dict__[name] = build(owner)
+    return owner.__dict__[name]
+
+
 def _coset_distance(big: Subspace, big_check: np.ndarray, small_check: np.ndarray,
                     letters: np.ndarray, budget: int | None = None) -> DistanceResult:
     """min wt(big \\ small) over `letters`: `_coset_search` up to the

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from math import comb
 
 import numpy as np
@@ -27,6 +27,7 @@ from .code import (
     _coset_leaders,
     _enumerated_leaders,
     _field_letters,
+    _held,
     _letter_syndromes,
     _site_letters,
     _site_values,
@@ -222,9 +223,14 @@ class _DecoderPair(tuple):
         return _letter_syndromes(check, _site_values(p), p)
 
 
-@lru_cache(maxsize=32)
 def _decoder_pair(split: CssSplit) -> _DecoderPair:
-    """The decoders of a split, shared by every split equal to it in value."""
+    """The decoders of a split, built once per split, which holds them
+    (`code._held`): they go with it, and a code held by `cli.main`'s session
+    is weighed with them."""
+    return _held(split, "_decoder_pair", _new_decoder_pair)
+
+
+def _new_decoder_pair(split: CssSplit) -> _DecoderPair:
     return _DecoderPair(make_css_decoder(split))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .code import CssSplit, SubsystemCode
+from .code import CssSplit, SubsystemCode, _held
 from .gf import Subspace, _independent_rows, rank
 
 
@@ -61,7 +61,7 @@ def goursat_of(code: SubsystemCode) -> GoursatData:
     result is deterministic. The pairs are rows of H's canonical basis, which
     is read-only, and so are they.
 
-    Built and validated once per code, which holds it (`_held`).
+    Built and validated once per code, which holds it (`code._held`).
     """
     return _held(code, "_goursat_data", _goursat_data)
 
@@ -72,13 +72,6 @@ def _goursat_data(code: SubsystemCode) -> GoursatData:
     e_x, e_z, split = code._goursat
     pairs = tuple((x[j], z[j]) for j in _independent_rows(split.h_x, x))
     return GoursatData(e_x=e_x, e_z=e_z, n_x=split.h_x, n_z=split.h_z, phi_pairs=pairs)
-
-
-def _held(code: SubsystemCode, name: str, build):
-    """`build(code)`, computed once per code and held in its `__dict__` under `name`."""
-    if name not in code.__dict__:
-        code.__dict__[name] = build(code)
-    return code.__dict__[name]
 
 
 def reconstruct_from(data: GoursatData) -> SubsystemCode:
@@ -177,7 +170,7 @@ def classify_stabilizer(code: SubsystemCode) -> StabilizerClass:
     attains it iff the dimensions agree: dim (E_X cap N_Z^theta) is dim E_X
     less the rank of the products of E_X's basis with N_Z's, and Z mirrors X.
 
-    Decided once per code, which holds the result (`_held`).
+    Decided once per code, which holds the result (`code._held`).
     """
     return _held(code, "_stabilizer_class", _stabilizer_class)
 

@@ -9,11 +9,12 @@ comparisons are exact; no floating point enters until dense_vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from . import gf
-from .code import _BATCH_ROWS, CssSplit
+from .code import _BATCH_ROWS, CssSplit, _held
 from .gf import Subspace, _combinations, _grid_index, fp_array
 from .pauli import PauliVector
 
@@ -87,33 +88,47 @@ def codeword(split: CssSplit, l, g) -> CosetState:
     )
 
 
-def _label_grid(split: CssSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every codeword label at once: the rows ls, gs and the offsets (l + g) % p.
+def _label_bases(split: CssSplit) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical quotient bases of L_X / H_X and H_X / S_X, k and r rows
+    of length n: read-only int64 arrays, built once per split, which holds
+    them (`code._held`)."""
+    return _held(split, "_label_bases", _quotient_bases)
 
-    One `_combinations` grid per side, over the canonical quotient bases of
-    L_X / H_X and H_X / S_X, paired l-major; p^(k+r) rows of length n each
-    (one empty row when n = 0). Raises ValueError above `gf.ROW_LIMIT`
-    rows, before building any.
+
+def _quotient_bases(split: CssSplit) -> tuple[np.ndarray, np.ndarray]:
+    bases = []
+    for big, small in ((split.logical_x, split.h_x), (split.h_x, split.stab_x)):
+        reps = big.quotient_reps(small)
+        basis = np.array(reps, dtype=np.int64).reshape(len(reps), split.n)
+        basis.setflags(write=False)
+        bases.append(basis)
+    return tuple(bases)
+
+
+def _label_grid(split: CssSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every codeword label at once: (ls, gs, offsets). ls holds the p^k
+    distinct logical labels and gs the p^r distinct gauge labels, one
+    `_combinations` grid each over the split's held `_label_bases`; offsets
+    holds the p^(k+r) sums (l + g) % p, l-major, so row i * p^r + j is
+    ls[i] + gs[j]. Rows have length n (one empty row when n = 0). Raises
+    ValueError above `gf.ROW_LIMIT` offsets, before building any.
     """
     p, n = split.p, split.n
-    l_reps = split.logical_x.quotient_reps(split.h_x)
-    g_reps = split.h_x.quotient_reps(split.stab_x)
-    dim = len(l_reps) + len(g_reps)
+    l_basis, g_basis = _label_bases(split)
+    dim = len(l_basis) + len(g_basis)
     if p**dim > gf.ROW_LIMIT:
         raise ValueError(f"{p}^{dim} codeword labels exceed the limit of {gf.ROW_LIMIT} rows")
-    ls = _combinations(np.array(l_reps, dtype=np.int64).reshape(len(l_reps), n), p)
-    gs = _combinations(np.array(g_reps, dtype=np.int64).reshape(len(g_reps), n), p)
-    ls, gs = np.repeat(ls, len(gs), axis=0), np.tile(gs, (len(ls), 1))
-    return ls, gs, (ls + gs) % p
+    ls, gs = _combinations(l_basis, p), _combinations(g_basis, p)
+    return ls, gs, (ls[:, None, :] + gs).reshape(len(ls) * len(gs), n) % p
 
 
 def all_codewords(split: CssSplit) -> list[tuple[np.ndarray, np.ndarray, CosetState]]:
-    """Every (l, g, state) over canonical quotient label bases; p^(k+r) states."""
+    """Every (l, g, state) over canonical quotient label bases; p^(k+r) states, l-major."""
     ls, gs, offsets = _label_grid(split)
     phase = np.zeros(split.n, dtype=np.int64)
     return [
         (l, g, CosetState(offset=o, support=split.stab_x, phase=phase))
-        for l, g, o in zip(ls, gs, offsets)
+        for (l, g), o in zip(product(ls, gs), offsets)
     ]
 
 
@@ -183,7 +198,7 @@ def _fixing_table(support: Subspace, offsets, x_rows, z_rows) -> np.ndarray:
 
 def _dense_fixing_table(support: Subspace, offsets, x_rows, z_rows) -> np.ndarray:
     """The same table as `_fixing_table`, read off the basis states of the
-    codewords (offsets[i], support).
+    codewords (offsets[i], support); offsets and X rows have entries in [0, p).
 
     The offsets lie in distinct cosets of S, as `_label_grid`'s do, so the
     supports are disjoint and one int32 array over the p^n basis states
@@ -193,7 +208,8 @@ def _dense_fixing_table(support: Subspace, offsets, x_rows, z_rows) -> np.ndarra
     max(1, `_BATCH_ROWS` // |S|); each chunk marks its supports over what
     earlier chunks marked, which never equals an index of this chunk, so
     nothing is reset. An X row a moves x only on its support, so a chunk
-    shifts max(|S|, `_BATCH_ROWS`) x wt(a) cells per row at most.
+    shifts max(|S|, `_BATCH_ROWS`) x wt(a) cells per row at most. A sum of
+    two residues is reduced by one conditional subtraction of p, not `% p`.
     """
     p, n = support.p, support.ambient
     if p**n > gf.ROW_LIMIT:
@@ -205,13 +221,15 @@ def _dense_fixing_table(support: Subspace, offsets, x_rows, z_rows) -> np.ndarra
     step = max(1, _BATCH_ROWS // len(elements))
     for lo in range(0, len(offsets), step):
         ids = np.arange(lo, min(lo + step, len(offsets)))
-        x = (offsets[ids, None, :] + elements) % p
+        x = offsets[ids, None, :] + elements
+        x -= (x >= p) * p
         at = x @ place
         owner[at] = ids[:, None]
         for j, a in enumerate(x_rows):
-            # x + a moves x only on a's support s: its index moves by the digits there.
+            # x + a moves x only on a's support s, digit x_s to x_s + a_s, less p
+            # where that wraps: where x_s >= p - a_s.
             s = a.nonzero()[0]
-            shifted = at + ((x[..., s] + a[s]) % p - x[..., s]) @ place[s]
+            shifted = at + (a[s] - (x[..., s] >= p - a[s]) * p) @ place[s]
             table[ids, j] = np.all(owner[shifted] == ids[:, None], axis=1)
         table[ids, len(x_rows):] = ~np.any(x @ z_rows.T % p, axis=1)
     return table

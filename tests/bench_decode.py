@@ -116,7 +116,6 @@ def test_sampler_bacon_shor10(benchmark):
 def test_monte_carlo_bacon_shor5_without_table(benchmark, monkeypatch):
     # Every chunk of trials fills its distinct syndromes in one enumeration.
     monkeypatch.setattr(ClassicalCode, "_leader_table", None)
-    _decoder_pair.cache_clear()
     split = bacon_shor(5).css_split()
     _decode_trials(benchmark, split, 5000)
     assert all(side._leader_table is None for side in _decoder_pair(split))

@@ -6,7 +6,9 @@ cross-check with `--dense`, report) through `cli.main` with stdout captured:
 five-qudit code at p = 3 and the 4 x 4 Bacon-Shor code (1024 labels on 2^16
 amplitudes), and the symbolic table alone on the qudit Bacon-Shor code. Each
 round first empties the CLI's session of loaded codes, so each times a cold
-request, with the code parsed or built and its split computed. Also
+request, with the code parsed or built and its split computed. Two warm cases
+time `--dense` on the qudit Bacon-Shor and doubled five-qudit codes held from
+an earlier request, with their label bases. Also
 times two layers alone: `dense_vector` of a state on 2^12 support elements,
 and the exact dense fixing table of two codewords and 15 stabilizer rows on
 2^14 support elements, which runs in chunks of one codeword.
@@ -40,14 +42,22 @@ def code_files(tmp_path_factory):
     return files
 
 
-def _codewords(benchmark, *argv):
+def _codewords(benchmark, *argv, warm=False):
+    """Time one request, cold (the session emptied before each round) or warm
+    (the code held from an untimed first request, with its label bases)."""
     def request():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             rc = cli.main(["codewords", *argv])
         return rc, out.getvalue()
 
-    rc, out = benchmark.pedantic(request, setup=cli._session.cache_clear, rounds=50)
+    if warm:
+        cold = request()
+        assert benchmark(request) == cold
+        assert cli._session.cache_info()[1:3] == (1, 1)
+        rc, out = cold
+    else:
+        rc, out = benchmark.pedantic(request, setup=cli._session.cache_clear, rounds=50)
     assert rc == 0 and out.endswith("all_fixed = True (exact)\n")
     return out
 
@@ -64,6 +74,15 @@ def test_codewords_qudit_bacon_shor3_p3(benchmark, code_files):
 
 def test_codewords_dense_doubled_five_qudit_p3(benchmark, code_files):
     _codewords(benchmark, str(code_files["five2_p3"]), "--dense")
+
+
+def test_codewords_dense_qudit_bacon_shor3_p3_warm(benchmark, code_files):
+    out = _codewords(benchmark, str(code_files["bs3_p3"]), "--dense", warm=True)
+    assert out.startswith("codewords = 243 (exact)")
+
+
+def test_codewords_dense_doubled_five_qudit_p3_warm(benchmark, code_files):
+    _codewords(benchmark, str(code_files["five2_p3"]), "--dense", warm=True)
 
 
 def test_codewords_dense_bacon_shor4(benchmark):

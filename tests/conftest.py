@@ -17,7 +17,7 @@ from subcss import (
     SubsystemCode,
     kernel,
 )
-from subcss import cli, decode
+from subcss import cli
 from subcss import code as code_module
 from subcss.code import _budget, _field_letters, _site_values, _spelled, _weight_layout
 from subcss.decode import make_css_decoder
@@ -457,13 +457,20 @@ def css_splits(draw, primes, max_n):
     return CssSplit(draw(subspaces(p, n)), draw(subspaces(p, n)))
 
 
+def forget_decoders(*splits):
+    """Drop the decoder pairs the splits hold, so the next lookup builds them
+    under whatever layer a test patched (`_leader_table`, `_BATCH_ROWS`)."""
+    for split in splits:
+        split.__dict__.pop("_decoder_pair", None)
+
+
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts with no code held by `cli.main`'s session and no
-    decoder pair held by `decode`, so a test that patches a layer (`np`,
-    `_TABLE_BYTES`, `_leader_table`) runs it whichever test loaded a code first."""
+    """Each test starts with no code held by `cli.main`'s session, so a test
+    that patches a layer (`np`, `_TABLE_BYTES`, `_leader_table`) runs it
+    whichever test loaded a code first. A split holds its own decoders: a test
+    that patches how they are built forgets those of the splits it reuses."""
     cli._session.cache_clear()
-    decode._decoder_pair.cache_clear()
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import sys
+import tempfile
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from subcss import cli, decode, states
 from subcss import code as code_module
 from subcss.cli import build_parser, main
 
-from conftest import numpy_without, qudit_bacon_shor
+from conftest import css_splits, numpy_without, qudit_bacon_shor
 
 
 def run(capsys, *argv):
@@ -360,7 +362,6 @@ def test_decode_sweep_without_the_leader_table(capsys, monkeypatch):
     # The sweep guard does not depend on the leader table: with the table off,
     # every batch of errors fills its own leaders, as above gf.ROW_LIMIT syndromes.
     monkeypatch.setattr(decode.ClassicalCode, "_leader_table", None)
-    decode._decoder_pair.cache_clear()
     code, out, err = run(capsys, "decode", "builtin:bacon_shor", "--l", "3",
                          "--exhaustive-weight", "2")
     golden = Path(__file__).parent / "golden" / "decode_exhaustive2_bacon_shor3.txt"
@@ -586,7 +587,6 @@ def test_held_codes_answer_as_fresh_ones(tmp_path, capsys):
     fresh = []
     for argv in requests:
         cli._session.cache_clear()
-        decode._decoder_pair.cache_clear()
         fresh.append(_outcome(capsys, argv, out))
     assert shared == fresh
     assert {rc for rc, *_ in shared} == {0, 2, 3}
@@ -610,7 +610,6 @@ def _shared_and_fresh(requests):
     fresh = []
     for argv in requests:
         cli._session.cache_clear()
-        decode._decoder_pair.cache_clear()
         fresh.append(_captured(argv))
     return shared, fresh
 
@@ -652,6 +651,41 @@ def _distance_requests(draw):
 def test_any_order_of_distance_requests_reports_as_fresh(requests):
     shared, fresh = _shared_and_fresh(requests)
     assert shared == fresh
+
+
+def _codewords_report(split, dense):
+    """The `codewords` report of a split, built label by label: l-major, each
+    side's coefficients in `itertools.product` order on its canonical quotient
+    basis; every codeword is fixed by the stabilizer, so the dense table agrees."""
+    p, zero = split.p, np.zeros(split.n, dtype=np.int64)
+
+    def grid(reps):
+        return [" ".join(map(str, sum((c * r for c, r in zip(cs, reps)), zero) % p))
+                for cs in product(range(p), repeat=len(reps))]
+
+    ls = grid(split.logical_x.quotient_reps(split.h_x))
+    gs = grid(split.h_x.quotient_reps(split.stab_x))
+    mark = " dense_agrees = True" if dense else ""
+    lines = [f"codewords = {len(ls) * len(gs)} (exact)",
+             f"support_size = {p**split.stab_x.dim} (exact)"]
+    lines += [f"l = ({l}) g = ({g}) fixed = True{mark}" for l in ls for g in gs]
+    return "\n".join([*lines, "all_fixed = True (exact)", ""])
+
+
+@settings(max_examples=40, deadline=None)
+@given(css_splits(primes=(2, 3, 5), max_n=5))
+def test_codewords_with_and_without_dense_report_as_fresh(split):
+    # Symbolic, then dense, then both again in the other order: in one session,
+    # where the second request of the code reads its held label bases, and each
+    # after emptying the session, every report is the reference's.
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "split.code"
+        path.write_text(emit_code_file(SubsystemCode.from_css_split(split)))
+        requests = [["codewords", str(path)], ["codewords", str(path), "--dense"]]
+        requests += requests[::-1]
+        shared, fresh = _shared_and_fresh(requests)
+    assert shared == fresh
+    assert shared == [(0, _codewords_report(split, "--dense" in argv), "") for argv in requests]
 
 
 def test_builtins_are_held_by_their_resolved_options(capsys):
@@ -718,7 +752,8 @@ def test_least_recently_used_codes_are_evicted_first(capsys, monkeypatch):
 
 def _reference_bytes(code):
     """The nbytes of every distinct array reachable from the code through
-    `__dict__` values, tuples and Subspace bases, each array counted once."""
+    `__dict__` values, tuples (a tuple subclass's `__dict__` too) and
+    Subspace bases, each array counted once."""
     arrays, seen = {}, set()
 
     def visit(obj):
@@ -727,10 +762,11 @@ def _reference_bytes(code):
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
             arrays[id(obj)] = obj.nbytes
-        elif isinstance(obj, (tuple, list)):
+            return
+        if isinstance(obj, (tuple, list)):
             for item in obj:
                 visit(item)
-        elif hasattr(obj, "__dict__"):
+        if hasattr(obj, "__dict__"):
             if isinstance(obj, Subspace):
                 visit(obj.basis)
             for value in vars(obj).values():
@@ -756,6 +792,10 @@ def test_held_weights_are_measured_after_each_request(tmp_path, capsys):
                 assert weight == _reference_bytes(code) + text
                 assert weight >= weights.get(key, 0)
                 weights[key] = weight
+    # The CSS codes' splits hold their codeword label bases and decoders, weighed above.
+    splits = [code.css_split() for code, _ in cli._session._codes.values() if code.is_css()]
+    assert len(splits) == 2
+    assert all({"_label_bases", "_decoder_pair"} <= split.__dict__.keys() for split in splits)
     _outcome(capsys, ["gen", "bacon_shor", "--l", "3"])
     assert _held()[_bacon_shor_key(3)] == weights[_bacon_shor_key(3)]
     # `double` on a CSS code links its gauge and the gauge's complement.

@@ -1,5 +1,7 @@
 """Steane-type recovery, classical coset decoding, and the quotient decoder."""
 
+import gc
+import weakref
 from itertools import product
 from pathlib import Path
 
@@ -58,6 +60,7 @@ from conftest import (
     css_splits,
     dense_errors,
     error_hits,
+    forget_decoders,
     qudit_bacon_shor,
     random_subspace,
     reference_enumerated_leaders,
@@ -120,7 +123,7 @@ def test_only_syndromes_from_outside_are_checked(monkeypatch, table):
     e = _pauli(2, 9, x_sites=(0,), z_sites=(4,))
 
     def results():
-        _decoder_pair.cache_clear()
+        forget_decoders(BS3)
         counts = monte_carlo(BS3, 0.05, 300, seed=7).counts
         return counts, exhaustive_sweep(BS3, 2), steane_recover(BS3, e)
 
@@ -131,7 +134,7 @@ def test_only_syndromes_from_outside_are_checked(monkeypatch, table):
     with monkeypatch.context() as patch:
         patch.setattr(ClassicalCode, "_in_image", property(refuse))
         assert results() == expected
-    _decoder_pair.cache_clear()
+    forget_decoders(BS3)
     assert all((side._leader_table is None) != table for side in _decoder_pair(BS3))
     code = ClassicalCode([[1, 1, 1], [1, 1, 1]], Subspace.zero(2, 3))
     with pytest.raises(InconsistentSyndrome):
@@ -459,12 +462,12 @@ def test_sweep_counts_match_brute_force(split, table):
     with pytest.MonkeyPatch.context() as patch:
         if not table:
             patch.setattr(ClassicalCode, "_leader_table", None)
-        _decoder_pair.cache_clear()
+        forget_decoders(split)
         try:
             got = [exhaustive_sweep(split, w) for w in range(n + 1)]
             assert all((side._leader_table is None) != table for side in _decoder_pair(split))
         finally:
-            _decoder_pair.cache_clear()
+            forget_decoders(split)
     for w, counts in enumerate(got):
         errors = np.vstack(list(_weight_batches(_site_values(p), n, w)))
         statuses = brute_force_recover(split, errors[:, :n], errors[:, n:])[0]
@@ -511,7 +514,7 @@ def test_batch_recovery_matches_brute_force(split, table):
     with pytest.MonkeyPatch.context() as patch:
         if not table:
             patch.setattr(ClassicalCode, "_leader_table", None)
-        _decoder_pair.cache_clear()
+        forget_decoders(split)
         try:
             for side, e in zip(_decoder_pair(split), (ex, ez)):
                 assert (side._leader_table is None) != table
@@ -522,7 +525,7 @@ def test_batch_recovery_matches_brute_force(split, table):
             picks = range(0, len(ex), 97)
             outs = [steane_recover(split, PauliVector(p, ex[i], ez[i])) for i in picks]
         finally:
-            _decoder_pair.cache_clear()
+            forget_decoders(split)
     statuses, ref_x, ref_z = brute_force_recover(split, ex, ez)
     assert [list(DecodeStatus)[c] for c in codes] == statuses
     assert np.array_equal(cx, ref_x) and np.array_equal(cz, ref_z)
@@ -544,13 +547,13 @@ def test_class_lookup_statuses_match_brute_force(split, table, seed):
     with pytest.MonkeyPatch.context() as patch:
         if not table:
             patch.setattr(ClassicalCode, "_leader_table", None)
-        _decoder_pair.cache_clear()
+        forget_decoders(split)
         try:
             assert all((side._leader_table is None) != table for side in _decoder_pair(split))
             rows, out = _hit_products(split, *error_hits(np.hstack([ex, ez]), split.n))
             codes = _trials(split, out)[0]
         finally:
-            _decoder_pair.cache_clear()
+            forget_decoders(split)
     statuses = brute_force_recover(split, ex, ez)[0]
     assert [list(DecodeStatus)[c] for c in codes] == [statuses[i] for i in rows]
     # A hitless error is never looked up: brute force corrects it too.
@@ -603,7 +606,7 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch):
     assert [side.d_r for side in make_css_decoder(qudit)] == [3, 3]
 
     def counts():
-        _decoder_pair.cache_clear()
+        forget_decoders(BS3, BS4, qudit)
         return [
             monte_carlo(BS3, 0.05, 300, seed=7).counts,
             monte_carlo(qudit, 0.1, 100, seed=3).counts,
@@ -614,7 +617,7 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch):
     expected = counts()
     monkeypatch.setattr(code_module, "_BATCH_ROWS", 7)
     assert counts() == expected
-    _decoder_pair.cache_clear()
+    forget_decoders(BS3, BS4, qudit)
 
 
 @settings(max_examples=60, deadline=None)
@@ -675,14 +678,14 @@ def test_sweeps_build_one_letter_table_per_decoder_pair(monkeypatch):
         return _letter_syndromes(*args)
 
     monkeypatch.setattr(decode_module, "_letter_syndromes", counting)
-    _decoder_pair.cache_clear()
+    forget_decoders(BS4)
     try:
         monte_carlo(BS4, 0.05, 300, seed=7)
         exhaustive_sweep(BS4, 0)
         assert builds == []
         assert [exhaustive_sweep(BS4, w) for w in (1, 2, 3)] == expected
     finally:
-        _decoder_pair.cache_clear()
+        forget_decoders(BS4)
     # diag([F; Z]_X, [F; Z]_Z): 3 checks and 1 class row per side, 16 sites per side.
     assert builds == [(8, 32)]
 
@@ -897,14 +900,18 @@ def test_quotient_weight_dominates_coset_weight(rng):
         assert min_wt <= dec.coset_weight(a)
 
 
-def test_decoder_cache_is_bounded_and_shared_by_value():
-    _decoder_pair.cache_clear()
-    for n in range(1, 41):
-        zero = Subspace.zero(2, n)
-        _decoder_pair(CssSplit(zero, zero))
-    assert _decoder_pair.cache_info().currsize <= 32
-    # A split equal in value to a cached one reuses its decoders.
-    first = _decoder_pair(bacon_shor(3).css_split())
-    hits = _decoder_pair.cache_info().hits
-    assert _decoder_pair(bacon_shor(3).css_split()) is first
-    assert _decoder_pair.cache_info().hits == hits + 1
+def test_decoder_pair_is_held_by_its_split():
+    # Built on first use and held in the split's __dict__: the split is its one
+    # owner, so the pair goes with it. A split equal in value builds its own,
+    # which decodes alike.
+    split = bacon_shor(3).css_split()
+    assert "_decoder_pair" not in split.__dict__
+    first = _decoder_pair(split)
+    assert split.__dict__["_decoder_pair"] is first and _decoder_pair(split) is first
+    other = bacon_shor(3).css_split()
+    assert other == split and _decoder_pair(other) is not first
+    assert monte_carlo(other, 0.05, 300, seed=7) == monte_carlo(split, 0.05, 300, seed=7)
+    side = weakref.ref(first[0])
+    del split, first
+    gc.collect()
+    assert side() is None

@@ -28,7 +28,7 @@ from subcss import (
 
 from subcss import gf
 from subcss import states as states_module
-from subcss.states import _dense_fixing_table, _fixing_table, _label_grid
+from subcss.states import _dense_fixing_table, _fixing_table, _label_bases, _label_grid
 
 from conftest import css_splits, reference_dense_vector, subspaces
 
@@ -387,6 +387,34 @@ def test_dense_table_in_codeword_chunks(case, batch_rows):
         mp.setattr(states_module, "_BATCH_ROWS", batch_rows)
         _, chunked = _tables(*case)
     assert np.array_equal(chunked, whole)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_css_splits())
+def test_label_bases_are_built_once_per_split(split):
+    # Two quotient echelons per split, L_X / H_X and H_X / S_X, however often
+    # its grid is read; the held bases are read-only, and the grids equal a
+    # fresh split's.
+    calls = []
+    quotient_reps = Subspace.quotient_reps
+
+    def counting(self, small):
+        calls.append(small)
+        return quotient_reps(self, small)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Subspace, "quotient_reps", counting)
+        grids = [_label_grid(split) for _ in range(3)]
+        all_codewords(split)
+        held = _label_bases(split)
+    assert len(calls) == 2
+    assert split.__dict__["_label_bases"] is held
+    assert all(basis.dtype == np.int64 and not basis.flags.writeable for basis in held)
+    with pytest.raises(ValueError):
+        held[0][...] = 0
+    fresh = _label_grid(CssSplit(split.h_x, split.h_z))
+    for grid in grids:
+        assert all(np.array_equal(got, want) for got, want in zip(grid, fresh))
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,7 +4,7 @@ Reports are line-oriented ``key = value`` text; numeric results carry
 their computation mode (exact, search-bounded, or sampled). Exit codes:
 0 success, 2 rejected input (parse error or invalid value), 3 infeasible
 request, including one that runs out of memory. Calls of `main` in one
-process share the codes they load (`_load_code`).
+process share their parses (`_parse`) and the codes they load (`_load_code`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,14 @@ from itertools import product
 import numpy as np
 
 from . import codefile, decode, gf, goursat, states
-from .code import CssSplit, DistanceResult, NoLogicalOperators, SubsystemCode, css_distances
+from .code import (
+    CssSplit,
+    DistanceResult,
+    NoLogicalOperators,
+    SubsystemCode,
+    _held,
+    css_distances,
+)
 from .codefile import CodeFileError, _format_rows
 from .double import delta
 from .gf import Subspace
@@ -43,7 +50,8 @@ def _code_bytes(code: SubsystemCode) -> int:
     """The nbytes of the arrays a code holds: its gauge basis and those of the
     Subspace, CssSplit, GoursatData, decoder and tuple values cached in its
     `__dict__`, and in theirs, each counted once (`delta` links a space and its
-    complement). A split holds its codeword label bases, a tuple, and its
+    complement). A code holds its double Δ(H), a SubsystemCode walked as it
+    is. A split holds its codeword label bases, a tuple, and its
     decoder pair, a tuple of two ClassicalCodes with the sweeps' letter table
     in its `__dict__`. Its distance records and stabilizer class hold no array."""
     holders = {np.ndarray, tuple, SubsystemCode, Subspace, CssSplit, goursat.GoursatData,
@@ -68,14 +76,19 @@ def _code_bytes(code: SubsystemCode) -> int:
 
 class _Session:
     """The codes `main` has loaded, least recently used first, each with its
-    weight: `_code_bytes`, plus the text of a code file, which keys it. A code
-    is weighed after each request that used it (`settle`), with every space
-    that request cached on it. One heavier than `_SESSION_BYTES` is served
-    but not held, and the least recently used go until the rest fit."""
+    weight: `_code_bytes`, plus the text of a code file, which keys it, and
+    their running total. A held value changes only by a cache write, which
+    `gf._cache_writes` counts, so a code is weighed when it is first held
+    and again only after a cache write: at a request's end (`settle`) if that
+    request wrote one, and at its start (`begin`) if a write came between
+    requests. One heavier than `_SESSION_BYTES` is served but not held, and
+    the least recently used go until the rest fit."""
 
     def __init__(self):
         self._codes = OrderedDict()  # key -> (code, bytes)
         self._used = {}  # key -> code, for the codes loaded since the last settle
+        self._bytes = 0  # the sum of the held weights
+        self._writes = gf._cache_writes  # the cache writes counted at the last begin or settle
         self.hits = self.misses = 0
 
     def load(self, key, build) -> SubsystemCode:
@@ -90,25 +103,53 @@ class _Session:
         self._used[key] = code
         return code
 
+    def begin(self) -> None:
+        """Re-weigh every held code in place if a cache was written since the
+        last settle, by a library call outside `main`."""
+        if gf._cache_writes != self._writes:
+            for key, (code, _) in list(self._codes.items()):
+                self._weigh(key, code)
+            self._evict()
+            self._writes = gf._cache_writes
+
     def settle(self) -> None:
-        """Hold the codes loaded since the last settle, as most recently used,
-        at their weights now."""
+        """Hold the codes loaded since the last settle, as most recently used.
+        Each is weighed afresh if it is not held yet or this request wrote a
+        cache, else it keeps its weight, which a fresh walk would give again."""
         used, self._used = self._used, {}
+        wrote = gf._cache_writes != self._writes
         for key, code in used.items():
-            self._codes.pop(key, None)
-            weight = _code_bytes(code) + (sys.getsizeof(key) if isinstance(key, str) else 0)
-            if weight <= _SESSION_BYTES:
-                self._codes[key] = code, weight
-        while self.cache_info().bytes > _SESSION_BYTES:
-            self._codes.popitem(last=False)
+            if wrote or key not in self._codes:
+                self._weigh(key, code)
+            if key in self._codes:
+                self._codes.move_to_end(key)
+        self._evict()
+        self._writes = gf._cache_writes
+
+    def _weigh(self, key, code) -> None:
+        """Hold the code under `key` at its weight now, in its place if held,
+        or not at all if it alone is heavier than `_SESSION_BYTES`."""
+        entry = self._codes.get(key)
+        if entry is not None:
+            self._bytes -= entry[1]
+        weight = _code_bytes(code) + (sys.getsizeof(key) if isinstance(key, str) else 0)
+        if weight <= _SESSION_BYTES:
+            self._codes[key] = code, weight
+            self._bytes += weight
+        elif entry is not None:
+            del self._codes[key]
+
+    def _evict(self) -> None:
+        while self._bytes > _SESSION_BYTES:
+            self._bytes -= self._codes.popitem(last=False)[1][1]
 
     def cache_info(self) -> _SessionInfo:
-        held = sum(weight for _, weight in self._codes.values())
-        return _SessionInfo(self.hits, self.misses, len(self._codes), held)
+        return _SessionInfo(self.hits, self.misses, len(self._codes), self._bytes)
 
     def cache_clear(self) -> None:
         self._codes.clear()
         self._used.clear()
+        self._bytes = 0
         self.hits = self.misses = 0
 
 
@@ -125,8 +166,8 @@ def _load_code(spec: str, args) -> SubsystemCode:
     a held code gives the same reports as a fresh one, only sooner. It also
     keeps what its requests learnt: its distance records (`code._recorded`),
     which answer a later budget with no second search, its Goursat data, its
-    stabilizer class and its split's codeword label bases and decoders. Loads
-    that fail are not held."""
+    stabilizer class, its double and its split's codeword label bases and
+    decoders. Loads that fail are not held."""
     params = {key: getattr(args, key, None) for key in ("l", "n", "p", "dim", "seed")}
     params = {key: val for key, val in params.items() if val is not None}
     if spec.startswith("builtin:"):
@@ -224,9 +265,10 @@ def cmd_distance(args) -> int:
 
 def cmd_double(args) -> int:
     code = _load_code(args.code, args)
-    doubled = delta(code)
+    # Δ(H) is built once per code, which holds it (`code._held`) and is weighed with it.
+    doubled = _held(code, "_doubled", lambda source: delta(source).result)
     n, k, r = code.parameters()
-    n2, k2, r2 = doubled.result.parameters()
+    n2, k2, r2 = doubled.parameters()
     lines = [f"source = [[{n},{k},{r}]]", f"doubled = [[{n2},{k2},{r2}]]"]
     try:
         d = code.distance(args.budget)
@@ -234,7 +276,7 @@ def cmd_double(args) -> int:
             lines.append(f"d_bracket = [{d.value}, {2 * d.value}] (exact source distance)")
     except NoLogicalOperators:
         pass
-    text = codefile.emit_code_file(doubled.result, args.format)
+    text = codefile.emit_code_file(doubled, args.format)
     if args.out:
         _write_out(args.out, text)
         lines.append(f"written = {args.out}")
@@ -427,9 +469,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=256)
+def _parse(argv: tuple) -> argparse.Namespace:
+    """The parse of an argv, held for the 256 argv tuples parsed last. Parsing
+    is a pure function of argv; a rejected argv (or -h) raises SystemExit,
+    which is not held, so it prints its usage text (or help) on every call."""
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one request, argv (default `sys.argv[1:]`), and return its exit code.
+
+    Its parse is held (`_parse`); each call gets a fresh Namespace of it. The
+    codes it loads are held for later calls (`_session`), weighed again only
+    after a cache write."""
+    _session.begin()
+    parsed = _parse(tuple(sys.argv[1:] if argv is None else argv))
+    args = argparse.Namespace(**vars(parsed))
     try:
         return args.func(args)
     except CodeFileError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -33,7 +33,7 @@ from .code import (
     _site_values,
     _syndrome_batches,
 )
-from .gf import ROW_LIMIT, Subspace, _grid_index, fp_array, kernel, pivot_columns
+from .gf import ROW_LIMIT, Subspace, _grid_index, cached_property, fp_array, kernel, pivot_columns
 from .pauli import PauliVector
 
 

@@ -7,8 +7,12 @@ read from a code file, each through `cli.main` with stdout captured. A cold
 round first empties the session of loaded codes, so it builds the code and
 every space the request reads, and searches its distances; a warm round finds
 the code held from an earlier request, with those spaces cached and its
-distances recorded. A last case times `info --budget 3` of Bacon-Shor 5 on a
-code held after a full `distance`, which its split's records answer.
+distances recorded. Two cases are timed warm only: `info --budget 1` of
+Bacon-Shor 3, the cost of a request around its answer (parse, dispatch,
+report, settle), and `double --budget 1 --out` of Bacon-Shor 10, which reads
+the held double and writes its 200 rows. A last case times `info --budget 3`
+of Bacon-Shor 5 on a code held after a full `distance`, which its split's
+records answer.
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -25,8 +29,9 @@ from subcss import cli, emit_code_file
 from conftest import qudit_bacon_shor
 
 BACON_SHOR10 = ["builtin:bacon_shor", "--l", "10"]
-# Stands for the path of the qudit Bacon-Shor (3, 4) code file.
+# Stand for the path of the qudit Bacon-Shor (3, 4) code file and of an --out file.
 QUDIT_BACON_SHOR34 = "<qudit_bacon_shor_3_4.code>"
+OUT = "<out.code>"
 REQUESTS = {
     "classify_bacon_shor10": ["classify", *BACON_SHOR10],
     "goursat_bacon_shor10": ["goursat", *BACON_SHOR10],
@@ -35,6 +40,10 @@ REQUESTS = {
                            "--seed", "1", "--budget", "1"],
     "distance_qudit_bacon_shor_p3_l4": ["distance", QUDIT_BACON_SHOR34],
 }
+WARM_ONLY = {
+    "info_bacon_shor3": ["info", "builtin:bacon_shor", "--l", "3", "--budget", "1"],
+    "double_out_bacon_shor10": ["double", *BACON_SHOR10, "--budget", "1", "--out", OUT],
+}
 BACON_SHOR5_DISTANCE = ["distance", "builtin:bacon_shor", "--l", "5"]
 BACON_SHOR5_INFO_BUDGET3 = ["info", "builtin:bacon_shor", "--l", "5", "--budget", "3"]
 
@@ -42,10 +51,11 @@ BACON_SHOR5_INFO_BUDGET3 = ["info", "builtin:bacon_shor", "--l", "5", "--budget"
 @pytest.fixture(scope="module")
 def argv_of(tmp_path_factory):
     """A request's argv, with the qudit Bacon-Shor (3, 4) file written once."""
-    path = tmp_path_factory.mktemp("codes") / "qudit_bacon_shor_3_4.code"
+    directory = tmp_path_factory.mktemp("codes")
+    path = directory / "qudit_bacon_shor_3_4.code"
     path.write_text(emit_code_file(qudit_bacon_shor(3, 4)))
-    return lambda name: [str(path) if arg == QUDIT_BACON_SHOR34 else arg
-                         for arg in REQUESTS[name]]
+    paths = {QUDIT_BACON_SHOR34: str(path), OUT: str(directory / "out.code")}
+    return lambda name: [paths.get(arg, arg) for arg in {**REQUESTS, **WARM_ONLY}[name]]
 
 
 def _request(argv):
@@ -63,7 +73,7 @@ def test_cold(benchmark, argv_of, name):
     assert _request(argv) == out
 
 
-@pytest.mark.parametrize("name", REQUESTS)
+@pytest.mark.parametrize("name", [*REQUESTS, *WARM_ONLY])
 def test_warm(benchmark, argv_of, name):
     argv = argv_of(name)
     cold = _request(argv)

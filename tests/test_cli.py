@@ -19,6 +19,7 @@ from subcss import (
     SubsystemCode,
     all_codewords,
     bacon_shor,
+    delta,
     emit_code_file,
     is_fixed_by,
     parse_code_file,
@@ -523,7 +524,9 @@ def test_one_parser_serves_every_call(capsys):
     shared = [outcome(argv) for argv in requests]
     fresh = []
     for argv in requests:
+        # A fresh parser, and no parse held from the shared one.
         build_parser.cache_clear()
+        cli._parse.cache_clear()
         fresh.append(outcome(argv))
     assert shared == fresh
     assert shared[0][0] == 2 and "usage:" in shared[0][2]
@@ -802,3 +805,137 @@ def test_held_weights_are_measured_after_each_request(tmp_path, capsys):
     bs3 = cli._session._codes[_bacon_shor_key(3)][0]
     assert bs3.gauge.__dict__["_complement"].__dict__["_complement"] is bs3.gauge
     assert weights[_bacon_shor_key(3)] > 4 * bs3.gauge.basis.nbytes
+
+
+def _assert_weights_exact():
+    """Every held weight is a fresh walk's, and the session's total their sum."""
+    for key, (code, weight) in cli._session._codes.items():
+        text = sys.getsizeof(key) if isinstance(key, str) else 0
+        assert weight == _reference_bytes(code) + text
+    assert cli._session.cache_info().bytes == sum(_held().values()) <= cli._SESSION_BYTES
+
+
+_WEIGHED_COMMANDS = [["info"], ["distance"], ["goursat"], ["classify"], ["double", "--out", "OUT"],
+                     ["decode", "--trials", "20"], ["codewords"]]
+
+
+def _weighed_requests(directory):
+    """(argv of each command on each of three codes: a builtin, a code file and
+    a non-CSS builtin; the `--out` path)."""
+    path, out = Path(directory) / "bs3_p3.code", Path(directory) / "out.code"
+    path.write_text(emit_code_file(qudit_bacon_shor(3, 3)))
+    specs = [["builtin:bacon_shor", "--l", "3"], [str(path)], ["builtin:five_qubit"]]
+    return [[[command[0], *spec, *(str(out) if arg == "OUT" else arg for arg in command[1:])]
+              for spec in specs] for command in _WEIGHED_COMMANDS], out
+
+
+def _library_write(kind, pick):
+    """A cache write on a held code, made by a library call outside `main`."""
+    held = [code for code, _ in cli._session._codes.values()]
+    if kind is None or not held:
+        return
+    code = held[pick % len(held)]
+    if kind == "delta":
+        delta(code)
+    elif kind == "complement":
+        code.gauge.complement()
+    elif code.is_css():
+        decode._decoder_pair(code.css_split())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_WEIGHED_COMMANDS) - 1), st.integers(0, 2),
+                          st.sampled_from([None, "delta", "complement", "decoders"]),
+                          st.integers(0, 5)),
+                min_size=1, max_size=8))
+def test_held_weights_stay_exact_between_library_writes(steps):
+    # Requests of any command on any of the three codes, with library cache
+    # writes on held codes between them: each held weight is a fresh walk's
+    # after every request, whether the write was on the code it used or not.
+    cli._session.cache_clear()
+    with tempfile.TemporaryDirectory() as directory:
+        requests, out = _weighed_requests(directory)
+        for command, spec, write, pick in steps:
+            _library_write(write, pick)
+            _captured(requests[command][spec])
+            out.unlink(missing_ok=True)
+            _assert_weights_exact()
+
+
+def test_a_repeated_request_weighs_no_code(tmp_path, monkeypatch):
+    # Once each request has run, none writes a cache (`double` reads the held
+    # Δ(H)), so the same requests again weigh no code and keep every weight.
+    requests, out = _weighed_requests(tmp_path)
+    requests = [argv for per_code in requests for argv in per_code]
+    weighed = []
+
+    def counting(code):
+        weighed.append(code)
+        return code_bytes(code)
+
+    code_bytes = cli._code_bytes
+    monkeypatch.setattr(cli, "_code_bytes", counting)
+    first = [_captured(argv) for argv in requests]
+    assert len(weighed) >= 3
+    weights = _held()
+    weighed.clear()
+    assert [_captured(argv) for argv in requests] == first
+    assert weighed == []
+    assert _held() == weights
+    _assert_weights_exact()
+    assert {rc for rc, _, _ in first} == {0, 3}
+    assert out.exists()
+
+
+def _exit(capsys, argv):
+    """(SystemExit code, stdout, stderr) of an argv that the parser ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_a_rejected_argv_is_rejected_on_every_call(capsys):
+    cli._parse.cache_clear()
+    argv = ["info", "--budget", "x", "builtin:trivial"]
+    outcomes = [_exit(capsys, argv) for _ in range(3)]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    rc, out, err = outcomes[0]
+    assert rc == 2 and out == "" and "usage: subcss info" in err and "--budget" in err
+    assert cli._parse.cache_info().currsize == 0
+
+
+def test_help_prints_on_every_call(capsys):
+    outcomes = [_exit(capsys, ["info", "-h"]) for _ in range(2)]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and "usage: subcss info" in outcomes[0][1]
+
+
+def test_each_call_gets_a_fresh_namespace(monkeypatch, capsys):
+    # Every call's Namespace is its own, equal to a fresh parser's parse, and
+    # a change made to one is not seen by the next call.
+    seen, load = [], cli._load_code
+
+    def recording(spec, args):
+        seen.append(args)
+        return load(spec, args)
+
+    monkeypatch.setattr(cli, "_load_code", recording)
+    argv = ["info", "builtin:bacon_shor", "--l", "3", "--budget", "1"]
+    fresh = build_parser.__wrapped__().parse_args(argv)
+    reports = []
+    for _ in range(3):
+        reports.append(run(capsys, *argv))
+        assert seen[-1] == fresh
+        seen[-1].budget, seen[-1].l = 0, 4
+    assert len({id(args) for args in seen}) == 3
+    assert reports[0] == reports[1] == reports[2]
+    assert cli._parse.cache_info().hits >= 2
+
+
+def test_the_parse_memo_is_bounded(capsys):
+    cli._parse.cache_clear()
+    for budget in range(300):
+        assert run(capsys, "distance", "builtin:trivial", "--budget", str(budget))[0] == 0
+    info = cli._parse.cache_info()
+    assert info.maxsize == 256 and info.currsize == 256 and info.misses == 300

@@ -4,7 +4,8 @@ Reports are line-oriented ``key = value`` text; numeric results carry
 their computation mode (exact, search-bounded, or sampled). Exit codes:
 0 success, 2 rejected input (parse error or invalid value), 3 infeasible
 request, including one that runs out of memory. Calls of `main` in one
-process share their parses (`_parse`) and the codes they load (`_load_code`).
+process share their parses (`_parse`) and the `_SESSION_CODES` codes they
+loaded last (`_load_code`).
 """
 
 from __future__ import annotations
@@ -13,14 +14,12 @@ import argparse
 import functools
 import math
 import sys
-from collections import OrderedDict, namedtuple
 from itertools import product
 
 import numpy as np
 
 from . import codefile, decode, gf, goursat, states
 from .code import (
-    CssSplit,
     DistanceResult,
     NoLogicalOperators,
     SubsystemCode,
@@ -29,7 +28,6 @@ from .code import (
 )
 from .codefile import CodeFileError, _format_rows
 from .double import delta
-from .gf import Subspace
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -40,127 +38,25 @@ class InfeasibleRequest(Exception):
     pass
 
 
-# The bytes of loaded codes that `main` keeps between calls (`_Session`).
-_SESSION_BYTES = 64 * 2**20
-
-_SessionInfo = namedtuple("_SessionInfo", "hits misses codes bytes")
+# The most distinct codes that `main` keeps between calls (`_session`).
+_SESSION_CODES = 32
 
 
-def _code_bytes(code: SubsystemCode) -> int:
-    """The nbytes of the arrays a code holds: its gauge basis and those of the
-    Subspace, CssSplit, GoursatData, decoder and tuple values cached in its
-    `__dict__`, and in theirs, each counted once (`delta` links a space and its
-    complement). A code holds its double Δ(H), a SubsystemCode walked as it
-    is. A split holds its codeword label bases, a tuple, and its
-    decoder pair, a tuple of two ClassicalCodes with the sweeps' letter table
-    in its `__dict__`. Its distance records and stabilizer class hold no array."""
-    holders = {np.ndarray, tuple, SubsystemCode, Subspace, CssSplit, goursat.GoursatData,
-               decode.ClassicalCode, decode._DecoderPair}
-    seen, total, stack = set(), 0, [code]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if type(obj) is np.ndarray:
-            total += obj.nbytes
-            continue
-        items = obj if type(obj) is tuple else vars(obj).values()
-        stack += [item for item in items if type(item) in holders]
-        if type(obj) is Subspace:
-            stack.append(obj.basis)
-        elif type(obj) is decode._DecoderPair:
-            stack += obj
-    return total
-
-
-class _Session:
-    """The codes `main` has loaded, least recently used first, each with its
-    weight: `_code_bytes`, plus the text of a code file, which keys it, and
-    their running total. A held value changes only by a cache write, which
-    `gf._cache_writes` counts, so a code is weighed when it is first held
-    and again only after a cache write: at a request's end (`settle`) if that
-    request wrote one, and at its start (`begin`) if a write came between
-    requests. One heavier than `_SESSION_BYTES` is served but not held, and
-    the least recently used go until the rest fit."""
-
-    def __init__(self):
-        self._codes = OrderedDict()  # key -> (code, bytes)
-        self._used = {}  # key -> code, for the codes loaded since the last settle
-        self._bytes = 0  # the sum of the held weights
-        self._writes = gf._cache_writes  # the cache writes counted at the last begin or settle
-        self.hits = self.misses = 0
-
-    def load(self, key, build) -> SubsystemCode:
-        """The code held under `key`, or else `build()`'s."""
-        entry = self._codes.get(key)
-        if entry is None:
-            self.misses += 1
-            code = build()
-        else:
-            self.hits += 1
-            code = entry[0]
-        self._used[key] = code
-        return code
-
-    def begin(self) -> None:
-        """Re-weigh every held code in place if a cache was written since the
-        last settle, by a library call outside `main`."""
-        if gf._cache_writes != self._writes:
-            for key, (code, _) in list(self._codes.items()):
-                self._weigh(key, code)
-            self._evict()
-            self._writes = gf._cache_writes
-
-    def settle(self) -> None:
-        """Hold the codes loaded since the last settle, as most recently used.
-        Each is weighed afresh if it is not held yet or this request wrote a
-        cache, else it keeps its weight, which a fresh walk would give again."""
-        used, self._used = self._used, {}
-        wrote = gf._cache_writes != self._writes
-        for key, code in used.items():
-            if wrote or key not in self._codes:
-                self._weigh(key, code)
-            if key in self._codes:
-                self._codes.move_to_end(key)
-        self._evict()
-        self._writes = gf._cache_writes
-
-    def _weigh(self, key, code) -> None:
-        """Hold the code under `key` at its weight now, in its place if held,
-        or not at all if it alone is heavier than `_SESSION_BYTES`."""
-        entry = self._codes.get(key)
-        if entry is not None:
-            self._bytes -= entry[1]
-        weight = _code_bytes(code) + (sys.getsizeof(key) if isinstance(key, str) else 0)
-        if weight <= _SESSION_BYTES:
-            self._codes[key] = code, weight
-            self._bytes += weight
-        elif entry is not None:
-            del self._codes[key]
-
-    def _evict(self) -> None:
-        while self._bytes > _SESSION_BYTES:
-            self._bytes -= self._codes.popitem(last=False)[1][1]
-
-    def cache_info(self) -> _SessionInfo:
-        return _SessionInfo(self.hits, self.misses, len(self._codes), self._bytes)
-
-    def cache_clear(self) -> None:
-        self._codes.clear()
-        self._used.clear()
-        self._bytes = 0
-        self.hits = self.misses = 0
-
-
-_session = _Session()
+@functools.lru_cache(maxsize=_SESSION_CODES)
+def _session(key) -> SubsystemCode:
+    """The code of a key: a code file's text, or a builtin's (name, options)."""
+    if isinstance(key, str):
+        return codefile.parse_code_file(key)[0]
+    name, options = key
+    return codefile.builtin_code(name, **dict(options))
 
 
 def _load_code(spec: str, args) -> SubsystemCode:
     """A builtin with its options, or a code file, which takes none.
 
-    Each is loaded once per process (`_session`): a builtin is keyed by its
-    name and all its options, given or defaulted, and a code file by its
+    Each is loaded once per process while it stays among the
+    `_SESSION_CODES` most recently used (`_session`): a builtin is keyed by
+    its name and all its options, given or defaulted, and a code file by its
     text, so a rewritten file is parsed again. Every answer is read off the
     gauge group alone, and a code caches its spaces as it computes them, so
     a held code gives the same reports as a fresh one, only sooner. It also
@@ -173,8 +69,7 @@ def _load_code(spec: str, args) -> SubsystemCode:
     if spec.startswith("builtin:"):
         name = spec.split(":", 1)[1]
         options = codefile._builtin_options(name, params)
-        key = (name, tuple(options.items()))
-        return _session.load(key, lambda: codefile.builtin_code(name, **options))
+        return _session((name, tuple(options.items())))
     if params:
         raise ValueError(f"code files take no builtin options (got {', '.join(params)})")
     try:
@@ -182,7 +77,7 @@ def _load_code(spec: str, args) -> SubsystemCode:
             text = fh.read()
     except OSError as exc:
         raise CodeFileError(0, f"cannot read {spec}: {exc}") from exc
-    return _session.load(text, lambda: codefile.parse_code_file(text)[0])
+    return _session(text)
 
 
 def _write_out(path: str, text: str) -> None:
@@ -265,7 +160,7 @@ def cmd_distance(args) -> int:
 
 def cmd_double(args) -> int:
     code = _load_code(args.code, args)
-    # Δ(H) is built once per code, which holds it (`code._held`) and is weighed with it.
+    # Δ(H) is built once per code, which holds it (`code._held`).
     doubled = _held(code, "_doubled", lambda source: delta(source).result)
     n, k, r = code.parameters()
     n2, k2, r2 = doubled.parameters()
@@ -481,9 +376,7 @@ def main(argv=None) -> int:
     """Run one request, argv (default `sys.argv[1:]`), and return its exit code.
 
     Its parse is held (`_parse`); each call gets a fresh Namespace of it. The
-    codes it loads are held for later calls (`_session`), weighed again only
-    after a cache write."""
-    _session.begin()
+    codes it loads are held for later calls (`_session`)."""
     parsed = _parse(tuple(sys.argv[1:] if argv is None else argv))
     args = argparse.Namespace(**vars(parsed))
     try:
@@ -500,8 +393,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    finally:
-        _session.settle()
 
 
 if __name__ == "__main__":

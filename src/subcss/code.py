@@ -35,6 +35,7 @@ lays out and builds a coset-leader table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, islice
 from math import comb, prod
 from typing import Iterable, Iterator
@@ -48,8 +49,6 @@ from .gf import (
     _combinations,
     _grid_digits,
     _grid_index,
-    _hold,
-    cached_property,
     rref,
 )
 from .pauli import PauliVector, _psi_rows, flatten, omega_complement, unflatten
@@ -370,10 +369,7 @@ def _recorded(owner, name: str, n: int, budget: int | None, search) -> DistanceR
 
     Only an answer is recorded: a k = 0 problem (NoLogicalOperators), a
     MemoryError or a negative budget (ValueError; with a record k > 0, so a
-    fresh search would raise it as well) raises on every call.
-
-    A record holds no array, so writing it leaves the owner's weight as it was
-    and, alone among cache writes, is not counted (`gf._hold`)."""
+    fresh search would raise it as well) raises on every call."""
     known = owner.__dict__.get(name)
     if known is not None:
         budget = _budget(budget, n)
@@ -385,12 +381,11 @@ def _recorded(owner, name: str, n: int, budget: int | None, search) -> DistanceR
 
 def _held(owner, name: str, build):
     """`build(owner)`, computed once per owner and held in its `__dict__` under
-    `name` (`gf._hold`, a counted cache write): a code's Goursat data,
-    stabilizer class and double, a split's codeword label bases and decoders.
-    The owner is the one holder, so what it holds goes with it, and
-    `cli._code_bytes` weighs what it holds with it."""
+    `name`: a code's Goursat data, stabilizer class and double, a split's
+    codeword label bases and decoders. The owner is the one holder, so what it
+    holds goes with it."""
     if name not in owner.__dict__:
-        _hold(owner, name, build(owner))
+        owner.__dict__[name] = build(owner)
     return owner.__dict__[name]
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from math import comb
 
 import numpy as np
@@ -33,7 +33,7 @@ from .code import (
     _site_values,
     _syndrome_batches,
 )
-from .gf import ROW_LIMIT, Subspace, _grid_index, cached_property, fp_array, kernel, pivot_columns
+from .gf import ROW_LIMIT, Subspace, _grid_index, fp_array, kernel, pivot_columns
 from .pauli import PauliVector
 
 
@@ -225,8 +225,7 @@ class _DecoderPair(tuple):
 
 def _decoder_pair(split: CssSplit) -> _DecoderPair:
     """The decoders of a split, built once per split, which holds them
-    (`code._held`): they go with it, and a code held by `cli.main`'s session
-    is weighed with them."""
+    (`code._held`): they go with it."""
     return _held(split, "_decoder_pair", _new_decoder_pair)
 
 
@@ -403,6 +402,8 @@ def monte_carlo(split: CssSplit, q: float, trials: int, seed: int) -> MonteCarlo
         raise ValueError(f"error probability q must be in [0, 1], got {q}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > np.iinfo(np.int64).max:
+        raise ValueError(f"trials must be <= 2**63 - 1 (int64 counts), got {trials}")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     chunks = (_hit_products(split, *hits)[1] for hits in _sampled_errors(split, q, trials, seed))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import CssSplit, SubsystemCode, _block_product
-from .gf import Subspace, _hold
+from .gf import Subspace
 from .pauli import PauliVector, flatten, psi, psi_subspace, unflatten
 
 
@@ -51,13 +51,13 @@ def delta(code: SubsystemCode) -> DoubledCode:
     also lends H^theta = H_X^theta x H_Z^theta, from the complements of its split
     that its H^w = H_Z^theta x H_X^theta is built from, with no kernel on 2n columns."""
     split = CssSplit(code.gauge, _psi_image(code))
-    _hold(split, "_x_tower", code._tower)
-    _hold(split.h_z, "_complement", code._omega_comp)
+    split.__dict__["_x_tower"] = code._tower
+    split.h_z.__dict__["_complement"] = code._omega_comp
     if code.is_css() and "_complement" not in code.gauge.__dict__:
         source = code.css_split()
         comp = _block_product(source.h_x.complement(), source.h_z.complement())
-        _hold(comp, "_complement", code.gauge)
-        _hold(code.gauge, "_complement", comp)
+        comp.__dict__["_complement"] = code.gauge
+        code.gauge.__dict__["_complement"] = comp
     return DoubledCode(source=code, result=SubsystemCode.from_css_split(split))
 
 

@@ -18,7 +18,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import functools
+from functools import cached_property
 
 import numpy as np
 
@@ -30,38 +30,6 @@ import numpy as np
 P_LIMIT = 1 << 16
 # Most rows that an enumeration of all the elements of a span may build.
 ROW_LIMIT = 1 << 20
-# Cache writes so far, in every holder: each `cached_property` fill and each
-# `_hold`. A held value changes only by one, so `cli._Session` re-weighs its
-# codes only when this count has moved.
-_cache_writes = 0
-
-
-def _count_cache_write() -> None:
-    global _cache_writes
-    _cache_writes += 1
-
-
-def _hold(owner, name: str, value) -> None:
-    """`owner.__dict__[name] = value`, counted in `_cache_writes`: how every
-    cache but a `cached_property` is written. A distance record alone holds no
-    array and is written uncounted (`code._recorded`)."""
-    _count_cache_write()
-    owner.__dict__[name] = value
-
-
-class cached_property(functools.cached_property):
-    """functools' cached_property, each fill counted in `_cache_writes`. The
-    count is made by `func` itself, so a descriptor that wraps `func` and
-    caches its result counts the fill too."""
-
-    def __init__(self, func):
-        @functools.wraps(func)
-        def counted(instance):
-            value = func(instance)
-            _count_cache_write()
-            return value
-
-        super().__init__(counted)
 
 
 def is_prime(p: int) -> bool:
@@ -354,7 +322,7 @@ class Subspace:
             comp = Subspace.span(_kernel_rows(self.basis, self.p), self.p, self.ambient)
         else:
             comp = kernel(self.basis, self.p)
-        _hold(comp, "_complement", self)
+        comp.__dict__["_complement"] = self
         return comp
 
     def quotient_reps(self, small: "Subspace") -> list[np.ndarray]:

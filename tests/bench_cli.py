@@ -78,7 +78,8 @@ def test_warm(benchmark, argv_of, name):
     argv = argv_of(name)
     cold = _request(argv)
     assert benchmark(_request, argv) == cold
-    assert cli._session.cache_info()[1:3] == (1, 1)
+    info = cli._session.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_info_budget3_after_distance_bacon_shor5(benchmark):

@@ -54,7 +54,8 @@ def _codewords(benchmark, *argv, warm=False):
     if warm:
         cold = request()
         assert benchmark(request) == cold
-        assert cli._session.cache_info()[1:3] == (1, 1)
+        info = cli._session.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
         rc, out = cold
     else:
         rc, out = benchmark.pedantic(request, setup=cli._session.cache_clear, rounds=50)

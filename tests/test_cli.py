@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import sys
 import tempfile
 from itertools import product
 from pathlib import Path
@@ -397,6 +396,22 @@ def test_decode_rejects_bad_sampling_options_before_output(capsys, bad):
         assert " q must be in [0, 1]" in err and err.rstrip().endswith(f"got {bad[1]}")
 
 
+@pytest.mark.parametrize("trials", [str(2**63), "99999999999999999999999"])
+def test_decode_rejects_trials_past_int64_before_sampling(capsys, monkeypatch, trials):
+    # The counts are int64: past 2**63 - 1 trials the request is refused
+    # before any draw, where it would otherwise sample until killed.
+    def refuse(*args):
+        raise AssertionError("a refused request sampled")
+
+    monkeypatch.setattr(decode, "_sampled_errors", refuse)
+    code, out, err = run(capsys, "decode", "builtin:bacon_shor", "--l", "3", "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"error: trials must be <= 2**63 - 1 (int64 counts), got {trials}\n"
+    # 2**63 - 1 itself is accepted: it reaches the sampler.
+    with pytest.raises(AssertionError, match="sampled"):
+        run(capsys, "decode", "builtin:bacon_shor", "--l", "3", "--trials", str(2**63 - 1))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -548,11 +563,6 @@ def _outcome(capsys, argv, out=None):
     return rc, captured.out, captured.err, written
 
 
-def _held():
-    """The session's keys, least recently used first, with their weights."""
-    return {key: weight for key, (_, weight) in cli._session._codes.items()}
-
-
 def _bacon_shor_key(l):
     return "bacon_shor", (("l", l),)
 
@@ -691,20 +701,29 @@ def test_codewords_with_and_without_dense_report_as_fresh(split):
     assert shared == [(0, _codewords_report(split, "--dense" in argv), "") for argv in requests]
 
 
+def _counts():
+    """The session's (hits, misses, codes held)."""
+    info = cli._session.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
 def test_builtins_are_held_by_their_resolved_options(capsys):
     reports = [_outcome(capsys, ["info", "builtin:bacon_shor", "--l", str(l)]) for l in (3, 4)]
     assert reports[0] != reports[1]
-    assert list(_held()) == [_bacon_shor_key(3), _bacon_shor_key(4)]
+    assert _counts() == (0, 2, 2)
     # No --l is the default l = 3: the same code, held once.
     assert _outcome(capsys, ["info", "builtin:bacon_shor"]) == reports[0]
-    assert cli._session.cache_info()[:3] == (1, 2, 2)
+    assert _counts() == (1, 2, 2)
     for seed in (1, 2):
         _outcome(capsys, ["info", "builtin:random", "--p", "3", "--n", "4", "--seed", str(seed)])
-    held = cli._session._codes
-    assert cli._session.cache_info()[:3] == (1, 4, 4)
-    first, second = (held["random", (("p", 3), ("n", 4), ("dim", 4), ("seed", seed))][0]
+    assert _counts() == (1, 4, 4)
+    # Each is held under its name and every option, given or defaulted.
+    first, second = (cli._session(("random", (("p", 3), ("n", 4), ("dim", 4), ("seed", seed))))
                      for seed in (1, 2))
     assert first != second
+    no_l = cli._load_code("builtin:bacon_shor", cli._parse(("info", "builtin:bacon_shor")))
+    assert no_l is cli._session(_bacon_shor_key(3))
+    assert _counts() == (5, 4, 4)
 
 
 def test_a_rewritten_file_is_loaded_again(tmp_path, capsys):
@@ -714,7 +733,7 @@ def test_a_rewritten_file_is_loaded_again(tmp_path, capsys):
     path.write_text(emit_code_file(bacon_shor(4)))
     rc, out, _, _ = _outcome(capsys, ["info", str(path)])
     assert rc == 0 and "n = 16 (exact)" in out
-    assert cli._session.cache_info()[:3] == (0, 2, 2)
+    assert _counts() == (0, 2, 2)
 
 
 def test_failed_loads_are_not_held(tmp_path, capsys):
@@ -723,118 +742,72 @@ def test_failed_loads_are_not_held(tmp_path, capsys):
     for argv in (["info", str(bad)], ["info", str(bad)], ["info", "builtin:bacon_shor", "--l", "1"],
                  ["info", "builtin:steane"], ["info", "builtin:five_qubit", "--l", "3"]):
         assert _outcome(capsys, argv)[0] == 2
-    assert cli._session.cache_info() == (0, 3, 0, 0)
+    assert _counts() == (0, 3, 0)
     bad.write_text("p=2 n=2 format=pauli\nXX\n")
     assert _outcome(capsys, ["info", str(bad)])[0] == 0
-    assert cli._session.cache_info()[1:3] == (4, 1)
+    assert _counts() == (0, 4, 1)
 
 
-def test_least_recently_used_codes_are_evicted_first(capsys, monkeypatch):
-    def request(l):
-        outcome = _outcome(capsys, ["info", "builtin:bacon_shor", "--l", str(l), "--budget", "1"])
-        assert outcome == expected[l]
-        assert sum(_held().values()) == cli._session.cache_info().bytes <= cli._SESSION_BYTES
-        return [key[1][0][1] for key in _held()]
+def test_least_recently_used_codes_are_evicted_first(capsys):
+    def request(n):
+        before = cli._session.cache_info().misses
+        assert _outcome(capsys, ["info", "builtin:trivial", "--n", str(n)]) == expected[n]
+        return cli._session.cache_info().misses > before
 
-    expected = {l: _outcome(capsys, ["info", "builtin:bacon_shor", "--l", str(l), "--budget", "1"])
-                for l in (3, 4, 5)}
-    w = {l: _held()[_bacon_shor_key(l)] for l in (3, 4, 5)}
-    assert 0 < w[3] < w[4] < w[5]
-
-    # Any two fit, three do not.
+    expected = {n: _outcome(capsys, ["info", "builtin:trivial", "--n", str(n)])
+                for n in range(1, cli._SESSION_CODES + 2)}
+    assert all(rc == 0 for rc, *_ in expected.values())
     cli._session.cache_clear()
-    monkeypatch.setattr(cli, "_SESSION_BYTES", w[4] + w[5])
-    assert [request(l) for l in (3, 4, 3, 5, 4)] == [[3], [3, 4], [4, 3], [3, 5], [5, 4]]
-
-    # A code heavier than the bound is served but not held, and evicts nothing.
-    cli._session.cache_clear()
-    monkeypatch.setattr(cli, "_SESSION_BYTES", w[4])
-    assert [request(l) for l in (3, 5, 3, 4, 5)] == [[3], [3], [3], [4], [4]]
-    assert cli._session.cache_info()[:2] == (1, 4)
-
-
-def _reference_bytes(code):
-    """The nbytes of every distinct array reachable from the code through
-    `__dict__` values, tuples (a tuple subclass's `__dict__` too) and
-    Subspace bases, each array counted once."""
-    arrays, seen = {}, set()
-
-    def visit(obj):
-        if id(obj) in seen:
-            return
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            arrays[id(obj)] = obj.nbytes
-            return
-        if isinstance(obj, (tuple, list)):
-            for item in obj:
-                visit(item)
-        if hasattr(obj, "__dict__"):
-            if isinstance(obj, Subspace):
-                visit(obj.basis)
-            for value in vars(obj).values():
-                visit(value)
-
-    visit(code)
-    return sum(arrays.values())
+    assert cli._SESSION_CODES == 32
+    # Fill the session, then use code 1 again, so code 2 is the least recently used.
+    assert all(request(n) for n in range(1, 33))
+    assert not request(1)
+    # The 33rd distinct code evicts exactly code 2.
+    assert request(33)
+    assert cli._session.cache_info().currsize == 32
+    assert not request(1) and not request(3) and not request(33)
+    assert request(2)
+    assert cli._session.cache_info().currsize == 32
 
 
-def test_held_weights_are_measured_after_each_request(tmp_path, capsys):
+def test_held_codes_keep_what_their_requests_built(tmp_path, capsys):
     path = tmp_path / "five2.code"
     path.write_text(emit_code_file(cli.delta(cli.codefile.five_qubit()).result))
     out = tmp_path / "out.code"
     commands = [["info"], ["distance"], ["goursat"], ["classify"], ["double", "--out", str(out)],
                 ["decode", "--trials", "20"], ["codewords"]]
     specs = [["builtin:bacon_shor", "--l", "3"], ["builtin:five_qubit"], [str(path)]]
-    weights = {}
     for command in commands:
         for spec in specs:
             _outcome(capsys, [command[0], *spec, *command[1:]], out)
-            for key, (code, weight) in cli._session._codes.items():
-                text = sys.getsizeof(key) if isinstance(key, str) else 0
-                assert weight == _reference_bytes(code) + text
-                assert weight >= weights.get(key, 0)
-                weights[key] = weight
-    # The CSS codes' splits hold their codeword label bases and decoders, weighed above.
-    splits = [code.css_split() for code, _ in cli._session._codes.values() if code.is_css()]
+    misses = cli._session.cache_info().misses
+    held = [cli._session(key) for key in (_bacon_shor_key(3), ("five_qubit", ()), path.read_text())]
+    assert cli._session.cache_info().misses == misses == 3
+    # The CSS codes' splits hold their codeword label bases and decoders.
+    splits = [code.css_split() for code in held if code.is_css()]
     assert len(splits) == 2
     assert all({"_label_bases", "_decoder_pair"} <= split.__dict__.keys() for split in splits)
-    _outcome(capsys, ["gen", "bacon_shor", "--l", "3"])
-    assert _held()[_bacon_shor_key(3)] == weights[_bacon_shor_key(3)]
     # `double` on a CSS code links its gauge and the gauge's complement.
-    bs3 = cli._session._codes[_bacon_shor_key(3)][0]
+    bs3 = held[0]
     assert bs3.gauge.__dict__["_complement"].__dict__["_complement"] is bs3.gauge
-    assert weights[_bacon_shor_key(3)] > 4 * bs3.gauge.basis.nbytes
 
 
-def _assert_weights_exact():
-    """Every held weight is a fresh walk's, and the session's total their sum."""
-    for key, (code, weight) in cli._session._codes.items():
-        text = sys.getsizeof(key) if isinstance(key, str) else 0
-        assert weight == _reference_bytes(code) + text
-    assert cli._session.cache_info().bytes == sum(_held().values()) <= cli._SESSION_BYTES
-
-
-_WEIGHED_COMMANDS = [["info"], ["distance"], ["goursat"], ["classify"], ["double", "--out", "OUT"],
+_LIBRARY_COMMANDS = [["info"], ["distance"], ["goursat"], ["classify"], ["double", "--out", "OUT"],
                      ["decode", "--trials", "20"], ["codewords"]]
 
 
-def _weighed_requests(directory):
+def _library_requests(directory):
     """(argv of each command on each of three codes: a builtin, a code file and
     a non-CSS builtin; the `--out` path)."""
     path, out = Path(directory) / "bs3_p3.code", Path(directory) / "out.code"
     path.write_text(emit_code_file(qudit_bacon_shor(3, 3)))
     specs = [["builtin:bacon_shor", "--l", "3"], [str(path)], ["builtin:five_qubit"]]
     return [[[command[0], *spec, *(str(out) if arg == "OUT" else arg for arg in command[1:])]
-              for spec in specs] for command in _WEIGHED_COMMANDS], out
+              for spec in specs] for command in _LIBRARY_COMMANDS], out
 
 
-def _library_write(kind, pick):
+def _library_write(kind, code):
     """A cache write on a held code, made by a library call outside `main`."""
-    held = [code for code, _ in cli._session._codes.values()]
-    if kind is None or not held:
-        return
-    code = held[pick % len(held)]
     if kind == "delta":
         delta(code)
     elif kind == "complement":
@@ -843,48 +816,40 @@ def _library_write(kind, pick):
         decode._decoder_pair(code.css_split())
 
 
+def _output(argv, out):
+    """(rc, stdout, stderr, the `--out` file's text or None) of one request;
+    the file is removed, so the next request writes it afresh."""
+    outcome = _captured(argv)
+    written = out.read_text() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return *outcome, written
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, len(_WEIGHED_COMMANDS) - 1), st.integers(0, 2),
+@given(st.lists(st.tuples(st.integers(0, len(_LIBRARY_COMMANDS) - 1), st.integers(0, 2),
                           st.sampled_from([None, "delta", "complement", "decoders"]),
                           st.integers(0, 5)),
                 min_size=1, max_size=8))
-def test_held_weights_stay_exact_between_library_writes(steps):
+def test_library_writes_between_requests_report_as_fresh(steps):
     # Requests of any command on any of the three codes, with library cache
-    # writes on held codes between them: each held weight is a fresh walk's
-    # after every request, whether the write was on the code it used or not.
+    # writes on held codes between them: each request reports as it does
+    # after emptying the session, whether the write was on its code or not.
     cli._session.cache_clear()
     with tempfile.TemporaryDirectory() as directory:
-        requests, out = _weighed_requests(directory)
-        for command, spec, write, pick in steps:
-            _library_write(write, pick)
-            _captured(requests[command][spec])
-            out.unlink(missing_ok=True)
-            _assert_weights_exact()
-
-
-def test_a_repeated_request_weighs_no_code(tmp_path, monkeypatch):
-    # Once each request has run, none writes a cache (`double` reads the held
-    # Δ(H)), so the same requests again weigh no code and keep every weight.
-    requests, out = _weighed_requests(tmp_path)
-    requests = [argv for per_code in requests for argv in per_code]
-    weighed = []
-
-    def counting(code):
-        weighed.append(code)
-        return code_bytes(code)
-
-    code_bytes = cli._code_bytes
-    monkeypatch.setattr(cli, "_code_bytes", counting)
-    first = [_captured(argv) for argv in requests]
-    assert len(weighed) >= 3
-    weights = _held()
-    weighed.clear()
-    assert [_captured(argv) for argv in requests] == first
-    assert weighed == []
-    assert _held() == weights
-    _assert_weights_exact()
-    assert {rc for rc, _, _ in first} == {0, 3}
-    assert out.exists()
+        requests, out = _library_requests(directory)
+        argvs = [requests[command][spec] for command, spec, _, _ in steps]
+        shared, loaded = [], []
+        for argv, (_, _, write, pick) in zip(argvs, steps):
+            if write is not None and loaded:
+                held = loaded[pick % len(loaded)]
+                _library_write(write, cli._load_code(held[1], cli._parse(tuple(held))))
+            shared.append(_output(argv, out))
+            loaded.append(argv)
+        fresh = []
+        for argv in argvs:
+            cli._session.cache_clear()
+            fresh.append(_output(argv, out))
+    assert shared == fresh
 
 
 def _exit(capsys, argv):

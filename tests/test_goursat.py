@@ -278,4 +278,4 @@ def test_held_goursat_and_classify_report_as_fresh(capsys):
         for argv, want in zip(requests, fresh):
             assert cli.main(argv) == 0
             assert capsys.readouterr().out == want
-    assert cli._session.cache_info().codes == 3
+    assert cli._session.cache_info().currsize == 3

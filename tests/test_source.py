@@ -110,46 +110,6 @@ def test_private_helpers_are_used_by_the_package():
     assert unused == []
 
 
-def test_every_cache_write_is_counted():
-    # `cli._Session` re-weighs a held code only after a counted cache write
-    # (`gf._cache_writes`), so every cache is a `gf.cached_property` fill or a
-    # `gf._hold`: a functools cached_property or a `__dict__` write elsewhere
-    # would change a weight unseen. A distance record holds no array, so
-    # `code._recorded` writes its own uncounted.
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(Path(subcss.__file__).parent.glob("*.py"))}
-
-    def is_dict(node):
-        return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
-                or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars")
-
-    functools_caches, writes = [], set()
-    for module, tree in trees.items():
-        functions = [node for node in ast.walk(tree)
-                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.ImportFrom) and node.module == "functools"
-                    and any(alias.name == "cached_property" for alias in node.names)
-                    or isinstance(node, ast.Attribute) and node.attr == "cached_property"
-                    and getattr(node.value, "id", None) == "functools"):
-                functools_caches.append(f"{module}:{node.lineno}")
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                found = any(isinstance(sub, ast.Subscript) and is_dict(sub.value)
-                            for target in targets for sub in ast.walk(target))
-            else:
-                found = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                         and node.func.attr in ("setdefault", "update", "__setitem__")
-                         and is_dict(node.func.value))
-            if found:
-                inner = max((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
-                            key=lambda f: f.lineno, default=None)
-                writes.add(f"{module}:{inner.name if inner else '<module>'}")
-    assert [site for site in functools_caches if not site.startswith("gf.py:")] == []
-    assert functools_caches, "gf.py's cached_property is no longer found by this check"
-    assert writes == {"gf.py:_hold", "code.py:_recorded"}
-
-
 def test_micro_benchmarks_run_untimed():
     # Each benchmark runs once with timing off, so a bench that reads stats
     # that only a timed run has fails here rather than when someone times it.

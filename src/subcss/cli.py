@@ -3,9 +3,11 @@
 Reports are line-oriented ``key = value`` text; numeric results carry
 their computation mode (exact, search-bounded, or sampled). Exit codes:
 0 success, 2 rejected input (parse error or invalid value), 3 infeasible
-request, including one that runs out of memory. Calls of `main` in one
-process share their parses (`_parse`) and the `_SESSION_CODES` codes they
-loaded last (`_load_code`).
+request, including one that runs out of memory. Each command returns its
+report as a list of lines, and `main` writes it to stdout once the request
+has succeeded, so a request that fails writes nothing there. Calls of
+`main` in one process share their parses (`_parse`) and the
+`_SESSION_CODES` codes they loaded last (`_load_code`).
 """
 
 from __future__ import annotations
@@ -89,14 +91,14 @@ def _write_out(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _add_code_arg(sub, positional=True):
+def _add_code_arg(sub, positional=True, seed_flag="--seed"):
     if positional:
         sub.add_argument("code", help="code file path or builtin:<name>")
     sub.add_argument("--l", type=int, default=None, help="grid size for builtin:bacon_shor")
     sub.add_argument("--n", type=int, default=None, help="qudit count for builtin codes")
     sub.add_argument("--p", type=int, default=None, help="prime modulus for builtin codes")
     sub.add_argument("--dim", type=int, default=None, help="generator count for builtin:random")
-    sub.add_argument("--seed", type=int, default=None, help="seed for builtin:random")
+    sub.add_argument(seed_flag, dest="seed", type=int, default=None, help="seed for builtin:random")
 
 
 def _non_negative_int(text: str) -> int:
@@ -110,15 +112,14 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _report(name: str, value) -> None:
-    """Print one `name = value (mode)` line. A DistanceResult is exact or
+def _report(name: str, value) -> str:
+    """One `name = value (mode)` line. A DistanceResult is exact or
     search-bounded, None is a distance with no logical operators to measure,
     and any other value is exact."""
     if value is None:
-        print(f"{name} = undefined (no logical operators)")
-        return
+        return f"{name} = undefined (no logical operators)"
     exact = value.exact if isinstance(value, DistanceResult) else True
-    print(f"{name} = {value} ({'exact' if exact else 'search-bounded'})")
+    return f"{name} = {value} ({'exact' if exact else 'search-bounded'})"
 
 
 def _distances(code: SubsystemCode, budget: int | None) -> tuple:
@@ -132,83 +133,65 @@ def _distances(code: SubsystemCode, budget: int | None) -> tuple:
         return None, None, None
 
 
-def cmd_info(args) -> int:
+def cmd_info(args) -> list[str]:
     code = _load_code(args.code, args)
-    # Everything is computed before anything is printed, so a request that
-    # fails prints no partial report.
-    params, css = code.parameters(), code.is_css()
+    lines = [_report(name, value) for name, value in zip("nkr", code.parameters())]
+    css = code.is_css()
     d_x, d_z, d = _distances(code, args.budget)
-    for name, value in zip("nkr", params):
-        _report(name, value)
-    _report("d", d)
-    _report("is_css", css)
+    lines += [_report("d", d), _report("is_css", css)]
     if css:
         split = code.css_split()
-        _report("dim_H_X", split.h_x.dim)
-        _report("dim_H_Z", split.h_z.dim)
-        _report("d_X", d_x)
+        lines += [_report("dim_H_X", split.h_x.dim), _report("dim_H_Z", split.h_z.dim),
+                  _report("d_X", d_x)]
         if d_x is not None:
-            _report("d_Z", d_z)
-    return EXIT_OK
+            lines.append(_report("d_Z", d_z))
+    return lines
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> list[str]:
     code = _load_code(args.code, args)
-    _report("d", _distances(code, args.budget)[2])
-    return EXIT_OK
+    return [_report("d", _distances(code, args.budget)[2])]
 
 
-def cmd_double(args) -> int:
+def cmd_double(args) -> list[str]:
     code = _load_code(args.code, args)
     # Δ(H) is built once per code, which holds it (`code._held`).
     doubled = _held(code, "_doubled", lambda source: delta(source).result)
     n, k, r = code.parameters()
     n2, k2, r2 = doubled.parameters()
     lines = [f"source = [[{n},{k},{r}]]", f"doubled = [[{n2},{k2},{r2}]]"]
-    try:
-        d = code.distance(args.budget)
-        if d.exact:
-            lines.append(f"d_bracket = [{d.value}, {2 * d.value}] (exact source distance)")
-    except NoLogicalOperators:
-        pass
+    d = _distances(code, args.budget)[2]
+    if d is not None and d.exact:
+        lines.append(f"d_bracket = [{d.value}, {2 * d.value}] (exact source distance)")
     text = codefile.emit_code_file(doubled, args.format)
-    if args.out:
-        _write_out(args.out, text)
-        lines.append(f"written = {args.out}")
-    print("\n".join(lines))
     if not args.out:
-        sys.stdout.write(text)
-    return EXIT_OK
+        return lines + text.splitlines()
+    _write_out(args.out, text)
+    return lines + [f"written = {args.out}"]
 
 
-def cmd_goursat(args) -> int:
+def cmd_goursat(args) -> list[str]:
     code = _load_code(args.code, args)
     data = goursat.goursat_of(code)
     spaces = (("E_X", data.e_x), ("E_Z", data.e_z), ("N_X", data.n_x), ("N_Z", data.n_z))
-    for label, space in spaces:
-        _report(f"dim_{label}", space.dim)
-    _report("phi_pairs", data.pair_count())
-    lines = [f"{label} basis: {row}" for label, space in spaces
-             for row in _format_rows(space.basis)]
+    lines = [_report(f"dim_{label}", space.dim) for label, space in spaces]
+    lines.append(_report("phi_pairs", data.pair_count()))
+    lines += [f"{label} basis: {row}" for label, space in spaces
+              for row in _format_rows(space.basis)]
     n = code.n
     pairs = np.array(data.phi_pairs, dtype=np.int64).reshape(data.pair_count(), 2 * n)
     phis = zip(_format_rows(pairs[:, :n]), _format_rows(pairs[:, n:]))
-    lines += [f"phi: {a} -> {b}" for a, b in phis]
-    if lines:
-        print("\n".join(lines))
-    return EXIT_OK
+    return lines + [f"phi: {a} -> {b}" for a, b in phis]
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> list[str]:
     code = _load_code(args.code, args)
     cls = goursat.classify_stabilizer(code)
-    _report("maximal", cls.maximal)
-    _report("minimal", cls.minimal)
-    print(f"region = {cls.region()}")
-    return EXIT_OK
+    return [_report("maximal", cls.maximal), _report("minimal", cls.minimal),
+            f"region = {cls.region()}"]
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> list[str]:
     sampling = {"--q": args.q, "--trials": args.trials, "--seed": args.mc_seed}
     given = [flag for flag, value in sampling.items() if value is not None]
     if args.exhaustive_weight is not None and given:
@@ -227,6 +210,9 @@ def cmd_decode(args) -> int:
             top = args.exhaustive_weight
             if top < 1:
                 raise ValueError("exhaustive weight must be >= 1")
+            if split.logical_x.dim == split.h_x.dim:
+                # k = 0, as a sweep would find; at n = 0 no weight is swept.
+                raise NoLogicalOperators("no logical operators: the coset space is empty")
             # One row per weight up to n; no error has weight above n.
             weights = range(1, min(top, code.n) + 1)
             errors = sum(math.comb(code.n, w) * (code.p**2 - 1) ** w for w in weights)
@@ -241,13 +227,12 @@ def cmd_decode(args) -> int:
     except NoLogicalOperators as exc:
         # k = 0: neither classical code has a distance to decode up to.
         raise InfeasibleRequest(f"nothing to decode: {exc}") from exc
-    print("weight_or_q,trials,corrected,logical_failures,out_of_range")
-    for label, c in rows:
-        print(f"{label},{c.trials},{c.corrected},{c.logical_failures},{c.out_of_range}")
-    return EXIT_OK
+    return ["weight_or_q,trials,corrected,logical_failures,out_of_range"] + [
+        f"{label},{c.trials},{c.corrected},{c.logical_failures},{c.out_of_range}"
+        for label, c in rows]
 
 
-def cmd_codewords(args) -> int:
+def cmd_codewords(args) -> list[str]:
     """One line per codeword label (l, g), l-major: whether every stabilizer row
     fixes it (`states._fixing_table`) and, with --dense, whether the table read
     off its basis states agrees (`states._dense_fixing_table`). The label bases
@@ -263,8 +248,6 @@ def cmd_codewords(args) -> int:
     if labels > states._CODEWORD_LIMIT:
         raise InfeasibleRequest(f"{labels} codeword labels exceed {states._CODEWORD_LIMIT}")
     ls, gs, offsets = states._label_grid(split)
-    _report("codewords", len(offsets))
-    _report("support_size", code.p**split.stab_x.dim)
     # The stabilizer rows: X^a for a in S_X's basis, Z^b for b in S_Z's.
     rows = split.stab_x.basis, split.stab_z.basis
     fixes = states._fixing_table(split.stab_x, offsets, *rows)
@@ -278,19 +261,17 @@ def cmd_codewords(args) -> int:
                  for (l, g), f, a in zip(pairs, fixed, agrees)]
     else:
         lines = [f"l = ({l}) g = ({g}) fixed = {f}" for (l, g), f in zip(pairs, fixed)]
-    print("\n".join(lines))
-    _report("all_fixed", all(fixed))
-    return EXIT_OK
+    return [_report("codewords", len(offsets)), _report("support_size", code.p**split.stab_x.dim),
+            *lines, _report("all_fixed", all(fixed))]
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> list[str]:
     code = _load_code(f"builtin:{args.name}", args)
     text = codefile.emit_code_file(code, args.format)
-    if args.out:
-        _write_out(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    if not args.out:
+        return text.splitlines()
+    _write_out(args.out, text)
+    return []
 
 
 @functools.cache
@@ -330,12 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("decode", help="recovery statistics as CSV")
     s.add_argument("code", nargs="?", default=None, help="code file path or builtin:<name>")
     s.add_argument("--code", dest="code_opt", default=None, help="alternative to the positional code")
-    s.add_argument("--l", type=int, default=None)
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--p", type=int, default=None)
-    s.add_argument("--dim", type=int, default=None)
-    s.add_argument("--code-seed", dest="seed", type=int, default=None,
-                   help="seed for builtin:random")
+    _add_code_arg(s, positional=False, seed_flag="--code-seed")
     s.add_argument("--q", type=float, default=None,
                    help="per-site error probability (sampling; default 0.01)")
     s.add_argument("--trials", type=int, default=None, help="sampled trials (default 1000)")
@@ -375,24 +351,24 @@ def _parse(argv: tuple) -> argparse.Namespace:
 def main(argv=None) -> int:
     """Run one request, argv (default `sys.argv[1:]`), and return its exit code.
 
+    Its report is written to stdout in one write once it has succeeded; a
+    failed request writes one `error:` line to stderr and nothing to stdout.
     Its parse is held (`_parse`); each call gets a fresh Namespace of it. The
     codes it loads are held for later calls (`_session`)."""
     parsed = _parse(tuple(sys.argv[1:] if argv is None else argv))
     args = argparse.Namespace(**vars(parsed))
     try:
-        return args.func(args)
-    except CodeFileError as exc:
+        report = args.func(args)
+    except (CodeFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except InfeasibleRequest as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InfeasibleRequest, MemoryError) as exc:
+        cause = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {cause}{exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    # One write, each line ended by a newline; an empty report writes nothing.
+    sys.stdout.write("\n".join([*report, ""]))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

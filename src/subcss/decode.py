@@ -103,8 +103,7 @@ class ClassicalCode:
         vectors with one syndrome differ by an element of R iff their classes
         v . Z agree. K^theta is F's row space: a CSS side's S_Z or S_X.
         """
-        reps = self.r.complement().quotient_reps(self.k.complement())
-        return np.array(reps, dtype=np.int64).reshape(len(reps), self.n)
+        return self.r.complement().quotient_reps(self.k.complement())
 
     @cached_property
     def _trial_check(self) -> np.ndarray:
@@ -174,8 +173,9 @@ class ClassicalCode:
         return rows[0] if found[0] else None
 
 
-def make_css_decoder(split: CssSplit) -> tuple[ClassicalCode, ClassicalCode]:
-    """The X-side and Z-side classical codes of a subsystem CSS code.
+def make_css_decoder(split: CssSplit) -> _DecoderPair:
+    """The X-side and Z-side classical codes of a subsystem CSS code, as a
+    `_DecoderPair` (a tuple).
 
     X side: parity check the basis matrix of the Z-type stabilizer space
     S_Z = H_Z cap H_X^theta, redundant subcode H_X. Its code is
@@ -188,7 +188,7 @@ def make_css_decoder(split: CssSplit) -> tuple[ClassicalCode, ClassicalCode]:
     # d_R of a side is d_X or d_Z: searched once, by whichever asks first.
     x_side._distance = partial(split._side_distance, "x")
     z_side._distance = partial(split._side_distance, "z")
-    return x_side, z_side
+    return _DecoderPair((x_side, z_side))
 
 
 @dataclass(frozen=True)
@@ -226,11 +226,7 @@ class _DecoderPair(tuple):
 def _decoder_pair(split: CssSplit) -> _DecoderPair:
     """The decoders of a split, built once per split, which holds them
     (`code._held`): they go with it."""
-    return _held(split, "_decoder_pair", _new_decoder_pair)
-
-
-def _new_decoder_pair(split: CssSplit) -> _DecoderPair:
-    return _DecoderPair(make_css_decoder(split))
+    return _held(split, "_decoder_pair", make_css_decoder)
 
 
 class DecodeStatus(enum.Enum):

@@ -325,15 +325,16 @@ class Subspace:
         comp.__dict__["_complement"] = self
         return comp
 
-    def quotient_reps(self, small: "Subspace") -> list[np.ndarray]:
-        """Vectors whose cosets form a basis of self/small (deterministic).
+    def quotient_reps(self, small: "Subspace") -> np.ndarray:
+        """The rows of a 2-D array, (dim self - dim small) x ambient, whose
+        cosets form a basis of self/small (deterministic).
 
         Greedy scan of this subspace's canonical basis rows.
         """
         self._check_compatible(small)
         if not self.contains_space(small):
             raise ValueError("quotient_reps: denominator is not a subspace of numerator")
-        return list(self.basis[_independent_rows(small, self.basis)])
+        return self.basis[_independent_rows(small, self.basis)]
 
     def all_elements(self) -> np.ndarray:
         """All p**dim elements as a matrix, at most `ROW_LIMIT` rows; for exhaustive sweeps."""

@@ -96,13 +96,10 @@ def _label_bases(split: CssSplit) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _quotient_bases(split: CssSplit) -> tuple[np.ndarray, np.ndarray]:
-    bases = []
-    for big, small in ((split.logical_x, split.h_x), (split.h_x, split.stab_x)):
-        reps = big.quotient_reps(small)
-        basis = np.array(reps, dtype=np.int64).reshape(len(reps), split.n)
+    bases = split.logical_x.quotient_reps(split.h_x), split.h_x.quotient_reps(split.stab_x)
+    for basis in bases:
         basis.setflags(write=False)
-        bases.append(basis)
-    return tuple(bases)
+    return bases
 
 
 def _label_grid(split: CssSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from subcss import (
     is_fixed_by,
     parse_code_file,
 )
-from subcss import cli, decode, states
+from subcss import cli, codefile, decode, states
 from subcss import code as code_module
 from subcss.cli import build_parser, main
 
@@ -314,6 +314,8 @@ def test_out_of_memory_is_infeasible(tmp_path, capsys):
     ["--p", "2", "--n", "2", "--dim", "3", "--code-seed", "1", "--trials", "5"],
     ["--p", "2", "--n", "2", "--dim", "3", "--code-seed", "1", "--exhaustive-weight", "1"],
     ["--n", "0", "--dim", "0", "--trials", "5"],
+    # n = 0: no weight to sweep, so no sweep reads a distance.
+    ["--n", "0", "--dim", "0", "--exhaustive-weight", "1"],
 ])
 def test_decode_without_logical_operators_is_infeasible(capsys, options):
     # k = 0 CSS codes: nothing to decode, as `info` reports d = undefined.
@@ -321,6 +323,32 @@ def test_decode_without_logical_operators_is_infeasible(capsys, options):
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "no logical operators" in err
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (cli, "_format_rows", ["goursat", "builtin:five_qubit"]),
+    (states, "_fixing_table", ["codewords", "builtin:bacon_shor", "--l", "3"]),
+    (states, "_dense_fixing_table", ["codewords", "builtin:bacon_shor", "--l", "3", "--dense"]),
+    (codefile, "emit_code_file", ["double", "builtin:five_qubit"]),
+    (decode, "exhaustive_sweep", ["decode", "builtin:bacon_shor", "--l", "3",
+                                  "--exhaustive-weight", "1"]),
+])
+def test_a_request_that_fails_last_writes_no_report(capsys, monkeypatch, module, name, argv):
+    # The command's last computation runs out of memory after the lines
+    # before it are known: a report is written only once its request succeeds.
+    def exhausted(*args):
+        raise MemoryError("last step")
+
+    monkeypatch.setattr(module, name, exhausted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory: last step\n"
+
+
+def test_decode_without_a_code_is_rejected_input(capsys):
+    code, out, err = run(capsys, "decode", "--trials", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: line 0: no code given (positional or --code)\n"
 
 
 def test_info_computes_before_it_prints(capsys, monkeypatch):

@@ -40,7 +40,7 @@ from subcss.code import (
     _syndrome_batches,
 )
 from subcss.decode import ClassicalCode
-from subcss.pauli import _psi_rows, flatten, omega_complement, psi_subspace, swt
+from subcss.pauli import _psi_rows, flatten, omega_complement, parse_pauli, psi_subspace, swt
 
 from conftest import (
     _weight_batches,
@@ -198,6 +198,21 @@ def test_from_css_split_is_css(rng):
     assert code.is_css()
     split = code.css_split()
     assert split.h_x == h_x and split.h_z == h_z
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SubsystemCode(2, 3, Subspace.zero(2, 5)),
+    lambda: SubsystemCode(3, 2, Subspace.zero(2, 4)),
+], ids=["length", "modulus"])
+def test_a_gauge_outside_the_register_is_rejected(build):
+    with pytest.raises(ValueError, match=r"^gauge subspace must live in F_p\^\{2n\}$"):
+        build()
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2)], ids=["length", "modulus"])
+def test_from_generators_rejects_a_mismatched_generator(p, n):
+    with pytest.raises(ValueError, match="^generator has mismatched modulus or length$"):
+        SubsystemCode.from_generators(p, n, [parse_pauli("XZ", 2)])
 
 
 def test_css_split_mismatch_raises():

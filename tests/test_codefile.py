@@ -118,6 +118,7 @@ def test_parse_errors_carry_line_numbers():
         # A header key given twice, or one the format does not have.
         ("p=2 n=2 format=symplectic p=3\n", "line 1: bad header: key 'p' given twice"),
         ("# c\np=2 n=2 format=pauli bogus=7\nXX\n", "line 2: bad header: unknown key 'bogus'"),
+        ("p=2 n 2 format=pauli\n", "line 1: bad header: expected key=value, got 'n'"),
     ],
 )
 def test_parse_error_messages(text, message):

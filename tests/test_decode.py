@@ -107,6 +107,13 @@ def test_classical_code_validation():
         ClassicalCode([[1, 1, 0, 1]], Subspace.zero(2, 3))
 
 
+@pytest.mark.parametrize("syn", [[0], [0, 0, 0], [[0, 0]]])
+def test_decode_coset_rejects_a_syndrome_of_the_wrong_length(syn):
+    code = ClassicalCode([[1, 1, 0], [0, 1, 1]], Subspace.zero(2, 3))
+    with pytest.raises(ValueError, match="^syndrome has the wrong length$"):
+        code.decode_coset(syn)
+
+
 def test_inconsistent_syndrome():
     # F has dependent rows, so (1, 0) is outside its image.
     code = ClassicalCode([[1, 1, 1], [1, 1, 1]], Subspace.zero(2, 3))

@@ -211,6 +211,19 @@ def test_all_elements_refuses_more_than_the_row_limit():
         Subspace.full(2, 40).all_elements()
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("mat", [np.array(1), np.array([1, 2]), np.zeros((1, 2, 2), dtype=np.int64)])
+def test_rref_rejects_a_non_matrix(mat, p):
+    with pytest.raises(ValueError, match="^expected a 2-D matrix$"):
+        rref(mat, p)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0]], [[1, 0, 1, 1]], [1, 0, 1]])
+def test_span_rejects_rows_of_the_wrong_length(rows):
+    with pytest.raises(ValueError, match="^rows must have length 3$"):
+        Subspace.span(rows, 2, 3)
+
+
 def test_mismatched_ambient_raises():
     a = Subspace.zero(2, 3)
     b = Subspace.zero(2, 4)

@@ -75,11 +75,20 @@ def test_goursat_roundtrip_random(rng):
 def test_goursat_data_validation():
     e = Subspace.span([[1, 0], [0, 1]], 2, 2)
     n = Subspace.span([[1, 1]], 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^N_X must be a subspace of E_X$"):
         GoursatData(e_x=n, e_z=e, n_x=e, n_z=Subspace.zero(2, 2), phi_pairs=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^N_Z must be a subspace of E_Z$"):
+        GoursatData(e_x=e, e_z=n, n_x=e, n_z=e, phi_pairs=())
+    with pytest.raises(ValueError, match="^phi pair count"):
         # Pair count does not match the quotient dimension.
         GoursatData(e_x=e, e_z=e, n_x=n, n_z=n, phi_pairs=())
+    # One pair for the one-dimensional quotients E / N; (1, 1) lies in N.
+    inside, outside = np.array([1, 1]), np.array([1, 0])
+    with pytest.raises(ValueError, match="^X representatives are dependent modulo N_X$"):
+        GoursatData(e_x=e, e_z=e, n_x=n, n_z=n, phi_pairs=((inside, outside),))
+    with pytest.raises(ValueError, match="^Z representatives are dependent modulo N_Z$"):
+        GoursatData(e_x=e, e_z=e, n_x=n, n_z=n, phi_pairs=((outside, inside),))
+    assert GoursatData(e_x=e, e_z=e, n_x=n, n_z=n, phi_pairs=((outside, outside),)).pair_count() == 1
 
 
 def test_complement_data_checks(rng):

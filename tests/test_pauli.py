@@ -152,6 +152,20 @@ def test_psi_subspace_matches_per_row_psi(h):
     assert psi_subspace(h) == Subspace.span(images, h.p, h.ambient)
 
 
+def test_pauli_vector_hash_zero_and_mismatch():
+    u = PauliVector(3, [1, 0], [0, 2])
+    assert hash(u) == hash(PauliVector(3, [4, 0], [0, 5]))
+    assert len({u, u + u - u, u - u}) == 2
+    assert (u - u).is_zero() and not u.is_zero()
+    for other in (PauliVector(3, [1], [0]), PauliVector(2, [1, 0], [0, 1])):
+        with pytest.raises(ValueError, match="^Pauli vectors have mismatched modulus or length$"):
+            u + other
+        with pytest.raises(ValueError, match="^Pauli vectors have mismatched modulus or length$"):
+            u - other
+    with pytest.raises(ValueError, match="^flattened Pauli vector must have even length$"):
+        unflatten([1, 0, 1], 3)
+
+
 def test_pauli_vector_validation():
     with pytest.raises(ValueError):
         PauliVector(2, np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64))

@@ -30,7 +30,7 @@ from subcss import gf
 from subcss import states as states_module
 from subcss.states import _dense_fixing_table, _fixing_table, _label_bases, _label_grid
 
-from conftest import css_splits, reference_dense_vector, subspaces
+from conftest import css_splits, numpy_without, reference_dense_vector, subspaces
 
 BS3 = bacon_shor(3).css_split()
 
@@ -177,6 +177,24 @@ def test_symbolic_matches_dense_on_toy_code():
             assert symbolic == dense
             # The symbolic action itself matches the dense oracle.
             assert np.allclose(dense_vector(apply_pauli(st, g)), _dense_apply(g, vec, 2))
+
+
+@pytest.mark.parametrize("offset, phase", [
+    (np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64)),
+    (np.zeros(4, dtype=np.int64), np.zeros(3, dtype=np.int64)),
+    (np.zeros((1, 4), dtype=np.int64), np.zeros((1, 4), dtype=np.int64)),
+])
+def test_coset_state_shapes_must_match_the_register(offset, phase):
+    with pytest.raises(ValueError, match="^offset and phase must match the ambient dimension$"):
+        CosetState(offset=offset, support=Subspace.zero(2, 4), phase=phase)
+
+
+def test_dense_fixing_table_is_gated_before_it_allocates(monkeypatch):
+    # 3^13 > gf.ROW_LIMIT basis states: refused before any array is built.
+    monkeypatch.setattr(states_module, "np", numpy_without("eye", "full", "empty"))
+    rows = np.zeros((0, 13), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"^dense amplitudes of dimension 3\^13 exceed the size limit$"):
+        _dense_fixing_table(Subspace.zero(3, 13), np.zeros((1, 13), dtype=np.int64), rows, rows)
 
 
 def test_apply_pauli_composition(rng):

@@ -3,7 +3,7 @@
 Reports are line-oriented ``key = value`` text; numeric results carry
 their computation mode (exact, search-bounded, or sampled). Exit codes:
 0 success, 2 rejected input (parse error or invalid value), 3 infeasible
-request, including one that runs out of memory. Each command returns its
+request (`gf.Infeasible`, or out of memory). Each command returns its
 report as a list of lines, and `main` writes it to stdout once the request
 has succeeded, so a request that fails writes nothing there. Calls of
 `main` in one process share their parses (`_parse`) and the
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from itertools import product
 
@@ -34,11 +33,6 @@ from .double import delta
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
-
-
-class InfeasibleRequest(Exception):
-    pass
-
 
 # The most distinct codes that `main` keeps between calls (`_session`).
 _SESSION_CODES = 32
@@ -78,7 +72,7 @@ def _load_code(spec: str, args) -> SubsystemCode:
         with open(spec) as fh:
             text = fh.read()
     except OSError as exc:
-        raise CodeFileError(0, f"cannot read {spec}: {exc}") from exc
+        raise ValueError(f"cannot read {spec}: {exc.strerror or exc}") from exc
     return _session(text)
 
 
@@ -200,24 +194,21 @@ def cmd_decode(args) -> list[str]:
         raise ValueError("give the code once: positional or --code, not both")
     spec = args.code if args.code is not None else args.code_opt
     if spec is None:
-        raise CodeFileError(0, "no code given (positional or --code)")
+        raise ValueError("no code given (positional or --code)")
     code = _load_code(spec, args)
     if not code.is_css():
-        raise InfeasibleRequest("the recovery procedure is defined for CSS codes only")
+        raise gf.Infeasible("the recovery procedure is defined for CSS codes only")
     split = code.css_split()
     try:
         if args.exhaustive_weight is not None:
-            top = args.exhaustive_weight
-            if top < 1:
+            if args.exhaustive_weight < 1:
                 raise ValueError("exhaustive weight must be >= 1")
             if split.logical_x.dim == split.h_x.dim:
                 # k = 0, as a sweep would find; at n = 0 no weight is swept.
                 raise NoLogicalOperators("no logical operators: the coset space is empty")
             # One row per weight up to n; no error has weight above n.
-            weights = range(1, min(top, code.n) + 1)
-            errors = sum(math.comb(code.n, w) * (code.p**2 - 1) ** w for w in weights)
-            if errors > gf.ROW_LIMIT:
-                raise InfeasibleRequest(f"sweep of {errors} errors exceeds {gf.ROW_LIMIT}")
+            weights = range(1, min(args.exhaustive_weight, code.n) + 1)
+            decode._sweep_errors(split, weights)
             rows = [(w, decode.exhaustive_sweep(split, w)) for w in weights]
         else:
             q = 0.01 if args.q is None else args.q
@@ -226,7 +217,7 @@ def cmd_decode(args) -> list[str]:
             rows = [(q, decode.monte_carlo(split, q, trials, seed).counts)]
     except NoLogicalOperators as exc:
         # k = 0: neither classical code has a distance to decode up to.
-        raise InfeasibleRequest(f"nothing to decode: {exc}") from exc
+        raise gf.Infeasible(f"nothing to decode: {exc}") from exc
     return ["weight_or_q,trials,corrected,logical_failures,out_of_range"] + [
         f"{label},{c.trials},{c.corrected},{c.logical_failures},{c.out_of_range}"
         for label, c in rows]
@@ -240,13 +231,8 @@ def cmd_codewords(args) -> list[str]:
     the report are computed on every request."""
     code = _load_code(args.code, args)
     if not code.is_css():
-        raise InfeasibleRequest("codewords are defined for CSS codes only")
+        raise gf.Infeasible("codewords are defined for CSS codes only")
     split = code.css_split()
-    if args.dense and code.p**code.n > gf.ROW_LIMIT:
-        raise InfeasibleRequest("dense amplitudes infeasible at this size")
-    labels = code.p ** (split.logical_x.dim - split.stab_x.dim)
-    if labels > states._CODEWORD_LIMIT:
-        raise InfeasibleRequest(f"{labels} codeword labels exceed {states._CODEWORD_LIMIT}")
     ls, gs, offsets = states._label_grid(split)
     # The stabilizer rows: X^a for a in S_X's basis, Z^b for b in S_Z's.
     rows = split.stab_x.basis, split.stab_z.basis
@@ -359,13 +345,13 @@ def main(argv=None) -> int:
     args = argparse.Namespace(**vars(parsed))
     try:
         report = args.func(args)
-    except (CodeFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InfeasibleRequest, MemoryError) as exc:
+    except (gf.Infeasible, MemoryError) as exc:  # ahead of ValueError, which Infeasible is
         cause = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"error: {cause}{exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (CodeFileError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     # One write, each line ended by a newline; an empty report writes nothing.
     sys.stdout.write("\n".join([*report, ""]))
     return EXIT_OK

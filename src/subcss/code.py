@@ -367,9 +367,9 @@ def _recorded(owner, name: str, n: int, budget: int | None, search) -> DistanceR
     budget, a bound b + 1 every budget below it. Any other budget searches, and
     its answer, an exact d or a greater bound, replaces the record.
 
-    Only an answer is recorded: a k = 0 problem (NoLogicalOperators), a
-    MemoryError or a negative budget (ValueError; with a record k > 0, so a
-    fresh search would raise it as well) raises on every call."""
+    Only an answer is recorded: a k = 0 problem (NoLogicalOperators), an
+    Infeasible search, a MemoryError or a negative budget (ValueError; with a record
+    k > 0, so a fresh search would raise it as well) raises on every call."""
     known = owner.__dict__.get(name)
     if known is not None:
         budget = _budget(budget, n)
@@ -437,8 +437,8 @@ def _coset_search(big_check: np.ndarray, small_check: np.ndarray, letters: np.nd
     It lists syndromes, not vectors: a row of `_syndrome_batches` over the
     stacked checks [big_check; small_check] is a hit when its big part is zero
     and its small part is not, and only the first hit is spelled as a vector.
-
-    Raises ValueError for a negative budget.
+    A layer past `gf.ROW_LIMIT` vectors is listed only if the whole listing to the
+    budget fits `gf.STREAM_LIMIT` (`_weight_layers`); ValueError for a negative budget.
     """
     n = big_check.shape[1] // letters.shape[1]
     top = min(_budget(budget, n), n)
@@ -447,11 +447,24 @@ def _coset_search(big_check: np.ndarray, small_check: np.ndarray, letters: np.nd
     m = big_check.shape[0]
     table = _letter_syndromes(np.vstack([big_check, small_check]), letters, p)
     for w in range(1, top + 1):
+        if comb(n, w) * len(letters) ** w > gf.ROW_LIMIT:
+            _weight_layers("vectors", n, len(letters), range(1, top + 1), gf.STREAM_LIMIT, "budget")
         for sites, tuples, syns in _syndrome_batches(table, w, p):
             hits = np.flatnonzero(~syns[:, :m].any(axis=1) & syns[:, m:].any(axis=1))
             if len(hits):
                 return w, _spelled(letters, n, sites, tuples, hits[:1])[0]
     return None
+
+
+def _weight_layers(what: str, n: int, n_letters: int, weights: range, limit: int, name: str) -> int:
+    """The vectors on n sites over `n_letters` letters with weight in `weights`, C(n, w)
+    n_letters^w summed; Infeasible above `limit`, naming the largest top weight that fits."""
+    total = 0
+    for w in weights:
+        total += comb(n, w) * n_letters**w
+        fits = f"{name} {w - 1}" if w > weights.start else ""
+        gf._gate(f"{what} of weight {weights.start} to {w} on {n} sites", total, limit, fits)
+    return total
 
 
 # Syndrome engine -------------------------------------------------------------
@@ -507,11 +520,11 @@ def _translator(p: int, m: int):
 
 def _letter_syndromes(check: np.ndarray, letters: np.ndarray, p: int) -> np.ndarray:
     """(n, L, m): entry [j, x] is the syndrome of letter x placed on site j, its
-    column i going to coordinate i*n + j (the `_spelled` layout).
-
-    Raises MemoryError, before building it, if it exceeds `_TABLE_BYTES`."""
+    column i going to coordinate i*n + j (the `_spelled` layout); Infeasible,
+    before it is built, above `_TABLE_BYTES` as int64."""
     (m, cols), b = check.shape, letters.shape[1]
-    _check_table_bytes((cols // b, len(letters), m), "the letter-syndrome table")
+    shape = cols // b, len(letters), m
+    gf._gate(f"bytes of the letter-syndrome table of shape {shape}", 8 * prod(shape), _TABLE_BYTES)
     # One batched (L, b) x (b, m) product per site: an einsum costs more per call on small tables.
     return np.matmul(letters, check.reshape(m, b, cols // b).transpose(2, 1, 0)) % p
 
@@ -627,25 +640,15 @@ _BATCH_ROWS = 1 << 14
 _TABLE_BYTES = 1 << 30
 
 
-def _check_table_bytes(shape: tuple[int, ...], what: str) -> None:
-    """Raise MemoryError if an int64 array of this shape exceeds `_TABLE_BYTES`;
-    Python ints, so nothing wraps."""
-    size = 8 * prod(shape)
-    if size > _TABLE_BYTES:
-        raise MemoryError(f"{what} of shape {shape} would take {size:,} bytes "
-                          f"({size / 2**30:.1f} GiB), above the limit of {_TABLE_BYTES:,}")
-
-
 def _field_letters(p: int) -> np.ndarray:
     """The p - 1 nonzero values of F_p, as a one-column letter array."""
     return np.arange(1, p, dtype=np.int64)[:, None]
 
 
 def _site_values(p: int) -> np.ndarray:
-    """The p^2 - 1 nontrivial (x, z) single-site values, lexicographic.
-
-    Raises MemoryError, before listing them, if they exceed `_TABLE_BYTES`."""
-    _check_table_bytes((2, p, p), f"the single-site value grid of p = {p}")
+    """The p^2 - 1 nontrivial (x, z) single-site values, lexicographic; Infeasible,
+    before they are listed, if their int64 grid exceeds `_TABLE_BYTES`."""
+    gf._gate(f"bytes of the single-site value grid of p = {p}", 8 * 2 * p * p, _TABLE_BYTES)
     return np.stack(_site_letters(np.arange(p * p - 1, dtype=np.int64), p), axis=1)
 
 

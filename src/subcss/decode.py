@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import comb
 
 import numpy as np
 
@@ -32,8 +31,9 @@ from .code import (
     _site_letters,
     _site_values,
     _syndrome_batches,
+    _weight_layers,
 )
-from .gf import ROW_LIMIT, Subspace, _grid_index, fp_array, kernel, pivot_columns
+from .gf import ROW_LIMIT, STREAM_LIMIT, Subspace, _gate, _grid_index, fp_array, kernel, pivot_columns
 from .pauli import PauliVector
 
 
@@ -393,7 +393,8 @@ def monte_carlo(split: CssSplit, q: float, trials: int, seed: int) -> MonteCarlo
     """Sample i.i.d. site-wise errors and tally recovery statuses. Each site is
     independently nontrivial with probability q, uniform over the p^2 - 1 nontrivial
     single-site values; one uniform draw per site decides both (`_sampled_errors`),
-    so a seed fixes the counts. Only trials with a hit are summed and looked up."""
+    so a seed fixes the counts. Only trials with a hit are summed and looked up;
+    Infeasible, before any draw, above `gf.STREAM_LIMIT` site draws."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"error probability q must be in [0, 1], got {q}")
     if trials < 1:
@@ -402,6 +403,8 @@ def monte_carlo(split: CssSplit, q: float, trials: int, seed: int) -> MonteCarlo
         raise ValueError(f"trials must be <= 2**63 - 1 (int64 counts), got {trials}")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    fits = f"trials {STREAM_LIMIT // split.n:,}" if split.n else ""
+    _gate(f"site draws of {trials:,} trials on {split.n} sites", trials * split.n, STREAM_LIMIT, fits)
     chunks = (_hit_products(split, *hits)[1] for hits in _sampled_errors(split, q, trials, seed))
     return MonteCarloReport(q, seed, _tally(split, chunks, trials))
 
@@ -423,15 +426,18 @@ def _sampled_errors(split: CssSplit, q: float, trials: int, seed: int):
         yield rows + lo, sites, *_site_letters(t, p)
 
 
+def _sweep_errors(split: CssSplit, weights: range) -> int:
+    """The Pauli errors of weight in `weights`; Infeasible above `gf.ROW_LIMIT` (`_weight_layers`)."""
+    return _weight_layers("errors", split.n, split.p**2 - 1, weights, ROW_LIMIT, "weight")
+
+
 def exhaustive_sweep(split: CssSplit, weight: int) -> TrialCounts:
     """Recover every Pauli error of symplectic weight exactly `weight`: the zero
-    error at weight 0, hitless, so no letter is listed; ValueError, before anything
-    is listed, above `gf.ROW_LIMIT` errors. An error's [F; Z] products are the
-    sum of its letters' rows of the pair's `letter_table`; none is spelled."""
+    error at weight 0, hitless, so no letter is listed; Infeasible, before anything
+    is listed, above `gf.ROW_LIMIT` errors (`_sweep_errors`). An error's [F; Z]
+    products sum its letters' rows of the pair's `letter_table`; none is spelled."""
     if weight < 0:
         raise ValueError(f"sweep weight must be >= 0, got {weight}")
-    errors = comb(split.n, weight) * (split.p**2 - 1) ** weight
-    if errors > ROW_LIMIT:
-        raise ValueError(f"sweep of {errors} errors exceeds {ROW_LIMIT}")
+    errors = _sweep_errors(split, range(weight, weight + 1))
     layer = _syndrome_batches(_decoder_pair(split).letter_table, weight, split.p) if weight else ()
     return _tally(split, (syns for *_, syns in layer), errors)

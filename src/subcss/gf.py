@@ -30,6 +30,20 @@ import numpy as np
 P_LIMIT = 1 << 16
 # Most rows that an enumeration of all the elements of a span may build.
 ROW_LIMIT = 1 << 20
+# Most items that one streamed listing may produce: searched vectors, sampled site draws.
+STREAM_LIMIT = 1 << 30
+
+
+class Infeasible(ValueError):
+    """A request refused before it runs: too large (`_gate`), or undefined for its code."""
+
+
+def _gate(what: str, price: int, limit: int, fits: str = "") -> None:
+    """Raise Infeasible if `price`, the size of `what` as a Python int (so nothing
+    wraps), exceeds `limit`, naming all three and `fits`, the largest parameter that fits."""
+    if price > limit:
+        fits = f"; {fits} fits" if fits else ""
+        raise Infeasible(f"infeasible: {what} ({price:,}) exceed the limit of {limit:,}{fits}")
 
 
 def is_prime(p: int) -> bool:
@@ -353,11 +367,10 @@ def _combinations(rows: np.ndarray, p: int) -> np.ndarray:
     """Every F_p combination of the rows, the coefficients running over the
     `_grid_digits` rows (first row most significant); one zero row when k = 0.
 
-    Raises ValueError above `ROW_LIMIT` combinations, before building any.
+    Raises Infeasible above `ROW_LIMIT` combinations, before building any.
     """
     k = rows.shape[0]
-    if p**k > ROW_LIMIT:
-        raise ValueError(f"{p}^{k} combinations exceed the limit of {ROW_LIMIT} rows")
+    _gate(f"{p}^{k} combinations", p**k, ROW_LIMIT)
     return _grid_digits(np.arange(p**k, dtype=np.int64), p, k) @ rows % p
 
 

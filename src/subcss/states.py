@@ -15,10 +15,10 @@ import numpy as np
 
 from . import gf
 from .code import _BATCH_ROWS, CssSplit, _held
-from .gf import Subspace, _combinations, _grid_index, fp_array
+from .gf import Subspace, _combinations, _gate, _grid_index, fp_array
 from .pauli import PauliVector
 
-# Most codeword labels, p^(k+r), that `codewords` lists.
+# Most codeword labels, p^(k+r), that `_label_grid` lists.
 _CODEWORD_LIMIT = 1 << 16
 
 
@@ -108,13 +108,12 @@ def _label_grid(split: CssSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     `_combinations` grid each over the split's held `_label_bases`; offsets
     holds the p^(k+r) sums (l + g) % p, l-major, so row i * p^r + j is
     ls[i] + gs[j]. Rows have length n (one empty row when n = 0). Raises
-    ValueError above `gf.ROW_LIMIT` offsets, before building any.
+    Infeasible above `_CODEWORD_LIMIT` offsets, before building any.
     """
     p, n = split.p, split.n
+    dim = split.logical_x.dim - split.stab_x.dim
+    _gate(f"{p}^{dim} codeword labels", p**dim, _CODEWORD_LIMIT)
     l_basis, g_basis = _label_bases(split)
-    dim = len(l_basis) + len(g_basis)
-    if p**dim > gf.ROW_LIMIT:
-        raise ValueError(f"{p}^{dim} codeword labels exceed the limit of {gf.ROW_LIMIT} rows")
     ls, gs = _combinations(l_basis, p), _combinations(g_basis, p)
     return ls, gs, (ls[:, None, :] + gs).reshape(len(ls) * len(gs), n) % p
 
@@ -166,8 +165,7 @@ def is_fixed_by(state: CosetState, stab: PauliVector) -> bool:
 def dense_vector(state: CosetState) -> np.ndarray:
     """Explicit normalized amplitude vector; cross-validation on tiny registers."""
     p, n = state.p, state.n
-    if p**n > gf.ROW_LIMIT:
-        raise ValueError(f"dense vector of dimension {p}^{n} exceeds the size limit")
+    _gate(f"dense amplitudes of dimension {p}^{n}", p**n, gf.ROW_LIMIT)
     amps = np.zeros(p**n, dtype=np.complex128)
     x = (state.offset + state.support.all_elements()) % p
     exponent = (state.global_phase + x @ state.phase) % p
@@ -209,8 +207,7 @@ def _dense_fixing_table(support: Subspace, offsets, x_rows, z_rows) -> np.ndarra
     two residues is reduced by one conditional subtraction of p, not `% p`.
     """
     p, n = support.p, support.ambient
-    if p**n > gf.ROW_LIMIT:
-        raise ValueError(f"dense amplitudes of dimension {p}^{n} exceed the size limit")
+    _gate(f"dense amplitudes of dimension {p}^{n}", p**n, gf.ROW_LIMIT)
     elements = support.all_elements()
     place = _grid_index(np.eye(n, dtype=np.int64), p)
     owner = np.full(p**n, -1, dtype=np.int32)

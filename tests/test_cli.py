@@ -299,6 +299,20 @@ def test_exit_code_infeasible(capsys):
         assert err.startswith("error:") and "exceed" in err
 
 
+def test_searches_and_samples_past_the_stream_limit_are_refused_at_once(capsys):
+    # Bacon-Shor 21 lists its layers up to weight 2 freely; the listing to
+    # weight 21 is then priced whole, and weight 4 alone passes 2^30 vectors.
+    code, out, err = run(capsys, "info", "builtin:bacon_shor", "--l", "21")
+    assert (code, out) == (3, "")
+    assert err == ("error: infeasible: vectors of weight 1 to 4 on 441 sites (1,568,894,691) "
+                   "exceed the limit of 1,073,741,824; budget 3 fits\n")
+    code, out, _ = run(capsys, "info", "builtin:bacon_shor", "--l", "21", "--budget", "2")
+    assert code == 0 and "d = >=3 (search-bounded)\n" in out
+    code, out, err = run(capsys, "decode", "builtin:bacon_shor", "--l", "3", "--trials", str(10**12))
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert err.startswith("error: infeasible: site draws of 1,000,000,000,000 trials on 9 sites")
+
+
 def test_out_of_memory_is_infeasible(tmp_path, capsys):
     # The 2n x 2n matrices of n = 3,000,000 qubits need 262 TiB: the first
     # allocation fails at once.
@@ -348,7 +362,15 @@ def test_a_request_that_fails_last_writes_no_report(capsys, monkeypatch, module,
 def test_decode_without_a_code_is_rejected_input(capsys):
     code, out, err = run(capsys, "decode", "--trials", "5")
     assert (code, out) == (2, "")
-    assert err == "error: line 0: no code given (positional or --code)\n"
+    assert err == "error: no code given (positional or --code)\n"
+
+
+def test_an_unreadable_code_file_is_rejected_input(tmp_path, capsys):
+    # Like an unwritable --out path: the message names the path and the reason.
+    missing = tmp_path / "missing.code"
+    code, out, err = run(capsys, "info", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
 
 
 def test_info_computes_before_it_prints(capsys, monkeypatch):
@@ -370,8 +392,8 @@ def test_large_prime_letters_are_sized_before_they_are_listed(capsys, monkeypatc
     args = ["info", "builtin:random", "--p", "65521", "--n", "3", "--dim", "4", "--seed", "1"]
     code, out, err = run(capsys, *args)
     assert (code, out) == (3, "")
-    assert err.startswith("error: out of memory: the single-site value grid of p = 65521")
-    assert "68,688,023,056 bytes (64.0 GiB)" in err and err.count("\n") == 1
+    assert err == ("error: infeasible: bytes of the single-site value grid of p = 65521 "
+                   "(68,688,023,056) exceed the limit of 1,073,741,824\n")
 
 
 def test_decode_samples_a_large_prime_without_listing_its_letters(capsys):
@@ -435,9 +457,11 @@ def test_decode_rejects_trials_past_int64_before_sampling(capsys, monkeypatch, t
     code, out, err = run(capsys, "decode", "builtin:bacon_shor", "--l", "3", "--trials", trials)
     assert (code, out) == (2, "")
     assert err == f"error: trials must be <= 2**63 - 1 (int64 counts), got {trials}\n"
-    # 2**63 - 1 itself is accepted: it reaches the sampler.
-    with pytest.raises(AssertionError, match="sampled"):
-        run(capsys, "decode", "builtin:bacon_shor", "--l", "3", "--trials", str(2**63 - 1))
+    # 2**63 - 1 trials fit the counts, but not `gf.STREAM_LIMIT` site draws:
+    # refused with exit 3 before any draw.
+    code, out, err = run(capsys, "decode", "builtin:bacon_shor", "--l", "3", "--trials", str(2**63 - 1))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: infeasible: site draws of 9,223,372,036,854,775,807 trials on 9 sites")
 
 
 @pytest.mark.parametrize(

@@ -174,7 +174,7 @@ def test_sweeps_list_no_letters_they_do_not_need(monkeypatch):
         monkeypatch.setattr(decode_module, name, refuse)
     split = CssSplit(Subspace.zero(65521, 2), Subspace.zero(65521, 2))
     assert exhaustive_sweep(split, 0) == TrialCounts(1, 1, 0, 0)
-    with pytest.raises(ValueError, match="sweep of 8586002880 errors exceeds 1048576"):
+    with pytest.raises(ValueError, match=r"errors of weight 1 to 1 on 2 sites \(8,586,002,880\) exceed"):
         exhaustive_sweep(split, 1)
 
 

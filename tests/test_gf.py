@@ -7,8 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subcss import Subspace, kernel, rank, rref, solve
+from subcss import CosetState, CssSplit, Infeasible, Subspace, bacon_shor, kernel, rank, rref, solve
+from subcss import code as code_module
+from subcss import decode as decode_module
 from subcss import gf as gf_module
+from subcss import states as states_module
+from subcss.code import _coset_search, _field_letters, _letter_syndromes, _site_values
 from subcss.gf import (
     P_LIMIT,
     ROW_LIMIT,
@@ -209,6 +213,113 @@ def test_all_elements_refuses_more_than_the_row_limit():
         Subspace.full(2, 21).all_elements()
     with pytest.raises(ValueError, match="limit"):
         Subspace.full(2, 40).all_elements()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built or listed past its gate")
+
+
+def _combinations_case(mp):
+    mp.setattr(gf_module, "np", numpy_without("arange"))
+    rows = np.eye(21, dtype=np.int64)
+    return lambda: _combinations(rows, 2), r"2\^21 combinations \(2,097,152\)"
+
+
+def _label_grid_case(mp):
+    # k + r = 11 in F_2^12; the labels are refused before their bases are read.
+    eye = np.eye(12, dtype=np.int64)
+    split = CssSplit(Subspace.span(eye[:6], 2, 12), Subspace.span(eye[:5], 2, 12))
+    mp.setattr(states_module, "_CODEWORD_LIMIT", 1 << 8)
+    for name in ("_label_bases", "_combinations"):
+        mp.setattr(states_module, name, _refuse)
+    return lambda: states_module._label_grid(split), r"2\^11 codeword labels \(2,048\)"
+
+
+def _dense_vector_case(mp):
+    zero = np.zeros(13, dtype=np.int64)
+    state = CosetState(zero, Subspace.zero(3, 13), zero)
+    mp.setattr(states_module, "np", numpy_without("zeros"))
+    return lambda: states_module.dense_vector(state), r"dimension 3\^13 \(1,594,323\)"
+
+
+def _dense_table_case(mp):
+    rows, offsets = np.zeros((0, 13), dtype=np.int64), np.zeros((1, 13), dtype=np.int64)
+    support = Subspace.zero(3, 13)
+    mp.setattr(states_module, "np", numpy_without("eye", "full", "empty"))
+    return (lambda: states_module._dense_fixing_table(support, offsets, rows, rows),
+            r"dimension 3\^13 \(1,594,323\)")
+
+
+def _sweep_case(mp):
+    split = CssSplit(Subspace.zero(65521, 2), Subspace.zero(65521, 2))
+    for name in ("_decoder_pair", "_syndrome_batches"):
+        mp.setattr(decode_module, name, _refuse)
+    return lambda: decode_module.exhaustive_sweep(split, 1), r"errors of weight 1 to 1 on 2 sites"
+
+
+def _letter_table_case(mp):
+    check, letters = np.zeros((40, 64), dtype=np.int64), _field_letters(65521)
+    mp.setattr(code_module, "np", numpy_without("matmul"))
+    return (lambda: _letter_syndromes(check, letters, 65521),
+            r"table of shape \(64, 65520, 40\) \(1,341,849,600\)")
+
+
+def _site_values_case(mp):
+    mp.setattr(code_module, "np", numpy_without("arange", "stack"))
+    return lambda: _site_values(8209), r"grid of p = 8209 \(1,078,202,896\)"
+
+
+def _monte_carlo_case(mp):
+    split = bacon_shor(3).css_split()
+    mp.setattr(decode_module, "_sampled_errors", _refuse)
+    return (lambda: decode_module.monte_carlo(split, 0.1, 2**27, 0),
+            r"site draws of 134,217,728 trials on 9 sites \(1,207,959,552\).*; trials 119,304,647 fits")
+
+
+def _search_case(mp):
+    # No layer is listed freely, and the vectors of weight 1 to 3 on 9 sites
+    # (9 + 36 + 84 = 129) pass a limit of 100: budget 2 fits.
+    split = bacon_shor(3).css_split()
+    checks = split.stab_z.basis, split.h_x.complement().basis
+    mp.setattr(gf_module, "ROW_LIMIT", 0)
+    mp.setattr(gf_module, "STREAM_LIMIT", 100)
+    mp.setattr(code_module, "_syndrome_batches", _refuse)
+    return (lambda: _coset_search(*checks, _field_letters(2), 2, 3),
+            r"vectors of weight 1 to 3 on 9 sites \(129\) exceed the limit of 100; budget 2 fits$")
+
+
+@pytest.mark.parametrize("case", [
+    _combinations_case, _label_grid_case, _dense_vector_case, _dense_table_case, _sweep_case,
+    _letter_table_case, _site_values_case, _monte_carlo_case, _search_case,
+], ids=lambda case: case.__name__[1:-5])
+def test_every_size_gate_refuses_before_it_builds(monkeypatch, case):
+    # Each gate prices its request through `gf._gate`, which raises
+    # Infeasible, a ValueError, naming the price and the limit; nothing that
+    # the gate guards is allocated or listed (the patched layers would fail).
+    call, match = case(monkeypatch)
+    with pytest.raises(Infeasible, match=r"^infeasible: .*" + match) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+    assert "exceed the limit of" in str(info.value)
+
+
+def test_a_search_lists_within_the_budget_its_gate_names(monkeypatch):
+    # The refusal names budget 2; at that budget the search lists, finds no
+    # vector of weight <= 2 (d_X = 3) and answers None, as without the gate.
+    split = bacon_shor(3).css_split()
+    checks = split.stab_z.basis, split.h_x.complement().basis
+    monkeypatch.setattr(gf_module, "ROW_LIMIT", 0)
+    monkeypatch.setattr(gf_module, "STREAM_LIMIT", 100)
+    with pytest.raises(Infeasible, match="budget 2 fits"):
+        _coset_search(*checks, _field_letters(2), 2)
+    assert _coset_search(*checks, _field_letters(2), 2, 2) is None
+    # Layers within ROW_LIMIT are listed before any pricing: a weight-1 hit
+    # is found whatever the whole listing to the budget would cost.
+    monkeypatch.setattr(gf_module, "ROW_LIMIT", 9)
+    monkeypatch.setattr(gf_module, "STREAM_LIMIT", 0)
+    w, v = _coset_search(np.zeros((0, 9), dtype=np.int64), np.eye(9, dtype=np.int64)[:1],
+                         _field_letters(2), 2)
+    assert w == 1 and v.tolist() == [1] + [0] * 8
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -62,6 +62,32 @@ def test_only_gf_builds_place_values():
     assert found, "gf.py's place values are no longer found by this check"
 
 
+def test_cli_keeps_no_copy_of_a_bound():
+    # Each size gate prices its request where it builds, through `gf._gate`,
+    # and raises `gf.Infeasible`; cli.py maps that to exit 3 and reads no
+    # limit, prices nothing and has no exception class of its own.
+    tree = ast.parse((Path(subcss.__file__).parent / "cli.py").read_text())
+    read = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "Infeasible" in read
+    assert read & {"ROW_LIMIT", "STREAM_LIMIT", "_TABLE_BYTES", "_CODEWORD_LIMIT", "comb"} == set()
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == []
+
+
+def test_only_gf_raises_for_size():
+    # A size gate raises through `gf._gate`: no other module builds an
+    # Infeasible from a size, and none raises MemoryError itself. cli.py
+    # refuses non-CSS and k = 0 requests, which price nothing, as Infeasible.
+    raised = []
+    for path in sorted(Path(subcss.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                name = getattr(node.exc.func, "id", getattr(node.exc.func, "attr", None))
+                if name in ("Infeasible", "MemoryError"):
+                    raised.append(f"{path.name}: {name}")
+    assert sorted(set(raised)) == ["cli.py: Infeasible", "gf.py: Infeasible"]
+
+
 def test_private_helpers_are_imported_from_their_home():
     # `from .mod import _name` names a def, class or assignment at the top of
     # mod, not a name that mod itself imported from elsewhere.

@@ -26,7 +26,6 @@ from subcss import (
     is_fixed_by,
 )
 
-from subcss import gf
 from subcss import states as states_module
 from subcss.states import _dense_fixing_table, _fixing_table, _label_bases, _label_grid
 
@@ -193,7 +192,7 @@ def test_dense_fixing_table_is_gated_before_it_allocates(monkeypatch):
     # 3^13 > gf.ROW_LIMIT basis states: refused before any array is built.
     monkeypatch.setattr(states_module, "np", numpy_without("eye", "full", "empty"))
     rows = np.zeros((0, 13), dtype=np.int64)
-    with pytest.raises(ValueError, match=r"^dense amplitudes of dimension 3\^13 exceed the size limit$"):
+    with pytest.raises(ValueError, match=r"^infeasible: dense amplitudes of dimension 3\^13 \(1,594,323\) exceed"):
         _dense_fixing_table(Subspace.zero(3, 13), np.zeros((1, 13), dtype=np.int64), rows, rows)
 
 
@@ -275,7 +274,7 @@ def test_label_grid_guards_the_whole_grid(monkeypatch):
     # pairs do not, and neither the grid nor all_codewords builds them.
     eye = np.eye(12, dtype=np.int64)
     split = CssSplit(Subspace.span(eye[:6], 2, 12), Subspace.span(eye[:5], 2, 12))
-    monkeypatch.setattr(gf, "ROW_LIMIT", 1 << 8)
+    monkeypatch.setattr(states_module, "_CODEWORD_LIMIT", 1 << 8)
     for build in (_label_grid, all_codewords):
         with pytest.raises(ValueError, match=r"2\^11 codeword labels"):
             build(split)

@@ -437,8 +437,8 @@ def _coset_search(big_check: np.ndarray, small_check: np.ndarray, letters: np.nd
     It lists syndromes, not vectors: a row of `_syndrome_batches` over the
     stacked checks [big_check; small_check] is a hit when its big part is zero
     and its small part is not, and only the first hit is spelled as a vector.
-    A layer past `gf.ROW_LIMIT` vectors is listed only if the whole listing to the
-    budget fits `gf.STREAM_LIMIT` (`_weight_layers`); ValueError for a negative budget.
+    Infeasible, naming budget w - 1, before a layer w that takes the vectors
+    listed past `gf.STREAM_LIMIT`; ValueError for a negative budget.
     """
     n = big_check.shape[1] // letters.shape[1]
     top = min(_budget(budget, n), n)
@@ -446,25 +446,16 @@ def _coset_search(big_check: np.ndarray, small_check: np.ndarray, letters: np.nd
         return None
     m = big_check.shape[0]
     table = _letter_syndromes(np.vstack([big_check, small_check]), letters, p)
+    listed = 0
     for w in range(1, top + 1):
-        if comb(n, w) * len(letters) ** w > gf.ROW_LIMIT:
-            _weight_layers("vectors", n, len(letters), range(1, top + 1), gf.STREAM_LIMIT, "budget")
+        listed += comb(n, w) * len(letters) ** w
+        gf._gate(f"vectors of weight 1 to {w} on {n} sites", listed, gf.STREAM_LIMIT,
+                 f"budget {w - 1}")
         for sites, tuples, syns in _syndrome_batches(table, w, p):
             hits = np.flatnonzero(~syns[:, :m].any(axis=1) & syns[:, m:].any(axis=1))
             if len(hits):
                 return w, _spelled(letters, n, sites, tuples, hits[:1])[0]
     return None
-
-
-def _weight_layers(what: str, n: int, n_letters: int, weights: range, limit: int, name: str) -> int:
-    """The vectors on n sites over `n_letters` letters with weight in `weights`, C(n, w)
-    n_letters^w summed; Infeasible above `limit`, naming the largest top weight that fits."""
-    total = 0
-    for w in weights:
-        total += comb(n, w) * n_letters**w
-        fits = f"{name} {w - 1}" if w > weights.start else ""
-        gf._gate(f"{what} of weight {weights.start} to {w} on {n} sites", total, limit, fits)
-    return total
 
 
 # Syndrome engine -------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, partial
+from math import comb
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .code import (
     _site_letters,
     _site_values,
     _syndrome_batches,
-    _weight_layers,
 )
 from .gf import ROW_LIMIT, STREAM_LIMIT, Subspace, _gate, _grid_index, fp_array, kernel, pivot_columns
 from .pauli import PauliVector
@@ -427,8 +427,14 @@ def _sampled_errors(split: CssSplit, q: float, trials: int, seed: int):
 
 
 def _sweep_errors(split: CssSplit, weights: range) -> int:
-    """The Pauli errors of weight in `weights`; Infeasible above `gf.ROW_LIMIT` (`_weight_layers`)."""
-    return _weight_layers("errors", split.n, split.p**2 - 1, weights, ROW_LIMIT, "weight")
+    """The Pauli errors of weight in `weights`, C(n, w) (p^2 - 1)^w summed; Infeasible
+    above `gf.ROW_LIMIT`, naming the largest top weight that fits."""
+    n, errors = split.n, 0
+    for w in weights:
+        errors += comb(n, w) * (split.p**2 - 1) ** w
+        fits = f"weight {w - 1}" if w > weights.start else ""
+        _gate(f"errors of weight {weights.start} to {w} on {n} sites", errors, ROW_LIMIT, fits)
+    return errors
 
 
 def exhaustive_sweep(split: CssSplit, weight: int) -> TrialCounts:

@@ -299,9 +299,9 @@ def test_exit_code_infeasible(capsys):
         assert err.startswith("error:") and "exceed" in err
 
 
-def test_searches_and_samples_past_the_stream_limit_are_refused_at_once(capsys):
-    # Bacon-Shor 21 lists its layers up to weight 2 freely; the listing to
-    # weight 21 is then priced whole, and weight 4 alone passes 2^30 vectors.
+def test_searches_and_samples_past_the_stream_limit_are_refused(capsys):
+    # Bacon-Shor 21 lists its 14.3 million vectors of weight 1 to 3 on one
+    # side with no hit (d = 21); weight 4 would take the total past 2^30.
     code, out, err = run(capsys, "info", "builtin:bacon_shor", "--l", "21")
     assert (code, out) == (3, "")
     assert err == ("error: infeasible: vectors of weight 1 to 4 on 441 sites (1,568,894,691) "
@@ -311,6 +311,14 @@ def test_searches_and_samples_past_the_stream_limit_are_refused_at_once(capsys):
     code, out, err = run(capsys, "decode", "builtin:bacon_shor", "--l", "3", "--trials", str(10**12))
     assert (code, out, err.count("\n")) == (3, "", 1)
     assert err.startswith("error: infeasible: site draws of 1,000,000,000,000 trials on 9 sites")
+
+
+def test_a_search_lists_every_layer_that_fits(capsys):
+    # The 1,113,840 vectors of weight 1 on 17 sites at p = 65521 fit the
+    # stream limit and hold the distance; the listing to weight 17 would not.
+    code, out, err = run(capsys, "info", "builtin:trivial", "--n", "17", "--p", "65521")
+    assert (code, err) == (0, "")
+    assert "d = 1 (exact)\n" in out and "d_X = 1 (exact)\n" in out
 
 
 def test_out_of_memory_is_infeasible(tmp_path, capsys):

@@ -277,13 +277,14 @@ def _monte_carlo_case(mp):
 
 
 def _search_case(mp):
-    # No layer is listed freely, and the vectors of weight 1 to 3 on 9 sites
-    # (9 + 36 + 84 = 129) pass a limit of 100: budget 2 fits.
+    # The vectors of weight 1 to 2 on 9 sites (9 + 36 = 45) are listed, with no
+    # hit (d_X = 3); weight 3 would take the total to 129, past a limit of 100.
     split = bacon_shor(3).css_split()
     checks = split.stab_z.basis, split.h_x.complement().basis
-    mp.setattr(gf_module, "ROW_LIMIT", 0)
+    listed = code_module._syndrome_batches
     mp.setattr(gf_module, "STREAM_LIMIT", 100)
-    mp.setattr(code_module, "_syndrome_batches", _refuse)
+    mp.setattr(code_module, "_syndrome_batches",
+               lambda table, w, p: _refuse() if w > 2 else listed(table, w, p))
     return (lambda: _coset_search(*checks, _field_letters(2), 2, 3),
             r"vectors of weight 1 to 3 on 9 sites \(129\) exceed the limit of 100; budget 2 fits$")
 
@@ -308,15 +309,14 @@ def test_a_search_lists_within_the_budget_its_gate_names(monkeypatch):
     # vector of weight <= 2 (d_X = 3) and answers None, as without the gate.
     split = bacon_shor(3).css_split()
     checks = split.stab_z.basis, split.h_x.complement().basis
-    monkeypatch.setattr(gf_module, "ROW_LIMIT", 0)
     monkeypatch.setattr(gf_module, "STREAM_LIMIT", 100)
     with pytest.raises(Infeasible, match="budget 2 fits"):
         _coset_search(*checks, _field_letters(2), 2)
     assert _coset_search(*checks, _field_letters(2), 2, 2) is None
-    # Layers within ROW_LIMIT are listed before any pricing: a weight-1 hit
-    # is found whatever the whole listing to the budget would cost.
-    monkeypatch.setattr(gf_module, "ROW_LIMIT", 9)
-    monkeypatch.setattr(gf_module, "STREAM_LIMIT", 0)
+    # Only the layers up to the one listed are priced: a weight-1 hit is found
+    # when the 9 vectors of weight 1 fit, whatever the listing to the budget
+    # (511 vectors) would cost.
+    monkeypatch.setattr(gf_module, "STREAM_LIMIT", 9)
     w, v = _coset_search(np.zeros((0, 9), dtype=np.int64), np.eye(9, dtype=np.int64)[:1],
                          _field_letters(2), 2)
     assert w == 1 and v.tolist() == [1] + [0] * 8

@@ -170,12 +170,10 @@ def cmd_goursat(args) -> list[str]:
     spaces = (("E_X", data.e_x), ("E_Z", data.e_z), ("N_X", data.n_x), ("N_Z", data.n_z))
     lines = [_report(f"dim_{label}", space.dim) for label, space in spaces]
     lines.append(_report("phi_pairs", data.pair_count()))
-    lines += [f"{label} basis: {row}" for label, space in spaces
-              for row in _format_rows(space.basis)]
-    n = code.n
-    pairs = np.array(data.phi_pairs, dtype=np.int64).reshape(data.pair_count(), 2 * n)
-    phis = zip(_format_rows(pairs[:, :n]), _format_rows(pairs[:, n:]))
-    return lines + [f"phi: {a} -> {b}" for a, b in phis]
+    pairs = np.array(data.phi_pairs, dtype=np.int64).reshape(data.pair_count(), 2, code.n)
+    *bases, sources, images = _format_rows(*(space.basis for _, space in spaces), *pairs.swapaxes(0, 1))
+    lines += [f"{label} basis: {row}" for (label, _), rows in zip(spaces, bases) for row in rows]
+    return lines + [f"phi: {a} -> {b}" for a, b in zip(sources, images)]
 
 
 def cmd_classify(args) -> list[str]:
@@ -226,20 +224,22 @@ def cmd_decode(args) -> list[str]:
 def cmd_codewords(args) -> list[str]:
     """One line per codeword label (l, g), l-major: whether every stabilizer row
     fixes it (`states._fixing_table`) and, with --dense, whether the table read
-    off its basis states agrees (`states._dense_fixing_table`). The label bases
-    are the split's, held from its first request; the grid, both tables and
-    the report are computed on every request."""
+    off its basis states agrees (`states._dense_fixing_table`, priced first).
+    The label bases are the split's, held from its first request; the grid,
+    both tables and the report are computed on every request."""
     code = _load_code(args.code, args)
     if not code.is_css():
         raise gf.Infeasible("codewords are defined for CSS codes only")
     split = code.css_split()
+    if args.dense:
+        states._gate_dense(split.p, split.n)
     ls, gs, offsets = states._label_grid(split)
     # The stabilizer rows: X^a for a in S_X's basis, Z^b for b in S_Z's.
     rows = split.stab_x.basis, split.stab_z.basis
     fixes = states._fixing_table(split.stab_x, offsets, *rows)
     fixed = np.all(fixes, axis=1).tolist()
     # Each distinct label formatted once, paired l-major as the offsets are.
-    pairs = product(_format_rows(ls), _format_rows(gs))
+    pairs = product(*_format_rows(ls, gs))
     if args.dense:
         dense = states._dense_fixing_table(split.stab_x, offsets, *rows)
         agrees = np.all(dense == fixes, axis=1).tolist()

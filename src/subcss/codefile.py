@@ -7,11 +7,13 @@ Pauli text (per the parser grammar) or as ``a_1 ... a_n | b_1 ... b_n``.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .code import SubsystemCode
 from .gf import Subspace, _grid_digits, validate_prime
-from .pauli import flatten, format_pauli, parse_pauli, unflatten
+from .pauli import PauliVector, flatten, format_pauli, parse_pauli
 
 FORMATS = ("pauli", "symplectic")
 
@@ -91,33 +93,41 @@ def emit_code_file(code: SubsystemCode, fmt: str = "symplectic") -> str:
     """Serialize the canonical generators of a code."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    n, basis = code.n, code.gauge.basis
+    n, p, basis = code.n, code.p, code.gauge.basis
     if fmt == "pauli":
-        rows = [format_pauli(unflatten(row, code.p)) for row in basis]
+        # One token per distinct site value x * p + z, as `format_pauli` writes it.
+        keys, inverse = np.unique(basis[:, :n] * p + basis[:, n:], return_inverse=True)
+        tokens = np.array([format_pauli(PauliVector(p, [k // p], [k % p])) for k in keys.tolist()])
+        sep = "" if p == 2 else " "
+        rows = [sep.join(row) for row in tokens[inverse.reshape(len(basis), n)].tolist()]
     else:
-        halves = zip(_format_rows(basis[:, :n]), _format_rows(basis[:, n:]))
-        rows = [f"{x} | {z}" for x, z in halves]
-    return "\n".join([f"p={code.p} n={code.n} format={fmt}", *rows]) + "\n"
+        rows = [f"{x} | {z}" for x, z in zip(*_format_rows(basis[:, :n], basis[:, n:]))]
+    return "\n".join([f"p={p} n={n} format={fmt}", *rows]) + "\n"
 
 
-def _format_rows(mat: np.ndarray) -> list[str]:
-    """The space-separated entries of each row of a matrix of non-negative
-    integers, the whole matrix in one pass: every entry is written with as
-    many decimal digits as the widest one (`_grid_digits`), its leading zeros
-    are dropped, and one byte string holds every row."""
-    rows, cols = mat.shape
+def _format_rows(*blocks: np.ndarray) -> list[list[str]]:
+    """The space-separated entries of each row of each block, one list per
+    block. The blocks hold non-negative integers in one column count and are
+    written into one text array: every entry with as many decimal digits as the
+    widest one (`_grid_digits`; when that is one, the entries are the digits),
+    its leading zeros dropped, and one byte string holds every row."""
+    rows, cols = sum(map(len, blocks)), blocks[0].shape[1]
     if rows == 0 or cols == 0:
-        return [""] * rows
-    width = len(str(int(mat.max())))
-    digits = _grid_digits(np.asarray(mat, dtype=np.int64), 10, width)
+        return [[""] * len(block) for block in blocks]
+    width = len(str(max(int(block.max()) for block in blocks if len(block))))
     text = np.empty((rows, cols, width + 1), dtype=np.uint8)
-    text[..., :width] = digits + ord("0")
+    digits = [block[..., None] if width == 1 else _grid_digits(block, 10, width) for block in blocks]
+    np.concatenate(digits, out=text[..., :width], casting="unsafe")
+    text[..., :width] += ord("0")
     text[..., width] = ord(" ")
     text[:, -1, width] = ord("\n")
-    # An entry is written from its leading nonzero digit on; 0 keeps its last.
-    keep = np.ones(text.shape, dtype=bool)
-    keep[..., : width - 1] = np.logical_or.accumulate(digits[..., :-1] != 0, axis=-1)
-    return text[keep].tobytes().decode("ascii").split("\n")[:-1]
+    if width > 1:
+        # An entry is written from its leading nonzero digit on; 0 keeps its last.
+        keep = np.ones(text.shape, dtype=bool)
+        keep[..., :-2] = np.logical_or.accumulate(text[..., :-2] != ord("0"), axis=-1)
+        text = text[keep]
+    lines = iter(text.tobytes().decode("ascii").split("\n"))
+    return [list(islice(lines, len(block))) for block in blocks]
 
 
 # Built-in examples ----------------------------------------------------------

@@ -162,10 +162,15 @@ def is_fixed_by(state: CosetState, stab: PauliVector) -> bool:
     return state.same_state(apply_pauli(state, stab))
 
 
+def _gate_dense(p: int, n: int) -> None:
+    """Raise Infeasible above `gf.ROW_LIMIT` dense amplitudes, p^n."""
+    _gate(f"dense amplitudes of dimension {p}^{n}", p**n, gf.ROW_LIMIT)
+
+
 def dense_vector(state: CosetState) -> np.ndarray:
     """Explicit normalized amplitude vector; cross-validation on tiny registers."""
     p, n = state.p, state.n
-    _gate(f"dense amplitudes of dimension {p}^{n}", p**n, gf.ROW_LIMIT)
+    _gate_dense(p, n)
     amps = np.zeros(p**n, dtype=np.complex128)
     x = (state.offset + state.support.all_elements()) % p
     exponent = (state.global_phase + x @ state.phase) % p
@@ -207,7 +212,7 @@ def _dense_fixing_table(support: Subspace, offsets, x_rows, z_rows) -> np.ndarra
     two residues is reduced by one conditional subtraction of p, not `% p`.
     """
     p, n = support.p, support.ambient
-    _gate(f"dense amplitudes of dimension {p}^{n}", p**n, gf.ROW_LIMIT)
+    _gate_dense(p, n)
     elements = support.all_elements()
     place = _grid_index(np.eye(n, dtype=np.int64), p)
     owner = np.full(p**n, -1, dtype=np.int32)

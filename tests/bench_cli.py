@@ -12,7 +12,9 @@ Bacon-Shor 3, the cost of a request around its answer (parse, dispatch,
 report, settle), and `double --budget 1 --out` of Bacon-Shor 10, which reads
 the held double and writes its 200 rows. A last case times `info --budget 3`
 of Bacon-Shor 5 on a code held after a full `distance`, which its split's
-records answer.
+records answer. Below the CLI, `emit_code_file` of the double of Bacon-Shor 10
+(360 generators on 200 qubits) is timed in both formats, the text that
+`double --out` writes.
 
 Not part of the test suite (the file name does not match `test_*.py`). Run:
 
@@ -24,7 +26,7 @@ import io
 
 import pytest
 
-from subcss import cli, emit_code_file
+from subcss import bacon_shor, cli, delta, emit_code_file
 
 from conftest import qudit_bacon_shor
 
@@ -94,3 +96,10 @@ def test_info_budget3_after_distance_bacon_shor5(benchmark):
     assert "d_X = >=4 (search-bounded)\n" in out
     cli._session.cache_clear()
     assert _request(BACON_SHOR5_INFO_BUDGET3) == out
+
+
+@pytest.mark.parametrize("fmt", ["symplectic", "pauli"])
+def test_emit_code_file_double_bacon_shor10(benchmark, fmt):
+    doubled = delta(bacon_shor(10)).result
+    text = benchmark(emit_code_file, doubled, fmt)
+    assert text.count("\n") == 361

@@ -299,6 +299,22 @@ def test_exit_code_infeasible(capsys):
         assert err.startswith("error:") and "exceed" in err
 
 
+@pytest.mark.parametrize("argv, priced", [
+    (["builtin:bacon_shor", "--l", "5"], "2^25 (33,554,432)"),
+    # 2^21 labels and 2^21 amplitudes: over both limits, the amplitudes are named.
+    (["builtin:trivial", "--n", "21"], "2^21 (2,097,152)"),
+])
+def test_codewords_dense_is_refused_before_anything_is_built(capsys, monkeypatch, argv, priced):
+    def unreachable(*args):
+        raise AssertionError("built before the dense table was priced")
+
+    monkeypatch.setattr(states, "_label_grid", unreachable)
+    monkeypatch.setattr(states, "_fixing_table", unreachable)
+    code, out, err = run(capsys, "codewords", *argv, "--dense")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: infeasible: dense amplitudes of dimension {priced} exceed")
+
+
 def test_searches_and_samples_past_the_stream_limit_are_refused(capsys):
     # Bacon-Shor 21 lists its 14.3 million vectors of weight 1 to 3 on one
     # side with no hit (d = 21); weight 4 would take the total past 2^30.
@@ -365,6 +381,25 @@ def test_a_request_that_fails_last_writes_no_report(capsys, monkeypatch, module,
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == "error: out of memory: last step\n"
+
+
+@pytest.mark.parametrize("module, argv, blocks", [
+    (cli, ["goursat", "builtin:bacon_shor", "--l", "4"], 6),
+    (cli, ["codewords", "builtin:bacon_shor", "--l", "3", "--dense"], 2),
+    (codefile, ["double", "builtin:five_qubit"], 2),
+])
+def test_a_report_formats_its_matrices_in_one_call(capsys, monkeypatch, module, argv, blocks):
+    # goursat's four bases and two phi halves, codewords' two label grids and
+    # the two halves of a symplectic code file each become text in one call.
+    calls = []
+
+    def counted(*args, original=module._format_rows):
+        calls.append(len(args))
+        return original(*args)
+
+    monkeypatch.setattr(module, "_format_rows", counted)
+    code, out, err = run(capsys, *argv)
+    assert (code, err, calls) == (0, "", [blocks])
 
 
 def test_decode_without_a_code_is_rejected_input(capsys):

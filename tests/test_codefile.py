@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcss import (
     CodeFileError,
@@ -16,7 +18,7 @@ from subcss import (
     trivial,
 )
 from subcss.codefile import FIVE_QUBIT_GENERATORS, _format_rows
-from subcss.pauli import parse_pauli
+from subcss.pauli import format_pauli, parse_pauli, unflatten
 
 from conftest import random_gauge_code, reference_bacon_shor, reference_format_row
 
@@ -221,10 +223,18 @@ def test_roundtrip_random_codes(rng):
         p = int(rng.choice([2, 3]))
         code = random_gauge_code(rng, p, 3)
         for fmt in ("pauli", "symplectic"):
-            if fmt == "pauli" and p != 2:
-                continue
             parsed, _ = parse_code_file(emit_code_file(code, fmt))
             assert parsed == code
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pauli_format_matches_format_pauli(p, rng):
+    # Every row of the Pauli format reads as `format_pauli` writes that row.
+    for n in (0, 1, 4, 9):
+        code = random_gauge_code(rng, p, n)
+        lines = emit_code_file(code, "pauli").splitlines()
+        assert lines[0] == f"p={p} n={n} format=pauli"
+        assert lines[1:] == [format_pauli(unflatten(row, p)) for row in code.gauge.basis]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 65521])
@@ -234,6 +244,30 @@ def test_matrix_text_matches_the_row_reference(p, shape, rng):
     # Zeros and p - 1 in every column, so every digit count shows up.
     if mat.size:
         mat[0], mat[-1] = 0, p - 1
-    assert _format_rows(mat) == [reference_format_row(row.tolist()) for row in mat]
-    narrow = mat.astype(np.min_scalar_type(p - 1))
-    assert _format_rows(narrow) == _format_rows(mat)
+    assert _format_rows(mat) == [[reference_format_row(row.tolist()) for row in mat]]
+    # Several blocks in one call, in either order: an empty one and one whose
+    # entries have one digit, beside the matrix, whose entries may have more.
+    blocks = [mat, mat[:0], rng.integers(0, min(p, 10), size=(2, shape[1]))]
+    reference = [[reference_format_row(row.tolist()) for row in block] for block in blocks]
+    assert _format_rows(*blocks) == reference
+    assert _format_rows(*blocks[::-1]) == reference[::-1]
+    narrow = [block.astype(np.min_scalar_type(p - 1)) for block in blocks]
+    assert _format_rows(*narrow) == reference
+
+
+@st.composite
+def _blocks(draw):
+    """One to four blocks with one column count, entries in [0, p) for a drawn p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 65521]))
+    cols = draw(st.integers(0, 6))
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    return [np.array(draw(st.lists(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols),
+                                   min_size=size, max_size=size)), dtype=np.int64).reshape(size, cols)
+            for size in sizes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks())
+def test_matrix_text_of_any_blocks_matches_the_row_reference(blocks):
+    assert _format_rows(*blocks) == [[reference_format_row(row) for row in mat.tolist()]
+                                     for mat in blocks]

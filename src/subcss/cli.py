@@ -159,7 +159,7 @@ def cmd_double(args) -> list[str]:
         lines.append(f"d_bracket = [{d.value}, {2 * d.value}] (exact source distance)")
     text = codefile.emit_code_file(doubled, args.format)
     if not args.out:
-        return lines + text.splitlines()
+        return lines + text.split("\n")[:-1]
     _write_out(args.out, text)
     return lines + [f"written = {args.out}"]
 
@@ -255,7 +255,7 @@ def cmd_gen(args) -> list[str]:
     code = _load_code(f"builtin:{args.name}", args)
     text = codefile.emit_code_file(code, args.format)
     if not args.out:
-        return text.splitlines()
+        return text.split("\n")[:-1]
     _write_out(args.out, text)
     return []
 

@@ -20,16 +20,12 @@ nonzero (x, z) values of one site.
 
 A minimum weight min wt(big \\ small) is read off the syndromes of a check of
 small, which the caller holds, as it holds big's: a CSS side's are its split's
-(L_X^theta = S_Z), a code's its tower's psi-rows, as (X^w)^theta = psi(X). One
-recursion gives the least weight of every syndrome and every coset leader
-(`_syndrome_weights`); the syndromes big reaches are the `_combinations` of a
-basis of its image. An enumerator of the vectors of weight exactly w
-searches the low weights first, while that is cheaper than the recursion
-(`_enumeration_reach`), and all of them where the recursion is too costly.
-It lists syndromes, not vectors: each is the sum of its letters' rows of the
-letter-syndrome table (`_syndrome_batches`), and only a witness, or a row that
-may fill a leader slot, is spelled as a vector. `_coset_leaders` alone sizes,
-lays out and builds a coset-leader table.
+(L_X^theta = S_Z), a code's its tower's psi-rows, as (X^w)^theta = psi(X). Two
+engines answer it: the listing sums letter syndromes weight by weight
+(`_syndrome_batches`), spelling only a witness or a row that may fill a leader
+slot; one recursion gives the least weight and leader of every syndrome
+(`_syndrome_weights`). One planner, `_plan`, prices both for a distance and for
+a coset-leader table: it lists the low weights while that is the cheaper.
 """
 
 from __future__ import annotations
@@ -276,10 +272,8 @@ class SubsystemCode:
     def distance(self, budget: int | None = None) -> DistanceResult:
         """Minimum symplectic weight over (H + H^w) \\ H.
 
-        Exact (`_coset_distance`): a weight-increasing search over the low
-        weights, and the syndrome space of H past them where that is cheaper;
-        a value above `budget` (default n) is reported as the lower bound
-        budget + 1.
+        Exact (`_coset_distance`); a value above `budget` (default n) is
+        reported as the lower bound budget + 1.
 
         A CSS code is answered by its two classical codes: d = min(d_X, d_Z).
         There H + H^w = L_X x L_Z, so a logical (a, b) not in H has
@@ -344,15 +338,12 @@ def _block_product(a: Subspace, b: Subspace) -> Subspace:
 def css_distances(split: CssSplit, budget: int | None = None) -> tuple[
     DistanceResult, DistanceResult, DistanceResult
 ]:
-    """(d_X, d_Z, d) of a CSS split, each side a Hamming-weight `_coset_distance`
-    with the checks the split holds: L_X^theta = S_Z and L_Z^theta = S_X.
+    """(d_X, d_Z, d) of a CSS split, each side its `CssSplit._side_distance`:
+    searched for once per split, whose record answers a later budget that it
+    decides, on this call or a decoder's d_R.
 
     d is exact when either side is: an exact side value v <= budget lies
     below the other side's bound budget + 1.
-
-    Each side is searched for once per split (`CssSplit._side_distance`):
-    the split records what its searches found, and a later budget that the
-    record decides, on this call or a decoder's d_R, is answered from it.
     """
     d_x, d_z = split._side_distance("x", budget), split._side_distance("z", budget)
     return d_x, d_z, DistanceResult(min(d_x.value, d_z.value), d_x.exact or d_z.exact)
@@ -391,12 +382,10 @@ def _held(owner, name: str, build):
 
 def _coset_distance(big: Subspace, big_check: np.ndarray, small_check: np.ndarray,
                     letters: np.ndarray, budget: int | None = None) -> DistanceResult:
-    """min wt(big \\ small) over `letters`: `_coset_search` up to the
-    `_enumeration_reach`, then the syndrome weights; the bound budget + 1 if it
-    exceeds `budget` (default n, the sites of `letters`' layout).
-
-    No distance exceeds m, the rows of `small_check`, a full-rank check of small
-    (see `_enumeration_reach`): nothing up to m - 1 means d = m, with no recursion.
+    """min wt(big \\ small) over `letters`, the bound budget + 1 if it exceeds
+    `budget` (default n, the sites of `letters`' layout): listed up to the
+    `_plan`'s reach for min(budget, m - 1), as no distance exceeds m, then read
+    off the syndrome weights of F(big) \\ {0}, both from one letter table.
 
     Raises NoLogicalOperators if big == small, ValueError for a negative budget.
     """
@@ -405,17 +394,22 @@ def _coset_distance(big: Subspace, big_check: np.ndarray, small_check: np.ndarra
         raise NoLogicalOperators("no logical operators: the coset space is empty")
     n = ambient // letters.shape[1]
     budget = _budget(budget, n)
-    reach = _enumeration_reach(p, m, n, len(letters), budget)
-    found = _coset_search(big_check, small_check, letters, p, reach)
+    need = min(budget, m - 1)
+    reach = _plan(p, m, n, len(letters), need)
+    reach = need if reach is None else reach
+    if need:
+        checks = np.vstack([big_check, small_check]) if reach else small_check
+        table = _letter_syndromes(checks, letters, p)
+    found = _first_hit(table, len(big_check), letters, p, reach) if reach else None
     if found:
         d = found[0]
-    elif reach >= min(budget, m - 1):
-        # Nothing up to the reach: d = m past m - 1, else d is past the budget.
+    elif reach == need:
+        # Nothing up to the need: d = m past m - 1, else d is past the budget.
         d = min(m, budget + 1)
     else:
         # big \ small has the syndromes F(big) \ {0}: its basis' combinations but the first.
         image = _combinations(Subspace.span(big.basis @ small_check.T, p, m).basis, p)[1:]
-        weights = _syndrome_weights(_letter_syndromes(small_check, letters, p), p)[0]
+        weights = _syndrome_weights(table[:, :, -m:], p)[0]
         d = int(weights.ravel()[_grid_index(image, p)].min())
     return DistanceResult(d, True) if d <= budget else DistanceResult(budget + 1, False)
 
@@ -432,23 +426,24 @@ def _coset_search(big_check: np.ndarray, small_check: np.ndarray, letters: np.nd
                   budget: int | None = None) -> tuple[int, np.ndarray] | None:
     """(w, v): v is the first vector of big \\ small, each given by a check, in
     `_weight_layout` order whose weight w is the least one up to `budget`
-    (default n, the sites of `letters`' layout; no vector is heavier); None if none.
-
-    It lists syndromes, not vectors: a row of `_syndrome_batches` over the
-    stacked checks [big_check; small_check] is a hit when its big part is zero
-    and its small part is not, and only the first hit is spelled as a vector.
-    Infeasible, naming budget w - 1, before a layer w that takes the vectors
-    listed past `gf.STREAM_LIMIT`; ValueError for a negative budget.
-    """
+    (default n, the sites of `letters`' layout; no vector is heavier); None if
+    none. `_first_hit` on the letter table of [big_check; small_check]."""
     n = big_check.shape[1] // letters.shape[1]
     top = min(_budget(budget, n), n)
     if top == 0:
         return None
-    m = big_check.shape[0]
     table = _letter_syndromes(np.vstack([big_check, small_check]), letters, p)
-    listed = 0
-    for w in range(1, top + 1):
-        listed += comb(n, w) * len(letters) ** w
+    return _first_hit(table, len(big_check), letters, p, top)
+
+
+def _first_hit(table: np.ndarray, m: int, letters: np.ndarray, p: int,
+               top: int) -> tuple[int, np.ndarray] | None:
+    """`_coset_search` up to weight `top` on the stacked checks' letter table,
+    big's m rows first: a listed syndrome is a hit when its big part is zero and
+    its small part is not. Infeasible, naming budget w - 1, before a layer w
+    that takes the `_listing` past `gf.STREAM_LIMIT`."""
+    n = len(table)
+    for w, listed in _listing(n, len(letters), range(1, top + 1)):
         gf._gate(f"vectors of weight 1 to {w} on {n} sites", listed, gf.STREAM_LIMIT,
                  f"budget {w - 1}")
         for sites, tuples, syns in _syndrome_batches(table, w, p):
@@ -461,32 +456,37 @@ def _coset_search(big_check: np.ndarray, small_check: np.ndarray, letters: np.nd
 # Syndrome engine -------------------------------------------------------------
 
 
-def _enumeration_reach(p: int, m: int, n: int, n_letters: int, budget: int) -> int:
-    """The weight up to which the enumeration lists vectors before
-    `_syndrome_weights` answers the rest, for p^m syndromes, n sites and
-    `n_letters` letters: the largest w <= min(budget, m) whose vectors, all
-    weights up to w, cost no more than the recursion. At min(budget, m) a
-    distance needs no recursion, as above `gf.ROW_LIMIT` syndromes, nor at
-    m - 1 below the budget.
+def _listing(n: int, n_letters: int, weights: range) -> Iterator[tuple[int, int]]:
+    """(w, listed) for each w of `weights`: the Python-int count of vectors of
+    weight weights.start to w on n sites, sum C(n, v) n_letters^v; the one
+    price of a listing, read by the planner and by every listing's gate."""
+    listed = 0
+    for w in weights:
+        listed += comb(n, w) * n_letters**w
+        yield w, listed
 
-    No answer lies past weight m: a full-rank check matrix has m independent
-    columns, so every syndrome has a preimage of weight at most m. The
-    recursion costs, per (site, letter), the index maps of `_translator` (at
-    most m * p^ceil(m/2) digits) and one gather of p^m cells; a listed vector
-    costs at least its n sites. The enumeration stops at the distance, so it
-    goes first while it is the cheaper: whatever the distance, the two together
-    cost at most twice the cheaper one. All Python ints, so nothing wraps.
-    """
-    top = min(budget, m)
+
+def _plan(p: int, m: int, n: int, n_letters: int, need: int) -> int | None:
+    """The reach of a problem needing the weights up to `need`, for a check of
+    m rows on n sites and `n_letters` letters: the listing answers up to it and
+    the recursion the rest; None above `gf.ROW_LIMIT` syndromes, where the
+    listing answers alone. No answer lies past weight m, as every syndrome of a
+    full-rank check has a preimage of weight at most m: a distance needs
+    min(budget, m - 1), a leader table of weights up to t needs min(t, m).
+
+    The reach is the largest w <= need whose `_listing`, a listed vector
+    costing its n sites, costs no more than the recursion: per (site, letter),
+    the index maps of `_translator` (at most m * p^ceil(m/2) digits) and one
+    gather of p^m cells. The listing stops at the distance, so it goes first:
+    the two together cost at most twice the cheaper one. Python ints only."""
     size = int(p) ** m
     if size > gf.ROW_LIMIT:
-        return top
-    cost, listed = n * n_letters * (size + m * int(p) ** -(-m // 2)), 0
-    for w in range(top + 1):
-        listed += comb(n, w) * n_letters**w
+        return None
+    cost = n * n_letters * (size + m * int(p) ** -(-m // 2))
+    for w, listed in _listing(n, n_letters, range(need + 1)):
         if n * listed > cost:
             return w - 1
-    return top
+    return need
 
 
 def _translator(p: int, m: int):
@@ -557,16 +557,15 @@ def _coset_leaders(
     leaders[slots[i]] if its weight is at most `top`, else slots[i] = -1;
     None above `gf.ROW_LIMIT` syndromes. The leader of s is the least-weight,
     then lexicographically least, v over `letters` with check @ v = s; leaders
-    come in order of weight, then index, in the least dtype holding p - 1.
-    The recursion builds it where the `_enumeration_reach` falls short of
-    `top`, else the enumeration does."""
+    come in order of weight, then index, in the least dtype holding p - 1,
+    built by the engine that `_plan` picks."""
     m, n = check.shape[0], check.shape[1] // letters.shape[1]
-    size = int(p) ** m
-    if size > gf.ROW_LIMIT:
+    reach = _plan(p, m, n, len(letters), min(top, m))
+    if reach is None:
         return None
-    if _enumeration_reach(p, m, n, len(letters), top) < min(top, m):
+    if reach < min(top, m):
         return _syndrome_leaders(check, letters, p, top)
-    return _enumerated_leaders(check, letters, p, top, lambda syns: _grid_index(syns, p), size)
+    return _enumerated_leaders(check, letters, p, top, lambda syns: _grid_index(syns, p), p**m)
 
 
 def _syndrome_leaders(

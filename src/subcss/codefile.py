@@ -95,11 +95,14 @@ def emit_code_file(code: SubsystemCode, fmt: str = "symplectic") -> str:
         raise ValueError(f"unknown format {fmt!r}")
     n, p, basis = code.n, code.p, code.gauge.basis
     if fmt == "pauli":
-        # One token per distinct site value x * p + z, as `format_pauli` writes it.
-        keys, inverse = np.unique(basis[:, :n] * p + basis[:, n:], return_inverse=True)
+        # One token per distinct site value x * p + z, as `format_pauli` writes it:
+        # the sorted values unlike their left neighbours, looked up by bisection.
+        values = basis[:, :n] * p + basis[:, n:]
+        keys = np.sort(values, axis=None)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         tokens = np.array([format_pauli(PauliVector(p, [k // p], [k % p])) for k in keys.tolist()])
         sep = "" if p == 2 else " "
-        rows = [sep.join(row) for row in tokens[inverse.reshape(len(basis), n)].tolist()]
+        rows = [sep.join(row) for row in tokens[np.searchsorted(keys, values)].tolist()]
     else:
         rows = [f"{x} | {z}" for x, z in zip(*_format_rows(basis[:, :n], basis[:, n:]))]
     return "\n".join([f"p={p} n={n} format={fmt}", *rows]) + "\n"

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import comb
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .code import (
     _field_letters,
     _held,
     _letter_syndromes,
+    _listing,
     _site_letters,
     _site_values,
     _syndrome_batches,
@@ -79,11 +79,10 @@ class ClassicalCode:
         return self._distance().value
 
     def _distance(self) -> DistanceResult:
-        """min wt(K \\ R) by `_coset_distance`: a search over the low weights,
-        and the syndrome space of R past them where that is cheaper. K = ker F,
-        so F is K's check, dependent rows and all. A CSS side's is the same
-        problem as its split's side distance, d_X or d_Z, so `make_css_decoder`
-        replaces it by the split's recorded one (`CssSplit._side_distance`)."""
+        """min wt(K \\ R) by `_coset_distance`. K = ker F, so F is K's check,
+        dependent rows and all. A CSS side's is the same problem as its split's
+        side distance, d_X or d_Z, so `make_css_decoder` replaces it by the
+        split's recorded one (`CssSplit._side_distance`)."""
         checks = self.f, self.r.complement().basis
         return _coset_distance(self.k, *checks, _field_letters(self.p))
 
@@ -427,11 +426,10 @@ def _sampled_errors(split: CssSplit, q: float, trials: int, seed: int):
 
 
 def _sweep_errors(split: CssSplit, weights: range) -> int:
-    """The Pauli errors of weight in `weights`, C(n, w) (p^2 - 1)^w summed; Infeasible
-    above `gf.ROW_LIMIT`, naming the largest top weight that fits."""
+    """The Pauli errors of weight in `weights`, the `_listing` of the p^2 - 1 site
+    values; Infeasible above `gf.ROW_LIMIT`, naming the largest top weight that fits."""
     n, errors = split.n, 0
-    for w in weights:
-        errors += comb(n, w) * (split.p**2 - 1) ** w
+    for w, errors in _listing(n, split.p**2 - 1, weights):
         fits = f"weight {w - 1}" if w > weights.start else ""
         _gate(f"errors of weight {weights.start} to {w} on {n} sites", errors, ROW_LIMIT, fits)
     return errors

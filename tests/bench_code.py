@@ -2,7 +2,9 @@
 
 Times the code tower (`parameters()` of a fresh CSS and a fresh non-CSS
 code), the core of `double` on a fresh non-CSS code, the CSS distance route
-(the syndrome engine on Bacon-Shor 6, 7 and 10), the symplectic search it
+(the syndrome engine on Bacon-Shor 6, 7 and 10), the first distance searches
+of a Bacon-Shor 7 split whose spaces are built (the mixed path: the listing,
+then the recursion, from one letter table per side), the symplectic search it
 replaces on CSS codes, the weight-layer enumerator (`_syndrome_batches`), the
 search's test of one batch by its summed letter syndromes, and the symplectic
 distance of the five-qudit code at p = 5.
@@ -20,6 +22,7 @@ from subcss import DistanceResult, bacon_shor, css_distances, delta, random_code
 from subcss.code import (
     _BATCH_ROWS,
     _letter_syndromes,
+    _plan,
     _site_values,
     _syndrome_batches,
 )
@@ -67,6 +70,21 @@ def test_css_distances_bacon_shor(benchmark, l):
     d = benchmark.pedantic(css_distances, setup=lambda: ((bacon_shor(l).css_split(),), {}),
                            rounds=5)
     assert d == (DistanceResult(l, True),) * 3
+
+
+def test_css_distances_mixed_path_bacon_shor7(benchmark):
+    # A fresh split each round with its spaces and checks built untimed, so a
+    # round times only the two sides' first searches. Each side (m = 7 check
+    # rows, 2^7 syndromes) lists weight 1, then the recursion answers.
+    assert _plan(2, 7, 49, 1, 6) == 1
+
+    def fresh_split():
+        split = bacon_shor(7).css_split()
+        split.logical_z, split.stab_z, split.h_x.complement(), split.h_z.complement()
+        return (split,), {}
+
+    d = benchmark.pedantic(css_distances, setup=fresh_split, rounds=20)
+    assert d == (DistanceResult(7, True),) * 3
 
 
 def test_symplectic_reference_bacon_shor4(benchmark):

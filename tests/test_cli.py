@@ -337,6 +337,20 @@ def test_a_search_lists_every_layer_that_fits(capsys):
     assert "d = 1 (exact)\n" in out and "d_X = 1 (exact)\n" in out
 
 
+def test_a_distance_never_lists_weight_m(tmp_path, capsys):
+    # Each side of this split at p = 65521 has m = 2 check rows; d_X = m is
+    # known once weight 1 has no hit, so the listing stops before weight 2's
+    # 1.3e10 vectors, which would exceed the stream limit.
+    p = 65521
+    split = CssSplit(Subspace.span([[1, p - 1, 0]], p, 3), Subspace.span([[1, 1, 1]], p, 3))
+    path = tmp_path / "split.code"
+    path.write_text(emit_code_file(SubsystemCode.from_css_split(split)))
+    code, out, err = run(capsys, "info", str(path))
+    assert (code, err) == (0, "")
+    assert "d = 1 (exact)\n" in out
+    assert "d_X = 2 (exact)\n" in out and "d_Z = 1 (exact)\n" in out
+
+
 def test_out_of_memory_is_infeasible(tmp_path, capsys):
     # The 2n x 2n matrices of n = 3,000,000 qubits need 262 TiB: the first
     # allocation fails at once.

@@ -31,9 +31,10 @@ from subcss.code import (
     DistanceResult,
     _block_product,
     _coset_distance,
+    _coset_leaders,
     _coset_search,
-    _enumeration_reach,
     _field_letters,
+    _plan,
     _radical,
     _letter_syndromes,
     _site_letters,
@@ -993,9 +994,9 @@ def test_is_css_runs_no_echelon(monkeypatch):
 # Syndrome engine ---------------------------------------------------------------
 
 
-# The enumeration's reach forced to nothing (the syndrome engine answers every
-# weight), then to the whole budget (the engine never runs), then left alone.
-_REACHES = (lambda *args: 0, lambda p, m, n, n_letters, budget: budget, _enumeration_reach)
+# The planner's reach forced to nothing (the recursion answers every weight the
+# problem needs), then to its whole need (the recursion never runs), then left alone.
+_REACHES = (lambda *args: 0, lambda p, m, n, n_letters, need: need, _plan)
 
 
 def _engine_and_search(big, small, letters, budget):
@@ -1004,7 +1005,7 @@ def _engine_and_search(big, small, letters, budget):
     results = []
     for reach in _REACHES:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(code_module, "_enumeration_reach", reach)
+            mp.setattr(code_module, "_plan", reach)
             try:
                 checks = big.complement().basis, small.complement().basis
                 results.append(_coset_distance(big, *checks, letters, budget))
@@ -1032,7 +1033,7 @@ def test_engine_matches_the_search_on_symplectic_weight(code):
         engine, search, mixed = _engine_and_search(code.centralizer, code.gauge, letters, budget)
         assert engine == search == mixed
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(code_module, "_enumeration_reach", _REACHES[0])
+            mp.setattr(code_module, "_plan", _REACHES[0])
             if search is None:
                 with pytest.raises(NoLogicalOperators):
                     code.distance(budget)
@@ -1050,7 +1051,7 @@ def test_one_distance_runs_the_recursion_once(monkeypatch):
         return weights(*args, **kwargs)
 
     monkeypatch.setattr(code_module, "_syndrome_weights", counting)
-    monkeypatch.setattr(code_module, "_enumeration_reach", _REACHES[0])
+    monkeypatch.setattr(code_module, "_plan", _REACHES[0])
     split, code = qudit_bacon_shor(3, 3).css_split(), five_qubit()
     cases = [(big, big_check, small_check, _field_letters(3))
              for big, _, big_check, small_check in _css_side_checks(split)]
@@ -1062,23 +1063,96 @@ def test_one_distance_runs_the_recursion_once(monkeypatch):
 
 
 def test_enumeration_reach_reads_only_sizes():
+    # `_plan(p, m, n, letters, need)`: a distance needs min(budget, m - 1), a
+    # leader table of weights up to t needs min(t, m).
     # Bacon-Shor 3, one side, at budget 1: 9 * 10 listed sites against the
     # recursion's 9 * (2^3 + 3 * 2^2) cells; the enumeration answers alone.
-    assert _enumeration_reach(2, 3, 9, 1, 1) == 1
+    assert _plan(2, 3, 9, 1, 1) == 1
     # Qudit Bacon-Shor (5, 3): 613 vectors up to weight 2 go first; past them
-    # the recursion's 36 * (5^3 + 3 * 5^2) cells answer.
-    assert _enumeration_reach(5, 3, 9, 4, 2) == 2
-    assert _enumeration_reach(5, 3, 9, 4, 9) == 2
-    # Never past weight m, whatever the budget; at m = 1 the recursion answers all.
-    assert _enumeration_reach(2, 5, 25, 1, 3) == 1
-    assert _enumeration_reach(2, 1, 25, 1, 25) == 0
-    # Past gf.ROW_LIMIT syndromes, and past int64 (65521^5 > 2^63), it never runs.
-    assert _enumeration_reach(2, 21, 100, 1, 100) == 21
-    assert _enumeration_reach(65521, 5, 6, 65520, 6) == 5
+    # the recursion's 36 * (5^3 + 3 * 5^2) cells answer a leader table of
+    # weights up to 3 or more (need 3). A distance at budget >= 2 needs 2.
+    assert _plan(5, 3, 9, 4, 2) == 2
+    assert _plan(5, 3, 9, 4, 3) == 2
+    # Bacon-Shor 5, one side (m = 5) at budget 3: weight 1 goes first, then the
+    # recursion's 25 * (2^5 + 5 * 2^3) cells; at m = 1 the recursion answers a
+    # leader table's whole need, and a distance needs nothing.
+    assert _plan(2, 5, 25, 1, 3) == 1
+    assert _plan(2, 1, 25, 1, 1) == 0
+    assert _plan(2, 1, 25, 1, 0) == 0
+    # Past gf.ROW_LIMIT syndromes, and past int64 (65521^5 > 2^63), no grid:
+    # the listing answers the whole need.
+    assert _plan(2, 21, 100, 1, 20) is None
+    assert _plan(65521, 5, 6, 65520, 4) is None
     # Symplectic letters at p = 1021 on 3 sites, m = 2: the 3 (p^2 - 1)
     # vectors of weight 1 go before 3 (p^2 - 1) gathers of p^2 cells.
     p = 1021
-    assert _enumeration_reach(p, 2, 3, p**2 - 1, 3) == 1
+    assert _plan(p, 2, 3, p**2 - 1, 2) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 3), st.booleans(), st.data())
+def test_every_reach_gives_one_leader_table(p, n, m, symplectic, data):
+    # Random checks, dependent and zero rows included, over both alphabets:
+    # the recursion, the enumeration and the planner's choice fill the same
+    # slots with leaders of the same weights. Over one-column letters, the
+    # only ones a decoder uses, the leaders are equal too. Over site values
+    # the engines break ties between equal weights in different orders: the
+    # recursion site by site, the enumeration over the flattened (x | z) row.
+    letters = _site_values(p) if symplectic else _field_letters(p)
+    cols = letters.shape[1] * n
+    row = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+    check = np.array(data.draw(st.lists(row, min_size=m, max_size=m)), dtype=np.int64)
+    check, top = check.reshape(m, cols), data.draw(st.integers(0, min(n, 3)))
+    tables = []
+    for reach in _REACHES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(code_module, "_plan", reach)
+            tables.append(_coset_leaders(check, letters, p, top))
+
+    def weights(rows):
+        return rows.reshape(len(rows), letters.shape[1], n).any(axis=1).sum(axis=1)
+
+    for slots, leaders in tables[1:]:
+        assert np.array_equal(slots, tables[0][0]) and leaders.dtype == tables[0][1].dtype
+        assert np.array_equal(weights(leaders), weights(tables[0][1]))
+        if not symplectic:
+            assert np.array_equal(leaders, tables[0][1])
+
+
+@pytest.mark.parametrize("reach", _REACHES)
+def test_one_letter_table_per_distance(monkeypatch, reach):
+    # One table per side: the stacked checks' where the listing runs, whose
+    # small part the recursion reads, and the small check's alone where only
+    # the recursion runs. Bacon-Shor 5's sides (m = 5) take the mixed path.
+    build, shapes = code_module._letter_syndromes, []
+
+    def counting(check, letters, p):
+        shapes.append(check.shape)
+        return build(check, letters, p)
+
+    monkeypatch.setattr(code_module, "_letter_syndromes", counting)
+    monkeypatch.setattr(code_module, "_plan", reach)
+    assert 0 < _plan(2, 5, 25, 1, 4) < 4
+    split = bacon_shor(5).css_split()
+    assert css_distances(split) == (DistanceResult(5, True),) * 3
+    rows = 5 if reach is _REACHES[0] else 4 + 5
+    assert shapes == [(rows, 25)] * 2
+    # A distance that needs no weight, at budget 0, builds none.
+    shapes.clear()
+    assert css_distances(bacon_shor(5).css_split(), 0) == (DistanceResult(1, False),) * 3
+    assert shapes == []
+
+
+def test_no_distance_lists_weight_m():
+    # H_X = <(1, -1, 0)> and H_Z = <(1, 1, 1)> at p = 65521: each side has m = 2
+    # check rows, so p^2 > gf.ROW_LIMIT syndromes and no recursion. Weight 1
+    # holds d_Z; on the X side nothing up to m - 1 = 1 means d_X = m, so the
+    # 1.3e10 vectors of weight 2 are never listed (they exceed the stream limit).
+    p = 65521
+    split = CssSplit(Subspace.span([[1, p - 1, 0]], p, 3), Subspace.span([[1, 1, 1]], p, 3))
+    two, one = DistanceResult(2, True), DistanceResult(1, True)
+    assert css_distances(split) == (two, one, one)
+    assert css_distances(split, 1) == (DistanceResult(2, False), one, one)
 
 
 def test_weight_one_logicals_never_wait_for_the_engine(monkeypatch):
@@ -1144,8 +1218,9 @@ def test_distance_m_needs_no_recursion(monkeypatch, p):
 @settings(max_examples=60, deadline=None)
 @given(gauge_codes(primes=(2, 3, 5), max_n=3), css_splits(primes=(2, 3, 5), max_n=4))
 def test_distance_past_reach_m_minus_1_is_m(code, split):
-    # With the enumeration's reach at m - 1 the recursion never runs, and every
-    # budget gives the search's value, on symplectic weight and on CSS sides.
+    # With the reach at the whole need, min(budget, m - 1), the recursion never
+    # runs, and every budget gives the search's value, on symplectic weight and
+    # on CSS sides.
     letters = _field_letters(split.p)
     cases = [
         (code.centralizer, code.gauge, _site_values(code.p)),
@@ -1154,7 +1229,7 @@ def test_distance_past_reach_m_minus_1_is_m(code, split):
     ]
     with pytest.MonkeyPatch.context() as mp:
         _refuse_the_recursion(mp)
-        mp.setattr(code_module, "_enumeration_reach", lambda p, m, n, L, budget: min(budget, m - 1))
+        mp.setattr(code_module, "_plan", _REACHES[1])
         for big, small, letters in cases:
             if big == small:
                 continue
@@ -1251,7 +1326,7 @@ def test_the_engine_builds_no_complement(monkeypatch, reach):
 
     monkeypatch.setattr(Subspace, "complement", refuse)
     monkeypatch.setattr(gf_module, "kernel", refuse)
-    monkeypatch.setattr(code_module, "_enumeration_reach", reach)
+    monkeypatch.setattr(code_module, "_plan", reach)
     for case, d, witness in zip(cases, expected, witnesses):
         big, big_check, small_check, letters = case
         assert _coset_distance(big, big_check, small_check, letters) == d

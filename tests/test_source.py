@@ -74,6 +74,31 @@ def test_cli_keeps_no_copy_of_a_bound():
     assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == []
 
 
+def test_one_listing_price_and_one_grid_check():
+    # The price of a listing, sum C(n, w) L^w, is summed by `code._listing`
+    # alone, which the planner and every listing's gate read: no other module
+    # imports `comb`, and no other function adds up `comb` terms. Whether a
+    # p^m syndrome grid fits `gf.ROW_LIMIT` is decided by `code._plan` alone.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(subcss.__file__).parent.glob("*.py"))}
+    importers = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       and any(alias.name == "comb" for alias in node.names))
+    assert importers == ["code.py"]
+
+    def reads(node, name):
+        return any(getattr(sub, "id", getattr(sub, "attr", None)) == name for sub in ast.walk(node))
+
+    functions = [node for tree in trees.values() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+    summers = [node.name for node in functions
+               if any(isinstance(sub, ast.AugAssign) and reads(sub.value, "comb")
+                      for sub in ast.walk(node))]
+    assert summers == ["_listing"]
+    code_functions = [node for node in trees["code.py"].body if isinstance(node, ast.FunctionDef)]
+    assert [node.name for node in code_functions if reads(node, "ROW_LIMIT")] == ["_plan"]
+
+
 def test_only_gf_raises_for_size():
     # A size gate raises through `gf._gate`: no other module builds an
     # Infeasible from a size, and none raises MemoryError itself. cli.py
